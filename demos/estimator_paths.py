@@ -19,7 +19,7 @@ x = tw.sample(spec, 500, seed=20260823)
 tail = tw.validate_and_sort(x)
 
 method = tw.RhoMethod.min_variance()
-rho = tw.resolve_rho(tail, method, tail.n - 1)
+rho = tw.resolve_rho(tail, method)
 print(f"resolved rho (minimum path variance over a candidate grid): {rho}")
 print()
 

@@ -43,10 +43,8 @@ from .spacings import (
     weights,
 )
 from .asymptotics import (
-    NormalityReport,
     SMoments,
     amse,
-    normality_report,
     s1_limit,
     s2_limit,
     s_moments,
@@ -61,11 +59,11 @@ from .estimators import (
     hill,
     ls_fit,
     optimal_k,
+    path_estimates,
     ridge_fit,
     select_ridge_penalty,
     wls_fit,
     wls_gamma_grid,
-    wls_gamma_path,
 )
 from .second_order import DEFAULT_RHO_GRID, MOMENT_RHO_RANGE, RhoMethod, resolve_rho
 from .distributions import (
@@ -81,8 +79,10 @@ from .distributions import (
 )
 from .montecarlo import (
     GENERATOR_ID,
+    NormalityReport,
     SimulationConfig,
     SimulationSummary,
+    normality_report,
     rep_seed,
     run_model_simulation,
     run_simulation,
@@ -128,10 +128,10 @@ __all__ = [
     "ridge_fit",
     "select_ridge_penalty",
     "bchill",
+    "path_estimates",
     "evi_path",
     "optimal_k",
     "wls_gamma_grid",
-    "wls_gamma_path",
     # second order
     "RhoMethod",
     "resolve_rho",
@@ -156,13 +156,13 @@ __all__ = [
     "run_simulation",
     "run_model_simulation",
     "summarize",
+    "NormalityReport",
+    "normality_report",
     # asymptotics
     "SMoments",
-    "NormalityReport",
     "s_moments",
     "s1_limit",
     "s2_limit",
     "amse",
     "standardized_statistic",
-    "normality_report",
 ]

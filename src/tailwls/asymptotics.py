@@ -1,4 +1,4 @@
-"""Weight-moment sums, asymptotic MSE, and normality diagnostics for WLS.
+"""Weight-moment sums, asymptotic MSE, and the standardized WLS statistic.
 
 The normalized weights w_j and covariates C_j define four sums that control
 the large-k behaviour of the WLS estimator:
@@ -26,8 +26,7 @@ term alone. The standardized statistic sqrt(3k) (gamma_hat - gamma) /
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,19 +71,6 @@ class SMoments:
     @property
     def s2_limit(self) -> float:
         return s2_limit(self.rho)
-
-
-@dataclass(frozen=True)
-class NormalityReport:
-    """Empirical moments of the standardized WLS statistic over many runs."""
-
-    sample_mean: float
-    sample_variance: float
-    skewness: float
-    excess_kurtosis: float
-    reps: int
-    k: int
-    config: dict = field(default_factory=dict)
 
 
 def s_moments(k: int, rho: float) -> SMoments:
@@ -150,104 +136,3 @@ def standardized_statistic(gamma_hat: float, gamma_true: float, k: int) -> float
     if k < 1:
         raise KOutOfRangeError(f"k={k} must be at least 1")
     return np.sqrt(3.0 * k) * (float(gamma_hat) - gamma_true) / (2.0 * gamma_true)
-
-
-def normality_report(
-    reps: int,
-    k: int,
-    master_seed: int = 0,
-    *,
-    gamma: float | None = None,
-    b: float = 0.0,
-    rho: float = -1.0,
-    spec=None,
-    n: int | None = None,
-    rho_method=None,
-) -> NormalityReport:
-    """Moments of the standardized WLS statistic under repeated sampling.
-
-    Two generation modes share the signature. With ``spec`` None the spacings
-    come straight from the exponential regression model with parameters
-    (gamma, b, rho), which must then include gamma > 0. With ``spec`` set to a
-    DistributionSpec, full samples of size ``n`` are drawn and the top k
-    order statistics are kept; rho is then resolved by ``rho_method``
-    (default: the spec's true rho when finite negative, else -1).
-
-    The statistic is :func:`standardized_statistic`, so at b = 0 its
-    variance approaches 3k * amse(1, k, rho) / 4 (18/5 at rho = -1), not the
-    1 of the paper's normality statement.
-
-    Args:
-        reps: number of replications, at least 100.
-        k: tail fraction used by every fit.
-        master_seed: base seed; replication r uses a derived stream.
-
-    Returns:
-        NormalityReport with mean, variance, skewness, excess kurtosis of the
-        statistic and an echo of the generation settings.
-    """
-    from .estimators import wls_fit
-    from .montecarlo import rep_seed, sample_model_spacings
-    from .second_order import RhoMethod, resolve_rho
-    from .spacings import log_spacings, validate_and_sort
-
-    reps = int(reps)
-    if reps < 100:
-        raise ValueError(f"reps={reps}; need at least 100 for stable moments")
-    k = int(k)
-    stats = np.empty(reps)
-    t0 = time.perf_counter()
-    if spec is None:
-        if gamma is None or not float(gamma) > 0.0:
-            raise NonPositiveTrueGammaError(
-                f"model mode needs gamma > 0, got {gamma}"
-            )
-        gamma = float(gamma)
-        for r in range(reps):
-            z = sample_model_spacings(gamma, b, rho, k, rep_seed(master_seed, r))
-            stats[r] = standardized_statistic(wls_fit(z, rho).gamma_hat, gamma, k)
-        config = {
-            "mode": "model",
-            "gamma": gamma,
-            "b": float(b),
-            "rho": float(rho),
-            "master_seed": int(master_seed),
-        }
-    else:
-        if n is None or int(n) < k + 1:
-            raise KOutOfRangeError(f"sampling mode needs n >= k+1, got n={n}")
-        n = int(n)
-        if rho_method is None:
-            fallback = spec.true_rho if np.isfinite(spec.true_rho) else -1.0
-            rho_method = RhoMethod.fixed(fallback)
-        from .distributions import sample
-
-        for r in range(reps):
-            tail = validate_and_sort(sample(spec, n, rep_seed(master_seed, r)))
-            rho_r = resolve_rho(tail, rho_method, k)
-            fit = wls_fit(log_spacings(tail, k), rho_r)
-            stats[r] = standardized_statistic(fit.gamma_hat, spec.true_gamma, k)
-        config = {
-            "mode": "sampling",
-            "family": spec.family,
-            "params": dict(spec.params),
-            "n": n,
-            "rho_method": rho_method.method_id,
-            "master_seed": int(master_seed),
-        }
-    config["wall_clock_s"] = time.perf_counter() - t0
-
-    mean = float(np.mean(stats))
-    centered = stats - mean
-    m2 = float(np.mean(centered**2))
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
-    return NormalityReport(
-        sample_mean=mean,
-        sample_variance=m2,
-        skewness=m3 / m2**1.5,
-        excess_kurtosis=m4 / m2**2 - 3.0,
-        reps=reps,
-        k=k,
-        config=config,
-    )

@@ -221,7 +221,7 @@ def cmd_estimate(args) -> int:
         per_path_method = rho_method
         if needs_rho:
             # every method is k-independent: resolve once, reuse everywhere
-            resolved = resolve_rho(tail, rho_method, k_max)
+            resolved = resolve_rho(tail, rho_method)
             per_path_method = RhoMethod.fixed(resolved)
         paths = {
             est: evi_path(tail, est, per_path_method, k_min, k_max)

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import NonPositiveError, UOutOfRangeError
 
@@ -123,6 +122,8 @@ def quantile(spec: DistributionSpec, u):
         with np.errstate(divide="ignore"):
             x = (-np.log(arr)) ** (-1.0 / p["alpha"])
     elif spec.family == "loggamma":
+        from scipy import special  # only log-gamma needs scipy; keep import cheap
+
         x = np.exp(special.gammaincinv(p["alpha"], arr) / p["lam"])
     else:
         raise ValueError(f"unknown family {spec.family!r}")
@@ -147,6 +148,8 @@ def cdf(spec: DistributionSpec, x):
         inside = arr > 0.0
         out[inside] = np.exp(-arr[inside] ** (-p["alpha"]))
     elif spec.family == "loggamma":
+        from scipy import special
+
         inside = arr > 1.0
         out[inside] = special.gammainc(p["alpha"], p["lam"] * np.log(arr[inside]))
     else:

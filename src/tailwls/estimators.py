@@ -13,6 +13,9 @@ estimators are provided:
     WLS     weighted least squares with weights W_j = 1 - j/(k+1),
     BCHILL  multiplicatively bias-corrected Hill using a slope estimate.
 
+:func:`path_estimates` is the one table from estimator id to computation;
+every path and every simulation cell goes through it.
+
 All regression fits share one algebraic core: with unit-sum weights w_j,
 
     b_hat     = sum w_j (C_j - S1) Z_j / (S2 + shrink)
@@ -29,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asymptotics
 from .errors import (
     EmptyInputError,
     InvalidRhoError,
@@ -42,7 +44,6 @@ from .spacings import (
     OrderedTail,
     all_log_spacings,
     covariates,
-    spacings_prefix,
     weights,
 )
 
@@ -87,9 +88,7 @@ class EviPath:
     penalties: np.ndarray | None = None
 
 
-def _check_fit_args(z: LogSpacings, rho: float) -> float:
-    if z.k < 2:
-        raise KTooSmallError(f"regression needs k >= 2, got k={z.k}")
+def _check_rho(rho) -> float:
     rho = float(rho)
     if not np.isfinite(rho) or rho >= 0.0:
         raise InvalidRhoError(f"rho={rho} must be finite and < 0")
@@ -104,6 +103,37 @@ def _core_fit(zvals: np.ndarray, c: np.ndarray, w: np.ndarray, shrink: float):
     gamma_hat = w @ zvals - b_hat * s1
     fitted = gamma_hat + b_hat * c
     return float(gamma_hat), float(b_hat), fitted
+
+
+def _fit(z: LogSpacings, rho: float, weighted: bool,
+         penalty: float | None = None) -> RegressionFit:
+    """The regression fit behind :func:`wls_fit`, :func:`ls_fit` and :func:`ridge_fit`.
+
+    ``weighted`` selects W_j = 1 - j/(k+1) over uniform weights 1/k; a
+    ``penalty`` adds penalty/k to the centered sum of squares (ridge).
+    """
+    if z.k < 2:
+        raise KTooSmallError(f"regression needs k >= 2, got k={z.k}")
+    rho = _check_rho(rho)
+    shrink = 0.0
+    if penalty is not None:
+        penalty = float(penalty)
+        if not penalty >= 0.0:
+            raise NegativePenaltyError(f"penalty={penalty} must be >= 0")
+        # dividing the penalty by k matches the centered form in ridge_fit
+        shrink = penalty / z.k
+    w = weights(z.k).normalized if weighted else np.full(z.k, 1.0 / z.k)
+    c = covariates(z.k, rho).c
+    gamma_hat, b_hat, fitted = _core_fit(z.z, c, w, shrink)
+    return RegressionFit(
+        gamma_hat=gamma_hat,
+        b_hat=b_hat,
+        rho_used=rho,
+        k=z.k,
+        fitted_means=fitted,
+        residuals=z.z - fitted,
+        penalty=penalty,
+    )
 
 
 def hill(z: LogSpacings) -> float:
@@ -125,34 +155,12 @@ def wls_fit(z: LogSpacings, rho: float) -> RegressionFit:
         KTooSmallError: k < 2.
         InvalidRhoError: rho not finite negative.
     """
-    rho = _check_fit_args(z, rho)
-    w = weights(z.k).normalized
-    c = covariates(z.k, rho).c
-    gamma_hat, b_hat, fitted = _core_fit(z.z, c, w, 0.0)
-    return RegressionFit(
-        gamma_hat=gamma_hat,
-        b_hat=b_hat,
-        rho_used=rho,
-        k=z.k,
-        fitted_means=fitted,
-        residuals=z.z - fitted,
-    )
+    return _fit(z, rho, weighted=True)
 
 
 def ls_fit(z: LogSpacings, rho: float) -> RegressionFit:
     """Plain least squares fit (uniform weights 1/k). Same contract as wls_fit."""
-    rho = _check_fit_args(z, rho)
-    w = np.full(z.k, 1.0 / z.k)
-    c = covariates(z.k, rho).c
-    gamma_hat, b_hat, fitted = _core_fit(z.z, c, w, 0.0)
-    return RegressionFit(
-        gamma_hat=gamma_hat,
-        b_hat=b_hat,
-        rho_used=rho,
-        k=z.k,
-        fitted_means=fitted,
-        residuals=z.z - fitted,
-    )
+    return _fit(z, rho, weighted=False)
 
 
 def ridge_fit(z: LogSpacings, rho: float, penalty: float) -> RegressionFit:
@@ -171,40 +179,22 @@ def ridge_fit(z: LogSpacings, rho: float, penalty: float) -> RegressionFit:
         InvalidRhoError: rho not finite negative.
         NegativePenaltyError: penalty < 0.
     """
-    rho = _check_fit_args(z, rho)
-    penalty = float(penalty)
-    if not penalty >= 0.0:
-        raise NegativePenaltyError(f"penalty={penalty} must be >= 0")
-    w = np.full(z.k, 1.0 / z.k)
-    c = covariates(z.k, rho).c
-    # dividing the penalty by k matches the centered normal-equation form above
-    gamma_hat, b_hat, fitted = _core_fit(z.z, c, w, penalty / z.k)
-    return RegressionFit(
-        gamma_hat=gamma_hat,
-        b_hat=b_hat,
-        rho_used=rho,
-        k=z.k,
-        fitted_means=fitted,
-        residuals=z.z - fitted,
-        penalty=penalty,
-    )
+    return _fit(z, rho, weighted=False, penalty=penalty)
 
 
 def select_ridge_penalty(z: LogSpacings, rho: float) -> RegressionFit:
     """Ridge fit with the penalty chosen from ``RIDGE_PENALTY_FACTORS * k``.
 
-    Each candidate penalty is scored by the asymptotic mean squared error
-    proxy evaluated at its own fitted gamma; since the proxy is
-    gamma^2 * amse(1, k, rho), the score is gamma_hat^2 times a shared
-    constant. Ties go to the smallest penalty.
+    The candidate with the smallest |gamma_hat| wins; ties go to the smallest
+    penalty. This is the ranking by the AMSE proxy gamma_hat^2 *
+    amse(1, k, rho), since amse(1, k, rho) is one positive factor shared by
+    every candidate. Errors as :func:`ridge_fit`.
     """
-    rho = _check_fit_args(z, rho)
-    unit = asymptotics.amse(1.0, z.k, rho)
     best: RegressionFit | None = None
     best_score = np.inf
     for factor in RIDGE_PENALTY_FACTORS:
         fit = ridge_fit(z, rho, factor * z.k)
-        score = fit.gamma_hat**2 * unit
+        score = fit.gamma_hat**2
         if score < best_score:
             best = fit
             best_score = score
@@ -223,9 +213,7 @@ def bchill(z: LogSpacings, rho: float, b_hat: float, n: int) -> float:
         InvalidRhoError: rho not finite negative.
         KOutOfRangeError: n < k + 1.
     """
-    rho = float(rho)
-    if not np.isfinite(rho) or rho >= 0.0:
-        raise InvalidRhoError(f"rho={rho} must be finite and < 0")
+    rho = _check_rho(rho)
     n = int(n)
     if n < z.k + 1:
         raise KOutOfRangeError(f"n={n} must be at least k+1={z.k + 1}")
@@ -253,9 +241,54 @@ def wls_gamma_grid(z_all: np.ndarray, k_values, rhos) -> np.ndarray:
     return out
 
 
-def wls_gamma_path(z_all: np.ndarray, k_values, rho: float) -> np.ndarray:
-    """WLS estimates along k for one rho; see :func:`wls_gamma_grid`."""
-    return wls_gamma_grid(z_all, k_values, (rho,))[0]
+def path_estimates(z_all: np.ndarray, n: int | None, estimator_id: str, rho,
+                   k_values) -> tuple[np.ndarray, np.ndarray | None]:
+    """Estimates of one estimator at every k in the ascending ``k_values``.
+
+    This is the one place that maps an estimator id to a computation. The
+    estimate at k uses the first k entries of ``z_all`` (the spacings from
+    :func:`all_log_spacings`, or any array of at least max(k_values)
+    spacings). HILL takes cumulative means and ignores ``rho``; WLS runs the
+    :func:`wls_gamma_grid` engine that min-variance rho selection also uses;
+    LS, RR and BCHILL fit each k separately. ``n`` is the size of the
+    originating sample, read only by BCHILL's (n/k)^rho factor.
+
+    Returns:
+        (estimates, penalties): ``estimates`` aligned with ``k_values``;
+        ``penalties`` holds the chosen ridge penalties for RR, else None.
+
+    Raises:
+        ValueError: unknown estimator_id, or BCHILL with n None.
+        KTooSmallError: a regression estimator with k_values[0] < 2.
+        InvalidRhoError: rho not finite negative (all but HILL).
+        KOutOfRangeError: BCHILL with n < k + 1.
+    """
+    if estimator_id not in ESTIMATOR_IDS:
+        raise ValueError(
+            f"unknown estimator {estimator_id!r}; expected one of {ESTIMATOR_IDS}"
+        )
+    k_values = np.asarray(k_values)
+    if estimator_id == "HILL":
+        return np.cumsum(z_all)[k_values - 1] / k_values, None
+    if k_values[0] < 2:
+        raise KTooSmallError(f"regression needs k >= 2, got k={k_values[0]}")
+    if estimator_id == "WLS":
+        return wls_gamma_grid(z_all, k_values, (rho,))[0], None
+    if estimator_id == "BCHILL" and n is None:
+        raise ValueError("BCHILL requires the sample size n for its (n/k)^rho factor")
+    estimates = np.empty(len(k_values))
+    penalties = np.empty(len(k_values)) if estimator_id == "RR" else None
+    for i, k in enumerate(k_values):
+        z = LogSpacings(z=z_all[:k], k=int(k), n=n)
+        if estimator_id == "LS":
+            estimates[i] = ls_fit(z, rho).gamma_hat
+        elif estimator_id == "RR":
+            fit = select_ridge_penalty(z, rho)
+            estimates[i] = fit.gamma_hat
+            penalties[i] = fit.penalty
+        else:  # BCHILL: slope estimated by WLS at the same k
+            estimates[i] = bchill(z, rho, wls_fit(z, rho).b_hat, n)
+    return estimates, penalties
 
 
 def evi_path(
@@ -284,10 +317,6 @@ def evi_path(
     """
     from .second_order import resolve_rho
 
-    if estimator_id not in ESTIMATOR_IDS:
-        raise ValueError(
-            f"unknown estimator {estimator_id!r}; expected one of {ESTIMATOR_IDS}"
-        )
     n = tail.n
     k_min, k_max = int(k_min), int(k_max)
     if not 2 <= k_min <= k_max <= n - 1:
@@ -296,36 +325,10 @@ def evi_path(
             f"k_max={k_max}, n={n}"
         )
     k_values = np.arange(k_min, k_max + 1)
-    z_all = all_log_spacings(tail)
-
-    if estimator_id == "HILL":
-        # cumulative means of the spacings give every Hill estimate at once
-        csum = np.cumsum(z_all)
-        estimates = csum[k_values - 1] / k_values
-        return EviPath(
-            estimator_id="HILL",
-            k_values=k_values,
-            estimates=estimates,
-            rho_values=np.full(len(k_values), np.nan),
-            rho_method_id=rho_method.method_id,
-            n=n,
-        )
-
-    rho = resolve_rho(tail, rho_method, k_max)
-    estimates = np.empty(len(k_values))
-    penalties = np.empty(len(k_values)) if estimator_id == "RR" else None
-    for i, k in enumerate(k_values):
-        z = spacings_prefix(tail, z_all, int(k))
-        if estimator_id == "WLS":
-            estimates[i] = wls_fit(z, rho).gamma_hat
-        elif estimator_id == "LS":
-            estimates[i] = ls_fit(z, rho).gamma_hat
-        elif estimator_id == "RR":
-            fit = select_ridge_penalty(z, rho)
-            estimates[i] = fit.gamma_hat
-            penalties[i] = fit.penalty
-        else:  # BCHILL
-            estimates[i] = bchill(z, rho, wls_fit(z, rho).b_hat, n)
+    rho = np.nan if estimator_id == "HILL" else resolve_rho(tail, rho_method)
+    estimates, penalties = path_estimates(
+        all_log_spacings(tail), n, estimator_id, rho, k_values
+    )
     return EviPath(
         estimator_id=estimator_id,
         k_values=k_values,

@@ -12,8 +12,11 @@ straight from the exponential regression model
 
 while ``run_simulation`` samples full datasets from a distribution spec and
 pushes them through the whole pipeline (sort, spacings, rho resolution,
-estimation). Aggregates use the population-style divisor (number of
-successful replications), so mse = variance + bias^2 holds exactly.
+estimation). ``normality_report`` replicates either generator at one k and
+reports the moments of the standardized WLS statistic. Every estimate is made
+by :func:`tailwls.estimators.path_estimates`. Aggregates use the
+population-style divisor (number of successful replications), so
+mse = variance + bias^2 holds exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .asymptotics import standardized_statistic
 from .distributions import DistributionSpec, sample
 from .errors import (
     EmptyEstimatorSetError,
@@ -32,20 +36,13 @@ from .errors import (
     NonPositiveTrueGammaError,
     TailwlsError,
 )
-from .estimators import (
-    ESTIMATOR_IDS,
-    bchill,
-    hill,
-    ls_fit,
-    select_ridge_penalty,
-    wls_fit,
-)
+from .estimators import ESTIMATOR_IDS, path_estimates
 from .second_order import RhoMethod, resolve_rho
 from .spacings import (
     LogSpacings,
     all_log_spacings,
     covariates,
-    spacings_prefix,
+    log_spacings,
     validate_and_sort,
 )
 
@@ -201,24 +198,6 @@ class SimulationSummary:
                 }
 
 
-def _needs_rho(estimators) -> bool:
-    return any(e != "HILL" for e in estimators)
-
-
-def _evaluate(estimator_id: str, z: LogSpacings, rho, n: int | None) -> float:
-    """One estimate; rho may be None only for HILL."""
-    if estimator_id == "HILL":
-        return hill(z)
-    if estimator_id == "WLS":
-        return wls_fit(z, rho).gamma_hat
-    if estimator_id == "LS":
-        return ls_fit(z, rho).gamma_hat
-    if estimator_id == "RR":
-        return select_ridge_penalty(z, rho).gamma_hat
-    # BCHILL: slope estimated by WLS at the same k
-    return bchill(z, rho, wls_fit(z, rho).b_hat, n)
-
-
 def summarize(values: np.ndarray, true_gamma: float) -> dict:
     """Aggregate a (E, K, reps) array with NaN marking failures.
 
@@ -249,17 +228,17 @@ def run_simulation(config: SimulationConfig) -> SimulationSummary:
     """Full sampling study: draw, sort, resolve rho, estimate, aggregate.
 
     Each replication draws one sample of size n from the spec, resolves rho
-    once (the resolution methods do not depend on k), and evaluates every
-    requested estimator at every k in [k_min, k_max]. Failures are recorded
-    per cell as missing: a failed draw or sort marks the whole replication,
-    a failed rho resolution marks all rho-dependent estimators, a failed
-    single fit marks only its own cell.
+    once (the resolution methods do not depend on k), and computes the path
+    of every requested estimator over [k_min, k_max]. Failures are recorded
+    as missing: a failed draw or sort marks the whole replication, a failed
+    rho resolution marks every rho-dependent row, a failed path marks its
+    own row.
     """
     t0 = time.perf_counter()
     est_ids = _check_estimators(config.estimators)
     k_values = np.arange(config.k_min, config.k_max + 1)
     values = np.full((len(est_ids), len(k_values), config.reps), np.nan)
-    needs_rho = _needs_rho(est_ids)
+    needs_rho = any(e != "HILL" for e in est_ids)
     for r in range(config.reps):
         seed = rep_seed(config.master_seed, r)
         try:
@@ -268,21 +247,18 @@ def run_simulation(config: SimulationConfig) -> SimulationSummary:
         except TailwlsError:
             continue
         rho = None
-        rho_failed = False
         if needs_rho:
             try:
-                rho = resolve_rho(tail, config.rho_method, config.k_max)
+                rho = resolve_rho(tail, config.rho_method)
             except TailwlsError:
-                rho_failed = True
-        for i, k in enumerate(k_values):
-            z = spacings_prefix(tail, z_all, int(k))
-            for e, est in enumerate(est_ids):
-                if est != "HILL" and rho_failed:
-                    continue
-                try:
-                    values[e, i, r] = _evaluate(est, z, rho, config.n)
-                except TailwlsError:
-                    pass
+                pass
+        for e, est in enumerate(est_ids):
+            if est != "HILL" and rho is None:
+                continue  # rho resolution failed
+            try:
+                values[e, :, r] = path_estimates(z_all, config.n, est, rho, k_values)[0]
+            except TailwlsError:
+                pass
     agg = summarize(values, config.spec.true_gamma)
     metadata = {
         "mode": "sampling",
@@ -325,11 +301,13 @@ def run_model_simulation(
     The true rho is handed to every estimator, so this isolates estimation
     error from rho-resolution error. BCHILL needs a nominal sample size for
     its (n/k)^rho factor, which the pure generator does not have; pass ``n``
-    explicitly when requesting it.
+    explicitly when requesting it. An estimator that fails at this k marks
+    its cell missing.
 
     Raises:
         NonPositiveTrueGammaError: gamma <= 0.
-        EmptyEstimatorSetError / ValueError: bad estimator set.
+        EmptyEstimatorSetError / ValueError: bad estimator set, or BCHILL
+            without ``n``.
         Errors of :func:`sample_model_spacings` for bad (b, rho, k).
     """
     t0 = time.perf_counter()
@@ -337,17 +315,16 @@ def run_model_simulation(
     if not gamma > 0.0:
         raise NonPositiveTrueGammaError(f"gamma={gamma} must be > 0")
     est_ids = _check_estimators(estimators)
-    if "BCHILL" in est_ids and n is None:
-        raise ValueError("BCHILL requires the n= argument for its (n/k)^rho factor")
     reps = int(reps)
     if reps < 1:
         raise ValueError(f"reps={reps} must be at least 1")
+    k_values = np.array([int(k)])
     values = np.full((len(est_ids), 1, reps), np.nan)
     for r in range(reps):
         z = sample_model_spacings(gamma, b, rho, k, rep_seed(master_seed, r))
         for e, est in enumerate(est_ids):
             try:
-                values[e, 0, r] = _evaluate(est, z, rho, n)
+                values[e, :, r] = path_estimates(z.z, n, est, rho, k_values)[0]
             except TailwlsError:
                 pass
     agg = summarize(values, gamma)
@@ -366,8 +343,120 @@ def run_model_simulation(
     }
     return SimulationSummary(
         estimators=est_ids,
-        k_values=np.array([int(k)]),
+        k_values=k_values,
         true_gamma=gamma,
         metadata=metadata,
         **agg,
+    )
+
+
+@dataclass(frozen=True)
+class NormalityReport:
+    """Empirical moments of the standardized WLS statistic over many runs."""
+
+    sample_mean: float
+    sample_variance: float
+    skewness: float
+    excess_kurtosis: float
+    reps: int
+    k: int
+    config: dict = field(default_factory=dict)
+
+
+def normality_report(
+    reps: int,
+    k: int,
+    master_seed: int = 0,
+    *,
+    gamma: float | None = None,
+    b: float = 0.0,
+    rho: float = -1.0,
+    spec=None,
+    n: int | None = None,
+    rho_method=None,
+) -> NormalityReport:
+    """Moments of the standardized WLS statistic under repeated sampling.
+
+    Two generation modes share the signature. With ``spec`` None the spacings
+    come straight from the exponential regression model with parameters
+    (gamma, b, rho), which must then include gamma > 0. With ``spec`` set to a
+    DistributionSpec, full samples of size ``n`` are drawn and the top k
+    order statistics are kept; rho is then resolved by ``rho_method``
+    (default: the spec's true rho when finite negative, else -1).
+
+    The statistic is :func:`standardized_statistic`, so at b = 0 its
+    variance approaches 3k * amse(1, k, rho) / 4 (18/5 at rho = -1), not the
+    1 of the paper's normality statement. The error of a failed replication
+    propagates.
+
+    Args:
+        reps: number of replications, at least 100.
+        k: tail fraction used by every fit.
+        master_seed: base seed; replication r uses a derived stream.
+
+    Returns:
+        NormalityReport with mean, variance, skewness, excess kurtosis of the
+        statistic and an echo of the generation settings.
+    """
+    reps = int(reps)
+    if reps < 100:
+        raise ValueError(f"reps={reps}; need at least 100 for stable moments")
+    k = int(k)
+    k_values = np.array([k])
+    stats = np.empty(reps)
+    t0 = time.perf_counter()
+    if spec is None:
+        if gamma is None or not float(gamma) > 0.0:
+            raise NonPositiveTrueGammaError(
+                f"model mode needs gamma > 0, got {gamma}"
+            )
+        gamma = float(gamma)
+        for r in range(reps):
+            z = sample_model_spacings(gamma, b, rho, k, rep_seed(master_seed, r))
+            gamma_hat = path_estimates(z.z, z.n, "WLS", rho, k_values)[0][0]
+            stats[r] = standardized_statistic(gamma_hat, gamma, k)
+        config = {
+            "mode": "model",
+            "gamma": gamma,
+            "b": float(b),
+            "rho": float(rho),
+            "master_seed": int(master_seed),
+        }
+    else:
+        if n is None or int(n) < k + 1:
+            raise KOutOfRangeError(f"sampling mode needs n >= k+1, got n={n}")
+        n = int(n)
+        if rho_method is None:
+            true_rho = spec.true_rho
+            fallback = true_rho if np.isfinite(true_rho) and true_rho < 0.0 else -1.0
+            rho_method = RhoMethod.fixed(fallback)
+        for r in range(reps):
+            tail = validate_and_sort(sample(spec, n, rep_seed(master_seed, r)))
+            rho_r = resolve_rho(tail, rho_method)
+            z = log_spacings(tail, k)
+            gamma_hat = path_estimates(z.z, n, "WLS", rho_r, k_values)[0][0]
+            stats[r] = standardized_statistic(gamma_hat, spec.true_gamma, k)
+        config = {
+            "mode": "sampling",
+            "family": spec.family,
+            "params": dict(spec.params),
+            "n": n,
+            "rho_method": rho_method.method_id,
+            "master_seed": int(master_seed),
+        }
+    config["wall_clock_s"] = time.perf_counter() - t0
+
+    mean = float(np.mean(stats))
+    centered = stats - mean
+    m2 = float(np.mean(centered**2))
+    m3 = float(np.mean(centered**3))
+    m4 = float(np.mean(centered**4))
+    return NormalityReport(
+        sample_mean=mean,
+        sample_variance=m2,
+        skewness=m3 / m2**1.5,
+        excess_kurtosis=m4 / m2**2 - 3.0,
+        reps=reps,
+        k=k,
+        config=config,
     )

@@ -93,21 +93,13 @@ class RhoMethod:
         return "minvar"
 
 
-def resolve_rho(tail: OrderedTail, method: RhoMethod, k: int) -> float:
+def resolve_rho(tail: OrderedTail, method: RhoMethod) -> float:
     """Resolve rho for a sample.
 
-    ``k`` is the tail fraction the caller intends to fit with; it is range
-    checked here but none of the methods actually depend on it.
-
     Raises:
-        KOutOfRangeError: k outside [1, n-1], or the sample is too small for
-            the min-variance window.
+        KOutOfRangeError: the sample is too small for the min-variance window.
         DegenerateTailError: moment method on a tail with no variation.
     """
-    n = tail.n
-    k = int(k)
-    if not 1 <= k <= n - 1:
-        raise KOutOfRangeError(f"k={k} outside [1, {n - 1}] for n={n}")
     if method.kind == "fixed":
         return float(method.fixed_value)
     if method.kind == "moment":

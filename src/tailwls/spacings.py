@@ -170,14 +170,6 @@ def all_log_spacings(tail: OrderedTail) -> np.ndarray:
     return _readonly(j * (logs[:-1] - logs[1:]))
 
 
-def spacings_prefix(tail: OrderedTail, z_all: np.ndarray, k: int) -> LogSpacings:
-    """View the first k entries of a precomputed spacings array as LogSpacings."""
-    n = tail.n
-    if not 1 <= k <= n - 1:
-        raise KOutOfRangeError(f"k={k} outside [1, {n - 1}] for n={n}")
-    return LogSpacings(z=z_all[:k], k=int(k), n=n)
-
-
 def weights(k: int) -> WeightScheme:
     """Weight scheme W_j = 1 - j/(k+1), j = 1..k.
 

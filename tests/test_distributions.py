@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import special
@@ -145,3 +148,9 @@ def test_sample_matches_inverse_transform():
 def test_sample_bad_n():
     with pytest.raises(ValueError):
         sample(pareto(1.0), 0, seed=1)
+
+
+def test_import_does_not_load_scipy():
+    # scipy is needed only by the log-gamma quantile and cdf
+    code = "import tailwls, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True)

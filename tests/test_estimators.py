@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tailwls import (
+    ESTIMATOR_IDS,
     EmptyInputError,
     InvalidRhoError,
     KOutOfRangeError,
@@ -9,14 +10,23 @@ from tailwls import (
     LogSpacings,
     NegativePenaltyError,
     RhoMethod,
+    SimulationConfig,
+    all_log_spacings,
     bchill,
+    burr,
     covariates,
     evi_path,
     hill,
     log_spacings,
     ls_fit,
     optimal_k,
+    path_estimates,
+    rep_seed,
     ridge_fit,
+    run_model_simulation,
+    run_simulation,
+    sample,
+    sample_model_spacings,
     select_ridge_penalty,
     validate_and_sort,
     weights,
@@ -276,3 +286,35 @@ def test_optimal_k_picks_smallest_on_ties():
 def test_optimal_k_empty():
     with pytest.raises(EmptyInputError):
         optimal_k([])
+
+
+def test_all_callers_share_one_table():
+    """Paths, sampling cells and model cells are the same computation, bit for bit."""
+    spec = burr(1.0, np.sqrt(2.0), np.sqrt(2.0))
+    method = RhoMethod.fixed(-1.0)
+    tail = validate_and_sort(sample(spec, 200, rep_seed(3, 0)))
+    summary = run_simulation(SimulationConfig(
+        spec=spec, n=200, reps=1, k_min=10, k_max=150,
+        estimators=ESTIMATOR_IDS, rho_method=method, master_seed=3,
+    ))
+    z = sample_model_spacings(0.5, 0.1, -1.0, 100, rep_seed(3, 0))
+    model = run_model_simulation(0.5, 0.1, -1.0, 100, reps=1,
+                                 estimators=ESTIMATOR_IDS, master_seed=3, n=200)
+    for e, est in enumerate(ESTIMATOR_IDS):
+        path = evi_path(tail, est, method, 10, 150)
+        assert np.array_equal(summary.mean[e], path.estimates), est
+        want, _ = path_estimates(z.z, 200, est, -1.0, [100])
+        assert np.array_equal(model.mean[e], want), est
+
+
+def test_path_estimates_errors():
+    z_all = all_log_spacings(validate_and_sort(np.arange(1.0, 21.0)))
+    with pytest.raises(ValueError):
+        path_estimates(z_all, 20, "NOPE", -1.0, [5])
+    for est in ("BCHILL", "LS", "RR", "WLS"):
+        with pytest.raises(KTooSmallError):
+            path_estimates(z_all, 20, est, -1.0, [1, 2])
+    with pytest.raises(ValueError):
+        path_estimates(z_all, None, "BCHILL", -1.0, [5])
+    hill_path, penalties = path_estimates(z_all, 20, "HILL", None, [1, 2])
+    assert hill_path[0] == z_all[0] and penalties is None

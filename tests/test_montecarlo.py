@@ -13,6 +13,8 @@ from tailwls import (
     covariates,
     hill,
     log_spacings,
+    loggamma,
+    normality_report,
     pareto,
     rep_seed,
     run_model_simulation,
@@ -192,3 +194,10 @@ def test_cell_unknown_k():
     s = run_model_simulation(1.0, 0.0, -1.0, 10, 3, ("HILL",), master_seed=0)
     with pytest.raises(KeyError):
         s.cell("HILL", 11)
+
+
+def test_normality_report_on_loggamma_falls_back_to_rho_minus_one():
+    # log-gamma's true rho is 0, which no fit accepts; the default is then -1
+    rep = normality_report(100, 20, spec=loggamma(2.0, 2.0), n=200)
+    assert rep.config["rho_method"] == "fixed:-1"
+    assert np.isfinite(rep.sample_variance)
