@@ -117,8 +117,9 @@ def amse(gamma: float, k: int, rho: float, cross_coeff: float = 2.0) -> float:
     )
 
 
-def standardized_statistic(gamma_hat: float, gamma_true: float, k: int) -> float:
-    """sqrt(3k) (gamma_hat - gamma_true) / (2 gamma_true).
+def standardized_statistic(gamma_hat: float | np.ndarray, gamma_true: float,
+                           k: int) -> float | np.ndarray:
+    """sqrt(3k) (gamma_hat - gamma_true) / (2 gamma_true), elementwise for an array.
 
     This is the paper's standardization, which assumes Var(gamma_hat) =
     4 gamma^2 / (3k). For the WLS fit the statistic's limiting variance is
@@ -135,4 +136,5 @@ def standardized_statistic(gamma_hat: float, gamma_true: float, k: int) -> float
     k = int(k)
     if k < 1:
         raise KOutOfRangeError(f"k={k} must be at least 1")
-    return np.sqrt(3.0 * k) * (float(gamma_hat) - gamma_true) / (2.0 * gamma_true)
+    gamma_hat = np.asarray(gamma_hat, dtype=np.float64)
+    return np.sqrt(3.0 * k) * (gamma_hat - gamma_true) / (2.0 * gamma_true)

@@ -30,12 +30,12 @@ import numpy as np
 
 from . import __version__
 from .errors import TailwlsError
-from .estimators import ESTIMATOR_IDS, evi_path, optimal_k
+from .estimators import ESTIMATOR_IDS, optimal_k, path_estimates
 from .asymptotics import amse, s_moments
 from .distributions import burr, frechet, loggamma, pareto
 from .montecarlo import SimulationConfig, run_simulation
 from .second_order import RhoMethod, resolve_rho
-from .spacings import validate_and_sort
+from .spacings import all_log_spacings, validate_and_sort
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -60,10 +60,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _utc_now() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
 def _write_atomic(path: str, text: str) -> None:
     """Write text to path via a temp file in the same directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -80,9 +76,26 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _write_sidecar(out_path: str, entries: dict) -> None:
-    lines = [f"{key}={value}" for key, value in entries.items()]
-    _write_atomic(out_path + ".meta", "\n".join(lines) + "\n")
+def _write_outputs(out: str, header: list, rows, command: str,
+                   entries: dict) -> None:
+    """Write the CSV ``out`` from ``header`` and ``rows``, then its ``.meta`` sidecar.
+
+    The sidecar holds one key=value line per entry, framed by the command,
+    the command line, the package version and a UTC timestamp.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_atomic(out, buf.getvalue())
+    sidecar = {
+        "command": command,
+        "command_line": " ".join(sys.argv) if sys.argv else "tailwls",
+        "package_version": __version__,
+        **entries,
+        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+    }
+    _write_atomic(out + ".meta", "".join(f"{k}={v}\n" for k, v in sidecar.items()))
 
 
 def read_numeric_column(path: str, column: int | None = None,
@@ -216,15 +229,13 @@ def cmd_estimate(args) -> int:
         return EXIT_CONFIG
 
     needs_rho = any(e != "HILL" for e in estimators)
+    k_values = np.arange(k_min, k_max + 1)
     try:
-        resolved = None
-        per_path_method = rho_method
-        if needs_rho:
-            # every method is k-independent: resolve once, reuse everywhere
-            resolved = resolve_rho(tail, rho_method)
-            per_path_method = RhoMethod.fixed(resolved)
+        # every method is k-independent: resolve once, reuse everywhere
+        resolved = resolve_rho(tail, rho_method) if needs_rho else None
+        z_all = all_log_spacings(tail)
         paths = {
-            est: evi_path(tail, est, per_path_method, k_min, k_max)
+            est: path_estimates(z_all, n, est, resolved, k_values)[0]
             for est in estimators
         }
     except TailwlsError as exc:
@@ -237,41 +248,34 @@ def cmd_estimate(args) -> int:
             f"are unstable (k_min={k_min})",
             file=sys.stderr,
         )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "estimator", "rho_used", "gamma_hat"])
-    for i, k in enumerate(range(k_min, k_max + 1)):
-        for est in estimators:
-            path = paths[est]
-            writer.writerow(
-                [k, est, _fmt(path.rho_values[i]), _fmt(path.estimates[i])]
-            )
-    _write_atomic(args.out, buf.getvalue())
-    for est in estimators:
-        negative = paths[est].estimates < 0.0
-        if negative.any():
-            first_k = int(paths[est].k_values[np.argmax(negative)])
-            print(
-                f"tailwls estimate: warning: {est} gives "
-                f"{int(negative.sum())} negative estimates "
-                f"(first at k={first_k})",
-                file=sys.stderr,
-            )
-    sidecar = {
-        "command": "estimate",
-        "command_line": " ".join(sys.argv) if sys.argv else "tailwls",
-        "package_version": __version__,
+    rho_used = {est: _fmt(np.nan if est == "HILL" else resolved) for est in estimators}
+    rows = (
+        [k, est, rho_used[est], _fmt(paths[est][i])]
+        for i, k in enumerate(range(k_min, k_max + 1))
+        for est in estimators
+    )
+    entries = {
         "dataset": args.dataset,
         "n": n,
         "k_min": k_min,
         "k_max": k_max,
         "estimators": ",".join(estimators),
         "rho_method": rho_method.method_id,
-        "timestamp_utc": _utc_now(),
     }
     if resolved is not None:
-        sidecar["resolved_rho"] = _fmt(resolved)
-    _write_sidecar(args.out, sidecar)
+        entries["resolved_rho"] = _fmt(resolved)
+    _write_outputs(args.out, ["k", "estimator", "rho_used", "gamma_hat"], rows,
+                   "estimate", entries)
+    for est in estimators:
+        negative = paths[est] < 0.0
+        if negative.any():
+            first_k = int(k_values[np.argmax(negative)])
+            print(
+                f"tailwls estimate: warning: {est} gives "
+                f"{int(negative.sum())} negative estimates "
+                f"(first at k={first_k})",
+                file=sys.stderr,
+            )
     print(f"wrote {args.out} ({len(estimators)} estimators, "
           f"k in [{k_min}, {k_max}], n={n})")
     return EXIT_OK
@@ -321,34 +325,16 @@ def cmd_simulate(args) -> int:
     except TailwlsError as exc:
         print(f"tailwls simulate: simulation failed: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["estimator", "k", "mean", "bias", "mse", "variance", "missing"])
-    for row in summary.rows():
-        writer.writerow(
-            [
-                row["estimator"],
-                row["k"],
-                _fmt(row["mean"]),
-                _fmt(row["bias"]),
-                _fmt(row["mse"]),
-                _fmt(row["variance"]),
-                row["missing"],
-            ]
-        )
-    _write_atomic(args.out, buf.getvalue())
-    sidecar = {
-        "command": "simulate",
-        "command_line": " ".join(sys.argv) if sys.argv else "tailwls",
-        "timestamp_utc": _utc_now(),
-    }
-    for key, value in summary.metadata.items():
-        if key == "params":
-            for pname, pval in value.items():
-                sidecar[f"param_{pname}"] = _fmt(pval)
-        else:
-            sidecar[key] = value
-    _write_sidecar(args.out, sidecar)
+    rows = (
+        [row["estimator"], row["k"], _fmt(row["mean"]), _fmt(row["bias"]),
+         _fmt(row["mse"]), _fmt(row["variance"]), row["missing"]]
+        for row in summary.rows()
+    )
+    entries = dict(summary.metadata)
+    for pname, pval in entries.pop("params").items():
+        entries[f"param_{pname}"] = _fmt(pval)
+    header = ["estimator", "k", "mean", "bias", "mse", "variance", "missing"]
+    _write_outputs(args.out, header, rows, "simulate", entries)
     print(f"wrote {args.out} ({len(estimators)} estimators, "
           f"k in [{config.k_min}, {config.k_max}], reps={config.reps})")
     return EXIT_OK
@@ -367,41 +353,22 @@ def cmd_diagnose(args) -> int:
     except ValueError as exc:
         print(f"tailwls diagnose: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["k", "s1", "s2", "s_dot", "s_ddot", "s1_limit", "s2_limit", "amse"]
-    )
-    for k in range(k_min, k_max + 1):
+
+    def row(k):
         m = s_moments(k, rho)
-        writer.writerow(
-            [
-                k,
-                _fmt(m.s1),
-                _fmt(m.s2),
-                _fmt(m.s_dot),
-                _fmt(m.s_ddot),
-                _fmt(m.s1_limit),
-                _fmt(m.s2_limit),
-                _fmt(amse(gamma, k, rho, cross_coeff=coeff)),
-            ]
-        )
+        return [k, _fmt(m.s1), _fmt(m.s2), _fmt(m.s_dot), _fmt(m.s_ddot),
+                _fmt(m.s1_limit), _fmt(m.s2_limit),
+                _fmt(amse(gamma, k, rho, cross_coeff=coeff))]
+
+    header = ["k", "s1", "s2", "s_dot", "s_ddot", "s1_limit", "s2_limit", "amse"]
+    rows = (row(k) for k in range(k_min, k_max + 1))
     if args.out is None:
-        sys.stdout.write(buf.getvalue())
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
-        _write_atomic(args.out, buf.getvalue())
-        _write_sidecar(
-            args.out,
-            {
-                "command": "diagnose",
-                "command_line": " ".join(sys.argv) if sys.argv else "tailwls",
-                "package_version": __version__,
-                "rho": _fmt(rho),
-                "gamma": _fmt(gamma),
-                "amse_coeff": _fmt(coeff),
-                "timestamp_utc": _utc_now(),
-            },
-        )
+        entries = {"rho": _fmt(rho), "gamma": _fmt(gamma), "amse_coeff": _fmt(coeff)}
+        _write_outputs(args.out, header, rows, "diagnose", entries)
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -1,27 +1,33 @@
-"""Monte Carlo machinery: seeded generators, replication loops, aggregation.
+"""Monte Carlo machinery: seeded generators, one replication engine, aggregation.
 
 Replication r of a study draws from a PCG64 stream seeded with
 
     rep_seed(master_seed, r) = master_seed XOR splitmix64(r)
 
 so runs are reproducible, independent of replication order, and cheap to
-shard. Two generators are provided: ``sample_model_spacings`` draws spacings
-straight from the exponential regression model
+shard. Every study runs through one engine, ``_replicate``, which calls a
+draw per replication and computes each estimator path with
+:func:`tailwls.estimators.path_estimates`. The sampling draw samples a full
+dataset from a distribution spec, sorts it, takes its log-spacings and
+resolves rho. The model draw scales unit exponentials f_j by the means of
+the exponential regression model, built once per study,
 
-    Z_j = (gamma + b * C_j) * f_j,    f_j i.i.d. unit exponential,
+    Z_j = (gamma + b * C_j) * f_j,
 
-while ``run_simulation`` samples full datasets from a distribution spec and
-pushes them through the whole pipeline (sort, spacings, rho resolution,
-estimation). ``normality_report`` replicates either generator at one k and
-reports the moments of the standardized WLS statistic. Every estimate is made
-by :func:`tailwls.estimators.path_estimates`. Aggregates use the
-population-style divisor (number of successful replications), so
-mse = variance + bias^2 holds exactly.
+as ``sample_model_spacings`` does for one replication. ``run_simulation``,
+``run_model_simulation`` and ``normality_report`` validate, build a draw and
+call the engine. One failure rule holds for all three: a failed draw marks
+its whole replication missing, an unresolved rho marks every rho-dependent
+estimator, and a failed path marks its own estimator; configuration errors
+raise before the first replication. Aggregates use the population-style
+divisor (number of successful replications), so mse = variance + bias^2
+holds exactly.
 """
 
 from __future__ import annotations
 
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,19 +38,14 @@ from .distributions import DistributionSpec, sample
 from .errors import (
     EmptyEstimatorSetError,
     KOutOfRangeError,
+    KTooSmallError,
     NonPositiveMeanError,
     NonPositiveTrueGammaError,
     TailwlsError,
 )
 from .estimators import ESTIMATOR_IDS, path_estimates
 from .second_order import RhoMethod, resolve_rho
-from .spacings import (
-    LogSpacings,
-    all_log_spacings,
-    covariates,
-    log_spacings,
-    validate_and_sort,
-)
+from .spacings import LogSpacings, all_log_spacings, covariates, validate_and_sort
 
 _MASK64 = (1 << 64) - 1
 
@@ -63,6 +64,23 @@ def _splitmix64(x: int) -> int:
 def rep_seed(master_seed: int, r: int) -> int:
     """Derived seed for replication r; distinct r give well-separated seeds."""
     return (int(master_seed) & _MASK64) ^ _splitmix64(int(r))
+
+
+def _model_means(gamma: float, b: float, rho: float, k: int) -> np.ndarray:
+    """The model means gamma + b C_j, j = 1..k, checked to be positive."""
+    means = float(gamma) + float(b) * covariates(k, rho).c
+    if not (means > 0.0).all():
+        j_bad = int(np.argmin(means)) + 1
+        raise NonPositiveMeanError(
+            f"mean gamma + b*C_j = {means.min()} at j={j_bad} is not positive"
+        )
+    return means
+
+
+def _unit_exponentials(seed: int, k: int) -> np.ndarray:
+    """k unit exponentials -log(1-U), one uniform each from the seeded stream."""
+    rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
+    return -np.log1p(-rng.random(k))
 
 
 def sample_model_spacings(
@@ -87,23 +105,68 @@ def sample_model_spacings(
         NonPositiveMeanError: some mean gamma + b C_j <= 0.
     """
     k = int(k)
-    if k < 1:
-        raise KOutOfRangeError(f"k={k} must be at least 1")
-    c = covariates(k, rho).c
-    means = float(gamma) + float(b) * c
-    if not (means > 0.0).all():
-        j_bad = int(np.argmin(means)) + 1
-        raise NonPositiveMeanError(
-            f"mean gamma + b*C_j = {means.min()} at j={j_bad} is not positive"
-        )
+    means = _model_means(gamma, b, rho, k)
     if noise is None:
-        rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
-        f = -np.log1p(-rng.random(k))
+        f = _unit_exponentials(seed, k)
     else:
         f = np.asarray(noise, dtype=np.float64)
         if f.shape != (k,):
             raise ValueError(f"noise must have shape ({k},), got {f.shape}")
     return LogSpacings(z=means * f, k=k, n=k + 1)
+
+
+def _model_draw(gamma: float, b: float, rho: float, k: int):
+    """Draw of model spacings with the true rho; the means are checked once, here."""
+    means = _model_means(gamma, b, rho, k)
+    return lambda seed: (means * _unit_exponentials(seed, means.size), rho)
+
+
+def _sampling_draw(spec: DistributionSpec, n: int, rho_method: RhoMethod,
+                   est_ids: tuple[str, ...]):
+    """Draw of a full sample: sample, sort, log-spacings, then rho.
+
+    Rho is resolved only when some estimator in ``est_ids`` needs it; a
+    failed resolution hands on None instead.
+    """
+    needs_rho = any(e != "HILL" for e in est_ids)
+
+    def draw(seed):
+        tail = validate_and_sort(sample(spec, n, seed))
+        z_all = all_log_spacings(tail)
+        rho = None
+        if needs_rho:
+            try:
+                rho = resolve_rho(tail, rho_method)
+            except TailwlsError:
+                pass
+        return z_all, rho
+
+    return draw
+
+
+def _replicate(draw, est_ids: tuple[str, ...], k_values: np.ndarray,
+               n: int | None, reps: int, master_seed: int) -> np.ndarray:
+    """The replication engine behind every study; returns values[estimator, k, rep].
+
+    Replication r calls ``draw(rep_seed(master_seed, r))``, which returns the
+    spacings ``z_all`` and the rho to fit with (None if it could not be
+    resolved), then computes every estimator path over ``k_values``. Cells
+    that the module's failure rule marks missing stay NaN.
+    """
+    values = np.full((len(est_ids), len(k_values), reps), np.nan)
+    for r in range(reps):
+        try:
+            z_all, rho = draw(rep_seed(master_seed, r))
+        except TailwlsError:
+            continue
+        for e, est in enumerate(est_ids):
+            if est != "HILL" and rho is None:
+                continue
+            try:
+                values[e, :, r] = path_estimates(z_all, n, est, rho, k_values)[0]
+            except TailwlsError:
+                pass
+    return values
 
 
 @dataclass(frozen=True)
@@ -165,17 +228,10 @@ class SimulationSummary:
     missing: np.ndarray
     metadata: dict
 
-    def cell(self, estimator: str, k: int) -> dict:
-        """All aggregates for one (estimator, k) pair."""
-        e = self.estimators.index(estimator)
-        ks = np.asarray(self.k_values)
-        hits = np.nonzero(ks == int(k))[0]
-        if len(hits) == 0:
-            raise KeyError(f"k={k} not in summary")
-        i = int(hits[0])
+    def _cell(self, e: int, i: int) -> dict:
         return {
-            "estimator": estimator,
-            "k": int(k),
+            "estimator": self.estimators[e],
+            "k": int(self.k_values[i]),
             "mean": float(self.mean[e, i]),
             "bias": float(self.bias[e, i]),
             "mse": float(self.mse[e, i]),
@@ -183,19 +239,19 @@ class SimulationSummary:
             "missing": int(self.missing[e, i]),
         }
 
+    def cell(self, estimator: str, k: int) -> dict:
+        """All aggregates for one (estimator, k) pair."""
+        e = self.estimators.index(estimator)
+        hits = np.nonzero(np.asarray(self.k_values) == int(k))[0]
+        if len(hits) == 0:
+            raise KeyError(f"k={k} not in summary")
+        return self._cell(e, int(hits[0]))
+
     def rows(self):
         """Yield cells in reporting order: estimator-major, k ascending."""
-        for e, est in enumerate(self.estimators):
-            for i, k in enumerate(self.k_values):
-                yield {
-                    "estimator": est,
-                    "k": int(k),
-                    "mean": float(self.mean[e, i]),
-                    "bias": float(self.bias[e, i]),
-                    "mse": float(self.mse[e, i]),
-                    "variance": float(self.variance[e, i]),
-                    "missing": int(self.missing[e, i]),
-                }
+        for e in range(len(self.estimators)):
+            for i in range(len(self.k_values)):
+                yield self._cell(e, i)
 
 
 def summarize(values: np.ndarray, true_gamma: float) -> dict:
@@ -206,8 +262,6 @@ def summarize(values: np.ndarray, true_gamma: float) -> dict:
     exactly. A permutation of the replication axis changes nothing beyond
     float roundoff.
     """
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         mean = np.nanmean(values, axis=2)
@@ -224,65 +278,51 @@ def summarize(values: np.ndarray, true_gamma: float) -> dict:
     }
 
 
+def _summary(values: np.ndarray, est_ids: tuple[str, ...], k_values: np.ndarray,
+             true_gamma: float, master_seed: int, t0: float,
+             settings: dict) -> SimulationSummary:
+    """Aggregate an engine output; metadata is ``settings`` plus the common keys."""
+    agg = summarize(values, true_gamma)
+    metadata = {
+        **settings,
+        "estimators": ",".join(est_ids),
+        "master_seed": master_seed,
+        "uniform_generator": GENERATOR_ID,
+        "package_version": __version__,
+        "wall_clock_s": time.perf_counter() - t0,
+    }
+    return SimulationSummary(est_ids, k_values, true_gamma, metadata=metadata, **agg)
+
+
 def run_simulation(config: SimulationConfig) -> SimulationSummary:
     """Full sampling study: draw, sort, resolve rho, estimate, aggregate.
 
     Each replication draws one sample of size n from the spec, resolves rho
     once (the resolution methods do not depend on k), and computes the path
-    of every requested estimator over [k_min, k_max]. Failures are recorded
-    as missing: a failed draw or sort marks the whole replication, a failed
-    rho resolution marks every rho-dependent row, a failed path marks its
-    own row.
+    of every requested estimator over [k_min, k_max]. Failures are counted
+    as missing by the module's failure rule.
     """
     t0 = time.perf_counter()
     est_ids = _check_estimators(config.estimators)
     k_values = np.arange(config.k_min, config.k_max + 1)
-    values = np.full((len(est_ids), len(k_values), config.reps), np.nan)
-    needs_rho = any(e != "HILL" for e in est_ids)
-    for r in range(config.reps):
-        seed = rep_seed(config.master_seed, r)
-        try:
-            tail = validate_and_sort(sample(config.spec, config.n, seed))
-            z_all = all_log_spacings(tail)
-        except TailwlsError:
-            continue
-        rho = None
-        if needs_rho:
-            try:
-                rho = resolve_rho(tail, config.rho_method)
-            except TailwlsError:
-                pass
-        for e, est in enumerate(est_ids):
-            if est != "HILL" and rho is None:
-                continue  # rho resolution failed
-            try:
-                values[e, :, r] = path_estimates(z_all, config.n, est, rho, k_values)[0]
-            except TailwlsError:
-                pass
-    agg = summarize(values, config.spec.true_gamma)
-    metadata = {
-        "mode": "sampling",
-        "family": config.spec.family,
-        "params": dict(config.spec.params),
-        "true_gamma": config.spec.true_gamma,
-        "true_rho": config.spec.true_rho,
-        "n": config.n,
-        "reps": config.reps,
-        "k_min": config.k_min,
-        "k_max": config.k_max,
-        "estimators": ",".join(est_ids),
-        "rho_method": config.rho_method.method_id,
-        "master_seed": config.master_seed,
-        "uniform_generator": GENERATOR_ID,
-        "package_version": __version__,
-        "wall_clock_s": time.perf_counter() - t0,
-    }
-    return SimulationSummary(
-        estimators=est_ids,
-        k_values=k_values,
-        true_gamma=config.spec.true_gamma,
-        metadata=metadata,
-        **agg,
+    spec = config.spec
+    draw = _sampling_draw(spec, config.n, config.rho_method, est_ids)
+    values = _replicate(draw, est_ids, k_values, config.n, config.reps,
+                        config.master_seed)
+    return _summary(
+        values, est_ids, k_values, spec.true_gamma, config.master_seed, t0,
+        {
+            "mode": "sampling",
+            "family": spec.family,
+            "params": dict(spec.params),
+            "true_gamma": spec.true_gamma,
+            "true_rho": spec.true_rho,
+            "n": config.n,
+            "reps": config.reps,
+            "k_min": config.k_min,
+            "k_max": config.k_max,
+            "rho_method": config.rho_method.method_id,
+        },
     )
 
 
@@ -319,34 +359,18 @@ def run_model_simulation(
     if reps < 1:
         raise ValueError(f"reps={reps} must be at least 1")
     k_values = np.array([int(k)])
-    values = np.full((len(est_ids), 1, reps), np.nan)
-    for r in range(reps):
-        z = sample_model_spacings(gamma, b, rho, k, rep_seed(master_seed, r))
-        for e, est in enumerate(est_ids):
-            try:
-                values[e, :, r] = path_estimates(z.z, n, est, rho, k_values)[0]
-            except TailwlsError:
-                pass
-    agg = summarize(values, gamma)
-    metadata = {
-        "mode": "model",
-        "gamma": gamma,
-        "b": float(b),
-        "rho": float(rho),
-        "k": int(k),
-        "reps": reps,
-        "estimators": ",".join(est_ids),
-        "master_seed": master_seed,
-        "uniform_generator": GENERATOR_ID,
-        "package_version": __version__,
-        "wall_clock_s": time.perf_counter() - t0,
-    }
-    return SimulationSummary(
-        estimators=est_ids,
-        k_values=k_values,
-        true_gamma=gamma,
-        metadata=metadata,
-        **agg,
+    values = _replicate(_model_draw(gamma, b, rho, k), est_ids, k_values, n,
+                        reps, master_seed)
+    return _summary(
+        values, est_ids, k_values, gamma, master_seed, t0,
+        {
+            "mode": "model",
+            "gamma": gamma,
+            "b": float(b),
+            "rho": float(rho),
+            "k": int(k),
+            "reps": reps,
+        },
     )
 
 
@@ -377,21 +401,24 @@ def normality_report(
 ) -> NormalityReport:
     """Moments of the standardized WLS statistic under repeated sampling.
 
-    Two generation modes share the signature. With ``spec`` None the spacings
-    come straight from the exponential regression model with parameters
-    (gamma, b, rho), which must then include gamma > 0. With ``spec`` set to a
+    Two generation modes share the signature and the replication engine of
+    :func:`run_simulation`. With ``spec`` None the spacings come straight
+    from the exponential regression model with parameters (gamma, b, rho),
+    which must then include gamma > 0. With ``spec`` set to a
     DistributionSpec, full samples of size ``n`` are drawn and the top k
     order statistics are kept; rho is then resolved by ``rho_method``
     (default: the spec's true rho when finite negative, else -1).
 
     The statistic is :func:`standardized_statistic`, so at b = 0 its
     variance approaches 3k * amse(1, k, rho) / 4 (18/5 at rho = -1), not the
-    1 of the paper's normality statement. The error of a failed replication
-    propagates.
+    1 of the paper's normality statement. A replication that fails (by the
+    module's failure rule) is counted in ``config["missing"]`` and the
+    moments are taken over the others; they are NaN when every replication
+    fails.
 
     Args:
         reps: number of replications, at least 100.
-        k: tail fraction used by every fit.
+        k: tail fraction used by every fit, at least 2.
         master_seed: base seed; replication r uses a derived stream.
 
     Returns:
@@ -402,8 +429,8 @@ def normality_report(
     if reps < 100:
         raise ValueError(f"reps={reps}; need at least 100 for stable moments")
     k = int(k)
-    k_values = np.array([k])
-    stats = np.empty(reps)
+    if k < 2:
+        raise KTooSmallError(f"the WLS fit needs k >= 2, got k={k}")
     t0 = time.perf_counter()
     if spec is None:
         if gamma is None or not float(gamma) > 0.0:
@@ -411,10 +438,7 @@ def normality_report(
                 f"model mode needs gamma > 0, got {gamma}"
             )
         gamma = float(gamma)
-        for r in range(reps):
-            z = sample_model_spacings(gamma, b, rho, k, rep_seed(master_seed, r))
-            gamma_hat = path_estimates(z.z, z.n, "WLS", rho, k_values)[0][0]
-            stats[r] = standardized_statistic(gamma_hat, gamma, k)
+        draw = _model_draw(gamma, b, rho, k)
         config = {
             "mode": "model",
             "gamma": gamma,
@@ -430,12 +454,8 @@ def normality_report(
             true_rho = spec.true_rho
             fallback = true_rho if np.isfinite(true_rho) and true_rho < 0.0 else -1.0
             rho_method = RhoMethod.fixed(fallback)
-        for r in range(reps):
-            tail = validate_and_sort(sample(spec, n, rep_seed(master_seed, r)))
-            rho_r = resolve_rho(tail, rho_method)
-            z = log_spacings(tail, k)
-            gamma_hat = path_estimates(z.z, n, "WLS", rho_r, k_values)[0][0]
-            stats[r] = standardized_statistic(gamma_hat, spec.true_gamma, k)
+        gamma = spec.true_gamma
+        draw = _sampling_draw(spec, n, rho_method, ("WLS",))
         config = {
             "mode": "sampling",
             "family": spec.family,
@@ -444,18 +464,25 @@ def normality_report(
             "rho_method": rho_method.method_id,
             "master_seed": int(master_seed),
         }
+    gamma_hat = _replicate(draw, ("WLS",), np.array([k]), n, reps, master_seed)[0, 0]
+    stats = standardized_statistic(gamma_hat[~np.isnan(gamma_hat)], gamma, k)
+    config["missing"] = reps - stats.size
     config["wall_clock_s"] = time.perf_counter() - t0
 
-    mean = float(np.mean(stats))
-    centered = stats - mean
-    m2 = float(np.mean(centered**2))
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # NaN below two replications
+        mean = np.mean(stats)
+        centered = stats - mean
+        m2 = np.mean(centered**2)
+        m3 = np.mean(centered**3)
+        m4 = np.mean(centered**4)
+        skewness = m3 / m2**1.5
+        excess_kurtosis = m4 / m2**2 - 3.0
     return NormalityReport(
-        sample_mean=mean,
-        sample_variance=m2,
-        skewness=m3 / m2**1.5,
-        excess_kurtosis=m4 / m2**2 - 3.0,
+        sample_mean=float(mean),
+        sample_variance=float(m2),
+        skewness=float(skewness),
+        excess_kurtosis=float(excess_kurtosis),
         reps=reps,
         k=k,
         config=config,

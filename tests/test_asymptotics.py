@@ -5,6 +5,7 @@ from tailwls import (
     InvalidRhoError,
     KOutOfRangeError,
     KTooSmallError,
+    NonPositiveMeanError,
     NonPositiveTrueGammaError,
     amse,
     covariates,
@@ -170,3 +171,7 @@ def test_normality_report_argument_errors():
         normality_report(200, 100)  # model mode without gamma
     with pytest.raises(KOutOfRangeError):
         normality_report(200, 100, spec=pareto(1.0))  # sampling mode without n
+    with pytest.raises(NonPositiveMeanError):
+        normality_report(200, 100, gamma=0.1, b=-1.0, rho=-1.0)
+    with pytest.raises(KTooSmallError):
+        normality_report(200, 1, gamma=1.0)  # the WLS fit needs k >= 2

@@ -21,6 +21,7 @@ from tailwls import (
     run_simulation,
     sample,
     sample_model_spacings,
+    standardized_statistic,
     summarize,
     validate_and_sort,
     wls_fit,
@@ -102,6 +103,9 @@ def test_run_model_simulation_validation():
         # BCHILL needs a sample size for its (n/k)^rho factor
         run_model_simulation(1.0, 0.1, -1.0, 10, 5, estimators=("BCHILL",))
     run_model_simulation(1.0, 0.1, -1.0, 10, 5, estimators=("BCHILL",), n=100)
+    with pytest.raises(NonPositiveMeanError):
+        # a configuration error raises; it is not counted as missing cells
+        run_model_simulation(0.1, -1.0, -1.0, 10, 5)
 
 
 def test_run_model_simulation_deterministic():
@@ -201,3 +205,20 @@ def test_normality_report_on_loggamma_falls_back_to_rho_minus_one():
     rep = normality_report(100, 20, spec=loggamma(2.0, 2.0), n=200)
     assert rep.config["rho_method"] == "fixed:-1"
     assert np.isfinite(rep.sample_variance)
+
+
+def test_normality_report_counts_failed_replications():
+    # n=3 leaves min-variance rho no k window: every replication fails
+    rep = normality_report(100, 2, spec=pareto(1.0), n=3,
+                           rho_method=RhoMethod.min_variance())
+    assert rep.config["missing"] == 100
+    assert np.isnan(rep.sample_mean) and np.isnan(rep.sample_variance)
+
+
+def test_normality_report_shares_the_engine_with_model_simulation():
+    gamma, b, rho, k, reps, seed = 1.5, 0.2, -1.0, 40, 300, 17
+    rep = normality_report(reps, k, master_seed=seed, gamma=gamma, b=b, rho=rho)
+    s = run_model_simulation(gamma, b, rho, k, reps, ("WLS",), master_seed=seed)
+    want = standardized_statistic(s.cell("WLS", k)["mean"], gamma, k)
+    assert rep.sample_mean == pytest.approx(want, rel=1e-12)
+    assert rep.config["missing"] == 0
