@@ -4,8 +4,6 @@ Repeats the experiment behind the headline claim: on samples with a slowly
 varying tail (here Burr with rho = -1), the weighted least squares estimate
 trades a little variance for a large bias reduction, so its mean squared
 error at moderate k beats the Hill estimator by a wide margin.
-
-Runtime is about 15 s on one core; lower reps for a quicker run.
 """
 
 import numpy as np

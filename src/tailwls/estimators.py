@@ -22,30 +22,22 @@ All regression fits share one algebraic core: with unit-sum weights w_j,
     gamma_hat = sum w_j Z_j - b_hat * S1
 
 where S1 = sum w_j C_j, S2 = sum w_j C_j^2 - S1^2, and ``shrink`` is zero for
-plain fits and penalty/k for ridge. With penalty 0 the ridge path is
-bit-for-bit the LS path.
+plain fits and penalty/k for ridge. One path engine, ``_path_fit``, fits
+every k of a path at once from prefix sums (Beirlant, Dierckx, Goegebeur and
+Matthys 1999); single fits are the engine at one k.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError,
-    InvalidRhoError,
-    KOutOfRangeError,
-    KTooSmallError,
-    NegativePenaltyError,
-)
-from .spacings import (
-    LogSpacings,
-    OrderedTail,
-    all_log_spacings,
-    covariates,
-    weights,
-)
+from .errors import (EmptyInputError, InvalidRhoError, KOutOfRangeError,
+                     KTooSmallError, NegativePenaltyError)
+from .spacings import LogSpacings, OrderedTail, all_log_spacings, covariates
 
 #: Canonical estimator identifiers, in reporting order.
 ESTIMATOR_IDS = ("HILL", "BCHILL", "LS", "RR", "WLS")
@@ -90,55 +82,92 @@ class EviPath:
 
 def _check_rho(rho) -> float:
     rho = float(rho)
-    if not np.isfinite(rho) or rho >= 0.0:
+    if not math.isfinite(rho) or rho >= 0.0:
         raise InvalidRhoError(f"rho={rho} must be finite and < 0")
     return rho
 
 
-def _core_fit(zvals: np.ndarray, c: np.ndarray, w: np.ndarray, shrink: float):
-    """Weighted one-covariate fit; returns (gamma_hat, b_hat, fitted)."""
-    s1 = w @ c
-    s2 = w @ (c * c) - s1 * s1
-    b_hat = (w * (c - s1)) @ zvals / (s2 + shrink)
-    gamma_hat = w @ zvals - b_hat * s1
-    fitted = gamma_hat + b_hat * c
-    return float(gamma_hat), float(b_hat), fitted
+def _prefix_sums(f: np.ndarray, k_max: int, weighted: bool) -> np.ndarray:
+    """sum_{j<=k} W_j f_j for k = 1..k_max, W_j = 1 or, if ``weighted``, k+1-j.
+
+    sum_{j<=k} (k+1-j) f_j = cumsum(cumsum(f))_k, so either takes O(k_max).
+    """
+    p = f[:k_max].cumsum()
+    return p.cumsum() if weighted else p
+
+
+@lru_cache(maxsize=16)
+def _design(rho: float, k_max: int, weighted: bool):
+    """Read-only (v, scale, totals, m1, S1, S2) at k = 1..k_max.
+
+    C_j = (1 + v_j) * scale_k with v_j = j^(-rho) - 1 and scale_k = (k+1)^rho;
+    totals_k = sum_{j<=k} W_j (exact) and m1 = sum w_j v_j. Working with v
+    keeps S2 = scale^2 * (sum w_j v_j^2 - m1^2) accurate as rho -> 0. Raises
+    InvalidRhoError where v_j^2 overflows (-rho in the hundreds).
+    """
+    k = np.arange(1, k_max + 1)
+    totals = _prefix_sums(np.ones(k_max), k_max, weighted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v, scale = np.expm1(-rho * np.log(k)), (k + 1.0) ** rho
+        m1 = _prefix_sums(v, k_max, weighted) / totals
+        # scaling twice keeps every intermediate a normal float
+        s2 = (_prefix_sums(v * v, k_max, weighted) / totals - m1 * m1) * scale * scale
+    if not np.isfinite(s2).all():
+        raise InvalidRhoError(f"rho={rho} overflows the covariate sums up to k={k_max}")
+    design = (v, scale, totals, m1, (1.0 + m1) * scale, s2)
+    for a in design:
+        a.flags.writeable = False
+    return design
+
+
+def _path_fit(z_all: np.ndarray, k_values: np.ndarray, rho, weighted: bool,
+              shrink=0.0):
+    """The path engine: (gamma_hat, b_hat) at every k in the ascending ``k_values``.
+
+    The fit at k uses the first k entries of ``z_all``, with W_j = 1 - j/(k+1)
+    if ``weighted``, else uniform weights; ``shrink`` is penalty/k (ridge).
+    """
+    if k_values[0] < 2:
+        raise KTooSmallError(f"regression needs k >= 2, got k={k_values[0]}")
+    k_max = int(k_values[-1])
+    if k_max > z_all.size:
+        raise KOutOfRangeError(f"k={k_max} exceeds the {z_all.size} spacings")
+    v, scale, totals, m1, s1, s2 = _design(_check_rho(rho), k_max, weighted)
+    i = k_values - 1
+    totals = totals[i]
+    zbar = _prefix_sums(z_all, k_max, weighted)[i] / totals
+    svz = _prefix_sums(v * z_all[:k_max], k_max, weighted)[i] / totals
+    # sum w_j (C_j - S1) Z_j = scale_k * (sum w_j v_j Z_j - m1 * zbar)
+    b_hat = (svz - m1[i] * zbar) * scale[i] / (s2[i] + shrink)
+    return zbar - b_hat * s1[i], b_hat
+
+
+def _bchill(hill_values, b_hat, rho, n: int, k_values: np.ndarray):
+    """Hill times 1 - (b_hat / (1 - rho)) * (n/k)^rho at every k."""
+    rho = _check_rho(rho)
+    if n < k_values[-1] + 1:
+        raise KOutOfRangeError(f"n={n} must be at least k+1={k_values[-1] + 1}")
+    return hill_values * (1.0 - (b_hat / (1.0 - rho)) * (n / k_values) ** rho)
 
 
 def _fit(z: LogSpacings, rho: float, weighted: bool,
          penalty: float | None = None) -> RegressionFit:
-    """The regression fit behind :func:`wls_fit`, :func:`ls_fit` and :func:`ridge_fit`.
+    """The engine at k = z.k, behind :func:`wls_fit`, :func:`ls_fit` and :func:`ridge_fit`.
 
     ``weighted`` selects W_j = 1 - j/(k+1) over uniform weights 1/k; a
     ``penalty`` adds penalty/k to the centered sum of squares (ridge).
     """
-    if z.k < 2:
-        raise KTooSmallError(f"regression needs k >= 2, got k={z.k}")
-    rho = _check_rho(rho)
-    shrink = 0.0
-    if penalty is not None:
-        penalty = float(penalty)
-        if not penalty >= 0.0:
-            raise NegativePenaltyError(f"penalty={penalty} must be >= 0")
-        # dividing the penalty by k matches the centered form in ridge_fit
-        shrink = penalty / z.k
-    w = weights(z.k).normalized if weighted else np.full(z.k, 1.0 / z.k)
-    c = covariates(z.k, rho).c
-    gamma_hat, b_hat, fitted = _core_fit(z.z, c, w, shrink)
-    return RegressionFit(
-        gamma_hat=gamma_hat,
-        b_hat=b_hat,
-        rho_used=rho,
-        k=z.k,
-        fitted_means=fitted,
-        residuals=z.z - fitted,
-        penalty=penalty,
-    )
+    # dividing the penalty by k matches the centered form in ridge_fit
+    shrink = 0.0 if penalty is None else penalty / z.k
+    k = np.array([z.k])
+    gamma_hat, b_hat = (float(v[0]) for v in _path_fit(z.z, k, rho, weighted, shrink))
+    fitted = gamma_hat + b_hat * covariates(z.k, rho).c
+    return RegressionFit(gamma_hat, b_hat, float(rho), z.k, fitted, z.z - fitted, penalty)
 
 
 def hill(z: LogSpacings) -> float:
-    """Hill estimator: the sample mean of the spacings."""
-    return float(np.mean(z.z))
+    """Hill estimator: the sample mean of the spacings (the HILL path at k)."""
+    return float(path_estimates(z.z, z.n, "HILL", None, [z.k])[0][0])
 
 
 def wls_fit(z: LogSpacings, rho: float) -> RegressionFit:
@@ -179,6 +208,9 @@ def ridge_fit(z: LogSpacings, rho: float, penalty: float) -> RegressionFit:
         InvalidRhoError: rho not finite negative.
         NegativePenaltyError: penalty < 0.
     """
+    penalty = float(penalty)
+    if not penalty >= 0.0:
+        raise NegativePenaltyError(f"penalty={penalty} must be >= 0")
     return _fit(z, rho, weighted=False, penalty=penalty)
 
 
@@ -188,18 +220,10 @@ def select_ridge_penalty(z: LogSpacings, rho: float) -> RegressionFit:
     The candidate with the smallest |gamma_hat| wins; ties go to the smallest
     penalty. This is the ranking by the AMSE proxy gamma_hat^2 *
     amse(1, k, rho), since amse(1, k, rho) is one positive factor shared by
-    every candidate. Errors as :func:`ridge_fit`.
+    every candidate. The choice is the RR path's at k. Errors as
+    :func:`ridge_fit`.
     """
-    best: RegressionFit | None = None
-    best_score = np.inf
-    for factor in RIDGE_PENALTY_FACTORS:
-        fit = ridge_fit(z, rho, factor * z.k)
-        score = fit.gamma_hat**2
-        if score < best_score:
-            best = fit
-            best_score = score
-    assert best is not None
-    return best
+    return ridge_fit(z, rho, path_estimates(z.z, z.n, "RR", rho, [z.k])[1][0])
 
 
 def bchill(z: LogSpacings, rho: float, b_hat: float, n: int) -> float:
@@ -213,32 +237,18 @@ def bchill(z: LogSpacings, rho: float, b_hat: float, n: int) -> float:
         InvalidRhoError: rho not finite negative.
         KOutOfRangeError: n < k + 1.
     """
-    rho = _check_rho(rho)
-    n = int(n)
-    if n < z.k + 1:
-        raise KOutOfRangeError(f"n={n} must be at least k+1={z.k + 1}")
-    correction = 1.0 - (float(b_hat) / (1.0 - rho)) * (n / z.k) ** rho
-    return hill(z) * correction
+    return float(_bchill(hill(z), float(b_hat), rho, int(n), np.array([z.k]))[0])
 
 
 def wls_gamma_grid(z_all: np.ndarray, k_values, rhos) -> np.ndarray:
     """WLS tail-index estimates for every (rho, k) pair, shape (len(rhos), len(k_values)).
 
-    ``z_all`` is the full spacings array from :func:`all_log_spacings`;
-    prefixes of it are refit for each k. This is the hot path behind the
-    min-variance rho selector, so weights and spacing prefixes are reused
-    across the rho candidates.
+    ``z_all`` is the full spacings array from :func:`all_log_spacings`, and
+    ``k_values`` ascend. Each rho is one run of the path engine; this is the
+    hot path behind the min-variance rho selector. Errors as the WLS path.
     """
-    out = np.empty((len(rhos), len(k_values)))
-    for i, k in enumerate(k_values):
-        k = int(k)
-        w = weights(k).normalized
-        zk = z_all[:k]
-        for j, rho in enumerate(rhos):
-            c = covariates(k, rho).c
-            gamma_hat, _, _ = _core_fit(zk, c, w, 0.0)
-            out[j, i] = gamma_hat
-    return out
+    k_values = np.asarray(k_values)
+    return np.array([_path_fit(z_all, k_values, rho, weighted=True)[0] for rho in rhos])
 
 
 def path_estimates(z_all: np.ndarray, n: int | None, estimator_id: str, rho,
@@ -248,10 +258,11 @@ def path_estimates(z_all: np.ndarray, n: int | None, estimator_id: str, rho,
     This is the one place that maps an estimator id to a computation. The
     estimate at k uses the first k entries of ``z_all`` (the spacings from
     :func:`all_log_spacings`, or any array of at least max(k_values)
-    spacings). HILL takes cumulative means and ignores ``rho``; WLS runs the
-    :func:`wls_gamma_grid` engine that min-variance rho selection also uses;
-    LS, RR and BCHILL fit each k separately. ``n`` is the size of the
-    originating sample, read only by BCHILL's (n/k)^rho factor.
+    spacings). HILL takes cumulative means and ignores ``rho``; each
+    regression is one run of the path engine over all k, the engine of
+    :func:`wls_gamma_grid` (RR with every candidate penalty at once, BCHILL
+    with the WLS slope). ``n`` is the size of the originating sample, read
+    only by BCHILL's (n/k)^rho factor.
 
     Returns:
         (estimates, penalties): ``estimates`` aligned with ``k_values``;
@@ -259,9 +270,10 @@ def path_estimates(z_all: np.ndarray, n: int | None, estimator_id: str, rho,
 
     Raises:
         ValueError: unknown estimator_id, or BCHILL with n None.
+        KOutOfRangeError: k_values[0] < 1 or k_values[-1] > len(z_all), or
+            BCHILL with n < k + 1.
         KTooSmallError: a regression estimator with k_values[0] < 2.
         InvalidRhoError: rho not finite negative (all but HILL).
-        KOutOfRangeError: BCHILL with n < k + 1.
     """
     if estimator_id not in ESTIMATOR_IDS:
         raise ValueError(
@@ -269,26 +281,23 @@ def path_estimates(z_all: np.ndarray, n: int | None, estimator_id: str, rho,
         )
     k_values = np.asarray(k_values)
     if estimator_id == "HILL":
-        return np.cumsum(z_all)[k_values - 1] / k_values, None
-    if k_values[0] < 2:
-        raise KTooSmallError(f"regression needs k >= 2, got k={k_values[0]}")
-    if estimator_id == "WLS":
-        return wls_gamma_grid(z_all, k_values, (rho,))[0], None
-    if estimator_id == "BCHILL" and n is None:
+        if k_values[0] < 1 or k_values[-1] > z_all.size:
+            raise KOutOfRangeError(
+                f"k from {k_values[0]} to {k_values[-1]} outside [1, {z_all.size}]")
+        return _prefix_sums(z_all, k_values[-1], False)[k_values - 1] / k_values, None
+    if estimator_id in ("LS", "WLS"):
+        return _path_fit(z_all, k_values, rho, weighted=estimator_id == "WLS")[0], None
+    if estimator_id == "RR":  # every candidate penalty at once, one row each
+        shrinks = np.array(RIDGE_PENALTY_FACTORS)[:, None]
+        gammas = _path_fit(z_all, k_values, rho, False, shrinks)[0]
+        best = np.argmin(np.abs(gammas), axis=0)
+        penalties = np.take(RIDGE_PENALTY_FACTORS, best) * k_values
+        return gammas[best, np.arange(best.size)], penalties
+    if n is None:
         raise ValueError("BCHILL requires the sample size n for its (n/k)^rho factor")
-    estimates = np.empty(len(k_values))
-    penalties = np.empty(len(k_values)) if estimator_id == "RR" else None
-    for i, k in enumerate(k_values):
-        z = LogSpacings(z=z_all[:k], k=int(k), n=n)
-        if estimator_id == "LS":
-            estimates[i] = ls_fit(z, rho).gamma_hat
-        elif estimator_id == "RR":
-            fit = select_ridge_penalty(z, rho)
-            estimates[i] = fit.gamma_hat
-            penalties[i] = fit.penalty
-        else:  # BCHILL: slope estimated by WLS at the same k
-            estimates[i] = bchill(z, rho, wls_fit(z, rho).b_hat, n)
-    return estimates, penalties
+    b_hat = _path_fit(z_all, k_values, rho, weighted=True)[1]
+    hill_values = path_estimates(z_all, n, "HILL", None, k_values)[0]
+    return _bchill(hill_values, b_hat, rho, n, k_values), None
 
 
 def evi_path(
@@ -329,15 +338,8 @@ def evi_path(
     estimates, penalties = path_estimates(
         all_log_spacings(tail), n, estimator_id, rho, k_values
     )
-    return EviPath(
-        estimator_id=estimator_id,
-        k_values=k_values,
-        estimates=estimates,
-        rho_values=np.full(len(k_values), rho),
-        rho_method_id=rho_method.method_id,
-        n=n,
-        penalties=penalties,
-    )
+    return EviPath(estimator_id, k_values, estimates, np.full(len(k_values), rho),
+                   rho_method.method_id, n, penalties)
 
 
 def optimal_k(mse_by_k) -> tuple[int, float]:

@@ -165,11 +165,6 @@ def _min_variance_rho(tail: OrderedTail, grid, k_fraction: float) -> float:
         )
     k_values = np.arange(lo, hi + 1)
     z_all = all_log_spacings(tail)
-    gammas = wls_gamma_grid(z_all, k_values, grid)
-    variances = gammas.var(axis=1)
-    best_rho = None
-    best_var = np.inf
-    for rho, var in zip(grid, variances):
-        if var < best_var or (var == best_var and (best_rho is None or rho < best_rho)):
-            best_rho, best_var = rho, var
-    return float(best_rho)
+    variances = wls_gamma_grid(z_all, k_values, grid).var(axis=1)
+    # smallest variance first, ties to the most negative rho
+    return float(grid[np.lexsort((grid, variances))[0]])

@@ -162,8 +162,8 @@ def all_log_spacings(tail: OrderedTail) -> np.ndarray:
     """All spacings Z_1..Z_{n-1} in one pass.
 
     The Z_j do not depend on k, so ``log_spacings(tail, k).z`` equals the
-    first k entries of this array. Path computations use the prefixes
-    instead of recomputing logs per k.
+    first k entries of this array. The path engine of ``estimators`` takes
+    prefix sums of it, so one pass serves every k of a path.
     """
     logs = np.log(tail.values)
     j = np.arange(1, tail.n, dtype=np.float64)

@@ -1,8 +1,4 @@
-"""The documented demo scripts run to completion.
-
-``bias_mse_study.py`` is left out: its 400-replication study takes over
-ten seconds.
-"""
+"""The documented demo scripts run to completion."""
 
 import os
 import subprocess
@@ -15,7 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "script", ["estimator_paths.py", "sampling_check.py", "weight_moments.py"]
+    "script",
+    ["bias_mse_study.py", "estimator_paths.py", "sampling_check.py", "weight_moments.py"],
 )
 def test_demo_exits_zero(script):
     env = dict(os.environ)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tailwls import (
+    DEFAULT_RHO_GRID,
     ESTIMATOR_IDS,
     EmptyInputError,
     InvalidRhoError,
@@ -318,3 +319,84 @@ def test_path_estimates_errors():
         path_estimates(z_all, None, "BCHILL", -1.0, [5])
     hill_path, penalties = path_estimates(z_all, 20, "HILL", None, [1, 2])
     assert hill_path[0] == z_all[0] and penalties is None
+    # the k range is checked at both ends, for every estimator
+    with pytest.raises(KOutOfRangeError):
+        path_estimates(z_all, 20, "HILL", None, [0, 1])
+    for est in ESTIMATOR_IDS:
+        with pytest.raises(KOutOfRangeError):
+            path_estimates(z_all, 20, est, -1.0, [5, 20])
+
+
+def test_path_entries_equal_single_fits_bitwise():
+    """Every path entry is the single-k view at that k, bit for bit, on fuzzed inputs."""
+    rng = np.random.default_rng(53)
+    for _ in range(2000):
+        n = int(rng.integers(4, 301))
+        z_all = rng.exponential(rng.uniform(0.1, 3.0), size=n - 1)
+        k_values = np.arange(2, n)
+        k = int(rng.integers(2, n))
+        z = _spacings(z_all[:k].copy(), n=n)
+        at_k = {est: path_estimates(z_all, n, est, -0.9, k_values)
+                for est in ESTIMATOR_IDS}
+        assert at_k["HILL"][0][k - 2] == hill(z)
+        if k % 10:
+            continue  # the regressions on every tenth input
+        rr = select_ridge_penalty(z, -0.9)
+        assert at_k["WLS"][0][k - 2] == wls_fit(z, -0.9).gamma_hat
+        assert at_k["LS"][0][k - 2] == ls_fit(z, -0.9).gamma_hat
+        assert at_k["RR"][0][k - 2] == rr.gamma_hat
+        assert at_k["RR"][1][k - 2] == rr.penalty
+        assert at_k["BCHILL"][0][k - 2] == bchill(z, -0.9, wls_fit(z, -0.9).b_hat, n)
+
+
+def test_paths_match_oracle_at_scale():
+    """WLS and LS paths on n = 20 000 agree with np.linalg.solve to 1e-9 of the path's scale."""
+    spec = burr(1.0, np.sqrt(2.0), np.sqrt(2.0))
+    z_all = all_log_spacings(validate_and_sort(sample(spec, 20_000, 11)))
+    k_values = np.arange(2, z_all.size + 1, 97)
+    for rho in DEFAULT_RHO_GRID + (-0.05, -8.0):
+        for est, uniform in (("WLS", False), ("LS", True)):
+            got, _ = path_estimates(z_all, 20_000, est, rho, k_values)
+            want = np.array([
+                solve_weighted_normal_equations(
+                    z_all[:k], covariates(k, rho).c,
+                    np.full(k, 1.0 / k) if uniform else weights(k).normalized,
+                )[0]
+                for k in k_values
+            ])
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (est, rho)
+
+
+def test_extreme_rho_matches_oracle_or_raises():
+    """rho = -50 still matches the direct fit; at rho = -100 the covariate sums overflow."""
+    z_all = all_log_spacings(validate_and_sort(sample(burr(1.0, 2.0, 1.0), 1000, 12)))
+    k_values = np.arange(2, 1000)
+    for est in ("WLS", "LS"):
+        got, _ = path_estimates(z_all, 1000, est, -50.0, k_values)
+        for k in k_values:
+            w = weights(k).normalized if est == "WLS" else np.full(k, 1.0 / k)
+            want, _ = solve_weighted_normal_equations(z_all[:k], covariates(k, -50.0).c, w)
+            assert abs(got[k - 2] - want) <= 1e-12 * abs(want), (est, k)
+    for est in ("BCHILL", "LS", "RR", "WLS"):
+        with pytest.raises(InvalidRhoError):
+            path_estimates(z_all, 1000, est, -100.0, k_values)
+
+
+def test_paths_stay_accurate_as_rho_approaches_zero():
+    """Near rho = 0 the paths match a centred two-pass fit to 1e-10.
+
+    The oracle takes C_j - 1 from expm1, so it does not cancel; the plain
+    sum w C^2 - S1^2 loses about 5e-8 here.
+    """
+    spec = burr(1.0, np.sqrt(2.0), np.sqrt(2.0))
+    z_all = all_log_spacings(validate_and_sort(sample(spec, 1000, 3)))
+    for rho in (-1e-3, -1e-4):
+        for est in ("WLS", "LS"):
+            got, _ = path_estimates(z_all, 1000, est, rho, np.arange(10, 1000, 70))
+            for g, k in zip(got, range(10, 1000, 70)):
+                w = weights(k).normalized if est == "WLS" else np.full(k, 1.0 / k)
+                cm1 = np.expm1(-rho * np.log(np.arange(1, k + 1) / (k + 1.0)))
+                d = cm1 - w @ cm1
+                b = (w * d) @ z_all[:k] / ((w * d) @ d)
+                want = w @ z_all[:k] - b * (1.0 + w @ cm1)
+                assert abs(g - want) <= 1e-10 * abs(want), (est, rho, k)
