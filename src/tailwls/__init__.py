@@ -16,26 +16,18 @@ __version__ = "0.1.0"
 
 from .errors import (
     DegenerateTailError,
-    EmptyEstimatorSetError,
-    EmptyInputError,
     EmptyOrTinyError,
-    GridEmptyError,
     InvalidRhoError,
     KOutOfRangeError,
     KTooSmallError,
-    NegativePenaltyError,
     NonFiniteError,
     NonPositiveError,
-    NonPositiveMeanError,
-    NonPositiveTrueGammaError,
     TailwlsError,
     UOutOfRangeError,
 )
 from .spacings import (
-    Covariates,
     LogSpacings,
     OrderedTail,
-    WeightScheme,
     all_log_spacings,
     covariates,
     log_spacings,
@@ -86,7 +78,6 @@ from .montecarlo import (
     rep_seed,
     run_model_simulation,
     run_simulation,
-    sample_model_spacings,
     summarize,
 )
 
@@ -95,24 +86,16 @@ __all__ = [
     # errors
     "TailwlsError",
     "DegenerateTailError",
-    "EmptyEstimatorSetError",
-    "EmptyInputError",
     "EmptyOrTinyError",
-    "GridEmptyError",
     "InvalidRhoError",
     "KOutOfRangeError",
     "KTooSmallError",
-    "NegativePenaltyError",
     "NonFiniteError",
     "NonPositiveError",
-    "NonPositiveMeanError",
-    "NonPositiveTrueGammaError",
     "UOutOfRangeError",
     # spacings
     "OrderedTail",
     "LogSpacings",
-    "WeightScheme",
-    "Covariates",
     "validate_and_sort",
     "log_spacings",
     "all_log_spacings",
@@ -152,7 +135,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationSummary",
     "rep_seed",
-    "sample_model_spacings",
     "run_simulation",
     "run_model_simulation",
     "summarize",

@@ -22,6 +22,9 @@ at rho = -1. The paper's stated constant 4 gamma^2 / (3k) is the sum w_j^2
 term alone. The standardized statistic sqrt(3k) (gamma_hat - gamma) /
 (2 gamma) is therefore asymptotically normal with variance
 (3/4) lim k * amse(1, k, rho), which is 18/5 at rho = -1, not 1.
+
+``amse`` is this variance, cross-term coefficient 2, with sum w_j^2 at its
+limit 4/(3k); ``SMoments.unit_amse`` computes it from the four sums.
 """
 
 from __future__ import annotations
@@ -30,12 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidRhoError,
-    KOutOfRangeError,
-    KTooSmallError,
-    NonPositiveTrueGammaError,
-)
+from .errors import KOutOfRangeError, KTooSmallError, NonPositiveError
 from .spacings import covariates, weights
 
 
@@ -72,6 +70,12 @@ class SMoments:
     def s2_limit(self) -> float:
         return s2_limit(self.rho)
 
+    @property
+    def unit_amse(self) -> float:
+        """amse(1, k, rho): 4/(3k) + 2 S1 S_dot / S2 + S1^2 S_ddot / S2^2."""
+        return (4.0 / (3.0 * self.k) + 2.0 * self.s1 * self.s_dot / self.s2
+                + self.s1**2 * self.s_ddot / self.s2**2)
+
 
 def s_moments(k: int, rho: float) -> SMoments:
     """Compute S1, S2, S_dot, S_ddot at a finite k.
@@ -83,38 +87,27 @@ def s_moments(k: int, rho: float) -> SMoments:
     k = int(k)
     if k < 2:
         raise KTooSmallError(f"weight moments need k >= 2, got k={k}")
-    rho = float(rho)
-    if not np.isfinite(rho) or rho >= 0.0:
-        raise InvalidRhoError(f"rho={rho} must be finite and < 0")
-    w = weights(k).normalized
-    c = covariates(k, rho).c
+    c = covariates(k, rho)
+    w = weights(k)
     s1 = float(w @ c)
     s2 = float(w @ (c * c)) - s1 * s1
     d = s1 - c
     wsq = w * w
     s_dot = float(wsq @ d)
     s_ddot = float(wsq @ (d * d))
-    return SMoments(k=k, rho=rho, s1=s1, s2=s2, s_dot=s_dot, s_ddot=s_ddot)
+    return SMoments(k=k, rho=float(rho), s1=s1, s2=s2, s_dot=s_dot, s_ddot=s_ddot)
 
 
-def amse(gamma: float, k: int, rho: float, cross_coeff: float = 2.0) -> float:
+def amse(gamma: float, k: int, rho: float) -> float:
     """Asymptotic mean squared error approximation for the WLS estimator.
 
-        gamma^2 * (4/(3k) + cross_coeff * S1 S_dot / S2 + S1^2 S_ddot / S2^2)
+        gamma^2 * (4/(3k) + 2 S1 S_dot / S2 + S1^2 S_ddot / S2^2)
 
-    ``cross_coeff`` defaults to 2 (the value the term-by-term expansion
-    yields); pass 4 for the alternative constant seen in some displays of
-    this formula. Under the exponential regression model with b = 0 the fit
-    is unbiased, and this is its variance gamma^2 sum a_j^2 (module
-    docstring) with sum w_j^2 replaced by its limit 4/(3k). Errors as
-    :func:`s_moments`.
+    Under the exponential regression model with b = 0 the fit is unbiased,
+    and this is its variance gamma^2 sum a_j^2 (module docstring) with
+    sum w_j^2 replaced by its limit 4/(3k). Errors as :func:`s_moments`.
     """
-    m = s_moments(k, rho)
-    return float(gamma) ** 2 * (
-        4.0 / (3.0 * m.k)
-        + cross_coeff * m.s1 * m.s_dot / m.s2
-        + m.s1**2 * m.s_ddot / m.s2**2
-    )
+    return float(gamma) ** 2 * s_moments(k, rho).unit_amse
 
 
 def standardized_statistic(gamma_hat: float | np.ndarray, gamma_true: float,
@@ -127,12 +120,12 @@ def standardized_statistic(gamma_hat: float | np.ndarray, gamma_true: float,
     docstring), so it is not standard normal.
 
     Raises:
-        NonPositiveTrueGammaError: gamma_true <= 0.
+        NonPositiveError: gamma_true <= 0.
         KOutOfRangeError: k < 1.
     """
     gamma_true = float(gamma_true)
     if not gamma_true > 0.0:
-        raise NonPositiveTrueGammaError(f"gamma_true={gamma_true} must be > 0")
+        raise NonPositiveError(f"gamma_true={gamma_true} must be > 0")
     k = int(k)
     if k < 1:
         raise KOutOfRangeError(f"k={k} must be at least 1")

@@ -31,11 +31,11 @@ import numpy as np
 from . import __version__
 from .errors import TailwlsError
 from .estimators import ESTIMATOR_IDS, optimal_k, path_estimates
-from .asymptotics import amse, s_moments
+from .asymptotics import s_moments
 from .distributions import burr, frechet, loggamma, pareto
 from .montecarlo import SimulationConfig, run_simulation
 from .second_order import RhoMethod, resolve_rho
-from .spacings import all_log_spacings, validate_and_sort
+from .spacings import all_log_spacings, check_k_range, check_rho, validate_and_sort
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -199,6 +199,9 @@ def _parse_estimators(text: str) -> tuple[str, ...]:
 
 
 def cmd_estimate(args) -> int:
+    if args.column is not None and args.column < 0:
+        print(f"tailwls estimate: --column {args.column} must be >= 0", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         data = read_numeric_column(args.dataset, args.column, args.delimiter)
         tail = validate_and_sort(data)
@@ -219,17 +222,12 @@ def cmd_estimate(args) -> int:
         else:
             k_min = int(args.k_min) if args.k_min is not None else 2
             k_max = int(args.k_max) if args.k_max is not None else n - 1
-        if not 2 <= k_min <= k_max <= n - 1:
-            raise ValueError(
-                f"need 2 <= k_min <= k_max <= n-1 = {n - 1}, "
-                f"got [{k_min}, {k_max}]"
-            )
+        k_values = check_k_range(k_min, k_max, n)
     except (ValueError, TailwlsError) as exc:
         print(f"tailwls estimate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     needs_rho = any(e != "HILL" for e in estimators)
-    k_values = np.arange(k_min, k_max + 1)
     try:
         # every method is k-independent: resolve once, reuse everywhere
         resolved = resolve_rho(tail, rho_method) if needs_rho else None
@@ -342,14 +340,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_diagnose(args) -> int:
     try:
-        rho = float(args.rho)
-        if not np.isfinite(rho) or rho >= 0.0:
-            raise ValueError(f"--rho {rho} must be finite and < 0")
+        rho = check_rho(args.rho)
         gamma = float(args.gamma)
+        if not np.isfinite(gamma) or gamma <= 0.0:
+            raise ValueError(f"--gamma {gamma} must be finite and > 0")
         k_min, k_max = int(args.k_min), int(args.k_max)
         if not 2 <= k_min <= k_max:
             raise ValueError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
-        coeff = float(args.amse_coeff)
     except ValueError as exc:
         print(f"tailwls diagnose: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -357,8 +354,7 @@ def cmd_diagnose(args) -> int:
     def row(k):
         m = s_moments(k, rho)
         return [k, _fmt(m.s1), _fmt(m.s2), _fmt(m.s_dot), _fmt(m.s_ddot),
-                _fmt(m.s1_limit), _fmt(m.s2_limit),
-                _fmt(amse(gamma, k, rho, cross_coeff=coeff))]
+                _fmt(m.s1_limit), _fmt(m.s2_limit), _fmt(gamma**2 * m.unit_amse)]
 
     header = ["k", "s1", "s2", "s_dot", "s_ddot", "s1_limit", "s2_limit", "amse"]
     rows = (row(k) for k in range(k_min, k_max + 1))
@@ -367,7 +363,7 @@ def cmd_diagnose(args) -> int:
         writer.writerow(header)
         writer.writerows(rows)
     else:
-        entries = {"rho": _fmt(rho), "gamma": _fmt(gamma), "amse_coeff": _fmt(coeff)}
+        entries = {"rho": _fmt(rho), "gamma": _fmt(gamma)}
         _write_outputs(args.out, header, rows, "diagnose", entries)
         print(f"wrote {args.out}")
     return EXIT_OK
@@ -475,8 +471,6 @@ def build_parser() -> _Parser:
     diag.add_argument("--gamma", type=float, default=1.0)
     diag.add_argument("--k-min", type=int, default=2)
     diag.add_argument("--k-max", type=int, default=100)
-    diag.add_argument("--amse-coeff", type=float, default=2.0,
-                      help="cross-term coefficient (2 or 4)")
     diag.add_argument("--out", default=None,
                       help="output CSV path (default: stdout)")
     diag.set_defaults(func=cmd_diagnose)

@@ -11,11 +11,16 @@ class TailwlsError(Exception):
 
 
 class EmptyOrTinyError(TailwlsError, ValueError):
-    """Sample has fewer than two entries."""
+    """An input has too few entries."""
 
 
 class NonPositiveError(TailwlsError, ValueError):
-    """A value is zero or negative where strict positivity is required."""
+    """A value is zero or negative where it must be positive.
+
+    Raised for a sample value, a distribution parameter or a true gamma
+    that is not strictly positive, a model mean gamma + b*C_j that is not
+    strictly positive, and a negative ridge penalty.
+    """
 
 
 class NonFiniteError(TailwlsError, ValueError):
@@ -34,33 +39,9 @@ class InvalidRhoError(TailwlsError, ValueError):
     """Second-order parameter rho must be finite and strictly negative."""
 
 
-class NegativePenaltyError(TailwlsError, ValueError):
-    """Ridge penalty must be nonnegative."""
-
-
 class DegenerateTailError(TailwlsError, ValueError):
     """Top order statistics carry no usable variation (e.g. all tied)."""
 
 
-class GridEmptyError(TailwlsError, ValueError):
-    """Candidate grid for rho selection is empty."""
-
-
 class UOutOfRangeError(TailwlsError, ValueError):
     """Quantile argument u must satisfy 0 <= u < 1."""
-
-
-class NonPositiveMeanError(TailwlsError, ValueError):
-    """Model mean gamma + b*C_j must stay positive for every j."""
-
-
-class EmptyEstimatorSetError(TailwlsError, ValueError):
-    """A simulation was requested with no estimators."""
-
-
-class EmptyInputError(TailwlsError, ValueError):
-    """An aggregate operation received no rows."""
-
-
-class NonPositiveTrueGammaError(TailwlsError, ValueError):
-    """The reference tail index gamma must be strictly positive."""

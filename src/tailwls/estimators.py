@@ -29,15 +29,15 @@ Matthys 1999); single fits are the engine at one k.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import (EmptyInputError, InvalidRhoError, KOutOfRangeError,
-                     KTooSmallError, NegativePenaltyError)
-from .spacings import LogSpacings, OrderedTail, all_log_spacings, covariates
+from .errors import (EmptyOrTinyError, InvalidRhoError, KOutOfRangeError,
+                     KTooSmallError, NonPositiveError)
+from .spacings import (LogSpacings, OrderedTail, all_log_spacings, check_k_range,
+                       check_rho)
 
 #: Canonical estimator identifiers, in reporting order.
 ESTIMATOR_IDS = ("HILL", "BCHILL", "LS", "RR", "WLS")
@@ -48,18 +48,12 @@ RIDGE_PENALTY_FACTORS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Result of one linear fit on k spacings.
-
-    ``fitted_means`` holds gamma_hat + b_hat * C_j and ``residuals`` the
-    difference Z_j - fitted. ``penalty`` is set only by ridge fits.
-    """
+    """Result of one linear fit on k spacings; ``penalty`` is set only by ridge fits."""
 
     gamma_hat: float
     b_hat: float
     rho_used: float
     k: int
-    fitted_means: np.ndarray
-    residuals: np.ndarray
     penalty: float | None = None
 
 
@@ -67,24 +61,17 @@ class RegressionFit:
 class EviPath:
     """Estimates of one estimator along a range of k values.
 
-    ``rho_values[i]`` is the rho used at ``k_values[i]`` (NaN for HILL, which
-    needs none). ``penalties`` is populated for RR paths, else None.
+    ``rho`` is the one rho used at every k (NaN for HILL, which needs none).
+    ``penalties`` is populated for RR paths, else None.
     """
 
     estimator_id: str
     k_values: np.ndarray
     estimates: np.ndarray
-    rho_values: np.ndarray
+    rho: float
     rho_method_id: str
     n: int
     penalties: np.ndarray | None = None
-
-
-def _check_rho(rho) -> float:
-    rho = float(rho)
-    if not math.isfinite(rho) or rho >= 0.0:
-        raise InvalidRhoError(f"rho={rho} must be finite and < 0")
-    return rho
 
 
 def _prefix_sums(f: np.ndarray, k_max: int, weighted: bool) -> np.ndarray:
@@ -132,7 +119,7 @@ def _path_fit(z_all: np.ndarray, k_values: np.ndarray, rho, weighted: bool,
     k_max = int(k_values[-1])
     if k_max > z_all.size:
         raise KOutOfRangeError(f"k={k_max} exceeds the {z_all.size} spacings")
-    v, scale, totals, m1, s1, s2 = _design(_check_rho(rho), k_max, weighted)
+    v, scale, totals, m1, s1, s2 = _design(check_rho(rho), k_max, weighted)
     i = k_values - 1
     totals = totals[i]
     zbar = _prefix_sums(z_all, k_max, weighted)[i] / totals
@@ -144,7 +131,7 @@ def _path_fit(z_all: np.ndarray, k_values: np.ndarray, rho, weighted: bool,
 
 def _bchill(hill_values, b_hat, rho, n: int, k_values: np.ndarray):
     """Hill times 1 - (b_hat / (1 - rho)) * (n/k)^rho at every k."""
-    rho = _check_rho(rho)
+    rho = check_rho(rho)
     if n < k_values[-1] + 1:
         raise KOutOfRangeError(f"n={n} must be at least k+1={k_values[-1] + 1}")
     return hill_values * (1.0 - (b_hat / (1.0 - rho)) * (n / k_values) ** rho)
@@ -161,8 +148,7 @@ def _fit(z: LogSpacings, rho: float, weighted: bool,
     shrink = 0.0 if penalty is None else penalty / z.k
     k = np.array([z.k])
     gamma_hat, b_hat = (float(v[0]) for v in _path_fit(z.z, k, rho, weighted, shrink))
-    fitted = gamma_hat + b_hat * covariates(z.k, rho).c
-    return RegressionFit(gamma_hat, b_hat, float(rho), z.k, fitted, z.z - fitted, penalty)
+    return RegressionFit(gamma_hat, b_hat, float(rho), z.k, penalty)
 
 
 def hill(z: LogSpacings) -> float:
@@ -206,11 +192,11 @@ def ridge_fit(z: LogSpacings, rho: float, penalty: float) -> RegressionFit:
     Raises:
         KTooSmallError: k < 2.
         InvalidRhoError: rho not finite negative.
-        NegativePenaltyError: penalty < 0.
+        NonPositiveError: penalty < 0.
     """
     penalty = float(penalty)
     if not penalty >= 0.0:
-        raise NegativePenaltyError(f"penalty={penalty} must be >= 0")
+        raise NonPositiveError(f"penalty={penalty} must be >= 0")
     return _fit(z, rho, weighted=False, penalty=penalty)
 
 
@@ -327,19 +313,13 @@ def evi_path(
     from .second_order import resolve_rho
 
     n = tail.n
-    k_min, k_max = int(k_min), int(k_max)
-    if not 2 <= k_min <= k_max <= n - 1:
-        raise KOutOfRangeError(
-            f"need 2 <= k_min <= k_max <= n-1, got k_min={k_min}, "
-            f"k_max={k_max}, n={n}"
-        )
-    k_values = np.arange(k_min, k_max + 1)
+    k_values = check_k_range(k_min, k_max, n)
     rho = np.nan if estimator_id == "HILL" else resolve_rho(tail, rho_method)
     estimates, penalties = path_estimates(
         all_log_spacings(tail), n, estimator_id, rho, k_values
     )
-    return EviPath(estimator_id, k_values, estimates, np.full(len(k_values), rho),
-                   rho_method.method_id, n, penalties)
+    return EviPath(estimator_id, k_values, estimates, rho, rho_method.method_id, n,
+                   penalties)
 
 
 def optimal_k(mse_by_k) -> tuple[int, float]:
@@ -352,7 +332,7 @@ def optimal_k(mse_by_k) -> tuple[int, float]:
         (k0, mse at k0); ties broken toward the smallest k.
 
     Raises:
-        EmptyInputError: no pairs given.
+        EmptyOrTinyError: no pairs given.
     """
     best_k: int | None = None
     best_mse = np.inf
@@ -362,5 +342,5 @@ def optimal_k(mse_by_k) -> tuple[int, float]:
         if mse < best_mse or (mse == best_mse and (best_k is None or k < best_k)):
             best_k, best_mse = k, mse
     if best_k is None:
-        raise EmptyInputError("no (k, mse) pairs supplied")
+        raise EmptyOrTinyError("no (k, mse) pairs supplied")
     return best_k, best_mse

@@ -9,19 +9,19 @@ shard. Every study runs through one engine, ``_replicate``, which calls a
 draw per replication and computes each estimator path with
 :func:`tailwls.estimators.path_estimates`. The sampling draw samples a full
 dataset from a distribution spec, sorts it, takes its log-spacings and
-resolves rho. The model draw scales unit exponentials f_j by the means of
-the exponential regression model, built once per study,
+resolves rho. The model draw scales unit exponentials f_j, one uniform each
+from the replication's stream, by the means of the exponential regression
+model, built and checked once per study,
 
-    Z_j = (gamma + b * C_j) * f_j,
+    Z_j = (gamma + b * C_j) * f_j.
 
-as ``sample_model_spacings`` does for one replication. ``run_simulation``,
-``run_model_simulation`` and ``normality_report`` validate, build a draw and
-call the engine. One failure rule holds for all three: a failed draw marks
-its whole replication missing, an unresolved rho marks every rho-dependent
-estimator, and a failed path marks its own estimator; configuration errors
-raise before the first replication. Aggregates use the population-style
-divisor (number of successful replications), so mse = variance + bias^2
-holds exactly.
+``run_simulation``, ``run_model_simulation`` and ``normality_report``
+validate, build a draw and call the engine. One failure rule holds for all
+three: a failed draw marks its whole replication missing, an unresolved rho
+marks every rho-dependent estimator, and a failed path marks its own
+estimator; configuration errors raise before the first replication.
+Aggregates use the population-style divisor (number of successful
+replications), so mse = variance + bias^2 holds exactly.
 """
 
 from __future__ import annotations
@@ -36,16 +36,15 @@ from . import __version__
 from .asymptotics import standardized_statistic
 from .distributions import DistributionSpec, sample
 from .errors import (
-    EmptyEstimatorSetError,
+    EmptyOrTinyError,
     KOutOfRangeError,
     KTooSmallError,
-    NonPositiveMeanError,
-    NonPositiveTrueGammaError,
+    NonPositiveError,
     TailwlsError,
 )
 from .estimators import ESTIMATOR_IDS, path_estimates
 from .second_order import RhoMethod, resolve_rho
-from .spacings import LogSpacings, all_log_spacings, covariates, validate_and_sort
+from .spacings import all_log_spacings, check_k_range, covariates, validate_and_sort
 
 _MASK64 = (1 << 64) - 1
 
@@ -66,58 +65,26 @@ def rep_seed(master_seed: int, r: int) -> int:
     return (int(master_seed) & _MASK64) ^ _splitmix64(int(r))
 
 
-def _model_means(gamma: float, b: float, rho: float, k: int) -> np.ndarray:
-    """The model means gamma + b C_j, j = 1..k, checked to be positive."""
-    means = float(gamma) + float(b) * covariates(k, rho).c
-    if not (means > 0.0).all():
-        j_bad = int(np.argmin(means)) + 1
-        raise NonPositiveMeanError(
-            f"mean gamma + b*C_j = {means.min()} at j={j_bad} is not positive"
-        )
-    return means
-
-
 def _unit_exponentials(seed: int, k: int) -> np.ndarray:
     """k unit exponentials -log(1-U), one uniform each from the seeded stream."""
     rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
     return -np.log1p(-rng.random(k))
 
 
-def sample_model_spacings(
-    gamma: float,
-    b: float,
-    rho: float,
-    k: int,
-    seed: int,
-    noise: np.ndarray | None = None,
-) -> LogSpacings:
-    """Draw Z_j = (gamma + b C_j) f_j straight from the regression model.
-
-    The noise f_j is unit exponential, computed as -log(1-U) with U drawn
-    from the seeded uniform stream (one uniform per spacing). ``noise``
-    substitutes a fixed array for f (used in tests to remove randomness).
-    The result carries n = k + 1, the smallest sample size consistent with
-    k spacings.
+def _model_draw(gamma: float, b: float, rho: float, k: int):
+    """Draw of model spacings with the true rho; the means are checked once, here.
 
     Raises:
         KOutOfRangeError: k < 1.
         InvalidRhoError: rho not finite negative.
-        NonPositiveMeanError: some mean gamma + b C_j <= 0.
+        NonPositiveError: some mean gamma + b C_j <= 0.
     """
-    k = int(k)
-    means = _model_means(gamma, b, rho, k)
-    if noise is None:
-        f = _unit_exponentials(seed, k)
-    else:
-        f = np.asarray(noise, dtype=np.float64)
-        if f.shape != (k,):
-            raise ValueError(f"noise must have shape ({k},), got {f.shape}")
-    return LogSpacings(z=means * f, k=k, n=k + 1)
-
-
-def _model_draw(gamma: float, b: float, rho: float, k: int):
-    """Draw of model spacings with the true rho; the means are checked once, here."""
-    means = _model_means(gamma, b, rho, k)
+    means = float(gamma) + float(b) * covariates(k, rho)
+    if not (means > 0.0).all():
+        j_bad = int(np.argmin(means)) + 1
+        raise NonPositiveError(
+            f"mean gamma + b*C_j = {means.min()} at j={j_bad} is not positive"
+        )
     return lambda seed: (means * _unit_exponentials(seed, means.size), rho)
 
 
@@ -185,18 +152,14 @@ class SimulationConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise ValueError(f"reps={self.reps} must be at least 1")
-        if not 2 <= self.k_min <= self.k_max <= self.n - 1:
-            raise KOutOfRangeError(
-                f"need 2 <= k_min <= k_max <= n-1, got k_min={self.k_min}, "
-                f"k_max={self.k_max}, n={self.n}"
-            )
+        check_k_range(self.k_min, self.k_max, self.n)
         _check_estimators(self.estimators)
 
 
 def _check_estimators(estimators) -> tuple[str, ...]:
     ids = tuple(estimators)
     if len(ids) == 0:
-        raise EmptyEstimatorSetError("no estimators requested")
+        raise EmptyOrTinyError("no estimators requested")
     for e in ids:
         if e not in ESTIMATOR_IDS:
             raise ValueError(
@@ -345,15 +308,16 @@ def run_model_simulation(
     its cell missing.
 
     Raises:
-        NonPositiveTrueGammaError: gamma <= 0.
-        EmptyEstimatorSetError / ValueError: bad estimator set, or BCHILL
+        NonPositiveError: gamma <= 0, or a model mean gamma + b C_j <= 0.
+        EmptyOrTinyError / ValueError: bad estimator set, or BCHILL
             without ``n``.
-        Errors of :func:`sample_model_spacings` for bad (b, rho, k).
+        KOutOfRangeError / InvalidRhoError: k < 1, or rho not finite
+            negative.
     """
     t0 = time.perf_counter()
     gamma = float(gamma)
     if not gamma > 0.0:
-        raise NonPositiveTrueGammaError(f"gamma={gamma} must be > 0")
+        raise NonPositiveError(f"gamma={gamma} must be > 0")
     est_ids = _check_estimators(estimators)
     reps = int(reps)
     if reps < 1:
@@ -434,7 +398,7 @@ def normality_report(
     t0 = time.perf_counter()
     if spec is None:
         if gamma is None or not float(gamma) > 0.0:
-            raise NonPositiveTrueGammaError(
+            raise NonPositiveError(
                 f"model mode needs gamma > 0, got {gamma}"
             )
         gamma = float(gamma)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import (
     DegenerateTailError,
-    GridEmptyError,
+    EmptyOrTinyError,
     InvalidRhoError,
     KOutOfRangeError,
 )
@@ -60,7 +60,7 @@ class RhoMethod:
                 raise InvalidRhoError(f"fixed rho {v} must be finite and < 0")
         if self.kind == "minvar":
             if len(self.grid) == 0:
-                raise GridEmptyError("rho candidate grid is empty")
+                raise EmptyOrTinyError("rho candidate grid is empty")
             for g in self.grid:
                 if not np.isfinite(g) or not g < 0.0:
                     raise InvalidRhoError(f"grid value {g} must be finite and < 0")

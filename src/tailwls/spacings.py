@@ -6,13 +6,16 @@ statistics
 
     Z_j = j * log(X_{n-j+1,n} / X_{n-j,n}),    j = 1, ..., k,
 
-the linearly decreasing weights W_j = 1 - j/(k+1) (which sum to k/2 exactly),
-and the second-order covariates C_j = (j/(k+1))^(-rho) with rho < 0. This
-module builds those four objects and nothing else.
+the unit-sum form w_j = W_j / (k/2) of the linearly decreasing weights
+W_j = 1 - j/(k+1) (which sum to k/2 exactly), and the second-order
+covariates C_j = (j/(k+1))^(-rho) with rho < 0. This module builds those
+four objects and holds the two checks every caller shares, of rho and of a
+k range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,36 +72,23 @@ class LogSpacings:
     n: int
 
 
-@dataclass(frozen=True)
-class WeightScheme:
-    """Linearly decreasing weights W_j = 1 - j/(k+1) and their unit-sum form.
-
-    ``raw`` sums to k/2 in closed form; ``normalized`` is raw divided by that
-    exact constant, so it sums to one without accumulating a float total.
-    """
-
-    raw: np.ndarray
-    normalized: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return int(self.raw.size)
+def check_rho(rho) -> float:
+    """rho as a float; InvalidRhoError unless it is finite and strictly negative."""
+    rho = float(rho)
+    if not math.isfinite(rho) or rho >= 0.0:
+        raise InvalidRhoError(f"rho={rho} must be finite and < 0")
+    return rho
 
 
-@dataclass(frozen=True)
-class Covariates:
-    """Regression covariates C_j = (j/(k+1))^(-rho) for a fixed rho < 0.
-
-    The C_j increase from near zero toward one as j runs from 1 to k, and
-    they live in (0, 1) for every admissible rho.
-    """
-
-    c: np.ndarray
-    rho: float
-
-    @property
-    def k(self) -> int:
-        return int(self.c.size)
+def check_k_range(k_min: int, k_max: int, n: int) -> np.ndarray:
+    """The k values of a path; KOutOfRangeError unless 2 <= k_min <= k_max <= n - 1."""
+    k_min, k_max = int(k_min), int(k_max)
+    if not 2 <= k_min <= k_max <= n - 1:
+        raise KOutOfRangeError(
+            f"need 2 <= k_min <= k_max <= n-1, got k_min={k_min}, "
+            f"k_max={k_max}, n={n}"
+        )
+    return np.arange(k_min, k_max + 1)
 
 
 def validate_and_sort(raw_sample) -> OrderedTail:
@@ -170,8 +160,10 @@ def all_log_spacings(tail: OrderedTail) -> np.ndarray:
     return _readonly(j * (logs[:-1] - logs[1:]))
 
 
-def weights(k: int) -> WeightScheme:
-    """Weight scheme W_j = 1 - j/(k+1), j = 1..k.
+def weights(k: int) -> np.ndarray:
+    """Read-only unit-sum weights w_j = W_j / (k/2), W_j = 1 - j/(k+1), j = 1..k.
+
+    Dividing by the exact total k/2 sums them to one without a float total.
 
     Raises:
         KOutOfRangeError: k < 1.
@@ -180,13 +172,14 @@ def weights(k: int) -> WeightScheme:
     if k < 1:
         raise KOutOfRangeError(f"k={k} must be at least 1")
     j = np.arange(1, k + 1, dtype=np.float64)
-    raw = 1.0 - j / (k + 1.0)
-    normalized = raw / (k / 2.0)
-    return WeightScheme(raw=_readonly(raw), normalized=_readonly(normalized))
+    return _readonly((1.0 - j / (k + 1.0)) / (k / 2.0))
 
 
-def covariates(k: int, rho: float) -> Covariates:
-    """Covariates C_j = (j/(k+1))^(-rho), j = 1..k, for finite rho < 0.
+def covariates(k: int, rho: float) -> np.ndarray:
+    """Covariates C_j = (j/(k+1))^(-rho), j = 1..k, as a read-only array.
+
+    They increase from near zero toward one as j runs from 1 to k, and lie
+    in (0, 1) for every admissible rho.
 
     Raises:
         KOutOfRangeError: k < 1.
@@ -195,9 +188,6 @@ def covariates(k: int, rho: float) -> Covariates:
     k = int(k)
     if k < 1:
         raise KOutOfRangeError(f"k={k} must be at least 1")
-    rho = float(rho)
-    if not np.isfinite(rho) or rho >= 0.0:
-        raise InvalidRhoError(f"rho={rho} must be finite and < 0")
+    rho = check_rho(rho)
     j = np.arange(1, k + 1, dtype=np.float64)
-    c = (j / (k + 1.0)) ** (-rho)
-    return Covariates(c=_readonly(c), rho=rho)
+    return _readonly((j / (k + 1.0)) ** (-rho))

@@ -129,6 +129,21 @@ def test_estimate_comment_lines_and_column(tmp_path):
     assert float(rows[0]["gamma_hat"]) == tw.hill(tw.log_spacings(tail, 3))
 
 
+@pytest.mark.parametrize("column", [-5, -1])
+def test_estimate_rejects_negative_column(column, tmp_path, capsys):
+    from tailwls import cli
+
+    p = tmp_path / "d.txt"
+    p.write_text("1 10.0\n2 20.0\n3 30.0\n4 40.0\n")
+    out = tmp_path / "o.csv"
+    code = cli.main(["estimate", str(p), "--column", str(column),
+                     "--estimators", "HILL", "--k", "2", "--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--column" in err
+    assert not out.exists()
+
+
 def test_simulate_summary_schema_and_missing_param(tmp_path):
     out = tmp_path / "s.csv"
     r = run_cli("simulate", "--dist", "burr", "--tau", "2", "--lambda", "1",
@@ -189,10 +204,40 @@ def test_diagnose_rejects_nonnegative_rho():
 
 
 def test_diagnose_amse_coeff_flag():
+    # the cross-term coefficient is 2 by the algebra; there is no flag for it
     r = run_cli("diagnose", "--rho", "-1", "--k-min", "2", "--k-max", "2",
                 "--amse-coeff", "4")
-    value = float(r.stdout.strip().splitlines()[1].split(",")[7])
-    assert value == tw.amse(1.0, 2, -1.0, cross_coeff=4.0)
+    assert r.returncode == 4
+    assert "--amse-coeff" in r.stderr
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-2", "0"])
+def test_diagnose_rejects_meaningless_gamma(gamma, capsys):
+    from tailwls import cli
+
+    assert cli.main(["diagnose", "--rho", "-1", "--gamma", gamma]) == 4
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1 and "--gamma" in out.err
+
+
+def test_diagnose_calls_s_moments_once_per_row(monkeypatch, capsys):
+    from tailwls import asymptotics, cli
+
+    calls = []
+    real = asymptotics.s_moments
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "s_moments", counted)
+    monkeypatch.setattr(asymptotics, "s_moments", counted)
+    assert cli.main(["diagnose", "--rho", "-1", "--k-min", "2", "--k-max", "11"]) == 0
+    assert len(calls) == 10
+    rows = capsys.readouterr().out.splitlines()[1:]
+    monkeypatch.undo()
+    assert [float(r.split(",")[7]) for r in rows] == [tw.amse(1.0, k, -1.0)
+                                                      for k in range(2, 12)]
 
 
 def test_optimal_k_round_trip(tmp_path):

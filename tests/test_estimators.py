@@ -4,12 +4,12 @@ import pytest
 from tailwls import (
     DEFAULT_RHO_GRID,
     ESTIMATOR_IDS,
-    EmptyInputError,
+    EmptyOrTinyError,
     InvalidRhoError,
     KOutOfRangeError,
     KTooSmallError,
     LogSpacings,
-    NegativePenaltyError,
+    NonPositiveError,
     RhoMethod,
     SimulationConfig,
     all_log_spacings,
@@ -27,13 +27,13 @@ from tailwls import (
     run_model_simulation,
     run_simulation,
     sample,
-    sample_model_spacings,
     select_ridge_penalty,
     validate_and_sort,
     weights,
     wls_fit,
     wls_gamma_grid,
 )
+from tailwls.montecarlo import _model_draw
 
 
 def _spacings(z, n=None):
@@ -56,12 +56,13 @@ def test_hill_is_mean():
 
 
 def test_wls_noise_free_recovery():
-    c = covariates(3, -1.0).c
+    c = covariates(3, -1.0)
     z = _spacings(0.5 + 0.2 * c)
     fit = wls_fit(z, -1.0)
     assert fit.gamma_hat == pytest.approx(0.5, abs=1e-12)
     assert fit.b_hat == pytest.approx(0.2, abs=1e-12)
-    assert fit.residuals == pytest.approx(np.zeros(3), abs=1e-12)
+    residuals = z.z - (fit.gamma_hat + fit.b_hat * c)
+    assert residuals == pytest.approx(np.zeros(3), abs=1e-12)
 
 
 def test_constant_spacings_give_zero_slope():
@@ -80,7 +81,7 @@ def test_wls_matches_normal_equations_oracle():
         z = _spacings(rng.exponential(scale=rng.uniform(0.1, 3.0), size=k))
         fit = wls_fit(z, rho)
         gamma, b = solve_weighted_normal_equations(
-            z.z, covariates(k, rho).c, weights(k).normalized
+            z.z, covariates(k, rho), weights(k)
         )
         assert abs(fit.gamma_hat - gamma) < 1e-10
         assert abs(fit.b_hat - b) < 1e-10
@@ -94,7 +95,7 @@ def test_ls_matches_normal_equations_oracle():
         z = _spacings(rng.exponential(size=k))
         fit = ls_fit(z, rho)
         gamma, b = solve_weighted_normal_equations(
-            z.z, covariates(k, rho).c, np.full(k, 1.0 / k)
+            z.z, covariates(k, rho), np.full(k, 1.0 / k)
         )
         assert abs(fit.gamma_hat - gamma) < 1e-10
         assert abs(fit.b_hat - b) < 1e-10
@@ -105,18 +106,11 @@ def test_fit_residual_orthogonality():
     rng = np.random.default_rng(44)
     z = _spacings(rng.exponential(size=30))
     fit = wls_fit(z, -0.8)
-    w = weights(30).normalized
-    c = covariates(30, -0.8).c
-    assert w @ fit.residuals == pytest.approx(0.0, abs=1e-12)
-    assert (w * c) @ fit.residuals == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fitted_means_definition():
-    z = _spacings(np.random.default_rng(45).exponential(size=12))
-    fit = wls_fit(z, -1.0)
-    c = covariates(12, -1.0).c
-    assert fit.fitted_means == pytest.approx(fit.gamma_hat + fit.b_hat * c, abs=1e-14)
-    assert fit.residuals == pytest.approx(z.z - fit.fitted_means, abs=1e-14)
+    w = weights(30)
+    c = covariates(30, -0.8)
+    residuals = z.z - (fit.gamma_hat + fit.b_hat * c)
+    assert w @ residuals == pytest.approx(0.0, abs=1e-12)
+    assert (w * c) @ residuals == pytest.approx(0.0, abs=1e-12)
 
 
 def test_regression_needs_two_spacings():
@@ -142,7 +136,6 @@ def test_ridge_zero_penalty_is_ls_bitwise():
     l = ls_fit(z, -1.2)
     assert r.gamma_hat == l.gamma_hat
     assert r.b_hat == l.b_hat
-    assert np.array_equal(r.fitted_means, l.fitted_means)
     assert r.penalty == 0.0 and l.penalty is None
 
 
@@ -153,7 +146,7 @@ def test_ridge_matches_centered_formula():
         rho = float(-rng.uniform(0.1, 3.0))
         penalty = float(rng.uniform(0.0, 50.0))
         z = _spacings(rng.exponential(size=k))
-        c = covariates(k, rho).c
+        c = covariates(k, rho)
         zbar, cbar = z.z.mean(), c.mean()
         b = ((c - cbar) @ (z.z - zbar)) / (((c - cbar) @ (c - cbar)) + penalty)
         fit = ridge_fit(z, rho, penalty)
@@ -170,7 +163,7 @@ def test_ridge_large_penalty_shrinks_to_hill():
 
 def test_ridge_negative_penalty():
     z = _spacings([0.5, 0.6])
-    with pytest.raises(NegativePenaltyError):
+    with pytest.raises(NonPositiveError):
         ridge_fit(z, -1.0, -0.1)
 
 
@@ -220,16 +213,16 @@ def test_paths_on_geometric_sample_match_oracle():
     # Hill(k) = mean of j*logr over j<=k = logr*(k+1)/2
     want = logr * (ph.k_values + 1) / 2.0
     assert ph.estimates == pytest.approx(want, rel=1e-12)
-    assert np.isnan(ph.rho_values).all()
+    assert np.isnan(ph.rho)
 
     pw = evi_path(tail, "WLS", method, 2, 39)
     for i, k in enumerate(pw.k_values):
         z = logr * np.arange(1, k + 1)
         gamma, _ = solve_weighted_normal_equations(
-            z, covariates(int(k), -1.0).c, weights(int(k)).normalized
+            z, covariates(int(k), -1.0), weights(int(k))
         )
         assert abs(pw.estimates[i] - gamma) < 1e-10
-    assert (pw.rho_values == -1.0).all()
+    assert pw.rho == -1.0
 
 
 def test_evi_path_consistency_with_single_fits():
@@ -285,7 +278,7 @@ def test_optimal_k_picks_smallest_on_ties():
 
 
 def test_optimal_k_empty():
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(EmptyOrTinyError):
         optimal_k([])
 
 
@@ -298,13 +291,13 @@ def test_all_callers_share_one_table():
         spec=spec, n=200, reps=1, k_min=10, k_max=150,
         estimators=ESTIMATOR_IDS, rho_method=method, master_seed=3,
     ))
-    z = sample_model_spacings(0.5, 0.1, -1.0, 100, rep_seed(3, 0))
+    z_model, _ = _model_draw(0.5, 0.1, -1.0, 100)(rep_seed(3, 0))
     model = run_model_simulation(0.5, 0.1, -1.0, 100, reps=1,
                                  estimators=ESTIMATOR_IDS, master_seed=3, n=200)
     for e, est in enumerate(ESTIMATOR_IDS):
         path = evi_path(tail, est, method, 10, 150)
         assert np.array_equal(summary.mean[e], path.estimates), est
-        want, _ = path_estimates(z.z, 200, est, -1.0, [100])
+        want, _ = path_estimates(z_model, 200, est, -1.0, [100])
         assert np.array_equal(model.mean[e], want), est
 
 
@@ -359,8 +352,8 @@ def test_paths_match_oracle_at_scale():
             got, _ = path_estimates(z_all, 20_000, est, rho, k_values)
             want = np.array([
                 solve_weighted_normal_equations(
-                    z_all[:k], covariates(k, rho).c,
-                    np.full(k, 1.0 / k) if uniform else weights(k).normalized,
+                    z_all[:k], covariates(k, rho),
+                    np.full(k, 1.0 / k) if uniform else weights(k),
                 )[0]
                 for k in k_values
             ])
@@ -374,8 +367,8 @@ def test_extreme_rho_matches_oracle_or_raises():
     for est in ("WLS", "LS"):
         got, _ = path_estimates(z_all, 1000, est, -50.0, k_values)
         for k in k_values:
-            w = weights(k).normalized if est == "WLS" else np.full(k, 1.0 / k)
-            want, _ = solve_weighted_normal_equations(z_all[:k], covariates(k, -50.0).c, w)
+            w = weights(k) if est == "WLS" else np.full(k, 1.0 / k)
+            want, _ = solve_weighted_normal_equations(z_all[:k], covariates(k, -50.0), w)
             assert abs(got[k - 2] - want) <= 1e-12 * abs(want), (est, k)
     for est in ("BCHILL", "LS", "RR", "WLS"):
         with pytest.raises(InvalidRhoError):
@@ -394,7 +387,7 @@ def test_paths_stay_accurate_as_rho_approaches_zero():
         for est in ("WLS", "LS"):
             got, _ = path_estimates(z_all, 1000, est, rho, np.arange(10, 1000, 70))
             for g, k in zip(got, range(10, 1000, 70)):
-                w = weights(k).normalized if est == "WLS" else np.full(k, 1.0 / k)
+                w = weights(k) if est == "WLS" else np.full(k, 1.0 / k)
                 cm1 = np.expm1(-rho * np.log(np.arange(1, k + 1) / (k + 1.0)))
                 d = cm1 - w @ cm1
                 b = (w * d) @ z_all[:k] / ((w * d) @ d)

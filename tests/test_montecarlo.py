@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from tailwls import (
-    EmptyEstimatorSetError,
+    EmptyOrTinyError,
     InvalidRhoError,
     KOutOfRangeError,
-    NonPositiveMeanError,
-    NonPositiveTrueGammaError,
+    LogSpacings,
+    NonPositiveError,
     RhoMethod,
     SimulationConfig,
     burr,
@@ -20,12 +20,12 @@ from tailwls import (
     run_model_simulation,
     run_simulation,
     sample,
-    sample_model_spacings,
     standardized_statistic,
     summarize,
     validate_and_sort,
     wls_fit,
 )
+from tailwls.montecarlo import _model_draw
 
 
 def test_rep_seed_is_deterministic_and_wide():
@@ -37,47 +37,40 @@ def test_rep_seed_is_deterministic_and_wide():
 
 
 def test_model_spacings_deterministic():
-    a = sample_model_spacings(0.5, 0.1, -1.0, 50, seed=11)
-    b = sample_model_spacings(0.5, 0.1, -1.0, 50, seed=11)
-    assert np.array_equal(a.z, b.z)
-    assert a.k == 50 and a.n == 51
-    assert (a.z >= 0).all()
-
-
-def test_model_spacings_noise_override():
-    # unit noise strips the randomness: Z_j becomes exactly the mean curve
-    c = covariates(8, -2.0).c
-    z = sample_model_spacings(0.3, 0.05, -2.0, 8, seed=0, noise=np.ones(8))
-    assert np.array_equal(z.z, 0.3 + 0.05 * c)
-    with pytest.raises(ValueError):
-        sample_model_spacings(0.3, 0.05, -2.0, 8, seed=0, noise=np.ones(5))
+    a, rho_a = _model_draw(0.5, 0.1, -1.0, 50)(11)
+    b, _ = _model_draw(0.5, 0.1, -1.0, 50)(11)
+    assert np.array_equal(a, b)
+    assert a.shape == (50,) and rho_a == -1.0
+    assert (a >= 0).all()
 
 
 def test_model_spacings_mean_matches_theory():
     # E(Z_j) = gamma + b*C_j; check against 3 standard errors per coordinate
     gamma, b, rho, k, reps = 1.0, 0.5, -1.0, 20, 4000
     acc = np.zeros(k)
+    draw = _model_draw(gamma, b, rho, k)
     for r in range(reps):
-        acc += sample_model_spacings(gamma, b, rho, k, rep_seed(77, r)).z
+        acc += draw(rep_seed(77, r))[0]
     mean = acc / reps
-    expect = gamma + b * covariates(k, rho).c
+    expect = gamma + b * covariates(k, rho)
     se = expect / np.sqrt(reps)  # sd of Z_j equals its mean for exponential noise
     assert (np.abs(mean - expect) < 3 * se).all()
 
 
 def test_model_spacings_argument_errors():
     with pytest.raises(KOutOfRangeError):
-        sample_model_spacings(1.0, 0.0, -1.0, 0, seed=1)
+        _model_draw(1.0, 0.0, -1.0, 0)
     with pytest.raises(InvalidRhoError):
-        sample_model_spacings(1.0, 0.0, 0.5, 10, seed=1)
-    with pytest.raises(NonPositiveMeanError):
-        sample_model_spacings(0.1, -1.0, -1.0, 10, seed=1)
+        _model_draw(1.0, 0.0, 0.5, 10)
+    with pytest.raises(NonPositiveError):
+        _model_draw(0.1, -1.0, -1.0, 10)
 
 
 def test_run_model_simulation_single_rep_is_exact():
     s = run_model_simulation(0.5, 0.1, -1.0, 30, reps=1, estimators=("WLS", "HILL"),
                              master_seed=9)
-    z = sample_model_spacings(0.5, 0.1, -1.0, 30, rep_seed(9, 0))
+    z_model, _ = _model_draw(0.5, 0.1, -1.0, 30)(rep_seed(9, 0))
+    z = LogSpacings(z=z_model, k=30, n=31)
     assert s.cell("WLS", 30)["mean"] == wls_fit(z, -1.0).gamma_hat
     assert s.cell("HILL", 30)["mean"] == hill(z)
     assert s.cell("WLS", 30)["variance"] == 0.0
@@ -93,9 +86,9 @@ def test_run_model_simulation_unbiased_within_3se():
 
 
 def test_run_model_simulation_validation():
-    with pytest.raises(NonPositiveTrueGammaError):
+    with pytest.raises(NonPositiveError):
         run_model_simulation(0.0, 0.1, -1.0, 10, 5)
-    with pytest.raises(EmptyEstimatorSetError):
+    with pytest.raises(EmptyOrTinyError):
         run_model_simulation(1.0, 0.1, -1.0, 10, 5, estimators=())
     with pytest.raises(ValueError):
         run_model_simulation(1.0, 0.1, -1.0, 10, 5, estimators=("XX",))
@@ -103,7 +96,7 @@ def test_run_model_simulation_validation():
         # BCHILL needs a sample size for its (n/k)^rho factor
         run_model_simulation(1.0, 0.1, -1.0, 10, 5, estimators=("BCHILL",))
     run_model_simulation(1.0, 0.1, -1.0, 10, 5, estimators=("BCHILL",), n=100)
-    with pytest.raises(NonPositiveMeanError):
+    with pytest.raises(NonPositiveError):
         # a configuration error raises; it is not counted as missing cells
         run_model_simulation(0.1, -1.0, -1.0, 10, 5)
 
@@ -147,7 +140,7 @@ def test_simulation_config_validation():
         SimulationConfig(spec=spec, n=50, reps=10, k_min=5, k_max=50)
     with pytest.raises(ValueError):
         SimulationConfig(spec=spec, n=50, reps=0, k_min=5, k_max=10)
-    with pytest.raises(EmptyEstimatorSetError):
+    with pytest.raises(EmptyOrTinyError):
         SimulationConfig(spec=spec, n=50, reps=10, k_min=5, k_max=10, estimators=())
 
 

@@ -4,7 +4,7 @@ import pytest
 from tailwls import (
     DEFAULT_RHO_GRID,
     DegenerateTailError,
-    GridEmptyError,
+    EmptyOrTinyError,
     InvalidRhoError,
     KOutOfRangeError,
     MOMENT_RHO_RANGE,
@@ -38,7 +38,7 @@ class TestRhoMethod:
 
     def test_minvar_validation(self):
         assert RhoMethod.min_variance().grid == DEFAULT_RHO_GRID
-        with pytest.raises(GridEmptyError):
+        with pytest.raises(EmptyOrTinyError):
             RhoMethod.min_variance(grid=())
         with pytest.raises(InvalidRhoError):
             RhoMethod.min_variance(grid=(-1.0, 0.5))

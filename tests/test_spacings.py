@@ -99,19 +99,20 @@ def test_scale_invariance():
 
 def test_weights_hand_values():
     w = weights(3)
-    assert w.raw.tolist() == [0.75, 0.5, 0.25]
-    assert w.normalized == pytest.approx([1 / 2, 1 / 3, 1 / 6], abs=1e-15)
-    assert w.k == 3
+    assert w * 1.5 == pytest.approx([0.75, 0.5, 0.25], abs=1e-15)  # W_j = 1 - j/4
+    assert w == pytest.approx([1 / 2, 1 / 3, 1 / 6], abs=1e-15)
+    assert w.shape == (3,) and not w.flags.writeable
 
 
 @pytest.mark.parametrize("k", [1, 2, 17, 400])
 def test_weight_sums(k):
     w = weights(k)
-    assert w.raw.sum() == pytest.approx(k / 2, abs=1e-10)
-    assert w.normalized.sum() == pytest.approx(1.0, abs=1e-12)
-    assert (w.raw > 0).all() and (w.raw < 1).all()
+    raw = w * (k / 2)  # W_j = 1 - j/(k+1)
+    assert raw.sum() == pytest.approx(k / 2, abs=1e-10)
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert (raw > 0).all() and (raw < 1).all()
     # strictly decreasing in j
-    assert (np.diff(w.raw) < 0).all()
+    assert (np.diff(w) < 0).all()
 
 
 def test_weights_bad_k():
@@ -121,14 +122,15 @@ def test_weights_bad_k():
 
 def test_covariates_hand_values():
     c = covariates(3, -1.0)
-    assert c.c == pytest.approx([0.25, 0.5, 0.75], abs=1e-15)
+    assert c == pytest.approx([0.25, 0.5, 0.75], abs=1e-15)
+    assert not c.flags.writeable
     c2 = covariates(3, -0.5)
-    assert c2.c == pytest.approx(np.sqrt([0.25, 0.5, 0.75]), abs=1e-15)
+    assert c2 == pytest.approx(np.sqrt([0.25, 0.5, 0.75]), abs=1e-15)
 
 
 @pytest.mark.parametrize("rho", [-0.1, -1.0, -3.7])
 def test_covariates_in_unit_interval_increasing(rho):
-    c = covariates(50, rho).c
+    c = covariates(50, rho)
     assert (c > 0).all() and (c < 1).all()
     assert (np.diff(c) > 0).all()
 
