@@ -23,25 +23,21 @@ rho = tw.resolve_rho(tail, method)
 print(f"resolved rho (minimum path variance over a candidate grid): {rho}")
 print()
 
-k_values = np.arange(20, 401, 20)
-paths = {
-    est: tw.evi_path(tail, est, method, 20, 400)
-    for est in tw.ESTIMATOR_IDS
-}
+# one table call fits all five paths over k = 20..400 with the resolved rho
+paths, penalties = tw.path_estimates(tw.all_log_spacings(tail), tail.n,
+                                     tw.ESTIMATOR_IDS, rho, np.arange(20, 401))
 
 header = "k     " + "".join(f"{est:>9}" for est in tw.ESTIMATOR_IDS)
 print(header)
-for k in k_values:
+for k in range(20, 401, 20):
     i = k - 20
     row = f"{k:<6d}"
     for est in tw.ESTIMATOR_IDS:
-        row += f"{paths[est].estimates[i]:9.4f}"
+        row += f"{paths[est][i]:9.4f}"
     print(row)
 
 print()
-wls = paths["WLS"].estimates
-hill = paths["HILL"].estimates
-print(f"spread over the printed window: sd(WLS)={np.std(wls):.4f} "
-      f"sd(HILL)={np.std(hill):.4f}")
+print(f"spread over the printed window: sd(WLS)={np.std(paths['WLS']):.4f} "
+      f"sd(HILL)={np.std(paths['HILL']):.4f}")
 print(f"ridge penalties chosen along the RR path (first 8): "
-      f"{paths['RR'].penalties[:8].tolist()}")
+      f"{penalties[:8].tolist()}")

@@ -30,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .errors import TailwlsError
-from .estimators import ESTIMATOR_IDS, optimal_k, path_estimates
+from .estimators import (ESTIMATOR_IDS, check_estimators, needs_rho, optimal_k,
+                         path_estimates)
 from .asymptotics import s_moments
 from .distributions import burr, frechet, loggamma, pareto
 from .montecarlo import SimulationConfig, run_simulation
@@ -186,21 +187,17 @@ def _parse_rho_method(text: str) -> RhoMethod:
 
 
 def _parse_estimators(text: str) -> tuple[str, ...]:
-    wanted = [t.strip().upper() for t in text.split(",") if t.strip()]
-    if not wanted:
-        raise ValueError("empty --estimators list")
-    for name in wanted:
-        if name not in ESTIMATOR_IDS:
-            raise ValueError(
-                f"unknown estimator {name!r}; expected some of {ESTIMATOR_IDS}"
-            )
+    wanted = check_estimators(
+        dict.fromkeys(t.strip().upper() for t in text.split(",") if t.strip()))
     # canonical reporting order, duplicates collapsed
     return tuple(e for e in ESTIMATOR_IDS if e in wanted)
 
 
 def cmd_estimate(args) -> int:
-    if args.column is not None and args.column < 0:
-        print(f"tailwls estimate: --column {args.column} must be >= 0", file=sys.stderr)
+    bad = (f"--column {args.column} must be >= 0" if (args.column or 0) < 0
+           else "--delimiter must not be empty" if args.delimiter == "" else None)
+    if bad:
+        print(f"tailwls estimate: {bad}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         data = read_numeric_column(args.dataset, args.column, args.delimiter)
@@ -227,26 +224,23 @@ def cmd_estimate(args) -> int:
         print(f"tailwls estimate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    needs_rho = any(e != "HILL" for e in estimators)
+    regression = needs_rho(estimators)
     try:
         # every method is k-independent: resolve once, reuse everywhere
-        resolved = resolve_rho(tail, rho_method) if needs_rho else None
-        z_all = all_log_spacings(tail)
-        paths = {
-            est: path_estimates(z_all, n, est, resolved, k_values)[0]
-            for est in estimators
-        }
+        resolved = resolve_rho(tail, rho_method) if regression else None
+        paths = path_estimates(all_log_spacings(tail), n, estimators, resolved,
+                               k_values)[0]
     except TailwlsError as exc:
         print(f"tailwls estimate: estimation failed: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
 
-    if k_min < 10 and needs_rho:
+    if k_min < 10 and regression:
         print(
             f"tailwls estimate: warning: regression estimates at k < 10 "
             f"are unstable (k_min={k_min})",
             file=sys.stderr,
         )
-    rho_used = {est: _fmt(np.nan if est == "HILL" else resolved) for est in estimators}
+    rho_used = {est: _fmt(resolved if needs_rho((est,)) else np.nan) for est in estimators}
     rows = (
         [k, est, rho_used[est], _fmt(paths[est][i])]
         for i, k in enumerate(range(k_min, k_max + 1))
@@ -407,7 +401,11 @@ def cmd_optimal_k(args) -> int:
             file=sys.stderr,
         )
         return EXIT_LOOKUP
-    k0, mse = optimal_k(pairs)
+    try:
+        k0, mse = optimal_k(pairs)
+    except TailwlsError as exc:
+        print(f"tailwls optimal-k: estimator {args.estimator!r}: {exc}", file=sys.stderr)
+        return EXIT_ESTIMATION
     print(f"k0={k0} mse={_fmt(mse)}")
     return EXIT_OK
 

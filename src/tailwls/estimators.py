@@ -13,8 +13,8 @@ estimators are provided:
     WLS     weighted least squares with weights W_j = 1 - j/(k+1),
     BCHILL  multiplicatively bias-corrected Hill using a slope estimate.
 
-:func:`path_estimates` is the one table from estimator id to computation;
-every path and every simulation cell goes through it.
+:func:`path_estimates` is the one table from estimator ids to computation;
+every path and every simulation cell goes through it, one call per set.
 
 All regression fits share one algebraic core: with unit-sum weights w_j,
 
@@ -41,6 +41,9 @@ from .spacings import (LogSpacings, OrderedTail, all_log_spacings, check_k_range
 
 #: Canonical estimator identifiers, in reporting order.
 ESTIMATOR_IDS = ("HILL", "BCHILL", "LS", "RR", "WLS")
+
+#: The estimators fitted without rho; every other one regresses on the covariates.
+_RHO_FREE = frozenset({"HILL"})
 
 #: Ridge penalty candidates are these factors times k.
 RIDGE_PENALTY_FACTORS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
@@ -132,8 +135,8 @@ def _path_fit(z_all: np.ndarray, k_values: np.ndarray, rho, weighted: bool,
 def _bchill(hill_values, b_hat, rho, n: int, k_values: np.ndarray):
     """Hill times 1 - (b_hat / (1 - rho)) * (n/k)^rho at every k."""
     rho = check_rho(rho)
-    if n < k_values[-1] + 1:
-        raise KOutOfRangeError(f"n={n} must be at least k+1={k_values[-1] + 1}")
+    if n is None or n < k_values[-1] + 1:
+        raise KOutOfRangeError(f"BCHILL needs n >= k+1={k_values[-1] + 1}, got n={n}")
     return hill_values * (1.0 - (b_hat / (1.0 - rho)) * (n / k_values) ** rho)
 
 
@@ -153,7 +156,7 @@ def _fit(z: LogSpacings, rho: float, weighted: bool,
 
 def hill(z: LogSpacings) -> float:
     """Hill estimator: the sample mean of the spacings (the HILL path at k)."""
-    return float(path_estimates(z.z, z.n, "HILL", None, [z.k])[0][0])
+    return float(path_estimates(z.z, z.n, ("HILL",), None, [z.k])[0]["HILL"][0])
 
 
 def wls_fit(z: LogSpacings, rho: float) -> RegressionFit:
@@ -209,7 +212,7 @@ def select_ridge_penalty(z: LogSpacings, rho: float) -> RegressionFit:
     every candidate. The choice is the RR path's at k. Errors as
     :func:`ridge_fit`.
     """
-    return ridge_fit(z, rho, path_estimates(z.z, z.n, "RR", rho, [z.k])[1][0])
+    return ridge_fit(z, rho, path_estimates(z.z, z.n, ("RR",), rho, [z.k])[1][0])
 
 
 def bchill(z: LogSpacings, rho: float, b_hat: float, n: int) -> float:
@@ -237,53 +240,73 @@ def wls_gamma_grid(z_all: np.ndarray, k_values, rhos) -> np.ndarray:
     return np.array([_path_fit(z_all, k_values, rho, weighted=True)[0] for rho in rhos])
 
 
-def path_estimates(z_all: np.ndarray, n: int | None, estimator_id: str, rho,
-                   k_values) -> tuple[np.ndarray, np.ndarray | None]:
-    """Estimates of one estimator at every k in the ascending ``k_values``.
+def check_estimators(est_ids) -> tuple[str, ...]:
+    """``est_ids`` as a tuple; EmptyOrTinyError if empty, ValueError on a bad or repeated id."""
+    ids = tuple(est_ids)
+    if not ids:
+        raise EmptyOrTinyError("no estimators requested")
+    for e in ids:
+        if e not in ESTIMATOR_IDS:
+            raise ValueError(f"unknown estimator {e!r}; expected one of {ESTIMATOR_IDS}")
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate estimator in {ids}")
+    return ids
 
-    This is the one place that maps an estimator id to a computation. The
+
+def needs_rho(est_ids) -> bool:
+    """Whether some id in ``est_ids`` is a regression, which needs rho (all but HILL)."""
+    return not _RHO_FREE.issuperset(est_ids)
+
+
+def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
+                   k_values) -> tuple[dict, np.ndarray | None]:
+    """Paths of the estimators ``est_ids`` at every k in the ascending ``k_values``.
+
+    This is the one place that maps estimator ids to computations. The
     estimate at k uses the first k entries of ``z_all`` (the spacings from
     :func:`all_log_spacings`, or any array of at least max(k_values)
-    spacings). HILL takes cumulative means and ignores ``rho``; each
-    regression is one run of the path engine over all k, the engine of
-    :func:`wls_gamma_grid` (RR with every candidate penalty at once, BCHILL
-    with the WLS slope). ``n`` is the size of the originating sample, read
-    only by BCHILL's (n/k)^rho factor.
+    spacings). A whole set costs at most one unweighted run of the path
+    engine (LS is the zero-penalty row of RR's penalty block), one weighted
+    run (WLS, and the slope BCHILL corrects with) and one cumulative mean
+    (HILL, and the path BCHILL corrects). ``rho`` None means unresolved: the
+    ids that need one are left out. ``n`` is the size of the originating
+    sample, read only by BCHILL's (n/k)^rho factor.
 
     Returns:
-        (estimates, penalties): ``estimates`` aligned with ``k_values``;
-        ``penalties`` holds the chosen ridge penalties for RR, else None.
+        (paths, penalties): ``paths`` maps each computed id to its estimates,
+        aligned with ``k_values``; ``penalties`` holds the chosen ridge
+        penalties if RR is computed, else None.
 
     Raises:
-        ValueError: unknown estimator_id, or BCHILL with n None.
+        EmptyOrTinyError / ValueError: bad ``est_ids``, as check_estimators.
         KOutOfRangeError: k_values[0] < 1 or k_values[-1] > len(z_all), or
-            BCHILL with n < k + 1.
+            BCHILL with n None or n < k + 1.
         KTooSmallError: a regression estimator with k_values[0] < 2.
-        InvalidRhoError: rho not finite negative (all but HILL).
+        InvalidRhoError: rho not finite negative, or overflowing the sums.
     """
-    if estimator_id not in ESTIMATOR_IDS:
-        raise ValueError(
-            f"unknown estimator {estimator_id!r}; expected one of {ESTIMATOR_IDS}"
-        )
+    ids = check_estimators(est_ids)
+    if rho is None:
+        ids = tuple(_RHO_FREE.intersection(ids))
     k_values = np.asarray(k_values)
-    if estimator_id == "HILL":
+    paths, penalties = {}, None
+    if "LS" in ids or "RR" in ids:  # LS is row 0, the zero penalty, of RR's block
+        factors = RIDGE_PENALTY_FACTORS if "RR" in ids else RIDGE_PENALTY_FACTORS[:1]
+        gammas = _path_fit(z_all, k_values, rho, False, np.array(factors)[:, None])[0]
+        paths["LS"] = gammas[0]
+        if "RR" in ids:
+            best = np.argmin(np.abs(gammas), axis=0)
+            penalties = np.take(RIDGE_PENALTY_FACTORS, best) * k_values
+            paths["RR"] = gammas[best, np.arange(best.size)]
+    if "WLS" in ids or "BCHILL" in ids:
+        paths["WLS"], b_hat = _path_fit(z_all, k_values, rho, weighted=True)
+    if "HILL" in ids or "BCHILL" in ids:
         if k_values[0] < 1 or k_values[-1] > z_all.size:
             raise KOutOfRangeError(
                 f"k from {k_values[0]} to {k_values[-1]} outside [1, {z_all.size}]")
-        return _prefix_sums(z_all, k_values[-1], False)[k_values - 1] / k_values, None
-    if estimator_id in ("LS", "WLS"):
-        return _path_fit(z_all, k_values, rho, weighted=estimator_id == "WLS")[0], None
-    if estimator_id == "RR":  # every candidate penalty at once, one row each
-        shrinks = np.array(RIDGE_PENALTY_FACTORS)[:, None]
-        gammas = _path_fit(z_all, k_values, rho, False, shrinks)[0]
-        best = np.argmin(np.abs(gammas), axis=0)
-        penalties = np.take(RIDGE_PENALTY_FACTORS, best) * k_values
-        return gammas[best, np.arange(best.size)], penalties
-    if n is None:
-        raise ValueError("BCHILL requires the sample size n for its (n/k)^rho factor")
-    b_hat = _path_fit(z_all, k_values, rho, weighted=True)[1]
-    hill_values = path_estimates(z_all, n, "HILL", None, k_values)[0]
-    return _bchill(hill_values, b_hat, rho, n, k_values), None
+        paths["HILL"] = _prefix_sums(z_all, k_values[-1], False)[k_values - 1] / k_values
+    if "BCHILL" in ids:
+        paths["BCHILL"] = _bchill(paths["HILL"], b_hat, rho, n, k_values)
+    return {e: paths[e] for e in ids}, penalties
 
 
 def evi_path(
@@ -314,12 +337,12 @@ def evi_path(
 
     n = tail.n
     k_values = check_k_range(k_min, k_max, n)
-    rho = np.nan if estimator_id == "HILL" else resolve_rho(tail, rho_method)
-    estimates, penalties = path_estimates(
-        all_log_spacings(tail), n, estimator_id, rho, k_values
+    rho = resolve_rho(tail, rho_method) if needs_rho((estimator_id,)) else np.nan
+    paths, penalties = path_estimates(
+        all_log_spacings(tail), n, (estimator_id,), rho, k_values
     )
-    return EviPath(estimator_id, k_values, estimates, rho, rho_method.method_id, n,
-                   penalties)
+    return EviPath(estimator_id, k_values, paths[estimator_id], rho,
+                   rho_method.method_id, n, penalties)
 
 
 def optimal_k(mse_by_k) -> tuple[int, float]:
@@ -332,7 +355,7 @@ def optimal_k(mse_by_k) -> tuple[int, float]:
         (k0, mse at k0); ties broken toward the smallest k.
 
     Raises:
-        EmptyOrTinyError: no pairs given.
+        EmptyOrTinyError: no pair has a finite MSE (or none is given).
     """
     best_k: int | None = None
     best_mse = np.inf
@@ -342,5 +365,5 @@ def optimal_k(mse_by_k) -> tuple[int, float]:
         if mse < best_mse or (mse == best_mse and (best_k is None or k < best_k)):
             best_k, best_mse = k, mse
     if best_k is None:
-        raise EmptyOrTinyError("no (k, mse) pairs supplied")
+        raise EmptyOrTinyError("no finite MSE among the (k, mse) pairs")
     return best_k, best_mse

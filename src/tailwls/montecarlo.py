@@ -6,7 +6,7 @@ Replication r of a study draws from a PCG64 stream seeded with
 
 so runs are reproducible, independent of replication order, and cheap to
 shard. Every study runs through one engine, ``_replicate``, which calls a
-draw per replication and computes each estimator path with
+draw per replication and computes every estimator path with one call of
 :func:`tailwls.estimators.path_estimates`. The sampling draw samples a full
 dataset from a distribution spec, sorts it, takes its log-spacings and
 resolves rho. The model draw scales unit exponentials f_j, one uniform each
@@ -17,9 +17,9 @@ model, built and checked once per study,
 
 ``run_simulation``, ``run_model_simulation`` and ``normality_report``
 validate, build a draw and call the engine. One failure rule holds for all
-three: a failed draw marks its whole replication missing, an unresolved rho
-marks every rho-dependent estimator, and a failed path marks its own
-estimator; configuration errors raise before the first replication.
+three: a failed draw or a failed table call marks the whole replication
+missing, and an unresolved rho marks every rho-dependent estimator;
+configuration errors raise before the first replication.
 Aggregates use the population-style divisor (number of successful
 replications), so mse = variance + bias^2 holds exactly.
 """
@@ -35,14 +35,8 @@ import numpy as np
 from . import __version__
 from .asymptotics import standardized_statistic
 from .distributions import DistributionSpec, sample
-from .errors import (
-    EmptyOrTinyError,
-    KOutOfRangeError,
-    KTooSmallError,
-    NonPositiveError,
-    TailwlsError,
-)
-from .estimators import ESTIMATOR_IDS, path_estimates
+from .errors import KOutOfRangeError, KTooSmallError, NonPositiveError, TailwlsError
+from .estimators import ESTIMATOR_IDS, check_estimators, needs_rho, path_estimates
 from .second_order import RhoMethod, resolve_rho
 from .spacings import all_log_spacings, check_k_range, covariates, validate_and_sort
 
@@ -95,13 +89,13 @@ def _sampling_draw(spec: DistributionSpec, n: int, rho_method: RhoMethod,
     Rho is resolved only when some estimator in ``est_ids`` needs it; a
     failed resolution hands on None instead.
     """
-    needs_rho = any(e != "HILL" for e in est_ids)
+    resolves = needs_rho(est_ids)
 
     def draw(seed):
         tail = validate_and_sort(sample(spec, n, seed))
         z_all = all_log_spacings(tail)
         rho = None
-        if needs_rho:
+        if resolves:
             try:
                 rho = resolve_rho(tail, rho_method)
             except TailwlsError:
@@ -117,22 +111,18 @@ def _replicate(draw, est_ids: tuple[str, ...], k_values: np.ndarray,
 
     Replication r calls ``draw(rep_seed(master_seed, r))``, which returns the
     spacings ``z_all`` and the rho to fit with (None if it could not be
-    resolved), then computes every estimator path over ``k_values``. Cells
-    that the module's failure rule marks missing stay NaN.
+    resolved), then computes every estimator path over ``k_values`` in one
+    table call. Cells that the module's failure rule marks missing stay NaN.
     """
     values = np.full((len(est_ids), len(k_values), reps), np.nan)
     for r in range(reps):
         try:
             z_all, rho = draw(rep_seed(master_seed, r))
+            paths = path_estimates(z_all, n, est_ids, rho, k_values)[0]
         except TailwlsError:
             continue
         for e, est in enumerate(est_ids):
-            if est != "HILL" and rho is None:
-                continue
-            try:
-                values[e, :, r] = path_estimates(z_all, n, est, rho, k_values)[0]
-            except TailwlsError:
-                pass
+            values[e, :, r] = paths.get(est, np.nan)
     return values
 
 
@@ -153,21 +143,7 @@ class SimulationConfig:
         if self.reps < 1:
             raise ValueError(f"reps={self.reps} must be at least 1")
         check_k_range(self.k_min, self.k_max, self.n)
-        _check_estimators(self.estimators)
-
-
-def _check_estimators(estimators) -> tuple[str, ...]:
-    ids = tuple(estimators)
-    if len(ids) == 0:
-        raise EmptyOrTinyError("no estimators requested")
-    for e in ids:
-        if e not in ESTIMATOR_IDS:
-            raise ValueError(
-                f"unknown estimator {e!r}; expected one of {ESTIMATOR_IDS}"
-            )
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate estimator in {ids}")
-    return ids
+        check_estimators(self.estimators)
 
 
 @dataclass(frozen=True)
@@ -266,7 +242,7 @@ def run_simulation(config: SimulationConfig) -> SimulationSummary:
     as missing by the module's failure rule.
     """
     t0 = time.perf_counter()
-    est_ids = _check_estimators(config.estimators)
+    est_ids = check_estimators(config.estimators)
     k_values = np.arange(config.k_min, config.k_max + 1)
     spec = config.spec
     draw = _sampling_draw(spec, config.n, config.rho_method, est_ids)
@@ -304,27 +280,31 @@ def run_model_simulation(
     The true rho is handed to every estimator, so this isolates estimation
     error from rho-resolution error. BCHILL needs a nominal sample size for
     its (n/k)^rho factor, which the pure generator does not have; pass ``n``
-    explicitly when requesting it. An estimator that fails at this k marks
-    its cell missing.
+    explicitly when requesting it. A replication whose table call fails
+    is missing in every row.
 
     Raises:
         NonPositiveError: gamma <= 0, or a model mean gamma + b C_j <= 0.
-        EmptyOrTinyError / ValueError: bad estimator set, or BCHILL
-            without ``n``.
-        KOutOfRangeError / InvalidRhoError: k < 1, or rho not finite
-            negative.
+        EmptyOrTinyError / ValueError: bad estimator set.
+        KOutOfRangeError / InvalidRhoError: k < 1, BCHILL without n >= k+1,
+            or rho not finite negative.
+        KTooSmallError: a regression estimator with k < 2.
     """
     t0 = time.perf_counter()
     gamma = float(gamma)
     if not gamma > 0.0:
         raise NonPositiveError(f"gamma={gamma} must be > 0")
-    est_ids = _check_estimators(estimators)
-    reps = int(reps)
+    est_ids = check_estimators(estimators)
+    reps, k = int(reps), int(k)
     if reps < 1:
         raise ValueError(f"reps={reps} must be at least 1")
-    k_values = np.array([int(k)])
-    values = _replicate(_model_draw(gamma, b, rho, k), est_ids, k_values, n,
-                        reps, master_seed)
+    draw = _model_draw(gamma, b, rho, k)
+    if k < 2 and needs_rho(est_ids):
+        raise KTooSmallError(f"the regression estimators need k >= 2, got k={k}")
+    if "BCHILL" in est_ids and (n is None or n < k + 1):
+        raise KOutOfRangeError(f"BCHILL needs n >= k+1={k + 1}, got n={n}")
+    k_values = np.array([k])
+    values = _replicate(draw, est_ids, k_values, n, reps, master_seed)
     return _summary(
         values, est_ids, k_values, gamma, master_seed, t0,
         {
@@ -332,7 +312,7 @@ def run_model_simulation(
             "gamma": gamma,
             "b": float(b),
             "rho": float(rho),
-            "k": int(k),
+            "k": k,
             "reps": reps,
         },
     )

@@ -21,13 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateTailError,
-    EmptyOrTinyError,
-    InvalidRhoError,
-    KOutOfRangeError,
-)
-from .spacings import OrderedTail, all_log_spacings
+from .errors import DegenerateTailError, EmptyOrTinyError, KOutOfRangeError
+from .spacings import OrderedTail, all_log_spacings, check_rho
 
 #: Candidate grid for min-variance selection.
 DEFAULT_RHO_GRID = (-0.25, -0.5, -0.75, -1.0, -1.5, -2.0, -3.0)
@@ -55,15 +50,12 @@ class RhoMethod:
         if self.kind not in ("fixed", "moment", "minvar"):
             raise ValueError(f"unknown rho method kind {self.kind!r}")
         if self.kind == "fixed":
-            v = self.fixed_value
-            if v is None or not np.isfinite(v) or not v < 0.0:
-                raise InvalidRhoError(f"fixed rho {v} must be finite and < 0")
+            check_rho(self.fixed_value)
         if self.kind == "minvar":
             if len(self.grid) == 0:
                 raise EmptyOrTinyError("rho candidate grid is empty")
             for g in self.grid:
-                if not np.isfinite(g) or not g < 0.0:
-                    raise InvalidRhoError(f"grid value {g} must be finite and < 0")
+                check_rho(g)
             if not 0.0 < self.k_fraction <= 1.0:
                 raise ValueError(f"k_fraction={self.k_fraction} outside (0, 1]")
 

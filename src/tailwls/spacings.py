@@ -73,9 +73,8 @@ class LogSpacings:
 
 
 def check_rho(rho) -> float:
-    """rho as a float; InvalidRhoError unless it is finite and strictly negative."""
-    rho = float(rho)
-    if not math.isfinite(rho) or rho >= 0.0:
+    """rho as a float; InvalidRhoError unless it is finite and strictly negative (None too)."""
+    if rho is None or not math.isfinite(rho := float(rho)) or rho >= 0.0:
         raise InvalidRhoError(f"rho={rho} must be finite and < 0")
     return rho
 

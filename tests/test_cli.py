@@ -144,6 +144,18 @@ def test_estimate_rejects_negative_column(column, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimate_rejects_empty_delimiter(burr_file, tmp_path, capsys):
+    from tailwls import cli
+
+    out = tmp_path / "o.csv"
+    code = cli.main(["estimate", str(burr_file), "--delimiter", "",
+                     "--estimators", "HILL", "--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--delimiter" in err
+    assert not out.exists()
+
+
 def test_simulate_summary_schema_and_missing_param(tmp_path):
     out = tmp_path / "s.csv"
     r = run_cli("simulate", "--dist", "burr", "--tau", "2", "--lambda", "1",
@@ -265,6 +277,21 @@ def test_optimal_k_lookup_failure(tmp_path):
     r = run_cli("optimal-k", str(out), "--estimator", "WLS")
     assert r.returncode == 5
     assert "HILL" in r.stderr
+
+
+def test_optimal_k_without_finite_mse_exits_3(tmp_path, capsys):
+    from tailwls import cli
+
+    # rho=-200 overflows the covariate sums, so every WLS cell is missing
+    out = tmp_path / "s.csv"
+    assert cli.main(["simulate", "--dist", "burr", "--tau", "2", "--lambda", "1",
+                     "--n", "10", "--reps", "3", "--k-min", "2", "--k-max", "9",
+                     "--estimators", "WLS", "--rho", "fixed:-200",
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["optimal-k", str(out), "--estimator", "WLS"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'WLS'" in err and "finite" in err
 
 
 def test_optimal_k_malformed_file(tmp_path):

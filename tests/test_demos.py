@@ -1,6 +1,5 @@
 """The documented demo scripts run to completion."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,13 +14,8 @@ ROOT = Path(__file__).resolve().parents[1]
     ["bias_mse_study.py", "estimator_paths.py", "sampling_check.py", "weight_moments.py"],
 )
 def test_demo_exits_zero(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / script)],
-        env=env,
         capture_output=True,
         text=True,
         timeout=120,

@@ -50,6 +50,12 @@ def solve_weighted_normal_equations(z, c, w):
     return gamma, b
 
 
+def _one_id(z_all, n, est, rho, k_values):
+    """The table called for one estimator id: (its path, the RR penalties or None)."""
+    paths, penalties = path_estimates(z_all, n, (est,), rho, k_values)
+    return paths[est], penalties
+
+
 def test_hill_is_mean():
     z = _spacings([0.2, 0.8, 0.5])
     assert hill(z) == pytest.approx(0.5, abs=1e-15)
@@ -297,27 +303,55 @@ def test_all_callers_share_one_table():
     for e, est in enumerate(ESTIMATOR_IDS):
         path = evi_path(tail, est, method, 10, 150)
         assert np.array_equal(summary.mean[e], path.estimates), est
-        want, _ = path_estimates(z_model, 200, est, -1.0, [100])
+        want, _ = _one_id(z_model, 200, est, -1.0, [100])
         assert np.array_equal(model.mean[e], want), est
 
 
 def test_path_estimates_errors():
     z_all = all_log_spacings(validate_and_sort(np.arange(1.0, 21.0)))
     with pytest.raises(ValueError):
-        path_estimates(z_all, 20, "NOPE", -1.0, [5])
+        _one_id(z_all, 20, "NOPE", -1.0, [5])
     for est in ("BCHILL", "LS", "RR", "WLS"):
         with pytest.raises(KTooSmallError):
-            path_estimates(z_all, 20, est, -1.0, [1, 2])
+            _one_id(z_all, 20, est, -1.0, [1, 2])
     with pytest.raises(ValueError):
-        path_estimates(z_all, None, "BCHILL", -1.0, [5])
-    hill_path, penalties = path_estimates(z_all, 20, "HILL", None, [1, 2])
+        _one_id(z_all, None, "BCHILL", -1.0, [5])
+    hill_path, penalties = _one_id(z_all, 20, "HILL", None, [1, 2])
     assert hill_path[0] == z_all[0] and penalties is None
     # the k range is checked at both ends, for every estimator
     with pytest.raises(KOutOfRangeError):
-        path_estimates(z_all, 20, "HILL", None, [0, 1])
+        _one_id(z_all, 20, "HILL", None, [0, 1])
     for est in ESTIMATOR_IDS:
         with pytest.raises(KOutOfRangeError):
-            path_estimates(z_all, 20, est, -1.0, [5, 20])
+            _one_id(z_all, 20, est, -1.0, [5, 20])
+
+
+def test_set_table_equals_one_id_calls_bitwise():
+    """Every estimator set gives each id the path of its one-id call, bit for bit."""
+    from itertools import combinations
+
+    rng = np.random.default_rng(54)
+    subsets = [c for r in range(1, 6) for c in combinations(ESTIMATOR_IDS, r)]
+    assert len(subsets) == 31
+    for _ in range(4):
+        n = int(rng.integers(20, 400))
+        z_all = rng.exponential(rng.uniform(0.1, 3.0), size=n - 1)
+        k_values = np.arange(int(rng.integers(2, 10)), n)
+        rho = -rng.uniform(0.05, 3.0)
+        single = {est: _one_id(z_all, n, est, rho, k_values) for est in ESTIMATOR_IDS}
+        for ids in subsets:
+            paths, penalties = path_estimates(z_all, n, ids, rho, k_values)
+            assert list(paths) == list(ids)
+            for est in ids:
+                assert np.array_equal(paths[est], single[est][0]), (ids, est)
+            if "RR" in ids:
+                assert np.array_equal(penalties, single["RR"][1])
+            else:
+                assert penalties is None
+            # an unresolved rho leaves out every id but HILL
+            paths, penalties = path_estimates(z_all, n, ids, None, k_values)
+            assert list(paths) == (["HILL"] if "HILL" in ids else [])
+            assert penalties is None
 
 
 def test_path_entries_equal_single_fits_bitwise():
@@ -329,7 +363,7 @@ def test_path_entries_equal_single_fits_bitwise():
         k_values = np.arange(2, n)
         k = int(rng.integers(2, n))
         z = _spacings(z_all[:k].copy(), n=n)
-        at_k = {est: path_estimates(z_all, n, est, -0.9, k_values)
+        at_k = {est: _one_id(z_all, n, est, -0.9, k_values)
                 for est in ESTIMATOR_IDS}
         assert at_k["HILL"][0][k - 2] == hill(z)
         if k % 10:
@@ -349,7 +383,7 @@ def test_paths_match_oracle_at_scale():
     k_values = np.arange(2, z_all.size + 1, 97)
     for rho in DEFAULT_RHO_GRID + (-0.05, -8.0):
         for est, uniform in (("WLS", False), ("LS", True)):
-            got, _ = path_estimates(z_all, 20_000, est, rho, k_values)
+            got, _ = _one_id(z_all, 20_000, est, rho, k_values)
             want = np.array([
                 solve_weighted_normal_equations(
                     z_all[:k], covariates(k, rho),
@@ -365,14 +399,14 @@ def test_extreme_rho_matches_oracle_or_raises():
     z_all = all_log_spacings(validate_and_sort(sample(burr(1.0, 2.0, 1.0), 1000, 12)))
     k_values = np.arange(2, 1000)
     for est in ("WLS", "LS"):
-        got, _ = path_estimates(z_all, 1000, est, -50.0, k_values)
+        got, _ = _one_id(z_all, 1000, est, -50.0, k_values)
         for k in k_values:
             w = weights(k) if est == "WLS" else np.full(k, 1.0 / k)
             want, _ = solve_weighted_normal_equations(z_all[:k], covariates(k, -50.0), w)
             assert abs(got[k - 2] - want) <= 1e-12 * abs(want), (est, k)
     for est in ("BCHILL", "LS", "RR", "WLS"):
         with pytest.raises(InvalidRhoError):
-            path_estimates(z_all, 1000, est, -100.0, k_values)
+            _one_id(z_all, 1000, est, -100.0, k_values)
 
 
 def test_paths_stay_accurate_as_rho_approaches_zero():
@@ -385,7 +419,7 @@ def test_paths_stay_accurate_as_rho_approaches_zero():
     z_all = all_log_spacings(validate_and_sort(sample(spec, 1000, 3)))
     for rho in (-1e-3, -1e-4):
         for est in ("WLS", "LS"):
-            got, _ = path_estimates(z_all, 1000, est, rho, np.arange(10, 1000, 70))
+            got, _ = _one_id(z_all, 1000, est, rho, np.arange(10, 1000, 70))
             for g, k in zip(got, range(10, 1000, 70)):
                 w = weights(k) if est == "WLS" else np.full(k, 1.0 / k)
                 cm1 = np.expm1(-rho * np.log(np.arange(1, k + 1) / (k + 1.0)))

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from tailwls import (
+    ESTIMATOR_IDS,
     EmptyOrTinyError,
     InvalidRhoError,
     KOutOfRangeError,
+    KTooSmallError,
     LogSpacings,
     NonPositiveError,
     RhoMethod,
@@ -99,6 +101,43 @@ def test_run_model_simulation_validation():
     with pytest.raises(NonPositiveError):
         # a configuration error raises; it is not counted as missing cells
         run_model_simulation(0.1, -1.0, -1.0, 10, 5)
+
+
+def test_run_model_simulation_raises_configuration_errors_up_front():
+    # each would fail every replication alike, so it is not counted as missing
+    with pytest.raises(KTooSmallError):
+        run_model_simulation(1.0, 0.1, -1.0, 1, 4, estimators=("HILL", "WLS"))
+    with pytest.raises(KOutOfRangeError):
+        run_model_simulation(1.0, 0.1, -1.0, 100, 5, estimators=("BCHILL", "WLS"), n=50)
+    s = run_model_simulation(1.0, 0.1, -1.0, 1, 4, estimators=("HILL",))
+    assert s.missing.sum() == 0
+
+
+def test_one_replication_runs_the_path_engine_twice(monkeypatch):
+    """All five estimators share one unweighted and one weighted engine run."""
+    from tailwls import estimators
+
+    calls = []
+    real = estimators._path_fit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "_path_fit", counted)
+    s = run_model_simulation(0.5, 0.1, -1.0, 100, 1, estimators=ESTIMATOR_IDS, n=200)
+    assert len(calls) == 2
+    assert s.missing.sum() == 0
+
+
+def test_failed_table_call_marks_the_whole_replication_missing():
+    # rho=-200 overflows the covariate sums, so every replication's table call
+    # fails; HILL, which needs no rho, is missing with the rest
+    cfg = SimulationConfig(spec=pareto(1.0), n=60, reps=4, k_min=5, k_max=50,
+                           rho_method=RhoMethod.fixed(-200.0), master_seed=8)
+    s = run_simulation(cfg)
+    assert s.missing.shape == (len(ESTIMATOR_IDS), 46)
+    assert (s.missing == 4).all()
 
 
 def test_run_model_simulation_deterministic():

@@ -31,6 +31,8 @@ class TestRhoMethod:
         for bad in (0.0, 0.5, -np.inf, np.nan):
             with pytest.raises(InvalidRhoError):
                 RhoMethod.fixed(bad)
+        with pytest.raises(InvalidRhoError):
+            RhoMethod(kind="fixed")
 
     def test_moment_ids(self):
         assert RhoMethod.moment().method_id == "moment"
