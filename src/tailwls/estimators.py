@@ -45,6 +45,9 @@ ESTIMATOR_IDS = ("HILL", "BCHILL", "LS", "RR", "WLS")
 #: The estimators fitted without rho; every other one regresses on the covariates.
 _RHO_FREE = frozenset({"HILL"})
 
+#: The regression estimators computed by the unweighted and by the weighted engine run.
+_UNWEIGHTED, _WEIGHTED = frozenset({"LS", "RR"}), frozenset({"WLS", "BCHILL"})
+
 #: Ridge penalty candidates are these factors times k.
 RIDGE_PENALTY_FACTORS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
 
@@ -81,9 +84,12 @@ def _prefix_sums(f: np.ndarray, k_max: int, weighted: bool) -> np.ndarray:
     """sum_{j<=k} W_j f_j for k = 1..k_max, W_j = 1 or, if ``weighted``, k+1-j.
 
     sum_{j<=k} (k+1-j) f_j = cumsum(cumsum(f))_k, so either takes O(k_max).
+    The sums run along the last axis, so each row of a block is summed in
+    sequence, as its own 1-D call would be. ``np.add.accumulate`` is what
+    ``cumsum`` computes, without its wrapper's cost on short rows.
     """
-    p = f[:k_max].cumsum()
-    return p.cumsum() if weighted else p
+    p = np.add.accumulate(f[..., :k_max], axis=-1)
+    return np.add.accumulate(p, axis=-1) if weighted else p
 
 
 @lru_cache(maxsize=16)
@@ -114,19 +120,24 @@ def _path_fit(z_all: np.ndarray, k_values: np.ndarray, rho, weighted: bool,
               shrink=0.0):
     """The path engine: (gamma_hat, b_hat) at every k in the ascending ``k_values``.
 
-    The fit at k uses the first k entries of ``z_all``, with W_j = 1 - j/(k+1)
-    if ``weighted``, else uniform weights; ``shrink`` is penalty/k (ridge).
+    The fit at k uses the first k entries of ``z_all`` along its last axis,
+    with W_j = 1 - j/(k+1) if ``weighted``, else uniform weights; ``shrink``
+    is penalty/k (ridge). ``z_all`` may have leading axes (a block of rows,
+    one per sample), and ``shrink`` may add axes in front of those; the
+    results then have shape ``shrink``'s leading axes + ``z_all``'s leading
+    axes + (len(k_values),), and every row equals its 1-D call bit for bit.
     """
     if k_values[0] < 2:
         raise KTooSmallError(f"regression needs k >= 2, got k={k_values[0]}")
     k_max = int(k_values[-1])
-    if k_max > z_all.size:
-        raise KOutOfRangeError(f"k={k_max} exceeds the {z_all.size} spacings")
+    if k_max > z_all.shape[-1]:
+        raise KOutOfRangeError(f"k={k_max} exceeds the {z_all.shape[-1]} spacings")
     v, scale, totals, m1, s1, s2 = _design(check_rho(rho), k_max, weighted)
     i = k_values - 1
     totals = totals[i]
-    zbar = _prefix_sums(z_all, k_max, weighted)[i] / totals
-    svz = _prefix_sums(v * z_all[:k_max], k_max, weighted)[i] / totals
+    # take on the last axis costs a 1-D call less than indexing with [..., i]
+    zbar = _prefix_sums(z_all, k_max, weighted).take(i, axis=-1) / totals
+    svz = _prefix_sums(v * z_all[..., :k_max], k_max, weighted).take(i, axis=-1) / totals
     # sum w_j (C_j - S1) Z_j = scale_k * (sum w_j v_j Z_j - m1 * zbar)
     b_hat = (svz - m1[i] * zbar) * scale[i] / (s2[i] + shrink)
     return zbar - b_hat * s1[i], b_hat
@@ -203,16 +214,36 @@ def ridge_fit(z: LogSpacings, rho: float, penalty: float) -> RegressionFit:
     return _fit(z, rho, weighted=False, penalty=penalty)
 
 
+def _penalty_block(z_all: np.ndarray, k_values: np.ndarray, rho, factors):
+    """The unweighted engine at penalty factor*k for each of ``factors``, stacked on axis 0."""
+    shrink = np.reshape(factors, (-1,) + (1,) * z_all.ndim)
+    return _path_fit(z_all, k_values, rho, False, shrink)
+
+
+def _ridge_choice(gammas: np.ndarray, b_hats: np.ndarray, k_values: np.ndarray):
+    """RR's (gamma_hat, b_hat, penalty) from a full penalty block, at every k.
+
+    The chosen row is the first argmin of |gamma_hat| over axis 0, so ties go
+    to the smallest penalty.
+    """
+    best = np.argmin(np.abs(gammas), axis=0)[None]
+    gamma_hat, b_hat = (np.take_along_axis(a, best, axis=0)[0] for a in (gammas, b_hats))
+    return gamma_hat, b_hat, np.take(RIDGE_PENALTY_FACTORS, best[0]) * k_values
+
+
 def select_ridge_penalty(z: LogSpacings, rho: float) -> RegressionFit:
     """Ridge fit with the penalty chosen from ``RIDGE_PENALTY_FACTORS * k``.
 
     The candidate with the smallest |gamma_hat| wins; ties go to the smallest
     penalty. This is the ranking by the AMSE proxy gamma_hat^2 *
     amse(1, k, rho), since amse(1, k, rho) is one positive factor shared by
-    every candidate. The choice is the RR path's at k. Errors as
-    :func:`ridge_fit`.
+    every candidate. The choice is the RR path's at k, and the fit is the
+    chosen row of the same engine run. Errors as :func:`ridge_fit`.
     """
-    return ridge_fit(z, rho, path_estimates(z.z, z.n, ("RR",), rho, [z.k])[1][0])
+    k_values = np.array([z.k])
+    block = _penalty_block(z.z, k_values, rho, RIDGE_PENALTY_FACTORS)
+    gamma_hat, b_hat, penalty = (float(a[0]) for a in _ridge_choice(*block, k_values))
+    return RegressionFit(gamma_hat, b_hat, float(rho), z.k, penalty)
 
 
 def bchill(z: LogSpacings, rho: float, b_hat: float, n: int) -> float:
@@ -258,6 +289,18 @@ def needs_rho(est_ids) -> bool:
     return not _RHO_FREE.issuperset(est_ids)
 
 
+def check_covariate_sums(rho, k_max: int, est_ids) -> None:
+    """InvalidRhoError if rho is not finite negative or overflows the covariate sums.
+
+    The sums are those of the engine runs that ``est_ids`` need, up to
+    k_max. This is the rho check the table makes on every call, made once
+    for a study whose rho and k_max are fixed.
+    """
+    for weighted, run_ids in ((False, _UNWEIGHTED), (True, _WEIGHTED)):
+        if run_ids.intersection(est_ids):
+            _design(check_rho(rho), int(k_max), weighted)
+
+
 def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
                    k_values) -> tuple[dict, np.ndarray | None]:
     """Paths of the estimators ``est_ids`` at every k in the ascending ``k_values``.
@@ -265,17 +308,22 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
     This is the one place that maps estimator ids to computations. The
     estimate at k uses the first k entries of ``z_all`` (the spacings from
     :func:`all_log_spacings`, or any array of at least max(k_values)
-    spacings). A whole set costs at most one unweighted run of the path
-    engine (LS is the zero-penalty row of RR's penalty block), one weighted
-    run (WLS, and the slope BCHILL corrects with) and one cumulative mean
-    (HILL, and the path BCHILL corrects). ``rho`` None means unresolved: the
-    ids that need one are left out. ``n`` is the size of the originating
-    sample, read only by BCHILL's (n/k)^rho factor.
+    spacings). ``z_all`` may also be a block with leading axes, one row of
+    spacings per sample along the last axis: every path and penalty array
+    then has the same leading axes, and each row equals the 1-D call on
+    that row bit for bit (cumulative sums run along each row in order, and
+    every other step is elementwise). A whole set costs at most one
+    unweighted run of the path engine (LS is the zero-penalty row of RR's
+    penalty block), one weighted run (WLS, and the slope BCHILL corrects
+    with) and one cumulative mean (HILL, and the path BCHILL corrects).
+    ``rho`` None means unresolved: the ids that need one are left out. ``n``
+    is the size of the originating sample, read only by BCHILL's (n/k)^rho
+    factor.
 
     Returns:
         (paths, penalties): ``paths`` maps each computed id to its estimates,
-        aligned with ``k_values``; ``penalties`` holds the chosen ridge
-        penalties if RR is computed, else None.
+        aligned with ``k_values`` on the last axis; ``penalties`` holds the
+        chosen ridge penalties if RR is computed, else None.
 
     Raises:
         EmptyOrTinyError / ValueError: bad ``est_ids``, as check_estimators.
@@ -289,21 +337,21 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
         ids = tuple(_RHO_FREE.intersection(ids))
     k_values = np.asarray(k_values)
     paths, penalties = {}, None
-    if "LS" in ids or "RR" in ids:  # LS is row 0, the zero penalty, of RR's block
+    if _UNWEIGHTED.intersection(ids):  # LS is row 0, the zero penalty, of RR's block
         factors = RIDGE_PENALTY_FACTORS if "RR" in ids else RIDGE_PENALTY_FACTORS[:1]
-        gammas = _path_fit(z_all, k_values, rho, False, np.array(factors)[:, None])[0]
-        paths["LS"] = gammas[0]
+        block = _penalty_block(z_all, k_values, rho, factors)
+        paths["LS"] = block[0][0]
         if "RR" in ids:
-            best = np.argmin(np.abs(gammas), axis=0)
-            penalties = np.take(RIDGE_PENALTY_FACTORS, best) * k_values
-            paths["RR"] = gammas[best, np.arange(best.size)]
-    if "WLS" in ids or "BCHILL" in ids:
+            paths["RR"], _, penalties = _ridge_choice(*block, k_values)
+    if _WEIGHTED.intersection(ids):
         paths["WLS"], b_hat = _path_fit(z_all, k_values, rho, weighted=True)
     if "HILL" in ids or "BCHILL" in ids:
-        if k_values[0] < 1 or k_values[-1] > z_all.size:
+        size = z_all.shape[-1]
+        if k_values[0] < 1 or k_values[-1] > size:
             raise KOutOfRangeError(
-                f"k from {k_values[0]} to {k_values[-1]} outside [1, {z_all.size}]")
-        paths["HILL"] = _prefix_sums(z_all, k_values[-1], False)[k_values - 1] / k_values
+                f"k from {k_values[0]} to {k_values[-1]} outside [1, {size}]")
+        hill_sums = _prefix_sums(z_all, k_values[-1], False)
+        paths["HILL"] = hill_sums.take(k_values - 1, axis=-1) / k_values
     if "BCHILL" in ids:
         paths["BCHILL"] = _bchill(paths["HILL"], b_hat, rho, n, k_values)
     return {e: paths[e] for e in ids}, penalties

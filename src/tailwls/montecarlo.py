@@ -6,8 +6,12 @@ Replication r of a study draws from a PCG64 stream seeded with
 
 so runs are reproducible, independent of replication order, and cheap to
 shard. Every study runs through one engine, ``_replicate``, which calls a
-draw per replication and computes every estimator path with one call of
-:func:`tailwls.estimators.path_estimates`. The sampling draw samples a full
+draw per replication, in order, each from its own stream. The draws collect
+into chunks of at most ``_CHUNK_ENTRIES`` spacings; within a chunk the rows
+that share a rho form one block, and one call of
+:func:`tailwls.estimators.path_estimates` computes every estimator path of
+the block (one group for a model study, at most one per grid rho, plus the
+unresolved ones, for a sampling study). The sampling draw samples a full
 dataset from a distribution spec, sorts it, takes its log-spacings and
 resolves rho. The model draw scales unit exponentials f_j, one uniform each
 from the replication's stream, by the means of the exponential regression
@@ -19,7 +23,9 @@ model, built and checked once per study,
 validate, build a draw and call the engine. One failure rule holds for all
 three: a failed draw or a failed table call marks the whole replication
 missing, and an unresolved rho marks every rho-dependent estimator;
-configuration errors raise before the first replication.
+configuration errors raise before the first replication. Grouping leaves
+this rule as it was per replication, because a table call fails only on
+what a group's rows share: rho, the k range, n and the estimator ids.
 Aggregates use the population-style divisor (number of successful
 replications), so mse = variance + bias^2 holds exactly.
 """
@@ -36,7 +42,8 @@ from . import __version__
 from .asymptotics import standardized_statistic
 from .distributions import DistributionSpec, sample
 from .errors import KOutOfRangeError, KTooSmallError, NonPositiveError, TailwlsError
-from .estimators import ESTIMATOR_IDS, check_estimators, needs_rho, path_estimates
+from .estimators import (ESTIMATOR_IDS, check_covariate_sums, check_estimators, needs_rho,
+                         path_estimates)
 from .second_order import RhoMethod, resolve_rho
 from .spacings import all_log_spacings, check_k_range, covariates, validate_and_sort
 
@@ -44,6 +51,13 @@ _MASK64 = (1 << 64) - 1
 
 #: Identifier of the uniform stream recorded in summary metadata.
 GENERATOR_ID = "pcg64/splitmix64-xor"
+
+# Spacings per chunk of ``_replicate``. It bounds each temporary of a table
+# call at 16 384 float64 (128 KiB) whatever the row length, where a fixed row
+# count would make a study at n = 10^5 allocate 100 MB per temporary; a row
+# longer than the bound is a chunk of its own. At k = 100 a chunk holds 163
+# rows, enough that the table's per-call cost no longer counts.
+_CHUNK_ENTRIES = 16384
 
 
 def _splitmix64(x: int) -> int:
@@ -111,18 +125,43 @@ def _replicate(draw, est_ids: tuple[str, ...], k_values: np.ndarray,
 
     Replication r calls ``draw(rep_seed(master_seed, r))``, which returns the
     spacings ``z_all`` and the rho to fit with (None if it could not be
-    resolved), then computes every estimator path over ``k_values`` in one
-    table call. Cells that the module's failure rule marks missing stay NaN.
+    resolved). Draws run in order of r and collect into chunks of at most
+    ``_CHUNK_ENTRIES`` spacings (at least one row). Within a chunk the rows
+    are grouped by their rho, and each group is one table call on the
+    ``(rows, len(z_all))`` block; each row of the result is its replication's
+    paths, bit for bit. Cells that the module's failure rule marks missing
+    stay NaN: a table call can fail only on what every row of a group
+    shares (rho, the k range, n and the ids), so a failed group blanks
+    exactly the replications whose own call would fail.
     """
     values = np.full((len(est_ids), len(k_values), reps), np.nan)
+    groups: dict = {}  # rho -> (replication indices, their spacings) in this chunk
+
+    def run_chunk():
+        for rho, (index, block) in groups.items():
+            try:
+                paths = path_estimates(np.stack(block), n, est_ids, rho, k_values)[0]
+            except TailwlsError:
+                continue
+            for e, est in enumerate(est_ids):
+                if est in paths:
+                    values[e][:, index] = paths[est].T
+        groups.clear()
+
+    rows = 0
     for r in range(reps):
         try:
             z_all, rho = draw(rep_seed(master_seed, r))
-            paths = path_estimates(z_all, n, est_ids, rho, k_values)[0]
         except TailwlsError:
             continue
-        for e, est in enumerate(est_ids):
-            values[e, :, r] = paths.get(est, np.nan)
+        index, block = groups.setdefault(rho, ([], []))
+        index.append(r)
+        block.append(z_all)
+        rows += 1
+        if (rows + 1) * z_all.size > _CHUNK_ENTRIES:
+            run_chunk()
+            rows = 0
+    run_chunk()
     return values
 
 
@@ -280,14 +319,15 @@ def run_model_simulation(
     The true rho is handed to every estimator, so this isolates estimation
     error from rho-resolution error. BCHILL needs a nominal sample size for
     its (n/k)^rho factor, which the pure generator does not have; pass ``n``
-    explicitly when requesting it. A replication whose table call fails
-    is missing in every row.
+    explicitly when requesting it. Every replication shares rho, k and n,
+    so whatever would fail its table call raises before the first one.
 
     Raises:
         NonPositiveError: gamma <= 0, or a model mean gamma + b C_j <= 0.
         EmptyOrTinyError / ValueError: bad estimator set.
         KOutOfRangeError / InvalidRhoError: k < 1, BCHILL without n >= k+1,
-            or rho not finite negative.
+            rho not finite negative, or a regression estimator's covariate
+            sums overflowing at rho.
         KTooSmallError: a regression estimator with k < 2.
     """
     t0 = time.perf_counter()
@@ -303,6 +343,7 @@ def run_model_simulation(
         raise KTooSmallError(f"the regression estimators need k >= 2, got k={k}")
     if "BCHILL" in est_ids and (n is None or n < k + 1):
         raise KOutOfRangeError(f"BCHILL needs n >= k+1={k + 1}, got n={n}")
+    check_covariate_sums(rho, k, est_ids)
     k_values = np.array([k])
     values = _replicate(draw, est_ids, k_values, n, reps, master_seed)
     return _summary(
@@ -355,10 +396,11 @@ def normality_report(
 
     The statistic is :func:`standardized_statistic`, so at b = 0 its
     variance approaches 3k * amse(1, k, rho) / 4 (18/5 at rho = -1), not the
-    1 of the paper's normality statement. A replication that fails (by the
-    module's failure rule) is counted in ``config["missing"]`` and the
-    moments are taken over the others; they are NaN when every replication
-    fails.
+    1 of the paper's normality statement. In model mode a rho that
+    overflows the covariate sums raises InvalidRhoError before the first
+    replication. A replication that fails (by the module's failure rule) is
+    counted in ``config["missing"]`` and the moments are taken over the
+    others; they are NaN when every replication fails.
 
     Args:
         reps: number of replications, at least 100.
@@ -383,6 +425,7 @@ def normality_report(
             )
         gamma = float(gamma)
         draw = _model_draw(gamma, b, rho, k)
+        check_covariate_sums(rho, k, ("WLS",))
         config = {
             "mode": "model",
             "gamma": gamma,

@@ -189,6 +189,32 @@ def test_select_ridge_penalty_minimizes_proxy():
     assert scores[best.penalty] == min(scores.values())
 
 
+def test_select_ridge_penalty_runs_the_engine_once(monkeypatch):
+    """The chosen fit is a row of the penalty block, equal to a ridge_fit rerun."""
+    from tailwls import estimators
+
+    rng = np.random.default_rng(50)
+    for k in (2, 3, 17, 60, 400):
+        z = _spacings(rng.exponential(rng.uniform(0.2, 2.0), size=k))
+        rho = -rng.uniform(0.1, 2.5)
+        calls = []
+        real = estimators._path_fit
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_path_fit", counted)
+        got = select_ridge_penalty(z, rho)
+        monkeypatch.setattr(estimators, "_path_fit", real)
+        assert len(calls) == 1
+        penalty = path_estimates(z.z, z.n, ("RR",), rho, [k])[1][0]
+        want = ridge_fit(z, rho, penalty)
+        assert (got.gamma_hat, got.b_hat, got.penalty) == (
+            want.gamma_hat, want.b_hat, want.penalty)
+        assert (got.rho_used, got.k) == (want.rho_used, want.k)
+
+
 def test_bchill_formula_and_limits():
     z = _spacings(np.full(10, 0.5), n=101)
     # b_hat = 0 leaves Hill untouched
@@ -327,18 +353,24 @@ def test_path_estimates_errors():
 
 
 def test_set_table_equals_one_id_calls_bitwise():
-    """Every estimator set gives each id the path of its one-id call, bit for bit."""
+    """Every estimator set gives each id the path of its one-id call, bit for bit.
+
+    A (rows, n - 1) block gives each row the paths of its own 1-D call.
+    """
     from itertools import combinations
 
-    rng = np.random.default_rng(54)
+    rng, block_rng = np.random.default_rng(54), np.random.default_rng(55)
     subsets = [c for r in range(1, 6) for c in combinations(ESTIMATOR_IDS, r)]
     assert len(subsets) == 31
-    for _ in range(4):
+    for rows in (1, 3, 7, 5):  # 7 rows, as many as RR's penalties, must not broadcast
         n = int(rng.integers(20, 400))
         z_all = rng.exponential(rng.uniform(0.1, 3.0), size=n - 1)
         k_values = np.arange(int(rng.integers(2, 10)), n)
         rho = -rng.uniform(0.05, 3.0)
+        block = np.vstack([z_all, block_rng.exponential(size=(rows - 1, n - 1))])
         single = {est: _one_id(z_all, n, est, rho, k_values) for est in ESTIMATOR_IDS}
+        per_row = [{est: _one_id(row, n, est, rho, k_values) for est in ESTIMATOR_IDS}
+                   for row in block]
         for ids in subsets:
             paths, penalties = path_estimates(z_all, n, ids, rho, k_values)
             assert list(paths) == list(ids)
@@ -348,10 +380,24 @@ def test_set_table_equals_one_id_calls_bitwise():
                 assert np.array_equal(penalties, single["RR"][1])
             else:
                 assert penalties is None
+            paths, penalties = path_estimates(block, n, ids, rho, k_values)
+            assert list(paths) == list(ids)
+            for est in ids:
+                assert paths[est].shape == (rows, len(k_values))
+                for r, want in enumerate(per_row):
+                    assert np.array_equal(paths[est][r], want[est][0]), (ids, est, r)
+            if "RR" in ids:
+                assert np.array_equal(penalties, [want["RR"][1] for want in per_row])
+            else:
+                assert penalties is None
             # an unresolved rho leaves out every id but HILL
-            paths, penalties = path_estimates(z_all, n, ids, None, k_values)
-            assert list(paths) == (["HILL"] if "HILL" in ids else [])
-            assert penalties is None
+            for z in (z_all, block):
+                paths, penalties = path_estimates(z, n, ids, None, k_values)
+                assert list(paths) == (["HILL"] if "HILL" in ids else [])
+                assert penalties is None
+            if "HILL" in ids:
+                assert np.array_equal(paths["HILL"],
+                                      [want["HILL"][0] for want in per_row])
 
 
 def test_path_entries_equal_single_fits_bitwise():

@@ -11,6 +11,7 @@ from tailwls import (
     NonPositiveError,
     RhoMethod,
     SimulationConfig,
+    TailwlsError,
     burr,
     covariates,
     hill,
@@ -18,6 +19,7 @@ from tailwls import (
     loggamma,
     normality_report,
     pareto,
+    path_estimates,
     rep_seed,
     run_model_simulation,
     run_simulation,
@@ -27,7 +29,8 @@ from tailwls import (
     validate_and_sort,
     wls_fit,
 )
-from tailwls.montecarlo import _model_draw
+from tailwls import montecarlo
+from tailwls.montecarlo import _CHUNK_ENTRIES, _model_draw, _replicate, _sampling_draw
 
 
 def test_rep_seed_is_deterministic_and_wide():
@@ -103,7 +106,7 @@ def test_run_model_simulation_validation():
         run_model_simulation(0.1, -1.0, -1.0, 10, 5)
 
 
-def test_run_model_simulation_raises_configuration_errors_up_front():
+def test_run_model_simulation_raises_configuration_errors_up_front(monkeypatch):
     # each would fail every replication alike, so it is not counted as missing
     with pytest.raises(KTooSmallError):
         run_model_simulation(1.0, 0.1, -1.0, 1, 4, estimators=("HILL", "WLS"))
@@ -111,6 +114,19 @@ def test_run_model_simulation_raises_configuration_errors_up_front():
         run_model_simulation(1.0, 0.1, -1.0, 100, 5, estimators=("BCHILL", "WLS"), n=50)
     s = run_model_simulation(1.0, 0.1, -1.0, 1, 4, estimators=("HILL",))
     assert s.missing.sum() == 0
+    s = run_model_simulation(1.0, 0.0, -200.0, 100, 5, estimators=("HILL",))
+    assert s.missing.sum() == 0
+
+    def no_draw(seed, k):
+        raise AssertionError("a replication ran")
+
+    # rho=-200 overflows the covariate sums at k=100, for every regression
+    monkeypatch.setattr(montecarlo, "_unit_exponentials", no_draw)
+    for est in ("BCHILL", "LS", "RR", "WLS"):
+        with pytest.raises(InvalidRhoError):
+            run_model_simulation(1.0, 0.0, -200.0, 100, 5, ("HILL", est), n=200)
+    with pytest.raises(InvalidRhoError):
+        normality_report(100, 100, gamma=1.0, rho=-200.0)
 
 
 def test_one_replication_runs_the_path_engine_twice(monkeypatch):
@@ -138,6 +154,102 @@ def test_failed_table_call_marks_the_whole_replication_missing():
     s = run_simulation(cfg)
     assert s.missing.shape == (len(ESTIMATOR_IDS), 46)
     assert (s.missing == 4).all()
+
+
+def _reference_replicate(draw, est_ids, k_values, n, reps, master_seed):
+    """The engine one replication at a time: one draw and one 1-D table call each."""
+    values = np.full((len(est_ids), len(k_values), reps), np.nan)
+    for r in range(reps):
+        try:
+            z_all, rho = draw(rep_seed(master_seed, r))
+            paths = path_estimates(z_all, n, est_ids, rho, k_values)[0]
+        except TailwlsError:
+            continue
+        for e, est in enumerate(est_ids):
+            values[e, :, r] = paths.get(est, np.nan)
+    return values
+
+
+def test_chunked_engine_equals_one_replication_at_a_time():
+    """Chunks, rho groups and failures reproduce the per-replication loop bit for bit."""
+    n = 41
+    rows = _CHUNK_ENTRIES // (n - 1)
+    k_values = np.arange(2, n)
+
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        pick = int(rng.integers(0, 6))
+        if pick == 0:
+            raise NonPositiveError("the draw failed")
+        # None is unresolved; -200 overflows the covariate sums, failing its group
+        rho = (None, -0.5, -1.0, -2.0, -200.0)[pick - 1]
+        return rng.exponential(size=n - 1), rho
+
+    reps = 2 * rows + 1
+    got = _replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 4)
+    want = _reference_replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 4)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert not np.isnan(got).all(axis=(0, 1)).all()
+
+    spec = burr(1.0, np.sqrt(2.0), np.sqrt(2.0))
+    n = 60
+    reps = 2 * (_CHUNK_ENTRIES // (n - 1)) + 1
+    draw = _sampling_draw(spec, n, RhoMethod.min_variance(), ESTIMATOR_IDS)
+    k_values = np.arange(5, n)
+    got = _replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 11)
+    want = _reference_replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 11)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_unresolved_rho_blanks_only_its_replications(monkeypatch):
+    calls = []
+    real = montecarlo.resolve_rho
+
+    def every_other(tail, method):
+        calls.append(None)
+        if len(calls) % 2 == 0:  # replications 1, 3, 5, ...
+            raise InvalidRhoError("no rho for this replication")
+        return real(tail, method)
+
+    monkeypatch.setattr(montecarlo, "resolve_rho", every_other)
+    reps = 2 * (_CHUNK_ENTRIES // 29) + 3
+    draw = _sampling_draw(pareto(1.0), 30, RhoMethod.fixed(-1.0), ("HILL", "LS", "WLS"))
+    values = _replicate(draw, ("HILL", "LS", "WLS"), np.arange(2, 30), 30, reps, 3)
+    assert len(calls) == reps
+    assert np.isfinite(values[0]).all()
+    odd = np.arange(reps) % 2 == 1
+    assert np.isnan(values[1:, :, odd]).all()
+    assert np.isfinite(values[1:, :, ~odd]).all()
+
+
+def test_one_table_call_per_chunk_and_rho(monkeypatch):
+    calls, picks = [], []
+    real_table, real_rho = montecarlo.path_estimates, montecarlo.resolve_rho
+
+    def table(z_all, *args):
+        calls.append(z_all.shape)
+        return real_table(z_all, *args)
+
+    def resolve(tail, method):
+        picks.append(real_rho(tail, method))
+        return picks[-1]
+
+    monkeypatch.setattr(montecarlo, "path_estimates", table)
+    monkeypatch.setattr(montecarlo, "resolve_rho", resolve)
+    n = 50
+    rows = _CHUNK_ENTRIES // (n - 1)
+    reps = 2 * rows + 1
+    run_simulation(SimulationConfig(spec=burr(1.0, 2.0, 1.0), n=n, reps=reps, k_min=5,
+                                    k_max=49, estimators=("HILL", "WLS"), master_seed=2))
+    assert len(picks) == reps
+    assert len(calls) <= 3 * len(set(picks))
+    assert sum(shape[0] for shape in calls) == reps
+
+    calls.clear()
+    k = 100
+    reps = 2 * (_CHUNK_ENTRIES // k) + 1
+    run_model_simulation(1.0, 0.1, -1.0, k, reps, ("HILL", "WLS"), master_seed=2)
+    assert len(calls) == 3  # one rho: one call per chunk
 
 
 def test_run_model_simulation_deterministic():
