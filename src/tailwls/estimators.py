@@ -94,12 +94,13 @@ def _prefix_sums(f: np.ndarray, k_max: int, weighted: bool) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _design(rho: float, k_max: int, weighted: bool):
-    """Read-only (v, scale, totals, m1, S1, S2) at k = 1..k_max.
+    """Read-only (v, scale, totals, m1, S1, S2) at k = 1..k_max, for one rho.
 
     C_j = (1 + v_j) * scale_k with v_j = j^(-rho) - 1 and scale_k = (k+1)^rho;
     totals_k = sum_{j<=k} W_j (exact) and m1 = sum w_j v_j. Working with v
     keeps S2 = scale^2 * (sum w_j v_j^2 - m1^2) accurate as rho -> 0. Raises
-    InvalidRhoError where v_j^2 overflows (-rho in the hundreds).
+    InvalidRhoError where v_j^2 overflows (-rho in the hundreds). A grid of
+    rhos gets these arrays stacked on a leading rho axis by :func:`_design_grid`.
     """
     k = np.arange(1, k_max + 1)
     totals = _prefix_sums(np.ones(k_max), k_max, weighted)
@@ -116,6 +117,24 @@ def _design(rho: float, k_max: int, weighted: bool):
     return design
 
 
+@lru_cache(maxsize=4)
+def _design_grid(rhos: tuple, k_max: int, weighted: bool):
+    """:func:`_design` for each of the float ``rhos``, stacked on a leading rho axis.
+
+    Row r of v, scale, m1, S1 and S2 is ``_design(rhos[r], ...)``'s array;
+    totals do not depend on rho and stay 1-D. Each rho is checked as in
+    ``_design``. The rows are built by ``_design``'s uncached body, so a grid
+    does not evict the one-rho entries of the path fits.
+    """
+    designs = [_design.__wrapped__(check_rho(rho), k_max, weighted) for rho in rhos]
+    v, scale, totals, m1, s1, s2 = zip(*designs)
+    design = (np.stack(v), np.stack(scale), totals[0], np.stack(m1), np.stack(s1),
+              np.stack(s2))
+    for a in design:
+        a.flags.writeable = False
+    return design
+
+
 def _path_fit(z_all: np.ndarray, k_values: np.ndarray, rho, weighted: bool,
               shrink=0.0):
     """The path engine: (gamma_hat, b_hat) at every k in the ascending ``k_values``.
@@ -123,24 +142,35 @@ def _path_fit(z_all: np.ndarray, k_values: np.ndarray, rho, weighted: bool,
     The fit at k uses the first k entries of ``z_all`` along its last axis,
     with W_j = 1 - j/(k+1) if ``weighted``, else uniform weights; ``shrink``
     is penalty/k (ridge). ``z_all`` may have leading axes (a block of rows,
-    one per sample), and ``shrink`` may add axes in front of those; the
-    results then have shape ``shrink``'s leading axes + ``z_all``'s leading
-    axes + (len(k_values),), and every row equals its 1-D call bit for bit.
+    one per sample). ``rho`` is one rho, or a tuple of float rhos (a grid),
+    which adds a rho axis in front of those; ``shrink`` may add axes in front
+    of all. The results then have shape ``shrink``'s leading axes + (len(rho),
+    for a grid) + ``z_all``'s leading axes + (len(k_values),), and every row
+    equals its 1-D one-rho call bit for bit: zbar, the weighted mean of Z,
+    is summed once per sample and shared by every rho.
     """
     if k_values[0] < 2:
         raise KTooSmallError(f"regression needs k >= 2, got k={k_values[0]}")
     k_max = int(k_values[-1])
     if k_max > z_all.shape[-1]:
         raise KOutOfRangeError(f"k={k_max} exceeds the {z_all.shape[-1]} spacings")
-    v, scale, totals, m1, s1, s2 = _design(check_rho(rho), k_max, weighted)
     i = k_values - 1
+    if isinstance(rho, tuple):  # a grid: the rho axis goes in front of the block's axes
+        v, scale, totals, m1, s1, s2 = _design_grid(rho, k_max, weighted)
+        lead = (len(rho),) + (1,) * (z_all.ndim - 1)
+        v = v.reshape(lead + (k_max,))
+        m1, scale, s1, s2 = (a.take(i, axis=-1).reshape(lead + i.shape)
+                             for a in (m1, scale, s1, s2))
+    else:
+        v, scale, totals, m1, s1, s2 = _design(check_rho(rho), k_max, weighted)
+        m1, scale, s1, s2 = m1[i], scale[i], s1[i], s2[i]
     totals = totals[i]
     # take on the last axis costs a 1-D call less than indexing with [..., i]
     zbar = _prefix_sums(z_all, k_max, weighted).take(i, axis=-1) / totals
     svz = _prefix_sums(v * z_all[..., :k_max], k_max, weighted).take(i, axis=-1) / totals
     # sum w_j (C_j - S1) Z_j = scale_k * (sum w_j v_j Z_j - m1 * zbar)
-    b_hat = (svz - m1[i] * zbar) * scale[i] / (s2[i] + shrink)
-    return zbar - b_hat * s1[i], b_hat
+    b_hat = (svz - m1 * zbar) * scale / (s2 + shrink)
+    return zbar - b_hat * s1, b_hat
 
 
 def _bchill(hill_values, b_hat, rho, n: int, k_values: np.ndarray):
@@ -264,11 +294,16 @@ def wls_gamma_grid(z_all: np.ndarray, k_values, rhos) -> np.ndarray:
     """WLS tail-index estimates for every (rho, k) pair, shape (len(rhos), len(k_values)).
 
     ``z_all`` is the full spacings array from :func:`all_log_spacings`, and
-    ``k_values`` ascend. Each rho is one run of the path engine; this is the
-    hot path behind the min-variance rho selector. Errors as the WLS path.
+    ``k_values`` ascend. The whole grid is one run of the path engine with a
+    leading rho axis, whose design is cached per (rhos, k_max); row r equals
+    the WLS path at ``rhos[r]`` bit for bit. This is the hot path behind the
+    min-variance rho selector. Errors as the WLS path, and EmptyOrTinyError
+    for an empty grid.
     """
-    k_values = np.asarray(k_values)
-    return np.array([_path_fit(z_all, k_values, rho, weighted=True)[0] for rho in rhos])
+    rhos = tuple(float(rho) for rho in rhos)
+    if not rhos:
+        raise EmptyOrTinyError("rho candidate grid is empty")
+    return _path_fit(z_all, np.asarray(k_values), rhos, weighted=True)[0]
 
 
 def check_estimators(est_ids) -> tuple[str, ...]:

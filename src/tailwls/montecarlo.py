@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,8 +121,8 @@ def _sampling_draw(spec: DistributionSpec, n: int, rho_method: RhoMethod,
 
 
 def _replicate(draw, est_ids: tuple[str, ...], k_values: np.ndarray,
-               n: int | None, reps: int, master_seed: int) -> np.ndarray:
-    """The replication engine behind every study; returns values[estimator, k, rep].
+               n: int | None, reps: int, master_seed: int) -> tuple[np.ndarray, list]:
+    """The replication engine behind every study: (values[estimator, k, rep], rhos).
 
     Replication r calls ``draw(rep_seed(master_seed, r))``, which returns the
     spacings ``z_all`` and the rho to fit with (None if it could not be
@@ -132,9 +133,11 @@ def _replicate(draw, est_ids: tuple[str, ...], k_values: np.ndarray,
     paths, bit for bit. Cells that the module's failure rule marks missing
     stay NaN: a table call can fail only on what every row of a group
     shares (rho, the k range, n and the ids), so a failed group blanks
-    exactly the replications whose own call would fail.
+    exactly the replications whose own call would fail. ``rhos`` holds the
+    rho of every draw that did not fail, in order of r.
     """
     values = np.full((len(est_ids), len(k_values), reps), np.nan)
+    rhos = []
     groups: dict = {}  # rho -> (replication indices, their spacings) in this chunk
 
     def run_chunk():
@@ -154,6 +157,7 @@ def _replicate(draw, est_ids: tuple[str, ...], k_values: np.ndarray,
             z_all, rho = draw(rep_seed(master_seed, r))
         except TailwlsError:
             continue
+        rhos.append(rho)
         index, block = groups.setdefault(rho, ([], []))
         index.append(r)
         block.append(z_all)
@@ -162,7 +166,15 @@ def _replicate(draw, est_ids: tuple[str, ...], k_values: np.ndarray,
             run_chunk()
             rows = 0
     run_chunk()
-    return values
+    return values, rhos
+
+
+def _rho_counts(rhos) -> str:
+    """``rho:count`` for each resolved rho in ascending order, then ``unresolved:count``."""
+    resolved = sorted(rho for rho in rhos if rho is not None)
+    counts = Counter(f"{rho:g}" for rho in resolved)
+    counts["unresolved"] = len(rhos) - len(resolved)
+    return ",".join(f"{label}:{count}" for label, count in counts.items())
 
 
 @dataclass(frozen=True)
@@ -278,15 +290,16 @@ def run_simulation(config: SimulationConfig) -> SimulationSummary:
     Each replication draws one sample of size n from the spec, resolves rho
     once (the resolution methods do not depend on k), and computes the path
     of every requested estimator over [k_min, k_max]. Failures are counted
-    as missing by the module's failure rule.
+    as missing by the module's failure rule. ``metadata["resolved_rho_counts"]``
+    counts the replications per resolved rho, then the unresolved ones.
     """
     t0 = time.perf_counter()
     est_ids = check_estimators(config.estimators)
     k_values = np.arange(config.k_min, config.k_max + 1)
     spec = config.spec
     draw = _sampling_draw(spec, config.n, config.rho_method, est_ids)
-    values = _replicate(draw, est_ids, k_values, config.n, config.reps,
-                        config.master_seed)
+    values, rhos = _replicate(draw, est_ids, k_values, config.n, config.reps,
+                              config.master_seed)
     return _summary(
         values, est_ids, k_values, spec.true_gamma, config.master_seed, t0,
         {
@@ -300,6 +313,7 @@ def run_simulation(config: SimulationConfig) -> SimulationSummary:
             "k_min": config.k_min,
             "k_max": config.k_max,
             "rho_method": config.rho_method.method_id,
+            "resolved_rho_counts": _rho_counts(rhos),
         },
     )
 
@@ -345,7 +359,7 @@ def run_model_simulation(
         raise KOutOfRangeError(f"BCHILL needs n >= k+1={k + 1}, got n={n}")
     check_covariate_sums(rho, k, est_ids)
     k_values = np.array([k])
-    values = _replicate(draw, est_ids, k_values, n, reps, master_seed)
+    values = _replicate(draw, est_ids, k_values, n, reps, master_seed)[0]
     return _summary(
         values, est_ids, k_values, gamma, master_seed, t0,
         {
@@ -451,7 +465,7 @@ def normality_report(
             "rho_method": rho_method.method_id,
             "master_seed": int(master_seed),
         }
-    gamma_hat = _replicate(draw, ("WLS",), np.array([k]), n, reps, master_seed)[0, 0]
+    gamma_hat = _replicate(draw, ("WLS",), np.array([k]), n, reps, master_seed)[0][0, 0]
     stats = standardized_statistic(gamma_hat[~np.isnan(gamma_hat)], gamma, k)
     config["missing"] = reps - stats.size
     config["wall_clock_s"] = time.perf_counter() - t0

@@ -189,6 +189,8 @@ def test_simulate_matches_library(tmp_path):
         assert float(row["mean"]) == want["mean"]
         assert float(row["mse"]) == want["mse"]
         assert int(row["missing"]) == want["missing"]
+    meta = (tmp_path / "s.csv.meta").read_text().splitlines()
+    assert "resolved_rho_counts=-1:25,unresolved:0" in meta
 
 
 def test_simulate_bad_config_exits_4(tmp_path):

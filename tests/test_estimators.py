@@ -23,6 +23,7 @@ from tailwls import (
     optimal_k,
     path_estimates,
     rep_seed,
+    resolve_rho,
     ridge_fit,
     run_model_simulation,
     run_simulation,
@@ -302,6 +303,95 @@ def test_wls_gamma_grid_matches_fits():
         for i, k in enumerate(ks):
             fit = wls_fit(log_spacings(tail, int(k)), rho)
             assert grid[j, i] == pytest.approx(fit.gamma_hat, abs=1e-13)
+
+
+def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
+    """Row r of the grid is the one-rho WLS path at rhos[r], bit for bit."""
+    from tailwls import estimators
+
+    keys = []
+    real = estimators._design_grid
+
+    def recorded(rhos, k_max, weighted):
+        keys.append(rhos)
+        return real(rhos, k_max, weighted)
+
+    monkeypatch.setattr(estimators, "_design_grid", recorded)
+    rng = np.random.default_rng(57)
+    for _ in range(30):
+        n = int(rng.integers(20, 400))
+        z_all = rng.exponential(rng.uniform(0.1, 3.0), size=n - 1)
+        contiguous = np.arange(int(rng.integers(2, 10)), n)
+        sparse = np.unique(rng.integers(2, n, size=12))
+        grid = tuple(-rng.uniform(0.05, 3.0, size=int(rng.integers(2, 8))))
+        for k_values in (contiguous, sparse):
+            for rhos in (grid[:1], grid[::-1], grid + grid[:1], DEFAULT_RHO_GRID):
+                want = np.array([estimators._path_fit(z_all, k_values, rho, True)[0]
+                                 for rho in rhos])
+                for given in (list(rhos), np.array(rhos)):
+                    got = wls_gamma_grid(z_all, k_values, given)
+                    assert got.shape == (len(rhos), len(k_values))
+                    assert np.array_equal(got, want)
+    assert all(type(key) is tuple and all(type(rho) is float for rho in key)
+               for key in keys)
+    # integer and numpy rhos share the float key of the same grid
+    real.cache_clear()
+    for given in ((-1, -2), [np.float64(-1.0), -2.0], np.array([-1.0, -2.0])):
+        wls_gamma_grid(z_all, contiguous, given)
+    assert keys[-1] == (-1.0, -2.0)
+    assert real.cache_info().misses == 1 and real.cache_info().hits == 2
+    # a block of samples puts the rho axis first, each row still its one-rho path
+    block = rng.exponential(size=(3, n - 1))
+    got = estimators._path_fit(block, contiguous, grid, True)[0]
+    assert got.shape == (len(grid), 3, len(contiguous))
+    for r, rho in enumerate(grid):
+        for row in range(3):
+            want = estimators._path_fit(block[row], contiguous, rho, True)[0]
+            assert np.array_equal(got[r, row], want)
+
+
+def test_grid_call_runs_the_engine_once(monkeypatch):
+    """One grid call is one engine run with two prefix sums, however many rhos."""
+    from tailwls import estimators
+
+    tail = validate_and_sort(sample(burr(1.0, np.sqrt(2.0), np.sqrt(2.0)), 200, 5))
+    z_all, k_values = all_log_spacings(tail), np.arange(20, 180)
+    wls_gamma_grid(z_all, k_values, DEFAULT_RHO_GRID)  # fills the design cache
+    engine, sums = [], []
+    real_fit, real_sums = estimators._path_fit, estimators._prefix_sums
+
+    def fit(*args, **kwargs):
+        engine.append(args[2])
+        return real_fit(*args, **kwargs)
+
+    def prefix_sums(*args):
+        sums.append(args[0].shape)
+        return real_sums(*args)
+
+    monkeypatch.setattr(estimators, "_path_fit", fit)
+    monkeypatch.setattr(estimators, "_prefix_sums", prefix_sums)
+    wls_gamma_grid(z_all, k_values, DEFAULT_RHO_GRID)
+    assert engine == [DEFAULT_RHO_GRID]
+    # zbar once per sample, then the (rho, k) block of slope sums
+    assert sums == [z_all.shape, (len(DEFAULT_RHO_GRID), 179)]
+    engine.clear()
+    sums.clear()
+    resolve_rho(tail, RhoMethod.min_variance())
+    assert len(engine) == 1 and len(sums) == 2
+
+
+def test_wls_gamma_grid_errors():
+    z_all = all_log_spacings(validate_and_sort(np.arange(1.0, 21.0)))
+    with pytest.raises(KTooSmallError):
+        wls_gamma_grid(z_all, [1, 5], DEFAULT_RHO_GRID)
+    with pytest.raises(KOutOfRangeError):
+        wls_gamma_grid(z_all, [5, 20], DEFAULT_RHO_GRID)
+    with pytest.raises(InvalidRhoError):
+        wls_gamma_grid(z_all, [5, 19], (-1.0, 0.0))
+    with pytest.raises(InvalidRhoError):  # overflows the covariate sums
+        wls_gamma_grid(z_all, [5, 19], (-1.0, -400.0))
+    with pytest.raises(EmptyOrTinyError):
+        wls_gamma_grid(z_all, [5, 19], [])
 
 
 def test_optimal_k_picks_smallest_on_ties():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from tailwls import (
     TailwlsError,
     burr,
     covariates,
+    frechet,
     hill,
     log_spacings,
     loggamma,
@@ -159,15 +162,20 @@ def test_failed_table_call_marks_the_whole_replication_missing():
 def _reference_replicate(draw, est_ids, k_values, n, reps, master_seed):
     """The engine one replication at a time: one draw and one 1-D table call each."""
     values = np.full((len(est_ids), len(k_values), reps), np.nan)
+    rhos = []
     for r in range(reps):
         try:
             z_all, rho = draw(rep_seed(master_seed, r))
+        except TailwlsError:
+            continue
+        rhos.append(rho)
+        try:
             paths = path_estimates(z_all, n, est_ids, rho, k_values)[0]
         except TailwlsError:
             continue
         for e, est in enumerate(est_ids):
             values[e, :, r] = paths.get(est, np.nan)
-    return values
+    return values, rhos
 
 
 def test_chunked_engine_equals_one_replication_at_a_time():
@@ -186,19 +194,21 @@ def test_chunked_engine_equals_one_replication_at_a_time():
         return rng.exponential(size=n - 1), rho
 
     reps = 2 * rows + 1
-    got = _replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 4)
-    want = _reference_replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 4)
+    got, rhos = _replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 4)
+    want, want_rhos = _reference_replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 4)
     assert np.array_equal(got, want, equal_nan=True)
     assert not np.isnan(got).all(axis=(0, 1)).all()
+    assert rhos == want_rhos and len(rhos) < reps  # failed draws hand back no rho
 
     spec = burr(1.0, np.sqrt(2.0), np.sqrt(2.0))
     n = 60
     reps = 2 * (_CHUNK_ENTRIES // (n - 1)) + 1
     draw = _sampling_draw(spec, n, RhoMethod.min_variance(), ESTIMATOR_IDS)
     k_values = np.arange(5, n)
-    got = _replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 11)
-    want = _reference_replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 11)
+    got, rhos = _replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 11)
+    want, want_rhos = _reference_replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 11)
     assert np.array_equal(got, want, equal_nan=True)
+    assert rhos == want_rhos
 
 
 def test_unresolved_rho_blanks_only_its_replications(monkeypatch):
@@ -214,7 +224,8 @@ def test_unresolved_rho_blanks_only_its_replications(monkeypatch):
     monkeypatch.setattr(montecarlo, "resolve_rho", every_other)
     reps = 2 * (_CHUNK_ENTRIES // 29) + 3
     draw = _sampling_draw(pareto(1.0), 30, RhoMethod.fixed(-1.0), ("HILL", "LS", "WLS"))
-    values = _replicate(draw, ("HILL", "LS", "WLS"), np.arange(2, 30), 30, reps, 3)
+    values, rhos = _replicate(draw, ("HILL", "LS", "WLS"), np.arange(2, 30), 30, reps, 3)
+    assert rhos == [None if r % 2 else -1.0 for r in range(reps)]
     assert len(calls) == reps
     assert np.isfinite(values[0]).all()
     odd = np.arange(reps) % 2 == 1
@@ -250,6 +261,55 @@ def test_one_table_call_per_chunk_and_rho(monkeypatch):
     reps = 2 * (_CHUNK_ENTRIES // k) + 1
     run_model_simulation(1.0, 0.1, -1.0, k, reps, ("HILL", "WLS"), master_seed=2)
     assert len(calls) == 3  # one rho: one call per chunk
+
+
+def test_overflowing_minvar_grid_blanks_only_the_regressions():
+    # rho=-400 overflows the covariate sums, so resolve_rho raises InvalidRhoError
+    # on every sample: the regressions are missing and HILL is filled
+    cfg = SimulationConfig(spec=burr(1.0, 2.0, 1.0), n=200, reps=6, k_min=10, k_max=150,
+                           estimators=("HILL", "WLS", "RR"), master_seed=3,
+                           rho_method=RhoMethod.min_variance(grid=(-1.0, -400.0)))
+    s = run_simulation(cfg)
+    assert (s.missing[0] == 0).all()
+    assert (s.missing[1:] == 6).all()
+    assert s.metadata["resolved_rho_counts"] == "unresolved:6"
+    hill_only = run_simulation(replace(cfg, estimators=("HILL",)))
+    assert np.array_equal(s.mean[0], hill_only.mean[0])
+
+
+def test_resolved_rho_counts_match_the_picks(monkeypatch):
+    picks, draws = [], []
+    real_rho, real_sample = montecarlo.resolve_rho, montecarlo.sample
+
+    def resolve(tail, method):
+        if len(picks) % 5 == 3:
+            picks.append(None)
+            raise InvalidRhoError("no rho for this replication")
+        picks.append(real_rho(tail, method))
+        return picks[-1]
+
+    def sample_or_fail(spec, n, seed):
+        draws.append(seed)
+        if len(draws) % 7 == 0:
+            raise NonPositiveError("the draw failed")
+        return real_sample(spec, n, seed)
+
+    monkeypatch.setattr(montecarlo, "resolve_rho", resolve)
+    monkeypatch.setattr(montecarlo, "sample", sample_or_fail)
+    reps = 60
+    s = run_simulation(SimulationConfig(spec=frechet(2.0), n=100, reps=reps, k_min=5,
+                                        k_max=90, estimators=("HILL", "WLS"),
+                                        master_seed=4))
+    failed = reps // 7
+    assert len(draws) == reps and len(picks) == reps - failed
+    resolved = [rho for rho in picks if rho is not None]
+    assert len(set(resolved)) > 1
+    want = [f"{rho:g}:{resolved.count(rho)}" for rho in sorted(set(resolved))]
+    want.append(f"unresolved:{picks.count(None)}")
+    got = s.metadata["resolved_rho_counts"]
+    assert got == ",".join(want)
+    assert sum(int(item.rsplit(":", 1)[1]) for item in got.split(",")) == reps - failed
+    assert (s.missing[0] == failed).all()  # HILL is missing on the failed draws only
 
 
 def test_run_model_simulation_deterministic():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,10 @@ from tailwls import (
     KOutOfRangeError,
     MOMENT_RHO_RANGE,
     RhoMethod,
+    all_log_spacings,
     burr,
+    frechet,
+    loggamma,
     pareto,
     rep_seed,
     resolve_rho,
@@ -107,6 +112,40 @@ def test_minvar_grid_order_does_not_matter():
 def test_minvar_single_candidate():
     tail = _burr_tail(80, 6)
     assert resolve_rho(tail, RhoMethod.min_variance(grid=(-0.9,))) == -0.9
+
+
+def _min_variance_oracle(tail, grid, k_fraction=0.9):
+    """The min-variance rule with one one-rho WLS engine run per candidate."""
+    from tailwls import estimators
+
+    n = tail.n
+    k_values = np.arange(max(2, math.ceil(n / 10)), math.floor(k_fraction * (n - 1)) + 1)
+    z_all = all_log_spacings(tail)
+    paths = np.array([estimators._path_fit(z_all, k_values, rho, True)[0] for rho in grid])
+    # smallest variance first, ties to the most negative rho
+    return float(grid[np.lexsort((grid, paths.var(axis=1)))[0]])
+
+
+def test_minvar_pick_equals_per_rho_oracle():
+    specs = (pareto(0.5), burr(1.0, 2.0, 1.0), burr(1.0, np.sqrt(2.0), np.sqrt(2.0)),
+             frechet(2.0), loggamma(1.5, 2.0))
+    grids = (DEFAULT_RHO_GRID, tuple(reversed(DEFAULT_RHO_GRID)), (-0.5, -2.0, -0.5))
+    picks = set()
+    for spec in specs:
+        for n in (60, 200, 1000):
+            for seed in range(4):
+                tail = validate_and_sort(sample(spec, n, rep_seed(13, seed)))
+                for grid in grids:
+                    got = resolve_rho(tail, RhoMethod.min_variance(grid=grid))
+                    assert got == _min_variance_oracle(tail, grid), (spec, n, seed, grid)
+                    picks.add(got)
+    assert len(picks) > 2
+
+
+def test_minvar_grid_overflow_raises_invalid_rho():
+    # rho=-400 overflows the covariate sums of the k window at n=200
+    with pytest.raises(InvalidRhoError):
+        resolve_rho(_burr_tail(200, 9), RhoMethod.min_variance(grid=(-1.0, -400.0)))
 
 
 def test_minvar_tiny_sample():
