@@ -157,14 +157,18 @@ def cdf(spec: DistributionSpec, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
+def sample(spec: DistributionSpec, n: int, seed) -> np.ndarray:
     """Draw n values by inverse transform, one uniform per draw.
 
     The same (spec, n, seed) always yields the same array; the stream is a
-    PCG64 generator seeded with ``seed``.
+    PCG64 generator seeded with ``seed``, a nonnegative int or an
+    ``ISeedSequence``. Either way the stream is the one ``np.random.PCG64``
+    builds from that seed, so an ISeedSequence whose state equals
+    ``SeedSequence(s).generate_state(4, np.uint64)`` gives the stream of
+    the int s.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"n={n} must be at least 1")
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(seed))
     return quantile(spec, rng.random(n))

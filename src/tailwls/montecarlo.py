@@ -5,17 +5,23 @@ Replication r of a study draws from a PCG64 stream seeded with
     rep_seed(master_seed, r) = master_seed XOR splitmix64(r)
 
 so runs are reproducible, independent of replication order, and cheap to
-shard. Every study runs through one engine, ``_replicate``, which calls a
-draw per replication, in order, each from its own stream. The draws collect
-into chunks of at most ``_CHUNK_ENTRIES`` spacings; within a chunk the rows
-that share a rho form one block, and one call of
-:func:`tailwls.estimators.path_estimates` computes every estimator path of
-the block (one group for a model study, at most one per grid rho, plus the
-unresolved ones, for a sampling study). The sampling draw samples a full
-dataset from a distribution spec, sorts it, takes its log-spacings and
-resolves rho. The model draw scales unit exponentials f_j, one uniform each
-from the replication's stream, by the means of the exponential regression
-model, built and checked once per study,
+shard. Every study runs through one engine, ``_replicate``. It takes the
+replications in order, in chunks of at most ``_CHUNK_ENTRIES`` spacings,
+sized from the draw's row length before anything is drawn. For each chunk
+it derives every replication's PCG64 seed state in one vectorised step,
+which equals ``np.random.SeedSequence(rep_seed(master_seed, r))
+.generate_state(4, np.uint64)`` bit for bit, and hands the draw one seed
+object per replication. A PCG64 built from that object is the stream
+``PCG64(rep_seed(master_seed, r))`` would give, so a replication replays
+from its integer seed alone. Within a chunk the rows that share a rho form
+one block, and one call of :func:`tailwls.estimators.path_estimates`
+computes every estimator path of the block (one group for a model study, at
+most one per grid rho, plus the unresolved ones, for a sampling study). The
+sampling draw samples a full dataset from a distribution spec, sorts it,
+takes its log-spacings and resolves rho, one replication at a time. The
+model draw fills one block of uniforms, one row from each replication's
+stream, and turns it into unit exponentials f_j scaled by the means of the
+exponential regression model, built and checked once per study,
 
     Z_j = (gamma + b * C_j) * f_j.
 
@@ -36,6 +42,7 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -60,6 +67,9 @@ GENERATOR_ID = "pcg64/splitmix64-xor"
 # rows, enough that the table's per-call cost no longer counts.
 _CHUNK_ENTRIES = 16384
 
+# A draw's rho for a replication whose draw failed.
+_FAILED = object()
+
 
 def _splitmix64(x: int) -> int:
     """SplitMix64 finalizer; bijective scramble of a 64-bit integer."""
@@ -74,14 +84,90 @@ def rep_seed(master_seed: int, r: int) -> int:
     return (int(master_seed) & _MASK64) ^ _splitmix64(int(r))
 
 
-def _unit_exponentials(seed: int, k: int) -> np.ndarray:
-    """k unit exponentials -log(1-U), one uniform each from the seeded stream."""
-    rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
-    return -np.log1p(-rng.random(k))
+def _rep_seeds(master_seed: int, r: np.ndarray) -> np.ndarray:
+    """``rep_seed(master_seed, r)`` for every entry of a uint64 array r.
+
+    uint64 arithmetic wraps modulo 2^64, as the masks of the scalar form do.
+    """
+    u = np.uint64
+    x = r + u(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> u(30))) * u(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> u(27))) * u(0x94D049BB133111EB)
+    return u(int(master_seed) & _MASK64) ^ x ^ (x >> u(31))
+
+
+def _hash_steps(init: int, mult: int, count: int) -> tuple:
+    """The hash constants h_0 = init, h_{i+1} = h_i * mult (mod 2^32)."""
+    steps = [init]
+    while len(steps) < count:
+        steps.append(steps[-1] * mult & 0xFFFFFFFF)
+    return tuple(np.uint64(h) for h in steps)
+
+
+# numpy's SeedSequence: INIT_A/MULT_A drive the 16 hashes that fill and mix a
+# pool of 4 words, INIT_B/MULT_B the 8 that give 4 uint64 words of output.
+_POOL_HASH = _hash_steps(0x43B0D7E5, 0x931E8875, 17)
+_STATE_HASH = _hash_steps(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_MASK32, _SHIFT = np.uint64(0xFFFFFFFF), np.uint64(16)
+
+
+def _hash32(v: np.ndarray, before, after) -> np.ndarray:
+    """One SeedSequence hash step on uint32 values held in uint64: (v ^ h_i) * h_{i+1}."""
+    v = (v ^ before) * after & _MASK32
+    return v ^ (v >> _SHIFT)
+
+
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` per uint64 seed s.
+
+    Returns a ``(rows, 4)`` uint64 block. numpy's pool hash and output hash
+    run on 32-bit words held in uint64 arrays, so a product of two words
+    never overflows before the mask. SeedSequence pools a one- or two-word
+    seed exactly as it pools the same words padded with zeros to 4, so every
+    seed takes this one path.
+    """
+    zero = np.zeros_like(seeds)
+    pool = [seeds & _MASK32, seeds >> np.uint64(32), zero, zero]
+    h = iter(zip(_POOL_HASH, _POOL_HASH[1:]))
+    pool = [_hash32(word, *next(h)) for word in pool]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (pool[dst] * _MIX_L - _hash32(pool[src], *next(h)) * _MIX_R) & _MASK32
+                pool[dst] = mixed ^ (mixed >> _SHIFT)
+    words = [_hash32(pool[i % 4], _STATE_HASH[i], _STATE_HASH[i + 1]) for i in range(8)]
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(words[::2], words[1::2])],
+                    axis=1)
+
+
+@cache
+def _seed_state_type() -> type:
+    """The ISeedSequence that hands a precomputed seed state to ``np.random.PCG64``.
+
+    PCG64 asks its seed object once, for ``generate_state(4, np.uint64)``;
+    an instance answers with its row of :func:`_seed_states`, a contiguous
+    uint64 array of 4. The class is built on first use, so importing the
+    package does not load numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return SeedState
 
 
 def _model_draw(gamma: float, b: float, rho: float, k: int):
     """Draw of model spacings with the true rho; the means are checked once, here.
+
+    The draw takes one seed per replication (an int or an ISeedSequence) and
+    returns the ``(rows, k)`` block of spacings, row i from seed i's PCG64
+    stream as ``means * -log1p(-U)`` with k uniforms U, and every row's rho.
 
     Raises:
         KOutOfRangeError: k < 1.
@@ -94,78 +180,94 @@ def _model_draw(gamma: float, b: float, rho: float, k: int):
         raise NonPositiveError(
             f"mean gamma + b*C_j = {means.min()} at j={j_bad} is not positive"
         )
-    return lambda seed: (means * _unit_exponentials(seed, means.size), rho)
+    scale = -means
 
-
-def _sampling_draw(spec: DistributionSpec, n: int, rho_method: RhoMethod,
-                   est_ids: tuple[str, ...]):
-    """Draw of a full sample: sample, sort, log-spacings, then rho.
-
-    Rho is resolved only when some estimator in ``est_ids`` needs it; a
-    failed resolution hands on None instead.
-    """
-    resolves = needs_rho(est_ids)
-
-    def draw(seed):
-        tail = validate_and_sort(sample(spec, n, seed))
-        z_all = all_log_spacings(tail)
-        rho = None
-        if resolves:
-            try:
-                rho = resolve_rho(tail, rho_method)
-            except TailwlsError:
-                pass
-        return z_all, rho
+    def draw(seeds):
+        block = np.empty((len(seeds), means.size))
+        for row, seed in zip(block, seeds):
+            np.random.Generator(np.random.PCG64(seed)).random(out=row)
+        np.log1p(np.negative(block, out=block), out=block)
+        block *= scale  # log1p(-U) * -means, which is means * -log1p(-U) exactly
+        return block, [rho] * len(seeds)
 
     return draw
 
 
-def _replicate(draw, est_ids: tuple[str, ...], k_values: np.ndarray,
+def _sampling_draw(spec: DistributionSpec, n: int, rho_method: RhoMethod,
+                   est_ids: tuple[str, ...]):
+    """Draw of full samples: sample, sort, log-spacings, then rho, per seed.
+
+    The draw takes one seed per replication and returns the ``(rows, n-1)``
+    block of spacings and every row's rho. Rho is resolved only when some
+    estimator in ``est_ids`` needs it; a failed resolution hands on None
+    instead, and a failed sample hands on ``_FAILED`` (its row is left
+    unset).
+    """
+    resolves = needs_rho(est_ids)
+
+    def draw(seeds):
+        block = np.empty((len(seeds), n - 1))
+        rhos = []
+        for row, seed in zip(block, seeds):
+            try:
+                tail = validate_and_sort(sample(spec, n, seed))
+            except TailwlsError:
+                rhos.append(_FAILED)
+                continue
+            row[:] = all_log_spacings(tail)
+            rho = None
+            if resolves:
+                try:
+                    rho = resolve_rho(tail, rho_method)
+                except TailwlsError:
+                    pass
+            rhos.append(rho)
+        return block, rhos
+
+    return draw
+
+
+def _replicate(draw, row_len: int, est_ids: tuple[str, ...], k_values: np.ndarray,
                n: int | None, reps: int, master_seed: int) -> tuple[np.ndarray, list]:
     """The replication engine behind every study: (values[estimator, k, rep], rhos).
 
-    Replication r calls ``draw(rep_seed(master_seed, r))``, which returns the
-    spacings ``z_all`` and the rho to fit with (None if it could not be
-    resolved). Draws run in order of r and collect into chunks of at most
-    ``_CHUNK_ENTRIES`` spacings (at least one row). Within a chunk the rows
-    are grouped by their rho, and each group is one table call on the
-    ``(rows, len(z_all))`` block; each row of the result is its replication's
-    paths, bit for bit. Cells that the module's failure rule marks missing
-    stay NaN: a table call can fail only on what every row of a group
-    shares (rho, the k range, n and the ids), so a failed group blanks
-    exactly the replications whose own call would fail. ``rhos`` holds the
-    rho of every draw that did not fail, in order of r.
+    Replications run in order of r, in chunks of ``max(1, _CHUNK_ENTRIES //
+    row_len)``, where ``row_len`` is the length of a draw's rows. A chunk's
+    seed states come from one :func:`_seed_states` call, and ``draw`` gets
+    one seed object (of :func:`_seed_state_type`) per replication. It
+    returns the ``(rows, row_len)`` block of spacings and each row's rho
+    (None if it could not be resolved, ``_FAILED`` if the draw failed), in
+    replication order. The rows are grouped by their rho, and each group is
+    one table call on its rows of the block; each row of the result is its
+    replication's paths, bit for bit. Cells that the module's failure rule
+    marks missing stay NaN: a table call can fail only on what every row of
+    a group shares (rho, the k range, n and the ids), so a failed group
+    blanks exactly the replications whose own call would fail. ``rhos``
+    holds the rho of every draw that did not fail, in order of r.
     """
     values = np.full((len(est_ids), len(k_values), reps), np.nan)
     rhos = []
-    groups: dict = {}  # rho -> (replication indices, their spacings) in this chunk
-
-    def run_chunk():
-        for rho, (index, block) in groups.items():
+    chunk = max(1, _CHUNK_ENTRIES // row_len)
+    seed_state = _seed_state_type()
+    for start in range(0, reps, chunk):
+        r = np.arange(start, min(start + chunk, reps), dtype=np.uint64)
+        states = _seed_states(_rep_seeds(master_seed, r))
+        block, drawn = draw([seed_state(state) for state in states])
+        groups: dict = {}  # rho -> rows of the block
+        for row, rho in enumerate(drawn):
+            if rho is not _FAILED:
+                rhos.append(rho)
+                groups.setdefault(rho, []).append(row)
+        for rho, rows in groups.items():
             try:
-                paths = path_estimates(np.stack(block), n, est_ids, rho, k_values)[0]
+                paths = path_estimates(block if len(rows) == len(drawn) else block[rows],
+                                       n, est_ids, rho, k_values)[0]
             except TailwlsError:
                 continue
+            index = start + np.array(rows)
             for e, est in enumerate(est_ids):
                 if est in paths:
                     values[e][:, index] = paths[est].T
-        groups.clear()
-
-    rows = 0
-    for r in range(reps):
-        try:
-            z_all, rho = draw(rep_seed(master_seed, r))
-        except TailwlsError:
-            continue
-        rhos.append(rho)
-        index, block = groups.setdefault(rho, ([], []))
-        index.append(r)
-        block.append(z_all)
-        rows += 1
-        if (rows + 1) * z_all.size > _CHUNK_ENTRIES:
-            run_chunk()
-            rows = 0
-    run_chunk()
     return values, rhos
 
 
@@ -298,7 +400,7 @@ def run_simulation(config: SimulationConfig) -> SimulationSummary:
     k_values = np.arange(config.k_min, config.k_max + 1)
     spec = config.spec
     draw = _sampling_draw(spec, config.n, config.rho_method, est_ids)
-    values, rhos = _replicate(draw, est_ids, k_values, config.n, config.reps,
+    values, rhos = _replicate(draw, config.n - 1, est_ids, k_values, config.n, config.reps,
                               config.master_seed)
     return _summary(
         values, est_ids, k_values, spec.true_gamma, config.master_seed, t0,
@@ -359,7 +461,7 @@ def run_model_simulation(
         raise KOutOfRangeError(f"BCHILL needs n >= k+1={k + 1}, got n={n}")
     check_covariate_sums(rho, k, est_ids)
     k_values = np.array([k])
-    values = _replicate(draw, est_ids, k_values, n, reps, master_seed)[0]
+    values = _replicate(draw, k, est_ids, k_values, n, reps, master_seed)[0]
     return _summary(
         values, est_ids, k_values, gamma, master_seed, t0,
         {
@@ -438,7 +540,7 @@ def normality_report(
                 f"model mode needs gamma > 0, got {gamma}"
             )
         gamma = float(gamma)
-        draw = _model_draw(gamma, b, rho, k)
+        draw, row_len = _model_draw(gamma, b, rho, k), k
         check_covariate_sums(rho, k, ("WLS",))
         config = {
             "mode": "model",
@@ -456,7 +558,7 @@ def normality_report(
             fallback = true_rho if np.isfinite(true_rho) and true_rho < 0.0 else -1.0
             rho_method = RhoMethod.fixed(fallback)
         gamma = spec.true_gamma
-        draw = _sampling_draw(spec, n, rho_method, ("WLS",))
+        draw, row_len = _sampling_draw(spec, n, rho_method, ("WLS",)), n - 1
         config = {
             "mode": "sampling",
             "family": spec.family,
@@ -465,7 +567,8 @@ def normality_report(
             "rho_method": rho_method.method_id,
             "master_seed": int(master_seed),
         }
-    gamma_hat = _replicate(draw, ("WLS",), np.array([k]), n, reps, master_seed)[0][0, 0]
+    gamma_hat = _replicate(draw, row_len, ("WLS",), np.array([k]), n, reps,
+                           master_seed)[0][0, 0]
     stats = standardized_statistic(gamma_hat[~np.isnan(gamma_hat)], gamma, k)
     config["missing"] = reps - stats.size
     config["wall_clock_s"] = time.perf_counter() - t0

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,12 @@ class OrderedTail:
     @property
     def n(self) -> int:
         return int(self.values.size)
+
+    @cached_property
+    def _z_all(self) -> np.ndarray:
+        logs = np.log(self.values)
+        j = np.arange(1, self.n, dtype=np.float64)
+        return _readonly(j * (logs[:-1] - logs[1:]))
 
 
 @dataclass(frozen=True)
@@ -152,11 +159,11 @@ def all_log_spacings(tail: OrderedTail) -> np.ndarray:
 
     The Z_j do not depend on k, so ``log_spacings(tail, k).z`` equals the
     first k entries of this array. The path engine of ``estimators`` takes
-    prefix sums of it, so one pass serves every k of a path.
+    prefix sums of it, so one pass serves every k of a path. The read-only
+    result is cached on the tail, so later calls on the same tail return the
+    same array without recomputing it.
     """
-    logs = np.log(tail.values)
-    j = np.arange(1, tail.n, dtype=np.float64)
-    return _readonly(j * (logs[:-1] - logs[1:]))
+    return tail._z_all
 
 
 def weights(k: int) -> np.ndarray:

@@ -413,7 +413,7 @@ def test_all_callers_share_one_table():
         spec=spec, n=200, reps=1, k_min=10, k_max=150,
         estimators=ESTIMATOR_IDS, rho_method=method, master_seed=3,
     ))
-    z_model, _ = _model_draw(0.5, 0.1, -1.0, 100)(rep_seed(3, 0))
+    z_model = _model_draw(0.5, 0.1, -1.0, 100)([rep_seed(3, 0)])[0][0]
     model = run_model_simulation(0.5, 0.1, -1.0, 100, reps=1,
                                  estimators=ESTIMATOR_IDS, master_seed=3, n=200)
     for e, est in enumerate(ESTIMATOR_IDS):

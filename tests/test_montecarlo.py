@@ -33,7 +33,8 @@ from tailwls import (
     wls_fit,
 )
 from tailwls import montecarlo
-from tailwls.montecarlo import _CHUNK_ENTRIES, _model_draw, _replicate, _sampling_draw
+from tailwls.montecarlo import (_CHUNK_ENTRIES, _FAILED, _model_draw, _rep_seeds, _replicate,
+                                _sampling_draw, _seed_state_type, _seed_states)
 
 
 def test_rep_seed_is_deterministic_and_wide():
@@ -44,11 +45,67 @@ def test_rep_seed_is_deterministic_and_wide():
     assert all(0 <= s < 2**64 for s in seeds)
 
 
+@pytest.mark.parametrize("master_seed", [0, 1, 2**63, -1])
+def test_vectorised_rep_seed_equals_the_scalar_one(master_seed):
+    r = np.arange(20_001, dtype=np.uint64)
+    got = _rep_seeds(master_seed, r)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [rep_seed(master_seed, i) for i in range(20_001)]
+
+
+def test_seed_states_equal_numpy_seed_sequence():
+    # the guard against a change of numpy's SeedSequence hash
+    seeds = [rep_seed(m, r) for m in (0, 7) for r in range(5_000)]
+    seeds += [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    got = _seed_states(np.array(seeds, dtype=np.uint64))
+    assert got.shape == (len(seeds), 4) and got.dtype == np.uint64
+    want = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+    assert np.array_equal(got, want)
+
+
+def test_model_block_rows_are_the_replication_streams():
+    gamma, b, rho, k, master_seed = 0.5, 0.1, -1.0, 50, 6
+    r = np.arange(40, dtype=np.uint64)
+    seed_state = _seed_state_type()
+    seeds = [seed_state(state) for state in _seed_states(_rep_seeds(master_seed, r))]
+    block, rhos = _model_draw(gamma, b, rho, k)(seeds)
+    assert block.shape == (40, k) and rhos == [rho] * 40
+    means = gamma + b * covariates(k, rho)
+    for i, row in enumerate(block):
+        u = np.random.Generator(np.random.PCG64(rep_seed(master_seed, i))).random(k)
+        assert np.array_equal(row, means * -np.log1p(-u))
+
+
+def test_model_study_constructs_no_seed_sequence(monkeypatch):
+    real_pcg64, real_seq = np.random.PCG64, np.random.SeedSequence
+    built = []
+
+    class Counted(real_seq):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    def pcg64(seed=None):
+        bit_gen = real_pcg64(seed)
+        if type(bit_gen.seed_seq) is real_seq:  # one numpy built from an int seed
+            built.append(seed)
+        return bit_gen
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counted)
+    monkeypatch.setattr(np.random, "PCG64", pcg64)
+    s = run_model_simulation(1.0, 0.1, -1.0, 100, 400, ("HILL", "WLS"), master_seed=3)
+    assert s.missing.sum() == 0 and built == []
+    # an int seed, as each replication used before, is one SeedSequence each
+    for r in range(3):
+        np.random.Generator(np.random.PCG64(rep_seed(3, r))).random(100)
+    assert len(built) == 3
+
+
 def test_model_spacings_deterministic():
-    a, rho_a = _model_draw(0.5, 0.1, -1.0, 50)(11)
-    b, _ = _model_draw(0.5, 0.1, -1.0, 50)(11)
+    a, rho_a = _model_draw(0.5, 0.1, -1.0, 50)([11])
+    b, _ = _model_draw(0.5, 0.1, -1.0, 50)([11])
     assert np.array_equal(a, b)
-    assert a.shape == (50,) and rho_a == -1.0
+    assert a.shape == (1, 50) and rho_a == [-1.0]
     assert (a >= 0).all()
 
 
@@ -58,7 +115,7 @@ def test_model_spacings_mean_matches_theory():
     acc = np.zeros(k)
     draw = _model_draw(gamma, b, rho, k)
     for r in range(reps):
-        acc += draw(rep_seed(77, r))[0]
+        acc += draw([rep_seed(77, r)])[0][0]
     mean = acc / reps
     expect = gamma + b * covariates(k, rho)
     se = expect / np.sqrt(reps)  # sd of Z_j equals its mean for exponential noise
@@ -77,7 +134,7 @@ def test_model_spacings_argument_errors():
 def test_run_model_simulation_single_rep_is_exact():
     s = run_model_simulation(0.5, 0.1, -1.0, 30, reps=1, estimators=("WLS", "HILL"),
                              master_seed=9)
-    z_model, _ = _model_draw(0.5, 0.1, -1.0, 30)(rep_seed(9, 0))
+    z_model = _model_draw(0.5, 0.1, -1.0, 30)([rep_seed(9, 0)])[0][0]
     z = LogSpacings(z=z_model, k=30, n=31)
     assert s.cell("WLS", 30)["mean"] == wls_fit(z, -1.0).gamma_hat
     assert s.cell("HILL", 30)["mean"] == hill(z)
@@ -120,11 +177,18 @@ def test_run_model_simulation_raises_configuration_errors_up_front(monkeypatch):
     s = run_model_simulation(1.0, 0.0, -200.0, 100, 5, estimators=("HILL",))
     assert s.missing.sum() == 0
 
-    def no_draw(seed, k):
-        raise AssertionError("a replication ran")
+    real_model_draw = montecarlo._model_draw
+
+    def no_draw(*args):
+        real_model_draw(*args)
+
+        def draw(seeds):
+            raise AssertionError("a replication ran")
+
+        return draw
 
     # rho=-200 overflows the covariate sums at k=100, for every regression
-    monkeypatch.setattr(montecarlo, "_unit_exponentials", no_draw)
+    monkeypatch.setattr(montecarlo, "_model_draw", no_draw)
     for est in ("BCHILL", "LS", "RR", "WLS"):
         with pytest.raises(InvalidRhoError):
             run_model_simulation(1.0, 0.0, -200.0, 100, 5, ("HILL", est), n=200)
@@ -160,14 +224,14 @@ def test_failed_table_call_marks_the_whole_replication_missing():
 
 
 def _reference_replicate(draw, est_ids, k_values, n, reps, master_seed):
-    """The engine one replication at a time: one draw and one 1-D table call each."""
+    """The engine one replication at a time: a one-row draw from the int seed, a 1-D call."""
     values = np.full((len(est_ids), len(k_values), reps), np.nan)
     rhos = []
     for r in range(reps):
-        try:
-            z_all, rho = draw(rep_seed(master_seed, r))
-        except TailwlsError:
+        block, (rho,) = draw([rep_seed(master_seed, r)])
+        if rho is _FAILED:
             continue
+        z_all = block[0]
         rhos.append(rho)
         try:
             paths = path_estimates(z_all, n, est_ids, rho, k_values)[0]
@@ -184,31 +248,39 @@ def test_chunked_engine_equals_one_replication_at_a_time():
     rows = _CHUNK_ENTRIES // (n - 1)
     k_values = np.arange(2, n)
 
-    def draw(seed):
-        rng = np.random.default_rng(seed)
-        pick = int(rng.integers(0, 6))
-        if pick == 0:
-            raise NonPositiveError("the draw failed")
-        # None is unresolved; -200 overflows the covariate sums, failing its group
-        rho = (None, -0.5, -1.0, -2.0, -200.0)[pick - 1]
-        return rng.exponential(size=n - 1), rho
+    def draw(seeds):
+        block, rhos = np.empty((len(seeds), n - 1)), []
+        for row, seed in zip(block, seeds):
+            rng = np.random.default_rng(seed)
+            pick = int(rng.integers(0, 6))
+            # the draw failed; None is unresolved; -200 overflows the covariate
+            # sums, failing its group
+            rhos.append((_FAILED, None, -0.5, -1.0, -2.0, -200.0)[pick])
+            row[:] = rng.exponential(size=n - 1)
+        return block, rhos
 
     reps = 2 * rows + 1
-    got, rhos = _replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 4)
+    got, rhos = _replicate(draw, n - 1, ESTIMATOR_IDS, k_values, n, reps, 4)
     want, want_rhos = _reference_replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 4)
     assert np.array_equal(got, want, equal_nan=True)
     assert not np.isnan(got).all(axis=(0, 1)).all()
     assert rhos == want_rhos and len(rhos) < reps  # failed draws hand back no rho
+    got, rhos = _replicate(draw, n - 1, ESTIMATOR_IDS, k_values, n, 1, 4)
+    want, want_rhos = _reference_replicate(draw, ESTIMATOR_IDS, k_values, n, 1, 4)
+    assert np.array_equal(got, want, equal_nan=True) and rhos == want_rhos
 
     spec = burr(1.0, np.sqrt(2.0), np.sqrt(2.0))
     n = 60
     reps = 2 * (_CHUNK_ENTRIES // (n - 1)) + 1
     draw = _sampling_draw(spec, n, RhoMethod.min_variance(), ESTIMATOR_IDS)
     k_values = np.arange(5, n)
-    got, rhos = _replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 11)
+    got, rhos = _replicate(draw, n - 1, ESTIMATOR_IDS, k_values, n, reps, 11)
     want, want_rhos = _reference_replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 11)
     assert np.array_equal(got, want, equal_nan=True)
     assert rhos == want_rhos
+    got, rhos = _replicate(draw, n - 1, ESTIMATOR_IDS, k_values, n, 1, 11)
+    want, want_rhos = _reference_replicate(draw, ESTIMATOR_IDS, k_values, n, 1, 11)
+    assert np.array_equal(got, want, equal_nan=True) and rhos == want_rhos
 
 
 def test_unresolved_rho_blanks_only_its_replications(monkeypatch):
@@ -224,7 +296,7 @@ def test_unresolved_rho_blanks_only_its_replications(monkeypatch):
     monkeypatch.setattr(montecarlo, "resolve_rho", every_other)
     reps = 2 * (_CHUNK_ENTRIES // 29) + 3
     draw = _sampling_draw(pareto(1.0), 30, RhoMethod.fixed(-1.0), ("HILL", "LS", "WLS"))
-    values, rhos = _replicate(draw, ("HILL", "LS", "WLS"), np.arange(2, 30), 30, reps, 3)
+    values, rhos = _replicate(draw, 29, ("HILL", "LS", "WLS"), np.arange(2, 30), 30, reps, 3)
     assert rhos == [None if r % 2 else -1.0 for r in range(reps)]
     assert len(calls) == reps
     assert np.isfinite(values[0]).all()

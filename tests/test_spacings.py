@@ -89,6 +89,25 @@ def test_prefix_matches_full_array():
         assert np.array_equal(log_spacings(tail, k).z, z_all[:k])
 
 
+def test_log_spacings_are_computed_once_per_tail(monkeypatch):
+    """A min-variance resolution reuses the spacings its sample already has."""
+    from tailwls import RhoMethod, resolve_rho, second_order
+
+    tail = validate_and_sort(np.random.default_rng(9).pareto(1.0, size=200) + 1.0)
+    z_all = all_log_spacings(tail)
+    assert all_log_spacings(tail) is z_all and not z_all.flags.writeable
+    seen = []
+    real = second_order.all_log_spacings
+
+    def spy(t):
+        seen.append(real(t))
+        return seen[-1]
+
+    monkeypatch.setattr(second_order, "all_log_spacings", spy)
+    resolve_rho(tail, RhoMethod.min_variance())
+    assert len(seen) == 1 and seen[0] is z_all
+
+
 def test_scale_invariance():
     rng = np.random.default_rng(8)
     x = rng.pareto(2.0, size=100) + 1.0

@@ -5,20 +5,23 @@
         --predicted "drop of 30-40%" --out BENCH_9.json
 
 Commit the change first: both sides are git revisions of the repository
-this script lives in. Each is checked out into a temporary ``git worktree``
-(removed again at the end), and the two checkouts are sibling directories
-whose names have the same length, ``parent`` and ``change``: the same code
-run from the repository and from a copy in another directory read 5-10%
-apart on model_k100 (2-CPU x86_64 host). Both sides run their own, unchanged
-``perfbench/run.py``. Pair i runs both sides with seed i, and the side that
-runs first alternates from pair to pair. For each workload and each
-end-to-end metric of ``BENCHMARK.json`` the output holds each side's
-median, quartiles and range, the change's median relative to the parent's,
-the pairs the change won, whether the median gap exceeds the parent's
-interquartile range, and whether the change stays within the metric's
-bound. ``--trace-workload`` adds one ``--trace 1`` pair per named workload
-with every per-layer metric. The output is rewritten after every run, so an
-interrupted series keeps the runs it finished.
+this script lives in. The committed files of each are extracted with
+``git archive`` into a temporary directory (removed again at the end), and
+the two checkouts are sibling directories whose names have the same length,
+``parent`` and ``change``: the same code run from the repository and from a
+copy in another directory read 5-10% apart on model_k100 (2-CPU x86_64
+host). Both sides run their own, unchanged ``perfbench/run.py``. Pair i
+runs both sides with seed ``--first-seed`` + i (default 0, so pair i uses
+seed i; a later first seed gives a series on seeds not looked at while
+writing the change), and the side that runs first alternates from pair to
+pair. For each workload and each end-to-end metric of ``BENCHMARK.json``
+the output holds each side's median, quartiles and range, the change's
+median relative to the parent's, the pairs the change won, whether the
+median gap exceeds the parent's interquartile range, and whether the
+change stays within the metric's bound. ``--trace-workload`` adds one
+``--trace 1`` pair per named workload with every per-layer metric. The
+output is rewritten after every run, so an interrupted series keeps the
+runs it finished.
 """
 
 from __future__ import annotations
@@ -56,17 +59,17 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
     return result
 
 
-def timed_run(root: Path, workload: str, pair: int, side: str, ran_first: bool,
+def timed_run(root: Path, workload: str, pair: int, seed: int, side: str, ran_first: bool,
               seconds: float) -> dict:
-    """One end-to-end run of pair ``pair`` (seed = pair) as a BENCH ``runs`` entry."""
+    """One end-to-end run of pair ``pair`` with ``seed`` as a BENCH ``runs`` entry."""
     kernel_s = kernel_seconds()
-    result = run_bench(root, workload, pair, seconds, 0)
+    result = run_bench(root, workload, seed, seconds, 0)
     values = {name: m["value"] for name, m in result["metrics"].items()}
     raw = result["raw_wall_s"]
     print(f"{workload} pair {pair} {side}: norm_wall_s {values['norm_wall_s']:.6g}",
           file=sys.stderr)
     return {
-        "pair": pair, "seed": pair, "side": side, "ran_first": ran_first,
+        "pair": pair, "seed": seed, "side": side, "ran_first": ran_first,
         "correct": result["correct"], "attempted": result["attempted"],
         "failed": result["failed"], "kernel_s_before_run": round(kernel_s, 5),
         # the kernel time that turns the raw median wall time into the normalised one
@@ -135,6 +138,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--first-seed", type=int, default=0,
+                        help="seed of pair 0; pair i uses first-seed + i (default 0)")
     parser.add_argument("--workloads", default=None,
                         help="comma-separated workloads (default: all of BENCHMARK.json)")
     parser.add_argument("--trace-workload", action="append", default=[],
@@ -143,7 +148,7 @@ def main(argv=None) -> int:
     parser.add_argument("--predicted", default=None, help="the claim's prediction, as text")
     parser.add_argument("--out", required=True, help="output JSON path")
     args = parser.parse_args(argv)
-    # a terminated series still removes its worktrees (the finally clause below)
+    # a terminated series still removes its checkouts (the with block below)
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -154,8 +159,8 @@ def main(argv=None) -> int:
     doc = {
         "benchmark": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} "
                      "--trace 0",
-        "what": "parent commit against this change, each in a fresh worktree, alternating "
-                "which side runs first; pair i uses seed i on both sides",
+        "what": "parent commit against this change, each in a fresh checkout, alternating "
+                f"which side runs first; pair i uses seed {args.first_seed} + i on both sides",
         "revisions": {side: subprocess.run(
             ["git", "rev-parse", rev], cwd=ROOT, capture_output=True, text=True,
             check=True).stdout.strip() for side, rev in zip(SIDES, revisions)},
@@ -171,34 +176,30 @@ def main(argv=None) -> int:
         out.write_text(json.dumps(doc, indent=1) + "\n")
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        roots = {}
-        try:
-            for side, rev in zip(SIDES, revisions):
-                roots[side] = Path(tmp) / side
-                subprocess.run(["git", "worktree", "add", "--detach", str(roots[side]), rev],
-                               cwd=ROOT, check=True, capture_output=True)
-            for workload in workloads:
-                runs = []
-                for pair in range(args.pairs):
-                    order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                    for side in order:
-                        runs.append(timed_run(roots[side], workload, pair, side,
-                                              side == order[0], args.seconds))
-                        doc["workloads"][workload] = summarise(runs, metrics)
-                        save()
-            for workload in args.trace_workload:
-                traced = doc.setdefault("trace", {})[workload] = {
-                    "benchmark": f"perfbench/run.py --workload {workload} --seed 0 "
-                                 f"--seconds {args.seconds:g} --trace 1"}
-                for side in SIDES:
-                    result = run_bench(roots[side], workload, 0, args.seconds, 1)
-                    traced[side] = {name: m["value"] for name, m in result["metrics"].items()}
-                    traced[side]["correct"] = result["correct"]
+        roots = {side: Path(tmp) / side for side in SIDES}
+        for side, rev in zip(SIDES, revisions):
+            roots[side].mkdir()
+            archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
+                                     check=True, capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", str(roots[side])], input=archive, check=True)
+        for workload in workloads:
+            runs = []
+            for pair in range(args.pairs):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    runs.append(timed_run(roots[side], workload, pair, args.first_seed + pair,
+                                          side, side == order[0], args.seconds))
+                    doc["workloads"][workload] = summarise(runs, metrics)
                     save()
-        finally:
-            for root in roots.values():
-                subprocess.run(["git", "worktree", "remove", "--force", str(root)],
-                               cwd=ROOT, capture_output=True)
+        for workload in args.trace_workload:
+            traced = doc.setdefault("trace", {})[workload] = {
+                "benchmark": f"perfbench/run.py --workload {workload} "
+                             f"--seed {args.first_seed} --seconds {args.seconds:g} --trace 1"}
+            for side in SIDES:
+                result = run_bench(roots[side], workload, args.first_seed, args.seconds, 1)
+                traced[side] = {name: m["value"] for name, m in result["metrics"].items()}
+                traced[side]["correct"] = result["correct"]
+                save()
     if args.claim:
         workload, metric = args.claim.split(":")
         doc["claim"] = {"workload": workload, "metric": metric, "predicted": args.predicted,
