@@ -1,9 +1,17 @@
 """Small Monte Carlo comparison of the five estimators.
 
-Repeats the experiment behind the headline claim: on samples with a slowly
-varying tail (here Burr with rho = -1), the weighted least squares estimate
-trades a little variance for a large bias reduction, so its mean squared
-error at moderate k beats the Hill estimator by a wide margin.
+Burr with gamma = 1 and rho = -1, n = 200, 400 replications, the true rho
+given to the regressions. What it prints:
+
+* At each estimator's own best k (the oracle k0), Hill has the lower mean
+  squared error: 0.0373 at k0 = 36, against 0.0512 for WLS at k0 = 113.
+  WLS does not beat Hill there; BCHILL (0.0328) does.
+* WLS trades variance for bias. Its bias stays small as k grows (-0.06 at
+  k = 100), while Hill's grows fast (+0.38 at k = 100). So WLS has the lower
+  mean squared error only at large k: 0.052 against 0.156 at k = 100, and
+  0.076 against 0.750 at k = 150. At k = 20 and 50 Hill wins.
+
+The point of WLS here is a flat error curve in k, not a lower minimum.
 """
 
 import numpy as np

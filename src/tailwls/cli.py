@@ -11,7 +11,10 @@ Subcommands:
 Exit codes: 0 success, 2 dataset parse failure, 3 estimation failure,
 4 invalid configuration (including bad flags), 5 lookup failure (estimator
 missing from a summary file). Floating point values are written with 17
-significant digits, so files round-trip exactly. Output files are written
+significant digits, so files round-trip exactly. Every CSV, on stdout or
+in a file, is built as one text by one writer (``_csv_text``). No field
+needs CSV quoting (ids, integers and ``%.17g`` numbers), so the bytes are
+those a plain CSV writer with "\n" line ends gives. Output files are written
 atomically (temp file, then rename) with a ``<out>.meta`` sidecar of
 key=value lines; timestamps appear only in sidecars.
 """
@@ -21,7 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import io
+import math
 import os
 import sys
 import tempfile
@@ -58,7 +61,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
-    return format(float(x), ".17g")
+    return "%.17g" % x
+
+
+def _csv_text(header: list, template: str, rows) -> str:
+    """CSV text: the ``header`` line, then ``template % row`` for each row.
+
+    A template may cover several CSV lines. Fields are ids, integers and
+    ``%.17g`` numbers, none of which needs CSV quoting.
+    """
+    return ",".join(header) + "\n" + "".join([template % row for row in rows])
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -77,18 +89,13 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _write_outputs(out: str, header: list, rows, command: str,
-                   entries: dict) -> None:
-    """Write the CSV ``out`` from ``header`` and ``rows``, then its ``.meta`` sidecar.
+def _write_outputs(out: str, text: str, command: str, entries: dict) -> None:
+    """Write the CSV ``text`` to ``out``, then its ``.meta`` sidecar.
 
     The sidecar holds one key=value line per entry, framed by the command,
     the command line, the package version and a UTC timestamp.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _write_atomic(out, buf.getvalue())
+    _write_atomic(out, text)
     sidecar = {
         "command": command,
         "command_line": " ".join(sys.argv) if sys.argv else "tailwls",
@@ -157,9 +164,9 @@ def read_numeric_column(path: str, column: int | None = None,
             raise _ParseFailure(
                 f"{path}:{lineno}: cannot parse {raw!r} as a number"
             ) from None
-        if not np.isfinite(v):
-            raise _ParseFailure(f"{path}:{lineno}: non-finite value {raw}")
-        if v <= 0.0:
+        if not 0.0 < v < math.inf:  # a good value takes one test
+            if not math.isfinite(v):
+                raise _ParseFailure(f"{path}:{lineno}: non-finite value {raw}")
             raise _ParseFailure(f"{path}:{lineno}: non-positive value {raw}")
         values.append(v)
     if len(values) < 2:
@@ -240,12 +247,12 @@ def cmd_estimate(args) -> int:
             f"are unstable (k_min={k_min})",
             file=sys.stderr,
         )
-    rho_used = {est: _fmt(resolved if needs_rho((est,)) else np.nan) for est in estimators}
-    rows = (
-        [k, est, rho_used[est], _fmt(paths[est][i])]
-        for i, k in enumerate(range(k_min, k_max + 1))
-        for est in estimators
-    )
+    # one template per k covers every estimator; rho_used is fixed per estimator
+    template = "".join(
+        f"%d,{est},{_fmt(resolved if needs_rho((est,)) else np.nan)},%.17g\n"
+        for est in estimators)
+    ks = list(range(k_min, k_max + 1))
+    rows = zip(*[col for est in estimators for col in (ks, paths[est].tolist())])
     entries = {
         "dataset": args.dataset,
         "n": n,
@@ -256,8 +263,8 @@ def cmd_estimate(args) -> int:
     }
     if resolved is not None:
         entries["resolved_rho"] = _fmt(resolved)
-    _write_outputs(args.out, ["k", "estimator", "rho_used", "gamma_hat"], rows,
-                   "estimate", entries)
+    text = _csv_text(["k", "estimator", "rho_used", "gamma_hat"], template, rows)
+    _write_outputs(args.out, text, "estimate", entries)
     for est in estimators:
         negative = paths[est] < 0.0
         if negative.any():
@@ -317,16 +324,14 @@ def cmd_simulate(args) -> int:
     except TailwlsError as exc:
         print(f"tailwls simulate: simulation failed: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
-    rows = (
-        [row["estimator"], row["k"], _fmt(row["mean"]), _fmt(row["bias"]),
-         _fmt(row["mse"]), _fmt(row["variance"]), row["missing"]]
-        for row in summary.rows()
-    )
+    rows = ((row["estimator"], row["k"], row["mean"], row["bias"], row["mse"],
+             row["variance"], row["missing"]) for row in summary.rows())
     entries = dict(summary.metadata)
     for pname, pval in entries.pop("params").items():
         entries[f"param_{pname}"] = _fmt(pval)
-    header = ["estimator", "k", "mean", "bias", "mse", "variance", "missing"]
-    _write_outputs(args.out, header, rows, "simulate", entries)
+    text = _csv_text(["estimator", "k", "mean", "bias", "mse", "variance", "missing"],
+                     "%s,%d,%.17g,%.17g,%.17g,%.17g,%d\n", rows)
+    _write_outputs(args.out, text, "simulate", entries)
     print(f"wrote {args.out} ({len(estimators)} estimators, "
           f"k in [{config.k_min}, {config.k_max}], reps={config.reps})")
     return EXIT_OK
@@ -347,18 +352,16 @@ def cmd_diagnose(args) -> int:
 
     def row(k):
         m = s_moments(k, rho)
-        return [k, _fmt(m.s1), _fmt(m.s2), _fmt(m.s_dot), _fmt(m.s_ddot),
-                _fmt(m.s1_limit), _fmt(m.s2_limit), _fmt(gamma**2 * m.unit_amse)]
+        return (k, m.s1, m.s2, m.s_dot, m.s_ddot, m.s1_limit, m.s2_limit,
+                gamma**2 * m.unit_amse)
 
-    header = ["k", "s1", "s2", "s_dot", "s_ddot", "s1_limit", "s2_limit", "amse"]
-    rows = (row(k) for k in range(k_min, k_max + 1))
+    text = _csv_text(["k", "s1", "s2", "s_dot", "s_ddot", "s1_limit", "s2_limit", "amse"],
+                     "%d" + ",%.17g" * 7 + "\n", (row(k) for k in range(k_min, k_max + 1)))
     if args.out is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        sys.stdout.write(text)
     else:
         entries = {"rho": _fmt(rho), "gamma": _fmt(gamma)}
-        _write_outputs(args.out, header, rows, "diagnose", entries)
+        _write_outputs(args.out, text, "diagnose", entries)
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -90,7 +90,8 @@ def resolve_rho(tail: OrderedTail, method: RhoMethod) -> float:
 
     Raises:
         KOutOfRangeError: the sample is too small for the min-variance window.
-        DegenerateTailError: moment method on a tail with no variation.
+        DegenerateTailError: a tail with no variation (moment method), or
+            one on which every min-variance candidate path is constant.
     """
     if method.kind == "fixed":
         return float(method.fixed_value)
@@ -144,7 +145,9 @@ def _min_variance_rho(tail: OrderedTail, grid, k_fraction: float) -> float:
 
     The path runs over k in [max(2, ceil(n/10)), floor(k_fraction*(n-1))].
     Ties on the variance go to the most negative candidate, so the result
-    does not depend on grid order.
+    does not depend on grid order. A tail on which every candidate path is
+    constant (all spacings zero, say) has nothing to choose by and raises
+    DegenerateTailError, as the moment method does.
     """
     from .estimators import wls_gamma_grid
 
@@ -158,5 +161,9 @@ def _min_variance_rho(tail: OrderedTail, grid, k_fraction: float) -> float:
     k_values = np.arange(lo, hi + 1)
     z_all = all_log_spacings(tail)
     variances = wls_gamma_grid(z_all, k_values, grid).var(axis=1)
+    if (variances == 0.0).all():
+        raise DegenerateTailError(
+            f"every candidate rho gives a constant WLS path over k in [{lo}, {hi}]"
+        )
     # smallest variance first, ties to the most negative rho
     return float(grid[np.lexsort((grid, variances))[0]])

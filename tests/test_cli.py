@@ -156,6 +156,19 @@ def test_estimate_rejects_empty_delimiter(burr_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rho", ["minvar", "moment"])
+def test_estimate_degenerate_tail_exits_3(rho, tmp_path, capsys):
+    from tailwls import cli
+
+    p = tmp_path / "equal.txt"
+    p.write_text("x\n" + "2.5\n" * 100)
+    out = tmp_path / "o.csv"
+    assert cli.main(["estimate", str(p), "--rho", rho, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "estimation failed" in err
+    assert not out.exists()
+
+
 def test_simulate_summary_schema_and_missing_param(tmp_path):
     out = tmp_path / "s.csv"
     r = run_cli("simulate", "--dist", "burr", "--tau", "2", "--lambda", "1",

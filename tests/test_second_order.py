@@ -92,6 +92,13 @@ def test_moment_degenerate_tail():
         resolve_rho(tail, RhoMethod.moment())
 
 
+def test_minvar_degenerate_tail():
+    # every candidate path is identically 0: no variance to choose by
+    tail = validate_and_sort(np.full(100, 2.5))
+    with pytest.raises(DegenerateTailError):
+        resolve_rho(tail, RhoMethod.min_variance())
+
+
 def test_minvar_returns_grid_element_deterministically():
     tail = _burr_tail(200, 4)
     a = resolve_rho(tail, RhoMethod.min_variance())
