@@ -16,7 +16,10 @@ in a file, is built as one text by one writer (``_csv_text``). No field
 needs CSV quoting (ids, integers and ``%.17g`` numbers), so the bytes are
 those a plain CSV writer with "\n" line ends gives. Output files are written
 atomically (temp file, then rename) with a ``<out>.meta`` sidecar of
-key=value lines; timestamps appear only in sidecars.
+key=value lines; timestamps appear only in sidecars. A new output gets mode
+0o666 less the umask, as ``open`` would give it, and an output that already
+exists keeps its mode. An ``--out`` whose directory does not exist is a
+configuration error, found before any work is done.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import csv
 import datetime
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -73,13 +77,35 @@ def _csv_text(header: list, template: str, rows) -> str:
     return ",".join(header) + "\n" + "".join([template % row for row in rows])
 
 
+def _output_mode(path: str) -> int:
+    """The mode of the file at ``path`` if there is one, else 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
+def _check_out(path: str) -> None:
+    """ValueError unless the directory an output goes into exists."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ValueError(f"--out {path}: directory {directory} does not exist")
+
+
 def _write_atomic(path: str, text: str) -> None:
-    """Write text to path via a temp file in the same directory, then rename."""
+    """Write text to path via a temp file in the same directory, then rename.
+
+    The temp file gets :func:`_output_mode` before the rename, since
+    ``mkstemp`` creates it readable by its owner only.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
+        os.chmod(tmp, _output_mode(path))
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -227,6 +253,7 @@ def cmd_estimate(args) -> int:
             k_min = int(args.k_min) if args.k_min is not None else 2
             k_max = int(args.k_max) if args.k_max is not None else n - 1
         k_values = check_k_range(k_min, k_max, n)
+        _check_out(args.out)
     except (ValueError, TailwlsError) as exc:
         print(f"tailwls estimate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -316,6 +343,7 @@ def cmd_simulate(args) -> int:
             rho_method=rho_method,
             master_seed=args.seed,
         )
+        _check_out(args.out)
     except (ValueError, TailwlsError) as exc:
         print(f"tailwls simulate: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -346,6 +374,8 @@ def cmd_diagnose(args) -> int:
         k_min, k_max = int(args.k_min), int(args.k_max)
         if not 2 <= k_min <= k_max:
             raise ValueError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
+        if args.out is not None:
+            _check_out(args.out)
     except ValueError as exc:
         print(f"tailwls diagnose: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -16,12 +16,14 @@ object per replication. A PCG64 built from that object is the stream
 from its integer seed alone. Within a chunk the rows that share a rho form
 one block, and one call of :func:`tailwls.estimators.path_estimates`
 computes every estimator path of the block (one group for a model study, at
-most one per grid rho, plus the unresolved ones, for a sampling study). The
-sampling draw samples a full dataset from a distribution spec, sorts it,
-takes its log-spacings and resolves rho, one replication at a time. The
-model draw fills one block of uniforms, one row from each replication's
-stream, and turns it into unit exponentials f_j scaled by the means of the
-exponential regression model, built and checked once per study,
+most one per grid rho, plus the unresolved ones, for a sampling study).
+Both draws start from one block of uniforms, one row from each
+replication's stream (``_uniforms``). The sampling draw turns the chunk's
+block into samples with one quantile call, then validates, sorts and takes
+the log-spacings of all rows at once (:func:`tailwls.spacings.block_tails`);
+only the rho of each good row is resolved one replication at a time. The
+model draw turns its block into unit exponentials f_j scaled by the means
+of the exponential regression model, built and checked once per study,
 
     Z_j = (gamma + b * C_j) * f_j.
 
@@ -48,12 +50,12 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import standardized_statistic
-from .distributions import DistributionSpec, sample
+from .distributions import DistributionSpec, quantile
 from .errors import KOutOfRangeError, KTooSmallError, NonPositiveError, TailwlsError
 from .estimators import (ESTIMATOR_IDS, check_covariate_sums, check_estimators, needs_rho,
                          path_estimates)
 from .second_order import RhoMethod, resolve_rho
-from .spacings import all_log_spacings, check_k_range, covariates, validate_and_sort
+from .spacings import block_tails, check_k_range, covariates
 
 _MASK64 = (1 << 64) - 1
 
@@ -162,6 +164,18 @@ def _seed_state_type() -> type:
     return SeedState
 
 
+def _uniforms(seeds, width: int) -> np.ndarray:
+    """The ``(rows, width)`` block of uniforms, row i the start of seed i's PCG64 stream.
+
+    A row holds what ``np.random.Generator(np.random.PCG64(seed)).random(width)``
+    returns for its seed (an int or an ISeedSequence).
+    """
+    block = np.empty((len(seeds), width))
+    for row, seed in zip(block, seeds):
+        np.random.Generator(np.random.PCG64(seed)).random(out=row)
+    return block
+
+
 def _model_draw(gamma: float, b: float, rho: float, k: int):
     """Draw of model spacings with the true rho; the means are checked once, here.
 
@@ -183,9 +197,7 @@ def _model_draw(gamma: float, b: float, rho: float, k: int):
     scale = -means
 
     def draw(seeds):
-        block = np.empty((len(seeds), means.size))
-        for row, seed in zip(block, seeds):
-            np.random.Generator(np.random.PCG64(seed)).random(out=row)
+        block = _uniforms(seeds, means.size)
         np.log1p(np.negative(block, out=block), out=block)
         block *= scale  # log1p(-U) * -means, which is means * -log1p(-U) exactly
         return block, [rho] * len(seeds)
@@ -195,28 +207,25 @@ def _model_draw(gamma: float, b: float, rho: float, k: int):
 
 def _sampling_draw(spec: DistributionSpec, n: int, rho_method: RhoMethod,
                    est_ids: tuple[str, ...]):
-    """Draw of full samples: sample, sort, log-spacings, then rho, per seed.
+    """Draw of full samples: one block for the chunk, then each row's rho.
 
     The draw takes one seed per replication and returns the ``(rows, n-1)``
-    block of spacings and every row's rho. Rho is resolved only when some
-    estimator in ``est_ids`` needs it; a failed resolution hands on None
-    instead, and a failed sample hands on ``_FAILED`` (its row is left
-    unset).
+    block of spacings and every row's rho. Row i is the sample of n values
+    that ``sample(spec, n, seed_i)`` would give, validated, sorted and turned
+    into log-spacings bit for bit as ``validate_and_sort`` and
+    ``all_log_spacings`` would; a row that fails that validation hands on
+    ``_FAILED`` (its spacings are zeros). Rho is resolved per good row, on
+    the row's own OrderedTail, only when some estimator in ``est_ids`` needs
+    it; a failed resolution hands on None instead.
     """
     resolves = needs_rho(est_ids)
 
     def draw(seeds):
-        block = np.empty((len(seeds), n - 1))
+        block, tails = block_tails(quantile(spec, _uniforms(seeds, n)))
         rhos = []
-        for row, seed in zip(block, seeds):
-            try:
-                tail = validate_and_sort(sample(spec, n, seed))
-            except TailwlsError:
-                rhos.append(_FAILED)
-                continue
-            row[:] = all_log_spacings(tail)
-            rho = None
-            if resolves:
+        for tail in tails:
+            rho = _FAILED if tail is None else None
+            if resolves and tail is not None:
                 try:
                     rho = resolve_rho(tail, rho_method)
                 except TailwlsError:

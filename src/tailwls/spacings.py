@@ -10,7 +10,9 @@ the unit-sum form w_j = W_j / (k/2) of the linearly decreasing weights
 W_j = 1 - j/(k+1) (which sum to k/2 exactly), and the second-order
 covariates C_j = (j/(k+1))^(-rho) with rho < 0. This module builds those
 four objects and holds the two checks every caller shares, of rho and of a
-k range.
+k range. ``block_tails`` validates, sorts and takes the spacings of a whole
+``(rows, n)`` block of samples at once, each row bit for bit as its own
+``validate_and_sort`` and ``all_log_spacings`` would give it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ class OrderedTail:
     """A strictly positive sample stored in descending order.
 
     ``values[0]`` is the sample maximum, ``values[n-1]`` the minimum. The
-    array is read-only; build instances through :func:`validate_and_sort`.
+    array is read-only; build instances through :func:`validate_and_sort`
+    or :func:`block_tails`.
     """
 
     values: np.ndarray
@@ -164,6 +167,39 @@ def all_log_spacings(tail: OrderedTail) -> np.ndarray:
     same array without recomputing it.
     """
     return tail._z_all
+
+
+def block_tails(raw: np.ndarray) -> tuple[np.ndarray, list]:
+    """Validate, sort and take the log-spacings of every row of a ``(rows, n)`` block.
+
+    Row i is treated as ``validate_and_sort(raw[i])`` followed by
+    ``all_log_spacings``, bit for bit, with one numpy call per step for the
+    whole block. Returns the read-only ``(rows, n-1)`` block of spacings and,
+    per row, its OrderedTail, or None where ``validate_and_sort`` would raise
+    (fewer than two values, or a non-finite or non-positive one); such a
+    row's spacings are zeros. The tails' values are the rows of one
+    C-contiguous descending block, and each tail's ``all_log_spacings`` is
+    its row of the spacings block, so nothing is copied or computed per row.
+    The logs are taken on that contiguous block because ``np.log`` may take
+    another loop on a strided view, which on some hosts differs by one ulp.
+    """
+    raw = np.asarray(raw, dtype=np.float64)
+    ok = ((raw > 0.0) & (raw < np.inf)).all(axis=1) & (raw.shape[1] >= 2)
+    if not ok.all():
+        raw = np.where(ok[:, None], raw, 1.0)
+    values = _readonly(np.sort(raw, axis=1)[:, ::-1])
+    logs = np.log(values)
+    j = np.arange(1, values.shape[1], dtype=np.float64)
+    z_all = j * (logs[:, :-1] - logs[:, 1:])
+    z_all.flags.writeable = False
+    tails = []
+    for row, z_row, good in zip(values, z_all, ok.tolist()):
+        tail = None
+        if good:
+            tail = OrderedTail(values=row)
+            tail.__dict__["_z_all"] = z_row  # the cached_property's slot
+        tails.append(tail)
+    return z_all, tails
 
 
 def weights(k: int) -> np.ndarray:

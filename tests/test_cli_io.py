@@ -4,11 +4,14 @@ The writer tests keep ``csv.writer`` as the oracle: every CSV the CLI
 writes must equal a ``csv.writer(lineterminator="\\n")`` rendering of the
 same rows with ``format(x, ".17g")`` cells. The reader test pins the
 values or the line-numbered message ``read_numeric_column`` gives on a
-corpus of layouts, bad values and flags.
+corpus of layouts, bad values and flags. The output tests pin the mode of
+written files and the exit code of an ``--out`` in a missing directory.
 """
 
 import csv
 import io
+import os
+import stat
 import sys
 
 import numpy as np
@@ -155,3 +158,57 @@ def test_reader_values_and_messages(text, column, delimiter, want, tmp_path):
     else:
         got = cli.read_numeric_column(str(path), column, delimiter)
         assert got.dtype == np.float64 and got.tolist() == want
+
+
+SUBCOMMANDS = {
+    "estimate": lambda data, out: ["estimate", str(data), "--out", str(out),
+                                   "--estimators", "HILL"],
+    "simulate": lambda data, out: ["simulate", "--dist", "pareto", "--gamma", "0.5",
+                                   "--n", "40", "--reps", "3", "--estimators", "HILL",
+                                   "--out", str(out)],
+    "diagnose": lambda data, out: ["diagnose", "--rho", "-1", "--k-max", "5",
+                                   "--out", str(out)],
+}
+
+
+@pytest.fixture()
+def umask():
+    """Set the process umask for one test and restore it afterwards."""
+    saved = os.umask(0o022)
+    try:
+        yield os.umask
+    finally:
+        os.umask(saved)
+
+
+def _mode(path) -> int:
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("mask", [0o022, 0o077], ids=["022", "077"])
+def test_new_outputs_get_the_umask_mode(command, mask, umask, data_file, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    umask(mask)
+    assert cli.main(SUBCOMMANDS[command](data_file, out)) == 0
+    assert _mode(out) == _mode(str(out) + ".meta") == 0o666 & ~mask
+
+
+def test_existing_outputs_keep_their_mode(umask, data_file, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    meta = tmp_path / "out.csv.meta"
+    for path, mode in ((out, 0o640), (meta, 0o604)):
+        path.write_text("old\n")
+        path.chmod(mode)
+    assert cli.main(SUBCOMMANDS["estimate"](data_file, out)) == 0
+    assert out.read_text().startswith("k,estimator")
+    assert _mode(out) == 0o640 and _mode(meta) == 0o604
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_out_in_a_missing_directory_exits_4(command, data_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    assert cli.main(SUBCOMMANDS[command](data_file, out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out) in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["data.txt"]

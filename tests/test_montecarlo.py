@@ -32,7 +32,8 @@ from tailwls import (
     validate_and_sort,
     wls_fit,
 )
-from tailwls import montecarlo
+from tailwls import montecarlo, resolve_rho
+from tailwls.spacings import all_log_spacings
 from tailwls.montecarlo import (_CHUNK_ENTRIES, _FAILED, _model_draw, _rep_seeds, _replicate,
                                 _sampling_draw, _seed_state_type, _seed_states)
 
@@ -351,7 +352,7 @@ def test_overflowing_minvar_grid_blanks_only_the_regressions():
 
 def test_resolved_rho_counts_match_the_picks(monkeypatch):
     picks, draws = [], []
-    real_rho, real_sample = montecarlo.resolve_rho, montecarlo.sample
+    real_rho, real_quantile = montecarlo.resolve_rho, montecarlo.quantile
 
     def resolve(tail, method):
         if len(picks) % 5 == 3:
@@ -360,14 +361,16 @@ def test_resolved_rho_counts_match_the_picks(monkeypatch):
         picks.append(real_rho(tail, method))
         return picks[-1]
 
-    def sample_or_fail(spec, n, seed):
-        draws.append(seed)
-        if len(draws) % 7 == 0:
-            raise NonPositiveError("the draw failed")
-        return real_sample(spec, n, seed)
+    def quantile_or_fail(spec, u):
+        x = real_quantile(spec, u)
+        for row in x:
+            draws.append(row[0])
+            if len(draws) % 7 == 0:
+                row[0] = 0.0  # a non-positive value fails the draw
+        return x
 
     monkeypatch.setattr(montecarlo, "resolve_rho", resolve)
-    monkeypatch.setattr(montecarlo, "sample", sample_or_fail)
+    monkeypatch.setattr(montecarlo, "quantile", quantile_or_fail)
     reps = 60
     s = run_simulation(SimulationConfig(spec=frechet(2.0), n=100, reps=reps, k_min=5,
                                         k_max=90, estimators=("HILL", "WLS"),
@@ -382,6 +385,79 @@ def test_resolved_rho_counts_match_the_picks(monkeypatch):
     assert got == ",".join(want)
     assert sum(int(item.rsplit(":", 1)[1]) for item in got.split(",")) == reps - failed
     assert (s.missing[0] == failed).all()  # HILL is missing on the failed draws only
+
+
+def _per_sample(spec, n, master_seed, r, rho_method):
+    """Replication r by the single-sample functions: (spacings, rho) or None if it fails."""
+    try:
+        tail = validate_and_sort(sample(spec, n, rep_seed(master_seed, r)))
+    except TailwlsError:
+        return None
+    try:
+        rho = resolve_rho(tail, rho_method)
+    except TailwlsError:
+        rho = None
+    return all_log_spacings(tail), rho
+
+
+@pytest.mark.parametrize("spec", [pareto(0.5), burr(1.0, np.sqrt(2.0), np.sqrt(2.0)),
+                                  frechet(2.0), loggamma(2.0, 2.0), pareto(100.0)],
+                         ids=["pareto", "burr", "frechet", "loggamma", "pareto-overflow"])
+def test_sampling_block_equals_the_per_sample_pipeline(spec):
+    """Each row of a chunk's block, its flag and its rho equal its own single-sample run."""
+    n, master_seed, method = 60, 9, RhoMethod.min_variance()
+    draw = _sampling_draw(spec, n, method, ("HILL", "WLS"))
+    chunks = []
+
+    def recorded(seeds):
+        block, rhos = draw(seeds)
+        chunks.append((block, rhos))
+        return block, rhos
+
+    reps = 2 * (_CHUNK_ENTRIES // (n - 1)) + 1  # three chunks, the last of one row
+    with np.errstate(over="ignore"):  # pareto(100) overflows to inf in some rows
+        study_rhos = _replicate(recorded, n - 1, ("HILL", "WLS"), np.arange(5, n), n, reps,
+                                master_seed)[1]
+        want = [_per_sample(spec, n, master_seed, r, method) for r in range(reps)]
+    assert [len(rhos) for _, rhos in chunks] == [reps // 2, reps // 2, 1]
+    block = np.concatenate([b for b, _ in chunks])
+    rhos = [rho for _, chunk_rhos in chunks for rho in chunk_rhos]
+    for r, (row, rho, ref) in enumerate(zip(block, rhos, want)):
+        if ref is None:
+            assert rho is _FAILED, r
+        else:
+            assert rho is not _FAILED and rho == ref[1], r
+            assert np.array_equal(row, ref[0]), r
+    assert study_rhos == [ref[1] for ref in want if ref is not None]
+    failed = sum(ref is None for ref in want)
+    if spec.params.get("gamma") == 100.0:
+        assert 0 < failed < reps  # some rows, not all, overflow to inf
+    else:
+        assert failed == 0
+
+
+def test_resolve_rho_gets_each_good_row_once_in_order(monkeypatch):
+    """perfbench's contract: one resolve_rho call per good replication, in order of r."""
+    seen, real_rho = [], montecarlo.resolve_rho
+
+    def resolve(tail, method):
+        seen.append(all_log_spacings(tail))
+        return real_rho(tail, method)
+
+    monkeypatch.setattr(montecarlo, "resolve_rho", resolve)
+    spec, n, master_seed = pareto(100.0), 60, 1
+    draw = _sampling_draw(spec, n, RhoMethod.min_variance(), ("HILL", "WLS"))
+    seed_state = _seed_state_type()
+    r = np.arange(400, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        block, rhos = draw([seed_state(s) for s in _seed_states(_rep_seeds(master_seed, r))])
+    good = [i for i, rho in enumerate(rhos) if rho is not _FAILED]
+    assert 0 < len(good) < len(rhos) and len(seen) == len(good)
+    for i, z_all in zip(good, seen):
+        assert np.shares_memory(z_all, block[i]) and np.array_equal(z_all, block[i])
+    for row, seed in enumerate([rep_seed(master_seed, 0), rep_seed(master_seed, 1)]):
+        one_row, one_rho = draw([seed])  # a chunk of one row
+        assert np.array_equal(one_row[0], block[row]) and one_rho == [rhos[row]]
 
 
 def test_run_model_simulation_deterministic():

@@ -13,6 +13,7 @@ from tailwls import (
     validate_and_sort,
     weights,
 )
+from tailwls.spacings import block_tails
 
 
 def test_sorts_descending():
@@ -106,6 +107,34 @@ def test_log_spacings_are_computed_once_per_tail(monkeypatch):
     monkeypatch.setattr(second_order, "all_log_spacings", spy)
     resolve_rho(tail, RhoMethod.min_variance())
     assert len(seen) == 1 and seen[0] is z_all
+
+
+def test_block_tails_rows_equal_their_own_validate_and_sort():
+    """Each row is validated, sorted and spaced as its own 1-D calls would do it."""
+    rng = np.random.default_rng(12)
+    raw = rng.pareto(1.0, size=(9, 30)) + 1.0
+    raw[1, 4] = np.nan
+    raw[2, 0] = np.inf
+    raw[3, 29] = 0.0
+    raw[4, 7] = -2.0
+    raw[5, 3:9] = raw[5, 2]  # ties give exact zeros
+    raw[6, 11] = -np.inf
+    z_all, tails = block_tails(raw)
+    assert z_all.shape == (9, 29) and not z_all.flags.writeable
+    assert [t is None for t in tails] == [False, True, True, True, True, False, True,
+                                          False, False]
+    for row, tail, z_row in zip(raw, tails, z_all):
+        if tail is None:
+            with pytest.raises((NonFiniteError, NonPositiveError)):
+                validate_and_sort(row)
+            assert (z_row == 0.0).all()
+            continue
+        want = validate_and_sort(row)
+        assert np.array_equal(tail.values, want.values) and tail.n == 30
+        assert not tail.values.flags.writeable and tail.values.flags.c_contiguous
+        assert np.shares_memory(all_log_spacings(tail), z_row)
+        assert np.array_equal(all_log_spacings(tail), all_log_spacings(want))
+    assert [t is None for t in block_tails(raw[:, :1])[1]] == [True] * 9  # too few values
 
 
 def test_scale_invariance():
