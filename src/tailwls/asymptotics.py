@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KOutOfRangeError, KTooSmallError, NonPositiveError
+from .errors import KOutOfRangeError, KTooSmallError, NonFiniteError, NonPositiveError
 from .spacings import covariates, weights
 
 
@@ -105,9 +105,13 @@ def amse(gamma: float, k: int, rho: float) -> float:
 
     Under the exponential regression model with b = 0 the fit is unbiased,
     and this is its variance gamma^2 sum a_j^2 (module docstring) with
-    sum w_j^2 replaced by its limit 4/(3k). Errors as :func:`s_moments`.
+    sum w_j^2 replaced by its limit 4/(3k). Errors as :func:`s_moments`, and
+    NonFiniteError where gamma^2 overflows.
     """
-    return float(gamma) ** 2 * s_moments(k, rho).unit_amse
+    try:
+        return float(gamma) ** 2 * s_moments(k, rho).unit_amse
+    except OverflowError:
+        raise NonFiniteError(f"gamma={gamma}: gamma^2 overflows") from None
 
 
 def standardized_statistic(gamma_hat: float | np.ndarray, gamma_true: float,

@@ -18,8 +18,8 @@ those a plain CSV writer with "\n" line ends gives. Output files are written
 atomically (temp file, then rename) with a ``<out>.meta`` sidecar of
 key=value lines; timestamps appear only in sidecars. A new output gets mode
 0o666 less the umask, as ``open`` would give it, and an output that already
-exists keeps its mode. An ``--out`` whose directory does not exist is a
-configuration error, found before any work is done.
+exists keeps its mode. An ``--out`` in a missing directory, or naming a
+directory (itself or its sidecar), is a configuration error, found first.
 """
 
 from __future__ import annotations
@@ -88,10 +88,13 @@ def _output_mode(path: str) -> int:
 
 
 def _check_out(path: str) -> None:
-    """ValueError unless the directory an output goes into exists."""
+    """ValueError unless the output's directory exists and neither it nor its sidecar is one."""
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise ValueError(f"--out {path}: directory {directory} does not exist")
+    for target in (path, path + ".meta"):
+        if os.path.isdir(target):
+            raise ValueError(f"--out {path}: {target} is a directory")
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -369,8 +372,8 @@ def cmd_diagnose(args) -> int:
     try:
         rho = check_rho(args.rho)
         gamma = float(args.gamma)
-        if not np.isfinite(gamma) or gamma <= 0.0:
-            raise ValueError(f"--gamma {gamma} must be finite and > 0")
+        if not np.isfinite(gamma * gamma) or gamma <= 0.0:
+            raise ValueError(f"--gamma {gamma} must be > 0, with a finite square")
         k_min, k_max = int(args.k_min), int(args.k_max)
         if not 2 <= k_min <= k_max:
             raise ValueError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")

@@ -157,6 +157,18 @@ def cdf(spec: DistributionSpec, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
+def _uniforms(seeds, width: int) -> np.ndarray:
+    """The ``(rows, width)`` block of uniforms, row i the start of seed i's PCG64 stream.
+
+    The one place a seed becomes uniforms: a row holds what
+    ``np.random.Generator(np.random.PCG64(seed)).random(width)`` returns.
+    """
+    block = np.empty((len(seeds), width))
+    for row, seed in zip(block, seeds):
+        np.random.Generator(np.random.PCG64(seed)).random(out=row)
+    return block
+
+
 def sample(spec: DistributionSpec, n: int, seed) -> np.ndarray:
     """Draw n values by inverse transform, one uniform per draw.
 
@@ -165,10 +177,9 @@ def sample(spec: DistributionSpec, n: int, seed) -> np.ndarray:
     ``ISeedSequence``. Either way the stream is the one ``np.random.PCG64``
     builds from that seed, so an ISeedSequence whose state equals
     ``SeedSequence(s).generate_state(4, np.uint64)`` gives the stream of
-    the int s.
+    the int s. The uniforms are the one-row block of :func:`_uniforms`.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"n={n} must be at least 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return quantile(spec, rng.random(n))
+    return quantile(spec, _uniforms([seed], n)[0])

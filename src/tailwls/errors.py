@@ -24,7 +24,7 @@ class NonPositiveError(TailwlsError, ValueError):
 
 
 class NonFiniteError(TailwlsError, ValueError):
-    """A sample value is NaN or infinite."""
+    """A sample value is NaN or infinite, or ``amse``'s gamma^2 overflows."""
 
 
 class KOutOfRangeError(TailwlsError, ValueError):

@@ -30,7 +30,6 @@ Matthys 1999); single fits are the engine at one k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -92,46 +91,44 @@ def _prefix_sums(f: np.ndarray, k_max: int, weighted: bool) -> np.ndarray:
     return np.add.accumulate(p, axis=-1) if weighted else p
 
 
-@lru_cache(maxsize=16)
-def _design(rho: float, k_max: int, weighted: bool):
-    """Read-only (v, scale, totals, m1, S1, S2) at k = 1..k_max, for one rho.
+# Cached designs, least recently used first, with at most 16 rho rows in all
+# (or one larger grid): a min-variance sampling study needs 7 + 7.
+_designs: dict = {}
 
-    C_j = (1 + v_j) * scale_k with v_j = j^(-rho) - 1 and scale_k = (k+1)^rho;
-    totals_k = sum_{j<=k} W_j (exact) and m1 = sum w_j v_j. Working with v
-    keeps S2 = scale^2 * (sum w_j v_j^2 - m1^2) accurate as rho -> 0. Raises
-    InvalidRhoError where v_j^2 overflows (-rho in the hundreds). A grid of
-    rhos gets these arrays stacked on a leading rho axis by :func:`_design_grid`.
+
+def _design(rhos: tuple, k_max: int, weighted: bool):
+    """Read-only (v, scale, totals, m1, S1, S2) at k = 1..k_max, row r for ``rhos[r]``.
+
+    ``rhos`` is a tuple of float rhos; one rho is a grid of one. C_j =
+    (1 + v_j) * scale_k with v_j = j^(-rho) - 1 and scale_k = (k+1)^rho;
+    totals_k = sum_{j<=k} W_j (exact, 1-D) and m1 = sum w_j v_j. Working with
+    v keeps S2 = scale^2 * (sum w_j v_j^2 - m1^2) accurate as rho -> 0. Each
+    row is computed on its own, so it does not depend on its grid. Raises
+    InvalidRhoError unless each rho is finite negative with finite v_j^2.
     """
-    k = np.arange(1, k_max + 1)
-    totals = _prefix_sums(np.ones(k_max), k_max, weighted)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v, scale = np.expm1(-rho * np.log(k)), (k + 1.0) ** rho
-        m1 = _prefix_sums(v, k_max, weighted) / totals
-        # scaling twice keeps every intermediate a normal float
-        s2 = (_prefix_sums(v * v, k_max, weighted) / totals - m1 * m1) * scale * scale
-    if not np.isfinite(s2).all():
-        raise InvalidRhoError(f"rho={rho} overflows the covariate sums up to k={k_max}")
-    design = (v, scale, totals, m1, (1.0 + m1) * scale, s2)
-    for a in design:
-        a.flags.writeable = False
-    return design
-
-
-@lru_cache(maxsize=4)
-def _design_grid(rhos: tuple, k_max: int, weighted: bool):
-    """:func:`_design` for each of the float ``rhos``, stacked on a leading rho axis.
-
-    Row r of v, scale, m1, S1 and S2 is ``_design(rhos[r], ...)``'s array;
-    totals do not depend on rho and stay 1-D. Each rho is checked as in
-    ``_design``. The rows are built by ``_design``'s uncached body, so a grid
-    does not evict the one-rho entries of the path fits.
-    """
-    designs = [_design.__wrapped__(check_rho(rho), k_max, weighted) for rho in rhos]
-    v, scale, totals, m1, s1, s2 = zip(*designs)
-    design = (np.stack(v), np.stack(scale), totals[0], np.stack(m1), np.stack(s1),
-              np.stack(s2))
-    for a in design:
-        a.flags.writeable = False
+    key = (rhos, k_max, weighted)
+    design = _designs.pop(key, None)
+    if design is None:
+        k = np.arange(1, k_max + 1)
+        totals = _prefix_sums(np.ones(k_max), k_max, weighted)
+        rows = []
+        for rho in rhos:
+            rho = check_rho(rho)
+            with np.errstate(over="ignore", invalid="ignore"):
+                v, scale = np.expm1(-rho * np.log(k)), (k + 1.0) ** rho
+                m1 = _prefix_sums(v, k_max, weighted) / totals
+                # scaling twice keeps every intermediate a normal float
+                s2 = (_prefix_sums(v * v, k_max, weighted) / totals - m1 * m1) * scale * scale
+            if not np.isfinite(s2).all():
+                raise InvalidRhoError(f"rho={rho} overflows the covariate sums up to k={k_max}")
+            rows.append((v, scale, m1, (1.0 + m1) * scale, s2))
+        v, scale, m1, s1, s2 = (np.stack(a) for a in zip(*rows))
+        design = (v, scale, totals, m1, s1, s2)
+        for a in design:
+            a.flags.writeable = False
+        while _designs and sum(len(r) for r, _, _ in _designs) + len(rhos) > 16:
+            del _designs[next(iter(_designs))]
+    _designs[key] = design
     return design
 
 
@@ -147,7 +144,8 @@ def _path_fit(z_all: np.ndarray, k_values: np.ndarray, rho, weighted: bool,
     of all. The results then have shape ``shrink``'s leading axes + (len(rho),
     for a grid) + ``z_all``'s leading axes + (len(k_values),), and every row
     equals its 1-D one-rho call bit for bit: zbar, the weighted mean of Z,
-    is summed once per sample and shared by every rho.
+    is summed once per sample and shared by every rho. One rho is row 0 of its
+    one-rho grid's :func:`_design`.
     """
     if k_values[0] < 2:
         raise KTooSmallError(f"regression needs k >= 2, got k={k_values[0]}")
@@ -155,15 +153,16 @@ def _path_fit(z_all: np.ndarray, k_values: np.ndarray, rho, weighted: bool,
     if k_max > z_all.shape[-1]:
         raise KOutOfRangeError(f"k={k_max} exceeds the {z_all.shape[-1]} spacings")
     i = k_values - 1
-    if isinstance(rho, tuple):  # a grid: the rho axis goes in front of the block's axes
-        v, scale, totals, m1, s1, s2 = _design_grid(rho, k_max, weighted)
+    grid = isinstance(rho, tuple)
+    v, scale, totals, m1, s1, s2 = _design(rho if grid else (check_rho(rho),), k_max,
+                                           weighted)
+    if grid:  # the rho axis goes in front of the block's axes
         lead = (len(rho),) + (1,) * (z_all.ndim - 1)
         v = v.reshape(lead + (k_max,))
         m1, scale, s1, s2 = (a.take(i, axis=-1).reshape(lead + i.shape)
                              for a in (m1, scale, s1, s2))
-    else:
-        v, scale, totals, m1, s1, s2 = _design(check_rho(rho), k_max, weighted)
-        m1, scale, s1, s2 = m1[i], scale[i], s1[i], s2[i]
+    else:  # row 0; a[0][i] costs a call less than a[0, i]
+        v, m1, scale, s1, s2 = v[0], m1[0][i], scale[0][i], s1[0][i], s2[0][i]
     totals = totals[i]
     # take on the last axis costs a 1-D call less than indexing with [..., i]
     zbar = _prefix_sums(z_all, k_max, weighted).take(i, axis=-1) / totals
@@ -333,7 +332,7 @@ def check_covariate_sums(rho, k_max: int, est_ids) -> None:
     """
     for weighted, run_ids in ((False, _UNWEIGHTED), (True, _WEIGHTED)):
         if run_ids.intersection(est_ids):
-            _design(check_rho(rho), int(k_max), weighted)
+            _design((check_rho(rho),), int(k_max), weighted)
 
 
 def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,

@@ -18,9 +18,10 @@ one block, and one call of :func:`tailwls.estimators.path_estimates`
 computes every estimator path of the block (one group for a model study, at
 most one per grid rho, plus the unresolved ones, for a sampling study).
 Both draws start from one block of uniforms, one row from each
-replication's stream (``_uniforms``). The sampling draw turns the chunk's
-block into samples with one quantile call, then validates, sorts and takes
-the log-spacings of all rows at once (:func:`tailwls.spacings.block_tails`);
+replication's stream (``distributions._uniforms``; ``sample`` is one row).
+The sampling draw turns the chunk's block into samples with one quantile
+call, then validates, sorts and takes the log-spacings of all rows at once
+(:func:`tailwls.spacings.block_tails`; ``validate_and_sort`` is one row);
 only the rho of each good row is resolved one replication at a time. The
 model draw turns its block into unit exponentials f_j scaled by the means
 of the exponential regression model, built and checked once per study,
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import standardized_statistic
-from .distributions import DistributionSpec, quantile
+from .distributions import DistributionSpec, _uniforms, quantile
 from .errors import KOutOfRangeError, KTooSmallError, NonPositiveError, TailwlsError
 from .estimators import (ESTIMATOR_IDS, check_covariate_sums, check_estimators, needs_rho,
                          path_estimates)
@@ -164,18 +165,6 @@ def _seed_state_type() -> type:
     return SeedState
 
 
-def _uniforms(seeds, width: int) -> np.ndarray:
-    """The ``(rows, width)`` block of uniforms, row i the start of seed i's PCG64 stream.
-
-    A row holds what ``np.random.Generator(np.random.PCG64(seed)).random(width)``
-    returns for its seed (an int or an ISeedSequence).
-    """
-    block = np.empty((len(seeds), width))
-    for row, seed in zip(block, seeds):
-        np.random.Generator(np.random.PCG64(seed)).random(out=row)
-    return block
-
-
 def _model_draw(gamma: float, b: float, rho: float, k: int):
     """Draw of model spacings with the true rho; the means are checked once, here.
 
@@ -210,13 +199,13 @@ def _sampling_draw(spec: DistributionSpec, n: int, rho_method: RhoMethod,
     """Draw of full samples: one block for the chunk, then each row's rho.
 
     The draw takes one seed per replication and returns the ``(rows, n-1)``
-    block of spacings and every row's rho. Row i is the sample of n values
-    that ``sample(spec, n, seed_i)`` would give, validated, sorted and turned
-    into log-spacings bit for bit as ``validate_and_sort`` and
-    ``all_log_spacings`` would; a row that fails that validation hands on
-    ``_FAILED`` (its spacings are zeros). Rho is resolved per good row, on
-    the row's own OrderedTail, only when some estimator in ``est_ids`` needs
-    it; a failed resolution hands on None instead.
+    block of spacings and every row's rho. Row i is the sample
+    ``sample(spec, n, seed_i)`` gives and the spacings ``validate_and_sort``
+    gives it, as both are the one-row case of the builders used here; a row
+    that fails that validation hands on ``_FAILED`` (its spacings are
+    zeros). Rho is resolved per good row, on the row's own OrderedTail, only
+    when some estimator in ``est_ids`` needs it; a failed resolution hands
+    on None instead.
     """
     resolves = needs_rho(est_ids)
 

@@ -10,16 +10,15 @@ the unit-sum form w_j = W_j / (k/2) of the linearly decreasing weights
 W_j = 1 - j/(k+1) (which sum to k/2 exactly), and the second-order
 covariates C_j = (j/(k+1))^(-rho) with rho < 0. This module builds those
 four objects and holds the two checks every caller shares, of rho and of a
-k range. ``block_tails`` validates, sorts and takes the spacings of a whole
-``(rows, n)`` block of samples at once, each row bit for bit as its own
-``validate_and_sort`` and ``all_log_spacings`` would give it.
+k range. ``block_tails`` alone computes spacings: it sorts a ``(rows, n)``
+block of samples and takes all their spacings at once. ``validate_and_sort``
+is its one-row case, and the other spacings functions read an OrderedTail's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -43,24 +42,19 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrderedTail:
-    """A strictly positive sample stored in descending order.
+    """A strictly positive sample stored in descending order, with its spacings.
 
-    ``values[0]`` is the sample maximum, ``values[n-1]`` the minimum. The
-    array is read-only; build instances through :func:`validate_and_sort`
-    or :func:`block_tails`.
+    ``values[0]`` is the sample maximum, ``values[n-1]`` the minimum, and
+    ``z_all`` is :func:`all_log_spacings`. Both arrays are read-only; build
+    instances through :func:`validate_and_sort` or :func:`block_tails`.
     """
 
     values: np.ndarray
+    z_all: np.ndarray
 
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-    @cached_property
-    def _z_all(self) -> np.ndarray:
-        logs = np.log(self.values)
-        j = np.arange(1, self.n, dtype=np.float64)
-        return _readonly(j * (logs[:-1] - logs[1:]))
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,7 @@ def check_k_range(k_min: int, k_max: int, n: int) -> np.ndarray:
 
 
 def validate_and_sort(raw_sample) -> OrderedTail:
-    """Validate a raw sample and return it sorted in descending order.
+    """Validate a raw sample, then return row 0 of ``block_tails`` on it.
 
     Args:
         raw_sample: array-like of sample values; flattened to 1-D.
@@ -127,11 +121,11 @@ def validate_and_sort(raw_sample) -> OrderedTail:
     if nonpos.any():
         i = int(np.argmax(nonpos))
         raise NonPositiveError(f"non-positive value {arr[i]} at index {i}")
-    return OrderedTail(values=_readonly(np.sort(arr)[::-1]))
+    return block_tails(arr[None])[1][0]
 
 
 def log_spacings(tail: OrderedTail, k: int) -> LogSpacings:
-    """Compute Z_j = j * log(values[j-1] / values[j]) for j = 1..k.
+    """Z_j = j * log(values[j-1] / values[j]) for j = 1..k, a view of the tail's spacings.
 
     With the sample in descending order, values[j-1] is X_{n-j+1,n}, so the
     ratio matches the classical definition. Ties between consecutive order
@@ -151,37 +145,32 @@ def log_spacings(tail: OrderedTail, k: int) -> LogSpacings:
     k = int(k)
     if not 1 <= k <= n - 1:
         raise KOutOfRangeError(f"k={k} outside [1, {n - 1}] for n={n}")
-    logs = np.log(tail.values[: k + 1])
-    j = np.arange(1, k + 1, dtype=np.float64)
-    z = j * (logs[:-1] - logs[1:])
-    return LogSpacings(z=_readonly(z), k=k, n=n)
+    return LogSpacings(z=tail.z_all[:k], k=k, n=n)
 
 
 def all_log_spacings(tail: OrderedTail) -> np.ndarray:
     """All spacings Z_1..Z_{n-1} in one pass.
 
-    The Z_j do not depend on k, so ``log_spacings(tail, k).z`` equals the
-    first k entries of this array. The path engine of ``estimators`` takes
-    prefix sums of it, so one pass serves every k of a path. The read-only
-    result is cached on the tail, so later calls on the same tail return the
-    same array without recomputing it.
+    The Z_j do not depend on k, so ``log_spacings(tail, k).z`` is the first
+    k entries of this array. The path engine of ``estimators`` takes prefix
+    sums of it, so one pass serves every k of a path. It is the tail's
+    read-only ``z_all``, computed when the tail was built.
     """
-    return tail._z_all
+    return tail.z_all
 
 
 def block_tails(raw: np.ndarray) -> tuple[np.ndarray, list]:
     """Validate, sort and take the log-spacings of every row of a ``(rows, n)`` block.
 
-    Row i is treated as ``validate_and_sort(raw[i])`` followed by
-    ``all_log_spacings``, bit for bit, with one numpy call per step for the
-    whole block. Returns the read-only ``(rows, n-1)`` block of spacings and,
-    per row, its OrderedTail, or None where ``validate_and_sort`` would raise
+    The only code that takes spacings, one numpy call per step for the whole
+    block. Returns the read-only ``(rows, n-1)`` block of spacings and, per
+    row, its OrderedTail, or None where ``validate_and_sort`` would raise
     (fewer than two values, or a non-finite or non-positive one); such a
     row's spacings are zeros. The tails' values are the rows of one
-    C-contiguous descending block, and each tail's ``all_log_spacings`` is
-    its row of the spacings block, so nothing is copied or computed per row.
-    The logs are taken on that contiguous block because ``np.log`` may take
-    another loop on a strided view, which on some hosts differs by one ulp.
+    C-contiguous descending block, and each tail's ``z_all`` is its row of
+    the spacings block, so nothing is copied or computed per row. The logs
+    are taken on that contiguous block because ``np.log`` may take another
+    loop on a strided view, which on some hosts differs by one ulp.
     """
     raw = np.asarray(raw, dtype=np.float64)
     ok = ((raw > 0.0) & (raw < np.inf)).all(axis=1) & (raw.shape[1] >= 2)
@@ -192,13 +181,8 @@ def block_tails(raw: np.ndarray) -> tuple[np.ndarray, list]:
     j = np.arange(1, values.shape[1], dtype=np.float64)
     z_all = j * (logs[:, :-1] - logs[:, 1:])
     z_all.flags.writeable = False
-    tails = []
-    for row, z_row, good in zip(values, z_all, ok.tolist()):
-        tail = None
-        if good:
-            tail = OrderedTail(values=row)
-            tail.__dict__["_z_all"] = z_row  # the cached_property's slot
-        tails.append(tail)
+    tails = [OrderedTail(row, z_row) if good else None
+             for row, z_row, good in zip(values, z_all, ok.tolist())]
     return z_all, tails
 
 

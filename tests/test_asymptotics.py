@@ -5,7 +5,9 @@ from tailwls import (
     InvalidRhoError,
     KOutOfRangeError,
     KTooSmallError,
+    NonFiniteError,
     NonPositiveError,
+    TailwlsError,
     amse,
     covariates,
     normality_report,
@@ -79,6 +81,14 @@ def test_amse_limit_is_24_over_5_at_rho_minus_1():
 
 def test_amse_scales_with_gamma_squared():
     assert amse(2.0, 50, -1.0) == pytest.approx(4.0 * amse(1.0, 50, -1.0), rel=1e-13)
+
+
+@pytest.mark.parametrize("gamma", [1e155, 1e200, -1e300])
+def test_amse_overflowing_gamma_is_a_typed_error(gamma):
+    with pytest.raises(NonFiniteError) as info:
+        amse(gamma, 10, -1.0)
+    assert isinstance(info.value, TailwlsError) and "gamma^2 overflows" in str(info.value)
+    assert amse(1e150, 10, -1.0) == 5.5030303030303024e+299
 
 
 def test_amse_matches_moment_formula():

@@ -238,7 +238,7 @@ def test_diagnose_amse_coeff_flag():
     assert "--amse-coeff" in r.stderr
 
 
-@pytest.mark.parametrize("gamma", ["nan", "inf", "-2", "0"])
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-2", "0", "1e160"])
 def test_diagnose_rejects_meaningless_gamma(gamma, capsys):
     from tailwls import cli
 

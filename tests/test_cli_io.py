@@ -5,7 +5,8 @@ writes must equal a ``csv.writer(lineterminator="\\n")`` rendering of the
 same rows with ``format(x, ".17g")`` cells. The reader test pins the
 values or the line-numbered message ``read_numeric_column`` gives on a
 corpus of layouts, bad values and flags. The output tests pin the mode of
-written files and the exit code of an ``--out`` in a missing directory.
+written files and the exit code of an ``--out`` in a missing directory
+or naming a directory.
 """
 
 import csv
@@ -212,3 +213,15 @@ def test_out_in_a_missing_directory_exits_4(command, data_file, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(out) in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["data.txt"]
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@pytest.mark.parametrize("taken", ["out.csv", "out.csv.meta"])
+def test_out_naming_a_directory_exits_4(command, taken, data_file, tmp_path, capsys):
+    """An --out that is a directory, or whose sidecar would be one, is refused up front."""
+    (tmp_path / taken).mkdir()
+    out = tmp_path / "out.csv"
+    assert cli.main(SUBCOMMANDS[command](data_file, out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(out) in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["data.txt", taken])

@@ -310,13 +310,13 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
     from tailwls import estimators
 
     keys = []
-    real = estimators._design_grid
+    real = estimators._design
 
     def recorded(rhos, k_max, weighted):
         keys.append(rhos)
         return real(rhos, k_max, weighted)
 
-    monkeypatch.setattr(estimators, "_design_grid", recorded)
+    monkeypatch.setattr(estimators, "_design", recorded)
     rng = np.random.default_rng(57)
     for _ in range(30):
         n = int(rng.integers(20, 400))
@@ -335,11 +335,11 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
     assert all(type(key) is tuple and all(type(rho) is float for rho in key)
                for key in keys)
     # integer and numpy rhos share the float key of the same grid
-    real.cache_clear()
+    estimators._designs.clear()
     for given in ((-1, -2), [np.float64(-1.0), -2.0], np.array([-1.0, -2.0])):
         wls_gamma_grid(z_all, contiguous, given)
     assert keys[-1] == (-1.0, -2.0)
-    assert real.cache_info().misses == 1 and real.cache_info().hits == 2
+    assert len(estimators._designs) == 1  # one build (miss), then two hits
     # a block of samples puts the rho axis first, each row still its one-rho path
     block = rng.exponential(size=(3, n - 1))
     got = estimators._path_fit(block, contiguous, grid, True)[0]
