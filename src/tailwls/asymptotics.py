@@ -76,6 +76,14 @@ class SMoments:
         return (4.0 / (3.0 * self.k) + 2.0 * self.s1 * self.s_dot / self.s2
                 + self.s1**2 * self.s_ddot / self.s2**2)
 
+    def amse(self, gamma: float) -> float:
+        """gamma^2 * unit_amse; NonFiniteError where it overflows for a finite gamma."""
+        with np.errstate(over="ignore"):  # np.float64 ** 2 is the C pow of float ** 2
+            value = float(np.float64(gamma) ** 2 * self.unit_amse)
+        if not np.isfinite(value) and np.isfinite(gamma):
+            raise NonFiniteError(f"gamma={gamma}: gamma^2 overflows the AMSE at k={self.k}")
+        return value
+
 
 def s_moments(k: int, rho: float) -> SMoments:
     """Compute S1, S2, S_dot, S_ddot at a finite k.
@@ -106,12 +114,9 @@ def amse(gamma: float, k: int, rho: float) -> float:
     Under the exponential regression model with b = 0 the fit is unbiased,
     and this is its variance gamma^2 sum a_j^2 (module docstring) with
     sum w_j^2 replaced by its limit 4/(3k). Errors as :func:`s_moments`, and
-    NonFiniteError where gamma^2 overflows.
+    NonFiniteError where the AMSE of a finite gamma overflows.
     """
-    try:
-        return float(gamma) ** 2 * s_moments(k, rho).unit_amse
-    except OverflowError:
-        raise NonFiniteError(f"gamma={gamma}: gamma^2 overflows") from None
+    return s_moments(k, rho).amse(gamma)
 
 
 def standardized_statistic(gamma_hat: float | np.ndarray, gamma_true: float,

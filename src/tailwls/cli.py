@@ -36,7 +36,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import TailwlsError
+from .errors import NonFiniteError, TailwlsError
 from .estimators import (ESTIMATOR_IDS, check_estimators, needs_rho, optimal_k,
                          path_estimates)
 from .asymptotics import s_moments
@@ -372,8 +372,8 @@ def cmd_diagnose(args) -> int:
     try:
         rho = check_rho(args.rho)
         gamma = float(args.gamma)
-        if not np.isfinite(gamma * gamma) or gamma <= 0.0:
-            raise ValueError(f"--gamma {gamma} must be > 0, with a finite square")
+        if not np.isfinite(gamma) or gamma <= 0.0:
+            raise ValueError(f"--gamma {gamma} must be finite and > 0")
         k_min, k_max = int(args.k_min), int(args.k_max)
         if not 2 <= k_min <= k_max:
             raise ValueError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
@@ -386,10 +386,14 @@ def cmd_diagnose(args) -> int:
     def row(k):
         m = s_moments(k, rho)
         return (k, m.s1, m.s2, m.s_dot, m.s_ddot, m.s1_limit, m.s2_limit,
-                gamma**2 * m.unit_amse)
+                m.amse(gamma))
 
-    text = _csv_text(["k", "s1", "s2", "s_dot", "s_ddot", "s1_limit", "s2_limit", "amse"],
-                     "%d" + ",%.17g" * 7 + "\n", (row(k) for k in range(k_min, k_max + 1)))
+    try:
+        text = _csv_text(["k", "s1", "s2", "s_dot", "s_ddot", "s1_limit", "s2_limit", "amse"],
+                         "%d" + ",%.17g" * 7 + "\n", (row(k) for k in range(k_min, k_max + 1)))
+    except NonFiniteError as exc:
+        print(f"tailwls diagnose: --gamma: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     if args.out is None:
         sys.stdout.write(text)
     else:

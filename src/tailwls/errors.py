@@ -24,7 +24,7 @@ class NonPositiveError(TailwlsError, ValueError):
 
 
 class NonFiniteError(TailwlsError, ValueError):
-    """A sample value is NaN or infinite, or ``amse``'s gamma^2 overflows."""
+    """A sample value is NaN or infinite, or the AMSE of a finite gamma overflows."""
 
 
 class KOutOfRangeError(TailwlsError, ValueError):

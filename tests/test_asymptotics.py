@@ -83,10 +83,11 @@ def test_amse_scales_with_gamma_squared():
     assert amse(2.0, 50, -1.0) == pytest.approx(4.0 * amse(1.0, 50, -1.0), rel=1e-13)
 
 
-@pytest.mark.parametrize("gamma", [1e155, 1e200, -1e300])
-def test_amse_overflowing_gamma_is_a_typed_error(gamma):
+# 1e154 at k = 2: gamma^2 is finite, and times the unit AMSE 46/9 it overflows
+@pytest.mark.parametrize("gamma, k", [(1e155, 10), (1e200, 10), (-1e300, 10), (1e154, 2)])
+def test_amse_overflowing_gamma_is_a_typed_error(gamma, k):
     with pytest.raises(NonFiniteError) as info:
-        amse(gamma, 10, -1.0)
+        amse(gamma, k, -1.0)
     assert isinstance(info.value, TailwlsError) and "gamma^2 overflows" in str(info.value)
     assert amse(1e150, 10, -1.0) == 5.5030303030303024e+299
 

@@ -238,11 +238,12 @@ def test_diagnose_amse_coeff_flag():
     assert "--amse-coeff" in r.stderr
 
 
-@pytest.mark.parametrize("gamma", ["nan", "inf", "-2", "0", "1e160"])
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-2", "0", "1e160", "1e154"])
 def test_diagnose_rejects_meaningless_gamma(gamma, capsys):
     from tailwls import cli
 
-    assert cli.main(["diagnose", "--rho", "-1", "--gamma", gamma]) == 4
+    # at 1e154 gamma^2 is finite, and its AMSE overflows at k = 2
+    assert cli.main(["diagnose", "--rho", "-1", "--k-min", "2", "--gamma", gamma]) == 4
     out = capsys.readouterr()
     assert out.out == "" and out.err.count("\n") == 1 and "--gamma" in out.err
 

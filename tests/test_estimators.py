@@ -309,12 +309,13 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
     """Row r of the grid is the one-rho WLS path at rhos[r], bit for bit."""
     from tailwls import estimators
 
-    keys = []
+    keys, designs = [], []
     real = estimators._design
 
     def recorded(rhos, k_max, weighted):
         keys.append(rhos)
-        return real(rhos, k_max, weighted)
+        designs.append(real(rhos, k_max, weighted))
+        return designs[-1]
 
     monkeypatch.setattr(estimators, "_design", recorded)
     rng = np.random.default_rng(57)
@@ -338,8 +339,8 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
     estimators._designs.clear()
     for given in ((-1, -2), [np.float64(-1.0), -2.0], np.array([-1.0, -2.0])):
         wls_gamma_grid(z_all, contiguous, given)
-    assert keys[-1] == (-1.0, -2.0)
-    assert len(estimators._designs) == 1  # one build (miss), then two hits
+    assert keys[-3:] == [(-1.0, -2.0)] * 3
+    assert designs[-1] is designs[-2] is designs[-3]  # one build (miss), then two hits
     # a block of samples puts the rho axis first, each row still its one-rho path
     block = rng.exponential(size=(3, n - 1))
     got = estimators._path_fit(block, contiguous, grid, True)[0]
@@ -348,6 +349,26 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
         for row in range(3):
             want = estimators._path_fit(block[row], contiguous, rho, True)[0]
             assert np.array_equal(got[r, row], want)
+
+
+def test_design_cache_keeps_16_rho_rows_and_evicts_the_least_recent(monkeypatch):
+    from tailwls import estimators
+
+    monkeypatch.setattr(estimators, "_designs", {})
+    singles = [(-0.1 * (i + 1),) for i in range(16)]
+    for rhos in singles:
+        estimators._design(rhos, 30, True)
+    first = estimators._design(singles[0], 30, True)  # a hit makes it the most recent
+    assert estimators._design(singles[0], 30, True) is first
+    grid = tuple(-0.25 * (i + 1) for i in range(7))
+    estimators._design(grid, 30, True)
+    # 7 rows need room: the 7 least recent singles go, singles[0] was used last
+    assert list(estimators._designs) == [(rhos, 30, True) for rhos in
+                                         singles[8:] + [singles[0], grid]]
+    assert sum(len(key[0]) for key in estimators._designs) == 16
+    big = tuple(-0.05 * (i + 1) for i in range(20))
+    estimators._design(big, 30, True)  # a grid of more than 16 rhos is kept alone
+    assert list(estimators._designs) == [(big, 30, True)]
 
 
 def test_grid_call_runs_the_engine_once(monkeypatch):

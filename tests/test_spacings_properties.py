@@ -3,22 +3,14 @@
 ``validate_and_sort`` is its one-row case after the typed checks, and
 ``all_log_spacings`` and ``log_spacings`` read the spacings it made. The
 examples are derandomized and no example database is kept, so a run is
-repeatable. Hypothesis also caches the constants it reads from the
-package's source under its home directory, ``.hypothesis`` in the working
-directory by default, and its pytest plugin does so while collecting. So
-this module points that home at a temporary directory when it is imported,
-which is removed when the process exits, and the run writes nothing into
-the checkout.
+repeatable.
 """
-
-import tempfile
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from tailwls import (  # noqa: E402
@@ -31,8 +23,6 @@ from tailwls import (  # noqa: E402
 )
 from tailwls.spacings import block_tails  # noqa: E402
 
-_HOME = tempfile.TemporaryDirectory(prefix="tailwls-hypothesis-")
-set_hypothesis_home_dir(_HOME.name)
 SETTINGS = settings(database=None, derandomize=True, deadline=None)
 
 positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
