@@ -29,11 +29,13 @@ limit 4/(3k); ``SMoments.unit_amse`` computes it from the four sums.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KOutOfRangeError, KTooSmallError, NonFiniteError, NonPositiveError
+from .errors import (InvalidRhoError, KOutOfRangeError, KTooSmallError, NonFiniteError,
+                     NonPositiveError)
 from .spacings import covariates, weights
 
 
@@ -72,12 +74,22 @@ class SMoments:
 
     @property
     def unit_amse(self) -> float:
-        """amse(1, k, rho): 4/(3k) + 2 S1 S_dot / S2 + S1^2 S_ddot / S2^2."""
+        """amse(1, k, rho): 4/(3k) + 2 S1 S_dot / S2 + S1^2 S_ddot / S2^2.
+
+        InvalidRhoError where S2 is not positive or S2^2 underflows to a
+        subnormal or 0: an extreme rho makes the covariates all but equal.
+        """
+        if not (self.s2 > 0.0 and self.s2**2 >= sys.float_info.min):
+            raise InvalidRhoError(
+                f"rho={self.rho}: S2={self.s2} at k={self.k} is too small for the AMSE")
         return (4.0 / (3.0 * self.k) + 2.0 * self.s1 * self.s_dot / self.s2
                 + self.s1**2 * self.s_ddot / self.s2**2)
 
     def amse(self, gamma: float) -> float:
-        """gamma^2 * unit_amse; NonFiniteError where it overflows for a finite gamma."""
+        """gamma^2 * unit_amse; NonFiniteError where it overflows for a finite gamma.
+
+        InvalidRhoError from ``unit_amse`` passes on.
+        """
         with np.errstate(over="ignore"):  # np.float64 ** 2 is the C pow of float ** 2
             value = float(np.float64(gamma) ** 2 * self.unit_amse)
         if not np.isfinite(value) and np.isfinite(gamma):
@@ -113,7 +125,8 @@ def amse(gamma: float, k: int, rho: float) -> float:
 
     Under the exponential regression model with b = 0 the fit is unbiased,
     and this is its variance gamma^2 sum a_j^2 (module docstring) with
-    sum w_j^2 replaced by its limit 4/(3k). Errors as :func:`s_moments`, and
+    sum w_j^2 replaced by its limit 4/(3k). Errors as :func:`s_moments`,
+    InvalidRhoError where S2^2 underflows (an extreme rho), and
     NonFiniteError where the AMSE of a finite gamma overflows.
     """
     return s_moments(k, rho).amse(gamma)

@@ -36,7 +36,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .errors import NonFiniteError, TailwlsError
+from .errors import InvalidRhoError, NonFiniteError, TailwlsError
 from .estimators import (ESTIMATOR_IDS, check_estimators, needs_rho, optimal_k,
                          path_estimates)
 from .asymptotics import s_moments
@@ -393,6 +393,9 @@ def cmd_diagnose(args) -> int:
                          "%d" + ",%.17g" * 7 + "\n", (row(k) for k in range(k_min, k_max + 1)))
     except NonFiniteError as exc:
         print(f"tailwls diagnose: --gamma: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except InvalidRhoError as exc:
+        print(f"tailwls diagnose: --rho: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.out is None:
         sys.stdout.write(text)

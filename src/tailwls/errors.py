@@ -36,7 +36,11 @@ class KTooSmallError(KOutOfRangeError):
 
 
 class InvalidRhoError(TailwlsError, ValueError):
-    """Second-order parameter rho must be finite and strictly negative."""
+    """Second-order parameter rho must be finite and strictly negative.
+
+    Also raised for a rho whose covariate sums over- or underflow, so that
+    S2 is not a positive normal float.
+    """
 
 
 class DegenerateTailError(TailwlsError, ValueError):

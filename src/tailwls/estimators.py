@@ -91,6 +91,9 @@ def _prefix_sums(f: np.ndarray, k_max: int, weighted: bool) -> np.ndarray:
     return np.add.accumulate(p, axis=-1) if weighted else p
 
 
+# The smallest positive normal float; a smaller S2 makes the slope inf or NaN.
+_TINY = np.finfo(np.float64).tiny
+
 # Cached designs, least recently used first, with at most 16 rho rows in all
 # (or one larger grid): a min-variance sampling study needs 7 + 7.
 _designs: dict = {}
@@ -104,7 +107,9 @@ def _design(rhos: tuple, k_max: int, weighted: bool):
     totals_k = sum_{j<=k} W_j (exact, 1-D) and m1 = sum w_j v_j. Working with
     v keeps S2 = scale^2 * (sum w_j v_j^2 - m1^2) accurate as rho -> 0. Each
     row is computed on its own, so it does not depend on its grid. Raises
-    InvalidRhoError unless each rho is finite negative with finite v_j^2.
+    InvalidRhoError unless each rho is finite negative with finite v_j^2 and
+    S2 a positive normal float at every k in 2..k_max (it underflows for
+    |rho| below about 1e-154).
     """
     key = (rhos, k_max, weighted)
     design = _designs.pop(key, None)
@@ -121,6 +126,8 @@ def _design(rhos: tuple, k_max: int, weighted: bool):
                 s2 = (_prefix_sums(v * v, k_max, weighted) / totals - m1 * m1) * scale * scale
             if not np.isfinite(s2).all():
                 raise InvalidRhoError(f"rho={rho} overflows the covariate sums up to k={k_max}")
+            if not (s2[1:] >= _TINY).all():  # S2 is 0 at k = 1 for every rho
+                raise InvalidRhoError(f"rho={rho} underflows the covariate sums up to k={k_max}")
             rows.append((v, scale, m1, (1.0 + m1) * scale, s2))
         v, scale, m1, s1, s2 = (np.stack(a) for a in zip(*rows))
         design = (v, scale, totals, m1, s1, s2)
@@ -324,7 +331,7 @@ def needs_rho(est_ids) -> bool:
 
 
 def check_covariate_sums(rho, k_max: int, est_ids) -> None:
-    """InvalidRhoError if rho is not finite negative or overflows the covariate sums.
+    """InvalidRhoError if rho is not finite negative or over- or underflows the covariate sums.
 
     The sums are those of the engine runs that ``est_ids`` need, up to
     k_max. This is the rho check the table makes on every call, made once
@@ -364,7 +371,7 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
         KOutOfRangeError: k_values[0] < 1 or k_values[-1] > len(z_all), or
             BCHILL with n None or n < k + 1.
         KTooSmallError: a regression estimator with k_values[0] < 2.
-        InvalidRhoError: rho not finite negative, or overflowing the sums.
+        InvalidRhoError: rho not finite negative, or over- or underflowing the sums.
     """
     ids = check_estimators(est_ids)
     if rho is None:

@@ -7,16 +7,19 @@ Replication r of a study draws from a PCG64 stream seeded with
 so runs are reproducible, independent of replication order, and cheap to
 shard. Every study runs through one engine, ``_replicate``. It takes the
 replications in order, in chunks of at most ``_CHUNK_ENTRIES`` spacings,
-sized from the draw's row length before anything is drawn. For each chunk
-it derives every replication's PCG64 seed state in one vectorised step,
-which equals ``np.random.SeedSequence(rep_seed(master_seed, r))
-.generate_state(4, np.uint64)`` bit for bit, and hands the draw one seed
-object per replication. A PCG64 built from that object is the stream
-``PCG64(rep_seed(master_seed, r))`` would give, so a replication replays
-from its integer seed alone. Within a chunk the rows that share a rho form
-one block, and one call of :func:`tailwls.estimators.path_estimates`
-computes every estimator path of the block (one group for a model study, at
-most one per grid rho, plus the unresolved ones, for a sampling study).
+sized from the draw's row length before anything is drawn. It derives the
+PCG64 seed states of a batch of whole chunks in one vectorised step, which
+equals ``np.random.SeedSequence(rep_seed(master_seed, r))
+.generate_state(4, np.uint64)`` bit for bit; a batch is as many chunks as
+fit their ``(rows, 4)`` state block in ``_CHUNK_ENTRIES`` words (128 KiB),
+and at least one. Each chunk hands the draw one seed object per
+replication, from its rows of the batch's block. A PCG64 built from that
+object is the stream ``PCG64(rep_seed(master_seed, r))`` would give, so a
+replication replays from its integer seed alone. Within a chunk the rows
+that share a rho form one block, and one call of
+:func:`tailwls.estimators.path_estimates` computes every estimator path of
+the block (one group for a model study, at most one per grid rho, plus the
+unresolved ones, for a sampling study).
 Both draws start from one block of uniforms, one row from each
 replication's stream (``distributions._uniforms``; ``sample`` is one row).
 The sampling draw turns the chunk's block into samples with one quantile
@@ -67,7 +70,8 @@ GENERATOR_ID = "pcg64/splitmix64-xor"
 # call at 16 384 float64 (128 KiB) whatever the row length, where a fixed row
 # count would make a study at n = 10^5 allocate 100 MB per temporary; a row
 # longer than the bound is a chunk of its own. At k = 100 a chunk holds 163
-# rows, enough that the table's per-call cost no longer counts.
+# rows, enough that the table's per-call cost no longer counts. The same bound
+# sizes a batch of seed states: 4 096 rows of 4 uint64 words.
 _CHUNK_ENTRIES = 16384
 
 # A draw's rho for a replication whose draw failed.
@@ -230,27 +234,34 @@ def _replicate(draw, row_len: int, est_ids: tuple[str, ...], k_values: np.ndarra
     """The replication engine behind every study: (values[estimator, k, rep], rhos).
 
     Replications run in order of r, in chunks of ``max(1, _CHUNK_ENTRIES //
-    row_len)``, where ``row_len`` is the length of a draw's rows. A chunk's
-    seed states come from one :func:`_seed_states` call, and ``draw`` gets
-    one seed object (of :func:`_seed_state_type`) per replication. It
-    returns the ``(rows, row_len)`` block of spacings and each row's rho
-    (None if it could not be resolved, ``_FAILED`` if the draw failed), in
-    replication order. The rows are grouped by their rho, and each group is
-    one table call on its rows of the block; each row of the result is its
-    replication's paths, bit for bit. Cells that the module's failure rule
-    marks missing stay NaN: a table call can fail only on what every row of
-    a group shares (rho, the k range, n and the ids), so a failed group
-    blanks exactly the replications whose own call would fail. ``rhos``
-    holds the rho of every draw that did not fail, in order of r.
+    row_len)``, where ``row_len`` is the length of a draw's rows. The seed
+    states come from one :func:`_seed_states` call per batch of whole
+    chunks, the most whose ``(rows, 4)`` state block fits in
+    ``_CHUNK_ENTRIES`` words and at least one: the cost of that call is
+    mostly per call, not per row. ``draw`` gets one seed object (of
+    :func:`_seed_state_type`) per replication of a chunk, each holding its
+    row of the batch's block. It returns the ``(rows, row_len)`` block of
+    spacings and each row's rho (None if it could not be resolved,
+    ``_FAILED`` if the draw failed), in replication order. The rows are
+    grouped by their rho, and each group is one table call on its rows of
+    the block; each row of the result is its replication's paths, bit for
+    bit. Cells that the module's failure rule marks missing stay NaN: a
+    table call can fail only on what every row of a group shares (rho, the k
+    range, n and the ids), so a failed group blanks exactly the replications
+    whose own call would fail. ``rhos`` holds the rho of every draw that did
+    not fail, in order of r.
     """
     values = np.full((len(est_ids), len(k_values), reps), np.nan)
     rhos = []
     chunk = max(1, _CHUNK_ENTRIES // row_len)
+    batch = max(1, _CHUNK_ENTRIES // 4 // chunk) * chunk
     seed_state = _seed_state_type()
     for start in range(0, reps, chunk):
-        r = np.arange(start, min(start + chunk, reps), dtype=np.uint64)
-        states = _seed_states(_rep_seeds(master_seed, r))
-        block, drawn = draw([seed_state(state) for state in states])
+        offset = start % batch
+        if offset == 0:
+            r = np.arange(start, min(start + batch, reps), dtype=np.uint64)
+            states = _seed_states(_rep_seeds(master_seed, r))
+        block, drawn = draw([seed_state(state) for state in states[offset:offset + chunk]])
         groups: dict = {}  # rho -> rows of the block
         for row, rho in enumerate(drawn):
             if rho is not _FAILED:
@@ -441,7 +452,7 @@ def run_model_simulation(
         EmptyOrTinyError / ValueError: bad estimator set.
         KOutOfRangeError / InvalidRhoError: k < 1, BCHILL without n >= k+1,
             rho not finite negative, or a regression estimator's covariate
-            sums overflowing at rho.
+            sums over- or underflowing at rho.
         KTooSmallError: a regression estimator with k < 2.
     """
     t0 = time.perf_counter()
@@ -510,8 +521,8 @@ def normality_report(
 
     The statistic is :func:`standardized_statistic`, so at b = 0 its
     variance approaches 3k * amse(1, k, rho) / 4 (18/5 at rho = -1), not the
-    1 of the paper's normality statement. In model mode a rho that
-    overflows the covariate sums raises InvalidRhoError before the first
+    1 of the paper's normality statement. In model mode a rho that over- or
+    underflows the covariate sums raises InvalidRhoError before the first
     replication. A replication that fails (by the module's failure rule) is
     counted in ``config["missing"]`` and the moments are taken over the
     others; they are NaN when every replication fails.

@@ -92,6 +92,17 @@ def test_amse_overflowing_gamma_is_a_typed_error(gamma, k):
     assert amse(1e150, 10, -1.0) == 5.5030303030303024e+299
 
 
+# S2 is 0 at rho = -1e-150 (every C_j rounds to 1); at rho = -800 it is
+# about 4e-283, so S2^2 underflows to 0
+@pytest.mark.parametrize("rho", [-1e-150, -800.0])
+def test_amse_at_an_underflowing_s2_is_a_typed_error(rho):
+    m = s_moments(2, rho)
+    with pytest.raises(InvalidRhoError, match="too small"):
+        m.unit_amse
+    with pytest.raises(InvalidRhoError, match="too small"):
+        amse(1.0, 2, rho)
+
+
 def test_amse_matches_moment_formula():
     for k, rho in ((5, -0.5), (40, -1.0), (333, -2.2)):
         m = s_moments(k, rho)

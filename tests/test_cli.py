@@ -169,6 +169,18 @@ def test_estimate_degenerate_tail_exits_3(rho, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_estimate_underflowing_rho_exits_3(burr_file, tmp_path, capsys):
+    from tailwls import cli
+
+    # S2 underflows to 0 at rho = -1e-170; no estimate may come out inf
+    out = tmp_path / "o.csv"
+    assert cli.main(["estimate", str(burr_file), "--rho", "fixed:-1e-170",
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "underflows" in err
+    assert not out.exists()
+
+
 def test_simulate_summary_schema_and_missing_param(tmp_path):
     out = tmp_path / "s.csv"
     r = run_cli("simulate", "--dist", "burr", "--tau", "2", "--lambda", "1",
@@ -228,6 +240,14 @@ def test_diagnose_row_count_and_values():
 def test_diagnose_rejects_nonnegative_rho():
     assert run_cli("diagnose", "--rho", "0").returncode == 4
     assert run_cli("diagnose", "--rho", "1.5").returncode == 4
+
+
+@pytest.mark.parametrize("args", [["--rho", "-800", "--k-max", "3"],
+                                  ["--rho=-1e-150", "--k-max", "10"]])
+def test_diagnose_underflowing_s2_exits_4(args):
+    r = run_cli("diagnose", *args)
+    assert r.returncode == 4 and r.stdout == ""
+    assert r.stderr.count("\n") == 1 and "--rho" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_diagnose_amse_coeff_flag():

@@ -566,6 +566,23 @@ def test_extreme_rho_matches_oracle_or_raises():
             _one_id(z_all, 1000, est, -100.0, k_values)
 
 
+def test_underflowing_covariate_sums_raise():
+    """Below |rho| ~ 1e-154 S2 is subnormal or 0, which would give inf or NaN estimates."""
+    from tailwls.estimators import check_covariate_sums
+
+    z_all = all_log_spacings(validate_and_sort(sample(burr(1.0, 2.0, 1.0), 200, 4)))
+    k_values = np.arange(2, 200)
+    for est in ("BCHILL", "LS", "RR", "WLS"):
+        got, _ = _one_id(z_all, 200, est, -1e-150, k_values)
+        assert np.isfinite(got).all(), est
+        for rho in (-1e-155, -1e-170, -1e-300):
+            with pytest.raises(InvalidRhoError, match="underflows"):
+                _one_id(z_all, 200, est, rho, k_values)
+            with pytest.raises(InvalidRhoError, match="underflows"):
+                check_covariate_sums(rho, 2, ("HILL", est))
+    check_covariate_sums(-1e-300, 2, ("HILL",))
+
+
 def test_paths_stay_accurate_as_rho_approaches_zero():
     """Near rho = 0 the paths match a centred two-pass fit to 1e-10.
 

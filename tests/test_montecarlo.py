@@ -188,13 +188,15 @@ def test_run_model_simulation_raises_configuration_errors_up_front(monkeypatch):
 
         return draw
 
-    # rho=-200 overflows the covariate sums at k=100, for every regression
+    # rho=-200 overflows the covariate sums at k=100, for every regression,
+    # and rho=-1e-300 underflows them
     monkeypatch.setattr(montecarlo, "_model_draw", no_draw)
-    for est in ("BCHILL", "LS", "RR", "WLS"):
+    for rho in (-200.0, -1e-300):
+        for est in ("BCHILL", "LS", "RR", "WLS"):
+            with pytest.raises(InvalidRhoError):
+                run_model_simulation(1.0, 0.0, rho, 100, 5, ("HILL", est), n=200)
         with pytest.raises(InvalidRhoError):
-            run_model_simulation(1.0, 0.0, -200.0, 100, 5, ("HILL", est), n=200)
-    with pytest.raises(InvalidRhoError):
-        normality_report(100, 100, gamma=1.0, rho=-200.0)
+            normality_report(100, 100, gamma=1.0, rho=rho)
 
 
 def test_one_replication_runs_the_path_engine_twice(monkeypatch):
@@ -214,11 +216,13 @@ def test_one_replication_runs_the_path_engine_twice(monkeypatch):
     assert s.missing.sum() == 0
 
 
-def test_failed_table_call_marks_the_whole_replication_missing():
-    # rho=-200 overflows the covariate sums, so every replication's table call
-    # fails; HILL, which needs no rho, is missing with the rest
+@pytest.mark.parametrize("rho", [-200.0, -1e-170])
+def test_failed_table_call_marks_the_whole_replication_missing(rho):
+    # rho=-200 overflows the covariate sums and rho=-1e-170 underflows them,
+    # so every replication's table call fails; HILL, which needs no rho, is
+    # missing with the rest
     cfg = SimulationConfig(spec=pareto(1.0), n=60, reps=4, k_min=5, k_max=50,
-                           rho_method=RhoMethod.fixed(-200.0), master_seed=8)
+                           rho_method=RhoMethod.fixed(rho), master_seed=8)
     s = run_simulation(cfg)
     assert s.missing.shape == (len(ESTIMATOR_IDS), 46)
     assert (s.missing == 4).all()
@@ -282,6 +286,50 @@ def test_chunked_engine_equals_one_replication_at_a_time():
     got, rhos = _replicate(draw, n - 1, ESTIMATOR_IDS, k_values, n, 1, 11)
     want, want_rhos = _reference_replicate(draw, ESTIMATOR_IDS, k_values, n, 1, 11)
     assert np.array_equal(got, want, equal_nan=True) and rhos == want_rhos
+
+
+@pytest.mark.parametrize("n", [9, 6, 3])
+def test_seed_batches_of_several_chunks_equal_one_replication_at_a_time(monkeypatch, n):
+    # 64 entries: a batch of 16 state rows, which is two chunks of 8 rows at
+    # n = 9, one of 12 at n = 6, and one of 32 (more rows than 16) at n = 3
+    monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 64)
+    k_values = np.arange(2, n)
+
+    def draw(seeds):
+        block, rhos = np.empty((len(seeds), n - 1)), []
+        for row, seed in zip(block, seeds):
+            rng = np.random.default_rng(seed)
+            rhos.append((_FAILED, None, -0.5, -1.0, -200.0)[int(rng.integers(0, 5))])
+            row[:] = rng.exponential(size=n - 1)
+        return block, rhos
+
+    est_ids = ("HILL", "LS", "WLS")
+    for reps in (1, 50, 131):
+        got, rhos = _replicate(draw, n - 1, est_ids, k_values, n, reps, 5)
+        want, want_rhos = _reference_replicate(draw, est_ids, k_values, n, reps, 5)
+        assert np.array_equal(got, want, equal_nan=True) and rhos == want_rhos
+    model = _model_draw(1.0, 0.1, -1.0, n - 1)
+    got, rhos = _replicate(model, n - 1, est_ids, k_values[-1:], n, 50, 7)
+    want, want_rhos = _reference_replicate(model, est_ids, k_values[-1:], n, 50, 7)
+    assert np.array_equal(got, want) and rhos == want_rhos
+
+
+def test_seed_states_run_once_per_batch_of_chunks(monkeypatch):
+    calls = []
+    real = montecarlo._seed_states
+
+    def counted(seeds):
+        calls.append(seeds.size)
+        return real(seeds)
+
+    monkeypatch.setattr(montecarlo, "_seed_states", counted)
+    # k = 100: chunks of 163 rows, batches of 25 chunks (4 075 rows)
+    run_model_simulation(1.0, 0.1, -1.0, 100, 10_000, ("HILL", "WLS"), master_seed=1)
+    assert calls == [4075, 4075, 1850]
+    calls.clear()
+    run_simulation(SimulationConfig(spec=burr(1.0, 2.0, 1.0), n=200, reps=20, k_min=10,
+                                    k_max=150, estimators=("HILL", "WLS")))
+    assert calls == [20]
 
 
 def test_unresolved_rho_blanks_only_its_replications(monkeypatch):
