@@ -216,16 +216,16 @@ def test_one_replication_runs_the_path_engine_twice(monkeypatch):
     assert s.missing.sum() == 0
 
 
-@pytest.mark.parametrize("rho", [-200.0, -1e-170])
-def test_failed_table_call_marks_the_whole_replication_missing(rho):
+def test_failed_table_call_marks_the_whole_replication_missing():
     # rho=-200 overflows the covariate sums and rho=-1e-170 underflows them,
     # so every replication's table call fails; HILL, which needs no rho, is
     # missing with the rest
-    cfg = SimulationConfig(spec=pareto(1.0), n=60, reps=4, k_min=5, k_max=50,
-                           rho_method=RhoMethod.fixed(rho), master_seed=8)
-    s = run_simulation(cfg)
-    assert s.missing.shape == (len(ESTIMATOR_IDS), 46)
-    assert (s.missing == 4).all()
+    for rho in (-200.0, -1e-170):
+        cfg = SimulationConfig(spec=pareto(1.0), n=60, reps=4, k_min=5, k_max=50,
+                               rho_method=RhoMethod.fixed(rho), master_seed=8)
+        s = run_simulation(cfg)
+        assert s.missing.shape == (len(ESTIMATOR_IDS), 46)
+        assert (s.missing == 4).all(), rho
 
 
 def _reference_replicate(draw, est_ids, k_values, n, reps, master_seed):
