@@ -24,7 +24,8 @@ term alone. The standardized statistic sqrt(3k) (gamma_hat - gamma) /
 (3/4) lim k * amse(1, k, rho), which is 18/5 at rho = -1, not 1.
 
 ``amse`` is this variance, cross-term coefficient 2, with sum w_j^2 at its
-limit 4/(3k); ``SMoments.unit_amse`` computes it from the four sums.
+limit 4/(3k); ``SMoments.unit_amse`` computes it from the four sums, which
+``s_moments`` reads for every k at once from the WLS path engine's design.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import numpy as np
 
 from .errors import (InvalidRhoError, KOutOfRangeError, KTooSmallError, NonFiniteError,
                      NonPositiveError)
-from .spacings import covariates, weights
+from .estimators import _design, _prefix_sums
+from .spacings import check_rho
 
 
 def s1_limit(rho: float) -> float:
@@ -55,14 +57,14 @@ def s2_limit(rho: float) -> float:
 
 @dataclass(frozen=True)
 class SMoments:
-    """The four weight-moment sums at a finite k, plus their limits."""
+    """The four weight-moment sums at a finite k, or at each k of an array, plus their limits."""
 
-    k: int
+    k: int | np.ndarray
     rho: float
-    s1: float
-    s2: float
-    s_dot: float
-    s_ddot: float
+    s1: float | np.ndarray
+    s2: float | np.ndarray
+    s_dot: float | np.ndarray
+    s_ddot: float | np.ndarray
 
     @property
     def s1_limit(self) -> float:
@@ -73,49 +75,59 @@ class SMoments:
         return s2_limit(self.rho)
 
     @property
-    def unit_amse(self) -> float:
-        """amse(1, k, rho): 4/(3k) + 2 S1 S_dot / S2 + S1^2 S_ddot / S2^2.
+    def unit_amse(self):
+        """amse(1, k, rho), elementwise: 4/(3k) + 2 S1 S_dot / S2 + S1^2 S_ddot / S2^2.
 
-        InvalidRhoError where S2 is not positive or S2^2 underflows to a
-        subnormal or 0: an extreme rho makes the covariates all but equal.
+        InvalidRhoError at the first k where S2 is not positive or S2^2 underflows
+        to a subnormal or 0: an extreme rho makes the covariates all but equal.
         """
-        if not (self.s2 > 0.0 and self.s2**2 >= sys.float_info.min):
-            raise InvalidRhoError(
-                f"rho={self.rho}: S2={self.s2} at k={self.k} is too small for the AMSE")
+        bad = np.flatnonzero(~((self.s2 > 0.0) & (np.square(self.s2) >= sys.float_info.min)))
+        if bad.size:
+            raise InvalidRhoError(f"rho={self.rho}: S2={np.ravel(self.s2)[bad[0]]} at "
+                                  f"k={np.ravel(self.k)[bad[0]]} is too small for the AMSE")
         return (4.0 / (3.0 * self.k) + 2.0 * self.s1 * self.s_dot / self.s2
-                + self.s1**2 * self.s_ddot / self.s2**2)
+                + self.s1 * self.s1 * self.s_ddot / (self.s2 * self.s2))
 
-    def amse(self, gamma: float) -> float:
-        """gamma^2 * unit_amse; NonFiniteError where it overflows for a finite gamma.
+    def amse(self, gamma: float):
+        """gamma^2 * unit_amse, elementwise; NonFiniteError at the first k where it overflows.
 
-        InvalidRhoError from ``unit_amse`` passes on.
+        Only for a finite gamma; InvalidRhoError from ``unit_amse`` passes on.
         """
         with np.errstate(over="ignore"):  # np.float64 ** 2 is the C pow of float ** 2
-            value = float(np.float64(gamma) ** 2 * self.unit_amse)
-        if not np.isfinite(value) and np.isfinite(gamma):
-            raise NonFiniteError(f"gamma={gamma}: gamma^2 overflows the AMSE at k={self.k}")
-        return value
+            value = np.float64(gamma) ** 2 * self.unit_amse
+        bad = np.flatnonzero(~np.isfinite(value) & np.isfinite(gamma))
+        if bad.size:
+            raise NonFiniteError(
+                f"gamma={gamma}: gamma^2 overflows the AMSE at k={np.ravel(self.k)[bad[0]]}")
+        return value if np.ndim(value) else float(value)
 
 
-def s_moments(k: int, rho: float) -> SMoments:
-    """Compute S1, S2, S_dot, S_ddot at a finite k.
+def s_moments(k, rho: float) -> SMoments:
+    """Compute S1, S2, S_dot, S_ddot at k, an int or an ascending array of k.
+
+    S1 and S2 are the path engine's weighted ``_design``. From its v, m1 and scale,
+    S_dot = scale (m1 q0 - q1) and S_ddot = scale^2 (q2 - 2 m1 q1 + m1^2 q0), with
+    q_m = sum w_j^2 v_j^m by sum_{j<=k} (k+1-j)^2 f_j = 2 P3(f)_k - P2(f)_k, P a prefix
+    sum: O(max k) for all k, accurate as rho -> 0. An int k gives its one-entry numbers.
 
     Raises:
         KTooSmallError: k < 2 (S2 degenerates to 0 at k=1).
-        InvalidRhoError: rho not finite negative.
+        InvalidRhoError: rho not finite negative, or overflowing the design or these sums.
     """
-    k = int(k)
-    if k < 2:
-        raise KTooSmallError(f"weight moments need k >= 2, got k={k}")
-    c = covariates(k, rho)
-    w = weights(k)
-    s1 = float(w @ c)
-    s2 = float(w @ (c * c)) - s1 * s1
-    d = s1 - c
-    wsq = w * w
-    s_dot = float(wsq @ d)
-    s_ddot = float(wsq @ (d * d))
-    return SMoments(k=k, rho=float(rho), s1=s1, s2=s2, s_dot=s_dot, s_ddot=s_ddot)
+    ks = np.atleast_1d(np.asarray(k, dtype=np.int64))
+    if ks[0] < 2:
+        raise KTooSmallError(f"weight moments need k >= 2, got k={ks[0]}")
+    k_max, i = int(ks[-1]), ks - 1
+    v, scale, totals, m1, s1, s2 = _design((check_rho(rho),), k_max, True)
+    v, scale, m1 = v[0], scale[0][i], m1[0][i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q0, q1, q2 = ((2.0 * np.add.accumulate(p) - p)[i] / totals[i] ** 2 for p in
+                      (_prefix_sums(f, k_max, True) for f in (np.ones(k_max), v, v * v)))
+        s_dot, s_ddot = scale * (m1 * q0 - q1), scale * (scale * (q2 - 2.0 * m1 * q1 + m1**2 * q0))
+    if not np.isfinite([s_dot, s_ddot]).all():
+        raise InvalidRhoError(f"rho={rho} overflows the weight-moment sums up to k={k_max}")
+    sums = dict(k=ks, s1=s1[0][i], s2=s2[0][i], s_dot=s_dot, s_ddot=s_ddot)
+    return SMoments(rho=float(rho), **{f: a if np.ndim(k) else a.item() for f, a in sums.items()})
 
 
 def amse(gamma: float, k: int, rho: float) -> float:

@@ -383,20 +383,18 @@ def cmd_diagnose(args) -> int:
         print(f"tailwls diagnose: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    def row(k):
-        m = s_moments(k, rho)
-        return (k, m.s1, m.s2, m.s_dot, m.s_ddot, m.s1_limit, m.s2_limit,
-                m.amse(gamma))
-
     try:
-        text = _csv_text(["k", "s1", "s2", "s_dot", "s_ddot", "s1_limit", "s2_limit", "amse"],
-                         "%d" + ",%.17g" * 7 + "\n", (row(k) for k in range(k_min, k_max + 1)))
+        m = s_moments(np.arange(k_min, k_max + 1), rho)
+        columns = (m.k, m.s1, m.s2, m.s_dot, m.s_ddot, m.s1_limit, m.s2_limit, m.amse(gamma))
     except NonFiniteError as exc:
         print(f"tailwls diagnose: --gamma: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InvalidRhoError as exc:
         print(f"tailwls diagnose: --rho: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    text = _csv_text(["k", "s1", "s2", "s_dot", "s_ddot", "s1_limit", "s2_limit", "amse"],
+                     "%d" + ",%.17g" * 7 + "\n",
+                     zip(*(np.broadcast_to(c, m.k.shape).tolist() for c in columns)))
     if args.out is None:
         sys.stdout.write(text)
     else:

@@ -107,26 +107,28 @@ def quantile(spec: DistributionSpec, u):
     """Quantile function Q(u) = F^{-1}(u); scalar in, scalar out.
 
     Accepts scalars or arrays with entries in [0, 1). Q(0) is the lower
-    endpoint of the support by continuity.
+    endpoint of the support by continuity. A Q(u) beyond the float range is
+    inf, without a warning: ``validate_and_sort`` rejects it as a
+    NonFiniteError, and ``block_tails`` marks its row a failed draw.
 
     Raises:
         UOutOfRangeError: some u outside [0, 1).
     """
     arr = _check_u(u)
     p = spec.params
-    if spec.family == "pareto":
-        x = (1.0 - arr) ** (-p["gamma"])
-    elif spec.family == "burr":
-        x = p["eta"] * ((1.0 - arr) ** (-1.0 / p["lam"]) - 1.0) ** (1.0 / p["tau"])
-    elif spec.family == "frechet":
-        with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):  # divide: Frechet's log(0)
+        if spec.family == "pareto":
+            x = (1.0 - arr) ** (-p["gamma"])
+        elif spec.family == "burr":
+            x = p["eta"] * ((1.0 - arr) ** (-1.0 / p["lam"]) - 1.0) ** (1.0 / p["tau"])
+        elif spec.family == "frechet":
             x = (-np.log(arr)) ** (-1.0 / p["alpha"])
-    elif spec.family == "loggamma":
-        from scipy import special  # only log-gamma needs scipy; keep import cheap
+        elif spec.family == "loggamma":
+            from scipy import special  # only log-gamma needs scipy; keep import cheap
 
-        x = np.exp(special.gammaincinv(p["alpha"], arr) / p["lam"])
-    else:
-        raise ValueError(f"unknown family {spec.family!r}")
+            x = np.exp(special.gammaincinv(p["alpha"], arr) / p["lam"])
+        else:
+            raise ValueError(f"unknown family {spec.family!r}")
     return float(x) if np.ndim(u) == 0 else x
 
 

@@ -3,7 +3,10 @@
 The package is imported from ``src``: pytest's ``pythonpath`` setting covers
 the test process itself, and the tests that start ``python -m tailwls`` or a
 demo script in a subprocess rely on the environment, so ``src`` is put at the
-front of PYTHONPATH here.
+front of PYTHONPATH here. Likewise ``filterwarnings`` in ``pyproject.toml``
+makes a RuntimeWarning an error in this process only, so ``error::RuntimeWarning``
+is added to the PYTHONWARNINGS that subprocesses inherit, after any filters
+already set there.
 
 Hypothesis caches the constants it reads from the package's source under its
 home directory, ``.hypothesis`` in the working directory by default, and its
@@ -19,6 +22,9 @@ from pathlib import Path
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
+os.environ["PYTHONWARNINGS"] = ",".join(
+    f for f in (os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning") if f
 )
 
 try:

@@ -12,6 +12,7 @@ from tailwls import (
     covariates,
     normality_report,
     pareto,
+    path_estimates,
     rep_seed,
     run_model_simulation,
     s1_limit,
@@ -92,15 +93,84 @@ def test_amse_overflowing_gamma_is_a_typed_error(gamma, k):
     assert amse(1e150, 10, -1.0) == 5.5030303030303024e+299
 
 
-# S2 is 0 at rho = -1e-150 (every C_j rounds to 1); at rho = -800 it is
-# about 4e-283, so S2^2 underflows to 0
-@pytest.mark.parametrize("rho", [-1e-150, -800.0])
+# S2 at k = 2 is 2 v_2^2 / 9 with v_2 = 2^(-rho) - 1: about 1e-301 at rho = -1e-150
+# and 1e-201 at -1e-100, normal floats whose squares underflow to 0. At rho = -800
+# v_2^2 overflows, so the design, and with it s_moments, rejects that rho.
+@pytest.mark.parametrize("rho", [-1e-150, -800.0, -1e-100])
 def test_amse_at_an_underflowing_s2_is_a_typed_error(rho):
+    if rho == -800.0:
+        with pytest.raises(InvalidRhoError, match="overflows"):
+            s_moments(2, rho)
+        with pytest.raises(InvalidRhoError, match="overflows"):
+            amse(1.0, 2, rho)
+        return
     m = s_moments(2, rho)
+    assert 0.0 < m.s2 < 1e-150
     with pytest.raises(InvalidRhoError, match="too small"):
         m.unit_amse
     with pytest.raises(InvalidRhoError, match="too small"):
         amse(1.0, 2, rho)
+
+
+@pytest.mark.parametrize("rho", [-1e-8, -1e-10])
+@pytest.mark.parametrize("k", [2, 3, 10, 50])
+def test_s2_keeps_its_rho_squared_limit_near_rho_0(k, rho):
+    """As rho -> 0, C_j = 1 - rho log(j/(k+1)) + O(rho^2), so S2 / rho^2 tends to
+    the w-weighted variance of log(j/(k+1)); Sum w_j C_j^2 - S1^2 read noise there."""
+    w, log_u = weights(k), np.log(np.arange(1, k + 1) / (k + 1))
+    want = w @ (log_u - w @ log_u) ** 2
+    assert s_moments(k, rho).s2 / rho**2 == pytest.approx(want, rel=1e-6)
+
+
+def test_prefix_sums_match_the_direct_dot_products():
+    """The four sums against their definitions, summed per k over length-k arrays."""
+    k = np.arange(2, 401)
+    for rho in (-0.5, -1.0, -2.0):
+        m = s_moments(k, rho)
+        for i, kk in enumerate(k):
+            w, c = weights(kk), covariates(kk, rho)
+            s1 = w @ c
+            d = s1 - c
+            want = (s1, w @ (c - s1) ** 2, (w * w) @ d, (w * w) @ (d * d))
+            got = (m.s1[i], m.s2[i], m.s_dot[i], m.s_ddot[i])
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (rho, kk)
+
+
+def test_array_k_equals_each_single_k_bit_for_bit():
+    k = np.arange(2, 301)
+    for rho in (-0.25, -1.0, -3.0):
+        block = s_moments(k, rho)
+        assert np.array_equal(block.k, k) and block.rho == rho
+        singles = [s_moments(int(j), rho) for j in k]
+        for field in ("s1", "s2", "s_dot", "s_ddot", "unit_amse"):
+            want = [getattr(m, field) for m in singles]
+            assert all(type(x) is float for x in want)
+            assert np.array_equal(getattr(block, field), want), (rho, field)
+        assert np.array_equal(block.amse(2.5), [m.amse(2.5) for m in singles])
+
+
+def test_s_moments_rejects_a_rho_every_fit_rejects():
+    # v_100^2 = (100^100 - 1)^2 overflows
+    with pytest.raises(InvalidRhoError, match="overflows"):
+        path_estimates(np.ones(100), 101, ("WLS",), -100.0, [2, 100])
+    with pytest.raises(InvalidRhoError, match="overflows"):
+        s_moments(100, -100.0)
+    with pytest.raises(InvalidRhoError, match="overflows"):
+        s_moments(np.arange(2, 101), -100.0)
+    # the design's v_2^2 = (2^511.9 - 1)^2 is finite, but 2 P3(v^2)_2 = 2 v_2^2 is not
+    with pytest.raises(InvalidRhoError, match="overflows the weight-moment sums up to k=2"):
+        s_moments(2, -511.9)
+
+
+def test_array_errors_name_the_first_k_at_fault():
+    # 1e154^2 times the unit AMSE overflows at k = 2 and 3 (46/9, 23/9) but not at k = 4
+    with pytest.raises(NonFiniteError, match=r"^gamma=1e\+154: .* at k=2$"):
+        s_moments(np.arange(2, 20), -1.0).amse(1e154)
+    assert np.isfinite(s_moments(np.arange(4, 20), -1.0).amse(1e154)).all()
+    with pytest.raises(InvalidRhoError, match=r"at k=2 is too small"):
+        s_moments(np.arange(2, 20), -1e-100).unit_amse
+    with pytest.raises(KTooSmallError, match="k=1"):
+        s_moments(np.arange(1, 20), -1.0)
 
 
 def test_amse_matches_moment_formula():

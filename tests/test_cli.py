@@ -250,6 +250,19 @@ def test_diagnose_underflowing_s2_exits_4(args):
     assert r.stderr.count("\n") == 1 and "--rho" in r.stderr and "Traceback" not in r.stderr
 
 
+def test_diagnose_is_accurate_near_rho_0():
+    r = run_cli("diagnose", "--rho=-1e-8", "--k-min", "2", "--k-max", "50")
+    assert r.returncode == 0, r.stderr
+    s2 = [float(line.split(",")[2]) for line in r.stdout.splitlines()[1:]]
+    assert len(s2) == 49 and all(x > 0.0 for x in s2)
+
+
+def test_diagnose_rejects_a_rho_whose_design_overflows():
+    r = run_cli("diagnose", "--rho", "-100", "--k-max", "100")
+    assert r.returncode == 4 and r.stdout == ""
+    assert r.stderr.count("\n") == 1 and "--rho" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_diagnose_amse_coeff_flag():
     # the cross-term coefficient is 2 by the algebra; there is no flag for it
     r = run_cli("diagnose", "--rho", "-1", "--k-min", "2", "--k-max", "2",
@@ -281,7 +294,7 @@ def test_diagnose_calls_s_moments_once_per_row(monkeypatch, capsys):
     monkeypatch.setattr(cli, "s_moments", counted)
     monkeypatch.setattr(asymptotics, "s_moments", counted)
     assert cli.main(["diagnose", "--rho", "-1", "--k-min", "2", "--k-max", "11"]) == 0
-    assert len(calls) == 10
+    assert len(calls) == 1  # one call builds the whole table
     rows = capsys.readouterr().out.splitlines()[1:]
     monkeypatch.undo()
     assert [float(r.split(",")[7]) for r in rows] == [tw.amse(1.0, k, -1.0)

@@ -1,11 +1,13 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy import special
 
 from tailwls import (
+    NonFiniteError,
     NonPositiveError,
     UOutOfRangeError,
     burr,
@@ -15,6 +17,7 @@ from tailwls import (
     pareto,
     quantile,
     sample,
+    validate_and_sort,
 )
 
 ALL_SPECS = [
@@ -110,6 +113,16 @@ def test_u_out_of_range():
             quantile(s, bad)
     with pytest.raises(UOutOfRangeError):
         quantile(s, np.array([0.5, 1.0]))
+
+
+def test_quantile_beyond_the_float_range_is_inf_without_a_warning():
+    # Q(0.999999) = 1e600 for pareto(100), beyond the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert quantile(pareto(100.0), 0.999999) == np.inf
+        x = quantile(pareto(100.0), np.array([0.5, 0.999999]))
+    with pytest.raises(NonFiniteError):
+        validate_and_sort(x)
 
 
 def test_scalar_in_scalar_out():
