@@ -35,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (InvalidRhoError, KOutOfRangeError, KTooSmallError, NonFiniteError,
-                     NonPositiveError)
-from .estimators import _design, _prefix_sums
-from .spacings import check_rho
+from .errors import InvalidRhoError, KOutOfRangeError, NonFiniteError, NonPositiveError
+from .estimators import _design, _prefix_sums, check_covariate_sums
+from .spacings import check_k_values
 
 
 def s1_limit(rho: float) -> float:
@@ -103,7 +102,7 @@ class SMoments:
 
 
 def s_moments(k, rho: float) -> SMoments:
-    """Compute S1, S2, S_dot, S_ddot at k, an int or an ascending array of k.
+    """Compute S1, S2, S_dot, S_ddot at k, an int or a strictly ascending array of ints.
 
     S1 and S2 are the path engine's weighted ``_design``. From its v, m1 and scale,
     S_dot = scale (m1 q0 - q1) and S_ddot = scale^2 (q2 - 2 m1 q1 + m1^2 q0), with
@@ -112,13 +111,13 @@ def s_moments(k, rho: float) -> SMoments:
 
     Raises:
         KTooSmallError: k < 2 (S2 degenerates to 0 at k=1).
+        EmptyOrTinyError / KOutOfRangeError: no k, or k not ascending integers.
         InvalidRhoError: rho not finite negative, or overflowing the design or these sums.
     """
-    ks = np.atleast_1d(np.asarray(k, dtype=np.int64))
-    if ks[0] < 2:
-        raise KTooSmallError(f"weight moments need k >= 2, got k={ks[0]}")
+    ks = check_k_values(k, 2)
     k_max, i = int(ks[-1]), ks - 1
-    v, scale, totals, m1, s1, s2 = _design((check_rho(rho),), k_max, True)
+    check_covariate_sums(rho, k_max, ("WLS",))
+    v, scale, totals, m1, s1, s2, _ = _design((float(rho),), k_max, True)
     v, scale, m1 = v[0], scale[0][i], m1[0][i]
     with np.errstate(over="ignore", invalid="ignore"):
         q0, q1, q2 = ((2.0 * np.add.accumulate(p) - p)[i] / totals[i] ** 2 for p in

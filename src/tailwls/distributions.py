@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveError, UOutOfRangeError
+from .errors import NonFiniteError, NonPositiveError, UOutOfRangeError
 
 FAMILIES = ("pareto", "burr", "frechet", "loggamma")
 
@@ -41,9 +41,12 @@ class DistributionSpec:
 
 
 def _require_positive(name: str, value: float) -> float:
+    """``value`` as a float; NonPositiveError unless it is > 0, NonFiniteError if it is inf."""
     value = float(value)
     if not value > 0.0:
         raise NonPositiveError(f"{name}={value} must be > 0")
+    if value == np.inf:
+        raise NonFiniteError(f"{name}={value} must be finite")
     return value
 
 

@@ -24,7 +24,11 @@ class NonPositiveError(TailwlsError, ValueError):
 
 
 class NonFiniteError(TailwlsError, ValueError):
-    """A sample value is NaN or infinite, or the AMSE of a finite gamma overflows."""
+    """A value is NaN or infinite where it must be finite.
+
+    Raised for a sample value, a distribution parameter, a model parameter
+    or mean gamma + b*C_j, and the AMSE of a finite gamma that overflows.
+    """
 
 
 class KOutOfRangeError(TailwlsError, ValueError):

@@ -33,10 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EmptyOrTinyError, InvalidRhoError, KOutOfRangeError,
-                     KTooSmallError, NonPositiveError)
+from .errors import EmptyOrTinyError, InvalidRhoError, KOutOfRangeError, NonPositiveError
 from .spacings import (LogSpacings, OrderedTail, all_log_spacings, check_k_range,
-                       check_rho)
+                       check_k_values, check_rho)
 
 #: Canonical estimator identifiers, in reporting order.
 ESTIMATOR_IDS = ("HILL", "BCHILL", "LS", "RR", "WLS")
@@ -100,38 +99,42 @@ _designs: dict = {}
 
 
 def _design(rhos: tuple, k_max: int, weighted: bool):
-    """Read-only (v, scale, totals, m1, S1, S2) at k = 1..k_max, row r for ``rhos[r]``.
+    """Read-only (v, scale, totals, m1, S1, S2) at k = 1..k_max, row r for ``rhos[r]``, and rejects.
 
     ``rhos`` is a tuple of float rhos; one rho is a grid of one. C_j =
     (1 + v_j) * scale_k with v_j = j^(-rho) - 1 and scale_k = (k+1)^rho;
     totals_k = sum_{j<=k} W_j (exact, 1-D) and m1 = sum w_j v_j. Working with
     v keeps S2 = scale^2 * (sum w_j v_j^2 - m1^2) accurate as rho -> 0. Each
-    row is computed on its own, so it does not depend on its grid. Raises
-    InvalidRhoError unless each rho is finite negative with finite v_j^2 and
-    S2 a positive normal float at every k in 2..k_max (it underflows for
-    |rho| below about 1e-154).
+    row is computed on its own, so it does not depend on its grid. A row is
+    NaN, and ``rejects`` pairs r with its InvalidRhoError message, unless
+    rho is finite negative with finite v_j^2 and S2 a positive normal float
+    at every k in 2..k_max (S2 underflows for |rho| below about 1e-154).
     """
     key = (rhos, k_max, weighted)
     design = _designs.pop(key, None)
     if design is None:
         k = np.arange(1, k_max + 1)
         totals = _prefix_sums(np.ones(k_max), k_max, weighted)
-        rows = []
-        for rho in rhos:
-            rho = check_rho(rho)
-            with np.errstate(over="ignore", invalid="ignore"):
-                v, scale = np.expm1(-rho * np.log(k)), (k + 1.0) ** rho
-                m1 = _prefix_sums(v, k_max, weighted) / totals
-                # scaling twice keeps every intermediate a normal float
-                s2 = (_prefix_sums(v * v, k_max, weighted) / totals - m1 * m1) * scale * scale
-            if not np.isfinite(s2).all():
-                raise InvalidRhoError(f"rho={rho} overflows the covariate sums up to k={k_max}")
-            if not (s2[1:] >= _TINY).all():  # S2 is 0 at k = 1 for every rho
-                raise InvalidRhoError(f"rho={rho} underflows the covariate sums up to k={k_max}")
-            rows.append((v, scale, m1, (1.0 + m1) * scale, s2))
+        rows, rejected = [], []
+        for r, rho in enumerate(rhos):
+            try:
+                rho = check_rho(rho)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    v, scale = np.expm1(-rho * np.log(k)), (k + 1.0) ** rho
+                    m1 = _prefix_sums(v, k_max, weighted) / totals
+                    # scaling twice keeps every intermediate a normal float
+                    s2 = (_prefix_sums(v * v, k_max, weighted) / totals - m1 * m1) * scale * scale
+                if not np.isfinite(s2).all():
+                    raise InvalidRhoError(f"rho={rho} overflows the covariate sums up to k={k_max}")
+                if not (s2[1:] >= _TINY).all():  # S2 is 0 at k = 1 for every rho
+                    raise InvalidRhoError(f"rho={rho} underflows the covariate sums up to k={k_max}")
+                rows.append((v, scale, m1, (1.0 + m1) * scale, s2))
+            except InvalidRhoError as exc:
+                rejected.append((r, str(exc)))
+                rows.append((np.full(k_max, np.nan),) * 5)
         v, scale, m1, s1, s2 = (np.stack(a) for a in zip(*rows))
-        design = (v, scale, totals, m1, s1, s2)
-        for a in design:
+        design = (v, scale, totals, m1, s1, s2, tuple(rejected))
+        for a in design[:-1]:
             a.flags.writeable = False
         while _designs and sum(len(r) for r, _, _ in _designs) + len(rhos) > 16:
             del _designs[next(iter(_designs))]
@@ -139,39 +142,37 @@ def _design(rhos: tuple, k_max: int, weighted: bool):
     return design
 
 
-def _path_fit(z_all: np.ndarray, k_values: np.ndarray, rho, weighted: bool,
-              shrink=0.0):
-    """The path engine: (gamma_hat, b_hat) at every k in the ascending ``k_values``.
+def _rejected(rhos: tuple, k_max: int, est_ids) -> dict:
+    """r -> message for each ``rhos[r]`` whose design an engine run of ``est_ids`` rejects."""
+    rejected = {}
+    for weighted, run_ids in ((False, _UNWEIGHTED), (True, _WEIGHTED)):
+        if run_ids.intersection(est_ids):
+            rejected.update(_design(rhos, k_max, weighted)[6])
+    return rejected
+
+
+def _path_fit(z_all: np.ndarray, k_values: np.ndarray, rhos: tuple, weighted: bool,
+              shrink=0.0, index=0):
+    """The path engine: (gamma_hat, b_hat) at every k of the checked ``k_values``.
 
     The fit at k uses the first k entries of ``z_all`` along its last axis,
     with W_j = 1 - j/(k+1) if ``weighted``, else uniform weights; ``shrink``
     is penalty/k (ridge). ``z_all`` may have leading axes (a block of rows,
-    one per sample). ``rho`` is one rho, or a tuple of float rhos (a grid),
-    which adds a rho axis in front of those; ``shrink`` may add axes in front
-    of all. The results then have shape ``shrink``'s leading axes + (len(rho),
-    for a grid) + ``z_all``'s leading axes + (len(k_values),), and every row
-    equals its 1-D one-rho call bit for bit: zbar, the weighted mean of Z,
-    is summed once per sample and shared by every rho. One rho is row 0 of its
-    one-rho grid's :func:`_design`.
+    one per sample). ``index`` maps the rows of the ``rhos`` :func:`_design`
+    onto those axes: 0 for one rho, ``np.s_[:]`` for a grid (a rho axis in
+    front; ``np.s_[:, None]`` on a block), or an int array, a design row per
+    block row; ``shrink`` may add axes in front of all. Every row equals its
+    1-D one-rho call bit for bit: zbar, the weighted mean of Z, is summed
+    once per sample and shared by every rho. A rejected rho raises, unless
+    ``index`` is an array.
     """
-    if k_values[0] < 2:
-        raise KTooSmallError(f"regression needs k >= 2, got k={k_values[0]}")
-    k_max = int(k_values[-1])
-    if k_max > z_all.shape[-1]:
-        raise KOutOfRangeError(f"k={k_max} exceeds the {z_all.shape[-1]} spacings")
-    i = k_values - 1
-    grid = isinstance(rho, tuple)
-    v, scale, totals, m1, s1, s2 = _design(rho if grid else (check_rho(rho),), k_max,
-                                           weighted)
-    if grid:  # the rho axis goes in front of the block's axes
-        lead = (len(rho),) + (1,) * (z_all.ndim - 1)
-        v = v.reshape(lead + (k_max,))
-        m1, scale, s1, s2 = (a.take(i, axis=-1).reshape(lead + i.shape)
-                             for a in (m1, scale, s1, s2))
-    else:  # row 0; a[0][i] costs a call less than a[0, i]
-        v, m1, scale, s1, s2 = v[0], m1[0][i], scale[0][i], s1[0][i], s2[0][i]
-    totals = totals[i]
+    k_max, i = int(k_values[-1]), k_values - 1
+    v, scale, totals, m1, s1, s2, rejected = _design(rhos, k_max, weighted)
+    if rejected and not isinstance(index, np.ndarray):
+        raise InvalidRhoError(rejected[0][1])
+    v, totals = v[index], totals[i]
     # take on the last axis costs a 1-D call less than indexing with [..., i]
+    m1, scale, s1, s2 = (a.take(i, axis=-1)[index] for a in (m1, scale, s1, s2))
     zbar = _prefix_sums(z_all, k_max, weighted).take(i, axis=-1) / totals
     svz = _prefix_sums(v * z_all[..., :k_max], k_max, weighted).take(i, axis=-1) / totals
     # sum w_j (C_j - S1) Z_j = scale_k * (sum w_j v_j Z_j - m1 * zbar)
@@ -179,12 +180,12 @@ def _path_fit(z_all: np.ndarray, k_values: np.ndarray, rho, weighted: bool,
     return zbar - b_hat * s1, b_hat
 
 
-def _bchill(hill_values, b_hat, rho, n: int, k_values: np.ndarray):
-    """Hill times 1 - (b_hat / (1 - rho)) * (n/k)^rho at every k."""
-    rho = check_rho(rho)
+def _bchill(hill_values, b_hat, rhos: tuple, index, n: int, k_values: np.ndarray):
+    """Hill times 1 - (b_hat / (1 - rho)) * (n/k)^rho at every k, with ``index`` as the engine's."""
     if n is None or n < k_values[-1] + 1:
         raise KOutOfRangeError(f"BCHILL needs n >= k+1={k_values[-1] + 1}, got n={n}")
-    return hill_values * (1.0 - (b_hat / (1.0 - rho)) * (n / k_values) ** rho)
+    rho, decay = (np.array(a)[index] for a in (rhos, [(n / k_values) ** r for r in rhos]))
+    return hill_values * (1.0 - (b_hat / (1.0 - rho[..., None])) * decay)
 
 
 def _fit(z: LogSpacings, rho: float, weighted: bool,
@@ -196,8 +197,8 @@ def _fit(z: LogSpacings, rho: float, weighted: bool,
     """
     # dividing the penalty by k matches the centered form in ridge_fit
     shrink = 0.0 if penalty is None else penalty / z.k
-    k = np.array([z.k])
-    gamma_hat, b_hat = (float(v[0]) for v in _path_fit(z.z, k, rho, weighted, shrink))
+    fit = _path_fit(z.z, check_k_values(z.k, 2, z.z.size), (check_rho(rho),), weighted, shrink)
+    gamma_hat, b_hat = (float(v[0]) for v in fit)
     return RegressionFit(gamma_hat, b_hat, float(rho), z.k, penalty)
 
 
@@ -250,10 +251,10 @@ def ridge_fit(z: LogSpacings, rho: float, penalty: float) -> RegressionFit:
     return _fit(z, rho, weighted=False, penalty=penalty)
 
 
-def _penalty_block(z_all: np.ndarray, k_values: np.ndarray, rho, factors):
+def _penalty_block(z_all: np.ndarray, k_values: np.ndarray, rhos, factors, index=0):
     """The unweighted engine at penalty factor*k for each of ``factors``, stacked on axis 0."""
     shrink = np.reshape(factors, (-1,) + (1,) * z_all.ndim)
-    return _path_fit(z_all, k_values, rho, False, shrink)
+    return _path_fit(z_all, k_values, rhos, False, shrink, index)
 
 
 def _ridge_choice(gammas: np.ndarray, b_hats: np.ndarray, k_values: np.ndarray):
@@ -276,8 +277,8 @@ def select_ridge_penalty(z: LogSpacings, rho: float) -> RegressionFit:
     every candidate. The choice is the RR path's at k, and the fit is the
     chosen row of the same engine run. Errors as :func:`ridge_fit`.
     """
-    k_values = np.array([z.k])
-    block = _penalty_block(z.z, k_values, rho, RIDGE_PENALTY_FACTORS)
+    k_values = check_k_values(z.k, 2, z.z.size)
+    block = _penalty_block(z.z, k_values, (check_rho(rho),), RIDGE_PENALTY_FACTORS)
     gamma_hat, b_hat, penalty = (float(a[0]) for a in _ridge_choice(*block, k_values))
     return RegressionFit(gamma_hat, b_hat, float(rho), z.k, penalty)
 
@@ -293,7 +294,8 @@ def bchill(z: LogSpacings, rho: float, b_hat: float, n: int) -> float:
         InvalidRhoError: rho not finite negative.
         KOutOfRangeError: n < k + 1.
     """
-    return float(_bchill(hill(z), float(b_hat), rho, int(n), np.array([z.k]))[0])
+    k, rhos = np.array([z.k]), (check_rho(rho),)
+    return float(_bchill(hill(z), float(b_hat), rhos, 0, int(n), k)[0])
 
 
 def wls_gamma_grid(z_all: np.ndarray, k_values, rhos) -> np.ndarray:
@@ -309,7 +311,9 @@ def wls_gamma_grid(z_all: np.ndarray, k_values, rhos) -> np.ndarray:
     rhos = tuple(float(rho) for rho in rhos)
     if not rhos:
         raise EmptyOrTinyError("rho candidate grid is empty")
-    return _path_fit(z_all, np.asarray(k_values), rhos, weighted=True)[0]
+    k_values = check_k_values(k_values, 2, np.shape(z_all)[-1])
+    index = (slice(None),) + (None,) * (np.ndim(z_all) - 1)  # the rho axis goes first
+    return _path_fit(z_all, k_values, rhos, True, index=index)[0]
 
 
 def check_estimators(est_ids) -> tuple[str, ...]:
@@ -337,9 +341,8 @@ def check_covariate_sums(rho, k_max: int, est_ids) -> None:
     k_max. This is the rho check the table makes on every call, made once
     for a study whose rho and k_max are fixed.
     """
-    for weighted, run_ids in ((False, _UNWEIGHTED), (True, _WEIGHTED)):
-        if run_ids.intersection(est_ids):
-            _design((check_rho(rho),), int(k_max), weighted)
+    for message in _rejected((check_rho(rho),), int(k_max), est_ids).values():
+        raise InvalidRhoError(message)
 
 
 def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
@@ -357,7 +360,11 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
     unweighted run of the path engine (LS is the zero-penalty row of RR's
     penalty block), one weighted run (WLS, and the slope BCHILL corrects
     with) and one cumulative mean (HILL, and the path BCHILL corrects).
-    ``rho`` None means unresolved: the ids that need one are left out. ``n``
+    ``rho`` None means unresolved: the ids that need one are left out. A 2-D
+    block may take one rho per row, NaN where unresolved: the engine builds
+    each distinct rho's design once, and each row equals its own one-rho
+    call, or is NaN where that call leaves an id out or fails on its rho
+    (HILL too). ``n``
     is the size of the originating sample, read only by BCHILL's (n/k)^rho
     factor.
 
@@ -367,34 +374,40 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
         chosen ridge penalties if RR is computed, else None.
 
     Raises:
-        EmptyOrTinyError / ValueError: bad ``est_ids``, as check_estimators.
-        KOutOfRangeError: k_values[0] < 1 or k_values[-1] > len(z_all), or
-            BCHILL with n None or n < k + 1.
+        EmptyOrTinyError / ValueError: bad ``est_ids``, as check_estimators, or no k.
+        KOutOfRangeError: k_values not strictly ascending integers, k_values[0]
+            < 1 or k_values[-1] > len(z_all), or BCHILL with n None or n < k + 1.
         KTooSmallError: a regression estimator with k_values[0] < 2.
-        InvalidRhoError: rho not finite negative, or over- or underflowing the sums.
+        InvalidRhoError: one rho, not finite negative or over- or underflowing the sums.
     """
     ids = check_estimators(est_ids)
-    if rho is None:
+    rhos, index = () if rho is None or np.ndim(rho) else (float(rho),), 0
+    if np.ndim(rho):  # one rho per row; np.unique keeps one NaN, last
+        distinct, index = np.unique(rho, return_inverse=True)
+        rhos = tuple(distinct[~np.isnan(distinct)].tolist())
+        unresolved = index == len(rhos)
+        index[unresolved] = 0
+    if not rhos:
         ids = tuple(_RHO_FREE.intersection(ids))
-    k_values = np.asarray(k_values)
+    k_values = check_k_values(k_values, 2 if needs_rho(ids) else 1, z_all.shape[-1])
     paths, penalties = {}, None
     if _UNWEIGHTED.intersection(ids):  # LS is row 0, the zero penalty, of RR's block
         factors = RIDGE_PENALTY_FACTORS if "RR" in ids else RIDGE_PENALTY_FACTORS[:1]
-        block = _penalty_block(z_all, k_values, rho, factors)
+        block = _penalty_block(z_all, k_values, rhos, factors, index)
         paths["LS"] = block[0][0]
         if "RR" in ids:
             paths["RR"], _, penalties = _ridge_choice(*block, k_values)
     if _WEIGHTED.intersection(ids):
-        paths["WLS"], b_hat = _path_fit(z_all, k_values, rho, weighted=True)
+        paths["WLS"], b_hat = _path_fit(z_all, k_values, rhos, True, index=index)
     if "HILL" in ids or "BCHILL" in ids:
-        size = z_all.shape[-1]
-        if k_values[0] < 1 or k_values[-1] > size:
-            raise KOutOfRangeError(
-                f"k from {k_values[0]} to {k_values[-1]} outside [1, {size}]")
         hill_sums = _prefix_sums(z_all, k_values[-1], False)
         paths["HILL"] = hill_sums.take(k_values - 1, axis=-1) / k_values
     if "BCHILL" in ids:
-        paths["BCHILL"] = _bchill(paths["HILL"], b_hat, rho, n, k_values)
+        paths["BCHILL"] = _bchill(paths["HILL"], b_hat, rhos, index, n, k_values)
+    if np.ndim(index):  # blank what each row's own call would not give
+        failed = np.isin(index, list(_rejected(rhos, int(k_values[-1]), ids))) & ~unresolved
+        for e, path in paths.items():
+            path[failed | unresolved & (e not in _RHO_FREE)] = np.nan
     return {e: paths[e] for e in ids}, penalties
 
 

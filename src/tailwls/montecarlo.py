@@ -15,11 +15,10 @@ fit their ``(rows, 4)`` state block in ``_CHUNK_ENTRIES`` words (128 KiB),
 and at least one. Each chunk hands the draw one seed object per
 replication, from its rows of the batch's block. A PCG64 built from that
 object is the stream ``PCG64(rep_seed(master_seed, r))`` would give, so a
-replication replays from its integer seed alone. Within a chunk the rows
-that share a rho form one block, and one call of
-:func:`tailwls.estimators.path_estimates` computes every estimator path of
-the block (one group for a model study, at most one per grid rho, plus the
-unresolved ones, for a sampling study).
+replication replays from its integer seed alone. One call of
+:func:`tailwls.estimators.path_estimates` computes every estimator path of a
+chunk, whatever the rho method: the model draw hands it one rho, the
+sampling draw one per row.
 Both draws start from one block of uniforms, one row from each
 replication's stream (``distributions._uniforms``; ``sample`` is one row).
 The sampling draw turns the chunk's block into samples with one quantile
@@ -33,17 +32,18 @@ of the exponential regression model, built and checked once per study,
 
 ``run_simulation``, ``run_model_simulation`` and ``normality_report``
 validate, build a draw and call the engine. One failure rule holds for all
-three: a failed draw or a failed table call marks the whole replication
-missing, and an unresolved rho marks every rho-dependent estimator;
-configuration errors raise before the first replication. Grouping leaves
-this rule as it was per replication, because a table call fails only on
-what a group's rows share: rho, the k range, n and the estimator ids.
+three, per replication: a failed draw, or a rho that over- or underflows the
+covariate sums, marks the whole replication missing, and an unresolved rho
+marks every rho-dependent estimator. A table call fails as a whole only on
+the k range, n, the ids or the model's one rho, so studies raise those
+configuration errors before the first replication.
 Aggregates use the population-style divisor (number of successful
 replications), so mse = variance + bias^2 holds exactly.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from collections import Counter
@@ -55,7 +55,8 @@ import numpy as np
 from . import __version__
 from .asymptotics import standardized_statistic
 from .distributions import DistributionSpec, _uniforms, quantile
-from .errors import KOutOfRangeError, KTooSmallError, NonPositiveError, TailwlsError
+from .errors import (KOutOfRangeError, KTooSmallError, NonFiniteError, NonPositiveError,
+                     TailwlsError)
 from .estimators import (ESTIMATOR_IDS, check_covariate_sums, check_estimators, needs_rho,
                          path_estimates)
 from .second_order import RhoMethod, resolve_rho
@@ -73,9 +74,6 @@ GENERATOR_ID = "pcg64/splitmix64-xor"
 # rows, enough that the table's per-call cost no longer counts. The same bound
 # sizes a batch of seed states: 4 096 rows of 4 uint64 words.
 _CHUNK_ENTRIES = 16384
-
-# A draw's rho for a replication whose draw failed.
-_FAILED = object()
 
 
 def _splitmix64(x: int) -> int:
@@ -174,14 +172,18 @@ def _model_draw(gamma: float, b: float, rho: float, k: int):
 
     The draw takes one seed per replication (an int or an ISeedSequence) and
     returns the ``(rows, k)`` block of spacings, row i from seed i's PCG64
-    stream as ``means * -log1p(-U)`` with k uniforms U, and every row's rho.
+    stream as ``means * -log1p(-U)`` with k uniforms U, and the one rho.
 
     Raises:
         KOutOfRangeError: k < 1.
         InvalidRhoError: rho not finite negative.
+        NonFiniteError: some mean gamma + b C_j is NaN or overflows.
         NonPositiveError: some mean gamma + b C_j <= 0.
     """
-    means = float(gamma) + float(b) * covariates(k, rho)
+    with np.errstate(over="ignore"):
+        means = float(gamma) + float(b) * covariates(k, rho)
+    if not np.isfinite(means).all():
+        raise NonFiniteError(f"gamma={gamma}, b={b}: a mean gamma + b*C_j is not finite")
     if not (means > 0.0).all():
         j_bad = int(np.argmin(means)) + 1
         raise NonPositiveError(
@@ -193,7 +195,7 @@ def _model_draw(gamma: float, b: float, rho: float, k: int):
         block = _uniforms(seeds, means.size)
         np.log1p(np.negative(block, out=block), out=block)
         block *= scale  # log1p(-U) * -means, which is means * -log1p(-U) exactly
-        return block, [rho] * len(seeds)
+        return block, rho
 
     return draw
 
@@ -203,28 +205,26 @@ def _sampling_draw(spec: DistributionSpec, n: int, rho_method: RhoMethod,
     """Draw of full samples: one block for the chunk, then each row's rho.
 
     The draw takes one seed per replication and returns the ``(rows, n-1)``
-    block of spacings and every row's rho. Row i is the sample
-    ``sample(spec, n, seed_i)`` gives and the spacings ``validate_and_sort``
-    gives it, as both are the one-row case of the builders used here; a row
-    that fails that validation hands on ``_FAILED`` (its spacings are
-    zeros). Rho is resolved per good row, on the row's own OrderedTail, only
-    when some estimator in ``est_ids`` needs it; a failed resolution hands
-    on None instead.
+    block of spacings and the ``(rows,)`` array of their rhos. Row i is the
+    sample ``sample(spec, n, seed_i)`` gives and the spacings
+    ``validate_and_sort`` gives it, as both are the one-row case of the
+    builders used here; a row that fails that validation is NaN, spacings and
+    rho. Rho is resolved per good row, on the row's own OrderedTail, only
+    when some estimator in ``est_ids`` needs it; it stays NaN where that
+    fails or is not needed.
     """
     resolves = needs_rho(est_ids)
 
     def draw(seeds):
         block, tails = block_tails(quantile(spec, _uniforms(seeds, n)))
-        rhos = []
-        for tail in tails:
-            rho = _FAILED if tail is None else None
+        rho = np.full(len(tails), np.nan)
+        for row, tail in enumerate(tails):
             if resolves and tail is not None:
                 try:
-                    rho = resolve_rho(tail, rho_method)
+                    rho[row] = resolve_rho(tail, rho_method)
                 except TailwlsError:
                     pass
-            rhos.append(rho)
-        return block, rhos
+        return block, rho
 
     return draw
 
@@ -241,15 +241,12 @@ def _replicate(draw, row_len: int, est_ids: tuple[str, ...], k_values: np.ndarra
     mostly per call, not per row. ``draw`` gets one seed object (of
     :func:`_seed_state_type`) per replication of a chunk, each holding its
     row of the batch's block. It returns the ``(rows, row_len)`` block of
-    spacings and each row's rho (None if it could not be resolved,
-    ``_FAILED`` if the draw failed), in replication order. The rows are
-    grouped by their rho, and each group is one table call on its rows of
-    the block; each row of the result is its replication's paths, bit for
-    bit. Cells that the module's failure rule marks missing stay NaN: a
-    table call can fail only on what every row of a group shares (rho, the k
-    range, n and the ids), so a failed group blanks exactly the replications
-    whose own call would fail. ``rhos`` holds the rho of every draw that did
-    not fail, in order of r.
+    spacings, NaN in a row whose draw failed, and the rows' rho: one for all,
+    or one per row, NaN where unresolved. The chunk is one table call, and
+    each row of the result is its replication's paths, bit for bit, or NaN
+    where the module's failure rule marks it missing; a call that fails as a
+    whole raises. ``rhos`` holds the rho (None if unresolved) of every draw
+    that did not fail, in order of r.
     """
     values = np.full((len(est_ids), len(k_values), reps), np.nan)
     rhos = []
@@ -261,22 +258,13 @@ def _replicate(draw, row_len: int, est_ids: tuple[str, ...], k_values: np.ndarra
         if offset == 0:
             r = np.arange(start, min(start + batch, reps), dtype=np.uint64)
             states = _seed_states(_rep_seeds(master_seed, r))
-        block, drawn = draw([seed_state(state) for state in states[offset:offset + chunk]])
-        groups: dict = {}  # rho -> rows of the block
-        for row, rho in enumerate(drawn):
-            if rho is not _FAILED:
-                rhos.append(rho)
-                groups.setdefault(rho, []).append(row)
-        for rho, rows in groups.items():
-            try:
-                paths = path_estimates(block if len(rows) == len(drawn) else block[rows],
-                                       n, est_ids, rho, k_values)[0]
-            except TailwlsError:
-                continue
-            index = start + np.array(rows)
-            for e, est in enumerate(est_ids):
-                if est in paths:
-                    values[e][:, index] = paths[est].T
+        block, rho = draw([seed_state(state) for state in states[offset:offset + chunk]])
+        ok = ~np.isnan(block[:, 0])  # a failed draw's row is NaN
+        rhos += [None if math.isnan(r) else r for r in np.broadcast_to(rho, ok.shape)[ok].tolist()]
+        paths = path_estimates(block, n, est_ids, rho, k_values)[0]
+        for e, est in enumerate(est_ids):
+            if est in paths:
+                values[e][:, start:start + len(block)] = paths[est].T
     return values, rhos
 
 

@@ -9,8 +9,8 @@ statistics
 the unit-sum form w_j = W_j / (k/2) of the linearly decreasing weights
 W_j = 1 - j/(k+1) (which sum to k/2 exactly), and the second-order
 covariates C_j = (j/(k+1))^(-rho) with rho < 0. This module builds those
-four objects and holds the two checks every caller shares, of rho and of a
-k range. ``block_tails`` alone computes spacings: it sorts a ``(rows, n)``
+four objects and holds the three checks every caller shares: of rho, of a k
+range and of an array of k. ``block_tails`` alone computes spacings: it sorts a ``(rows, n)``
 block of samples and takes all their spacings at once. ``validate_and_sort``
 is its one-row case, and the other spacings functions read an OrderedTail's.
 """
@@ -26,6 +26,7 @@ from .errors import (
     EmptyOrTinyError,
     InvalidRhoError,
     KOutOfRangeError,
+    KTooSmallError,
     NonFiniteError,
     NonPositiveError,
 )
@@ -92,6 +93,30 @@ def check_k_range(k_min: int, k_max: int, n: int) -> np.ndarray:
             f"k_max={k_max}, n={n}"
         )
     return np.arange(k_min, k_max + 1)
+
+
+def check_k_values(k_values, k_low: int, size: int | None = None) -> np.ndarray:
+    """``k_values`` (an int or ints) as a 1-D array, if they strictly ascend in [k_low, size].
+
+    Raises:
+        EmptyOrTinyError: no k.
+        KTooSmallError: the first k is below k_low = 2 (a fit needs two spacings).
+        KOutOfRangeError: a k that is not an integer, below k_low = 1 or
+            above ``size``, or k that do not strictly ascend.
+    """
+    ks = np.atleast_1d(k_values)
+    if not ks.size:
+        raise EmptyOrTinyError("no k values")
+    if ks.ndim != 1 or ks.dtype.kind not in "iu":
+        raise KOutOfRangeError(f"k must be integers along one axis, got {ks.dtype} {ks.shape}")
+    if ks[0] < k_low:
+        raise (KTooSmallError if k_low > 1 else KOutOfRangeError)(
+            f"need k >= {k_low}, got k={ks[0]}")
+    if size is not None and ks[-1] > size:
+        raise KOutOfRangeError(f"k={ks[-1]} exceeds the {size} spacings")
+    if not (ks[1:] > ks[:-1]).all():
+        raise KOutOfRangeError("k values must strictly ascend")
+    return ks
 
 
 def validate_and_sort(raw_sample) -> OrderedTail:
@@ -166,7 +191,7 @@ def block_tails(raw: np.ndarray) -> tuple[np.ndarray, list]:
     block. Returns the read-only ``(rows, n-1)`` block of spacings and, per
     row, its OrderedTail, or None where ``validate_and_sort`` would raise
     (fewer than two values, or a non-finite or non-positive one); such a
-    row's spacings are zeros. The tails' values are the rows of one
+    row's spacings are NaN. The tails' values are the rows of one
     C-contiguous descending block, and each tail's ``z_all`` is its row of
     the spacings block, so nothing is copied or computed per row. The logs
     are taken on that contiguous block because ``np.log`` may take another
@@ -175,7 +200,7 @@ def block_tails(raw: np.ndarray) -> tuple[np.ndarray, list]:
     raw = np.asarray(raw, dtype=np.float64)
     ok = ((raw > 0.0) & (raw < np.inf)).all(axis=1) & (raw.shape[1] >= 2)
     if not ok.all():
-        raw = np.where(ok[:, None], raw, 1.0)
+        raw = np.where(ok[:, None], raw, np.nan)
     values = _readonly(np.sort(raw, axis=1)[:, ::-1])
     logs = np.log(values)
     j = np.arange(1, values.shape[1], dtype=np.float64)

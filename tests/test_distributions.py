@@ -60,6 +60,19 @@ def test_parameter_validation():
         loggamma(1.0, 0.0)
 
 
+def test_parameters_must_be_finite():
+    # frechet(inf) would have true gamma 0 and draw samples of all ones
+    for make in (lambda: pareto(np.inf), lambda: burr(np.inf, 1.0, 1.0),
+                 lambda: burr(1.0, np.inf, 1.0), lambda: burr(1.0, 1.0, np.inf),
+                 lambda: frechet(np.inf), lambda: loggamma(np.inf, 1.0),
+                 lambda: loggamma(1.0, np.inf)):
+        with pytest.raises(NonFiniteError):
+            make()
+    with pytest.raises(NonPositiveError):  # NaN is not > 0
+        pareto(np.nan)
+    assert frechet(1e300).true_gamma == 1e-300
+
+
 def test_pareto_quantile_closed_form():
     s = pareto(0.5)
     u = np.array([0.0, 0.3, 0.9, 0.999])

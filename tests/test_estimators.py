@@ -34,7 +34,8 @@ from tailwls import (
     wls_fit,
     wls_gamma_grid,
 )
-from tailwls.montecarlo import _model_draw
+from tailwls.asymptotics import s_moments
+from tailwls.montecarlo import _model_draw, _sampling_draw
 
 
 def _spacings(z, n=None):
@@ -327,7 +328,7 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
         grid = tuple(-rng.uniform(0.05, 3.0, size=int(rng.integers(2, 8))))
         for k_values in (contiguous, sparse):
             for rhos in (grid[:1], grid[::-1], grid + grid[:1], DEFAULT_RHO_GRID):
-                want = np.array([estimators._path_fit(z_all, k_values, rho, True)[0]
+                want = np.array([estimators._path_fit(z_all, k_values, (float(rho),), True)[0]
                                  for rho in rhos])
                 for given in (list(rhos), np.array(rhos)):
                     got = wls_gamma_grid(z_all, k_values, given)
@@ -343,11 +344,11 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
     assert designs[-1] is designs[-2] is designs[-3]  # one build (miss), then two hits
     # a block of samples puts the rho axis first, each row still its one-rho path
     block = rng.exponential(size=(3, n - 1))
-    got = estimators._path_fit(block, contiguous, grid, True)[0]
+    got = estimators._path_fit(block, contiguous, grid, True, index=np.s_[:, None])[0]
     assert got.shape == (len(grid), 3, len(contiguous))
     for r, rho in enumerate(grid):
         for row in range(3):
-            want = estimators._path_fit(block[row], contiguous, rho, True)[0]
+            want = estimators._path_fit(block[row], contiguous, (float(rho),), True)[0]
             assert np.array_equal(got[r, row], want)
 
 
@@ -413,6 +414,35 @@ def test_wls_gamma_grid_errors():
         wls_gamma_grid(z_all, [5, 19], (-1.0, -400.0))
     with pytest.raises(EmptyOrTinyError):
         wls_gamma_grid(z_all, [5, 19], [])
+
+
+def test_every_k_array_entry_raises_typed_errors():
+    """Descending, repeated, empty, fractional or 2-D k arrays raise before any indexing."""
+    z_all = np.ones(20)
+    entries = {
+        "s_moments": lambda k: s_moments(k, -1.0),
+        "WLS": lambda k: path_estimates(z_all, 21, ("WLS",), -1.0, k),
+        "HILL": lambda k: path_estimates(z_all, 21, ("HILL",), None, k),
+        "grid": lambda k: wls_gamma_grid(z_all, k, (-1.0,)),
+    }
+    bad = [([10, 5], KOutOfRangeError), ([5, 5], KOutOfRangeError),
+           ([], EmptyOrTinyError), (np.array([], dtype=int), EmptyOrTinyError),
+           ([2.5, 4.5], KOutOfRangeError), ([2.5, 4.0], KOutOfRangeError),
+           ([2.0, 4.0], KOutOfRangeError), ([[2, 3]], KOutOfRangeError)]
+    for entry in entries.values():
+        for k, error in bad:
+            with pytest.raises(error):
+                entry(k)
+        for k in ([3, 7, 19], np.array([3, 7, 19], dtype=np.uint8), 19):
+            entry(k)  # ascending ints of any integer type, or one int
+    with pytest.raises(KTooSmallError):
+        entries["WLS"]([1, 5])
+    with pytest.raises(KOutOfRangeError):
+        entries["HILL"]([0, 5])
+    with pytest.raises(KOutOfRangeError):
+        entries["HILL"]([5, 21])
+    assert s_moments(np.array([2, 4]), -1.0).s1.tolist() == [
+        s_moments(2, -1.0).s1, s_moments(4, -1.0).s1]
 
 
 def test_optimal_k_picks_smallest_on_ties():
@@ -509,6 +539,48 @@ def test_set_table_equals_one_id_calls_bitwise():
             if "HILL" in ids:
                 assert np.array_equal(paths["HILL"],
                                       [want["HILL"][0] for want in per_row])
+
+
+def test_per_row_rho_equals_one_row_calls_bitwise():
+    """A chunk with one rho per row gives each row its one-row call, bit for bit.
+
+    Min-variance picks repeat a few grid values, -1 among them; a moment rho
+    differs on every row. (k+1)^rho taken on a column of rhos differs in the
+    last bit from the scalar power on some hosts, so the design is built per
+    distinct rho. An unresolved row keeps only HILL; a row whose rho
+    overflows the covariate sums is NaN throughout, as its own call raises.
+    """
+    spec, n, k_values = burr(1.0, np.sqrt(2.0), np.sqrt(2.0)), 200, np.arange(10, 151)
+    seeds = [rep_seed(3, r) for r in range(40)]
+    for method in (RhoMethod.min_variance(), RhoMethod.moment()):
+        block, rho = _sampling_draw(spec, n, method, ESTIMATOR_IDS)(seeds)
+        if method.kind == "minvar":
+            assert (rho == -1.0).sum() >= 2 and 1 < len(set(rho.tolist())) < 8
+        else:
+            assert len(set(rho.tolist())) == len(rho)
+        rho[[1, 5]] = np.nan, -200.0
+        paths, penalties = path_estimates(block, n, ESTIMATOR_IDS, rho, k_values)
+        assert list(paths) == list(ESTIMATOR_IDS)
+        for row, z_all in enumerate(block):
+            if row == 5:
+                with pytest.raises(InvalidRhoError):
+                    path_estimates(z_all, n, ESTIMATOR_IDS, rho[row], k_values)
+                assert all(np.isnan(path[row]).all() for path in paths.values())
+                continue
+            one_rho = None if row == 1 else float(rho[row])
+            want, want_penalties = path_estimates(z_all, n, ESTIMATOR_IDS, one_rho, k_values)
+            for est in ESTIMATOR_IDS:
+                if est in want:
+                    assert np.array_equal(paths[est][row], want[est]), (method, row, est)
+                else:
+                    assert np.isnan(paths[est][row]).all(), (method, row, est)
+            if want_penalties is not None:
+                assert np.array_equal(penalties[row], want_penalties), (method, row)
+    # every row unresolved leaves out every id but HILL, as rho None does
+    rho[:] = np.nan
+    paths, penalties = path_estimates(block, n, ESTIMATOR_IDS, rho, k_values)
+    assert list(paths) == ["HILL"] and penalties is None
+    assert np.array_equal(paths["HILL"], path_estimates(block, n, ("HILL",), None, k_values)[0]["HILL"])
 
 
 def test_path_entries_equal_single_fits_bitwise():

@@ -10,6 +10,7 @@ from tailwls import (
     KOutOfRangeError,
     KTooSmallError,
     LogSpacings,
+    NonFiniteError,
     NonPositiveError,
     RhoMethod,
     SimulationConfig,
@@ -34,7 +35,7 @@ from tailwls import (
 )
 from tailwls import montecarlo, resolve_rho
 from tailwls.spacings import all_log_spacings
-from tailwls.montecarlo import (_CHUNK_ENTRIES, _FAILED, _model_draw, _rep_seeds, _replicate,
+from tailwls.montecarlo import (_CHUNK_ENTRIES, _model_draw, _rep_seeds, _replicate,
                                 _sampling_draw, _seed_state_type, _seed_states)
 
 
@@ -70,7 +71,7 @@ def test_model_block_rows_are_the_replication_streams():
     seed_state = _seed_state_type()
     seeds = [seed_state(state) for state in _seed_states(_rep_seeds(master_seed, r))]
     block, rhos = _model_draw(gamma, b, rho, k)(seeds)
-    assert block.shape == (40, k) and rhos == [rho] * 40
+    assert block.shape == (40, k) and rhos == rho
     means = gamma + b * covariates(k, rho)
     for i, row in enumerate(block):
         u = np.random.Generator(np.random.PCG64(rep_seed(master_seed, i))).random(k)
@@ -106,7 +107,7 @@ def test_model_spacings_deterministic():
     a, rho_a = _model_draw(0.5, 0.1, -1.0, 50)([11])
     b, _ = _model_draw(0.5, 0.1, -1.0, 50)([11])
     assert np.array_equal(a, b)
-    assert a.shape == (1, 50) and rho_a == [-1.0]
+    assert a.shape == (1, 50) and rho_a == -1.0
     assert (a >= 0).all()
 
 
@@ -165,6 +166,21 @@ def test_run_model_simulation_validation():
     with pytest.raises(NonPositiveError):
         # a configuration error raises; it is not counted as missing cells
         run_model_simulation(0.1, -1.0, -1.0, 10, 5)
+
+
+def test_non_finite_model_parameters_raise_up_front(monkeypatch):
+    """inf passes ``gamma > 0`` and ``means > 0``; the finite check stops it before a replication."""
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(montecarlo, "_replicate", no_replication)
+    for gamma, b in ((1.0, np.inf), (np.inf, 0.1), (1e308, 1e308), (1.0, np.nan)):
+        with pytest.raises(NonFiniteError):
+            run_model_simulation(gamma, b, -1.0, 10, 5)
+    with pytest.raises(NonFiniteError):
+        normality_report(100, 10, gamma=1.0, b=np.inf)
+    with pytest.raises(NonFiniteError):
+        _model_draw(1e308, 1e308, -1.0, 10)
 
 
 def test_run_model_simulation_raises_configuration_errors_up_front(monkeypatch):
@@ -233,10 +249,12 @@ def _reference_replicate(draw, est_ids, k_values, n, reps, master_seed):
     values = np.full((len(est_ids), len(k_values), reps), np.nan)
     rhos = []
     for r in range(reps):
-        block, (rho,) = draw([rep_seed(master_seed, r)])
-        if rho is _FAILED:
+        block, rho = draw([rep_seed(master_seed, r)])
+        if np.isnan(block[0]).all():  # the draw failed
             continue
         z_all = block[0]
+        rho = float(np.broadcast_to(rho, 1)[0])
+        rho = None if np.isnan(rho) else rho
         rhos.append(rho)
         try:
             paths = path_estimates(z_all, n, est_ids, rho, k_values)[0]
@@ -258,11 +276,13 @@ def test_chunked_engine_equals_one_replication_at_a_time():
         for row, seed in zip(block, seeds):
             rng = np.random.default_rng(seed)
             pick = int(rng.integers(0, 6))
-            # the draw failed; None is unresolved; -200 overflows the covariate
-            # sums, failing its group
-            rhos.append((_FAILED, None, -0.5, -1.0, -2.0, -200.0)[pick])
+            # the draw failed (a NaN row); NaN is unresolved; -200 overflows the
+            # covariate sums, failing its row
+            rhos.append((np.nan, np.nan, -0.5, -1.0, -2.0, -200.0)[pick])
             row[:] = rng.exponential(size=n - 1)
-        return block, rhos
+            if pick == 0:
+                row[:] = np.nan
+        return block, np.array(rhos)
 
     reps = 2 * rows + 1
     got, rhos = _replicate(draw, n - 1, ESTIMATOR_IDS, k_values, n, reps, 4)
@@ -299,9 +319,12 @@ def test_seed_batches_of_several_chunks_equal_one_replication_at_a_time(monkeypa
         block, rhos = np.empty((len(seeds), n - 1)), []
         for row, seed in zip(block, seeds):
             rng = np.random.default_rng(seed)
-            rhos.append((_FAILED, None, -0.5, -1.0, -200.0)[int(rng.integers(0, 5))])
+            pick = int(rng.integers(0, 5))
+            rhos.append((np.nan, np.nan, -0.5, -1.0, -200.0)[pick])
             row[:] = rng.exponential(size=n - 1)
-        return block, rhos
+            if pick == 0:  # the draw failed
+                row[:] = np.nan
+        return block, np.array(rhos)
 
     est_ids = ("HILL", "LS", "WLS")
     for reps in (1, 50, 131):
@@ -373,8 +396,8 @@ def test_one_table_call_per_chunk_and_rho(monkeypatch):
     reps = 2 * rows + 1
     run_simulation(SimulationConfig(spec=burr(1.0, 2.0, 1.0), n=n, reps=reps, k_min=5,
                                     k_max=49, estimators=("HILL", "WLS"), master_seed=2))
-    assert len(picks) == reps
-    assert len(calls) <= 3 * len(set(picks))
+    assert len(picks) == reps and len(set(picks)) > 1
+    assert len(calls) == 3  # one call per chunk, whatever the rhos
     assert sum(shape[0] for shape in calls) == reps
 
     calls.clear()
@@ -382,6 +405,39 @@ def test_one_table_call_per_chunk_and_rho(monkeypatch):
     reps = 2 * (_CHUNK_ENTRIES // k) + 1
     run_model_simulation(1.0, 0.1, -1.0, k, reps, ("HILL", "WLS"), master_seed=2)
     assert len(calls) == 3  # one rho: one call per chunk
+
+
+@pytest.mark.parametrize("method", [RhoMethod.fixed(-1.0), RhoMethod.min_variance(),
+                                    RhoMethod.moment()], ids=["fixed", "minvar", "moment"])
+def test_one_table_call_per_chunk_for_every_rho_method(monkeypatch, method):
+    """Failed draws and unresolved rows ride in their chunk's one table call."""
+    calls, resolved = [], []
+    real_table, real_rho = montecarlo.path_estimates, montecarlo.resolve_rho
+
+    def table(z_all, n, est_ids, rho, k_values):
+        calls.append((len(z_all), int(np.isnan(z_all[:, 0]).sum()), int(np.isnan(rho).sum())))
+        return real_table(z_all, n, est_ids, rho, k_values)
+
+    def resolve(tail, method):
+        resolved.append(None)
+        if len(resolved) % 4 == 0:
+            raise InvalidRhoError("no rho for this replication")
+        return real_rho(tail, method)
+
+    monkeypatch.setattr(montecarlo, "path_estimates", table)
+    monkeypatch.setattr(montecarlo, "resolve_rho", resolve)
+    n = 60
+    reps = 2 * (_CHUNK_ENTRIES // (n - 1)) + 1  # three chunks, the last of one row
+    s = run_simulation(SimulationConfig(spec=pareto(100.0), n=n, reps=reps, k_min=5, k_max=59,
+                                        estimators=("HILL", "WLS"), rho_method=method,
+                                        master_seed=9))
+    assert [rows for rows, _, _ in calls] == [reps // 2, reps // 2, 1]
+    failed = sum(nan_rows for _, nan_rows, _ in calls)
+    unresolved = len(resolved) // 4
+    assert 0 < failed and 0 < unresolved and len(resolved) == reps - failed
+    assert sum(nan_rhos for _, _, nan_rhos in calls) == failed + unresolved
+    assert (s.missing[0] == failed).all() and (s.missing[1] == failed + unresolved).all()
+    assert s.metadata["resolved_rho_counts"].endswith(f"unresolved:{unresolved}")
 
 
 def test_overflowing_minvar_grid_blanks_only_the_regressions():
@@ -471,9 +527,9 @@ def test_sampling_block_equals_the_per_sample_pipeline(spec):
     rhos = [rho for _, chunk_rhos in chunks for rho in chunk_rhos]
     for r, (row, rho, ref) in enumerate(zip(block, rhos, want)):
         if ref is None:
-            assert rho is _FAILED, r
+            assert np.isnan(row).all() and np.isnan(rho), r
         else:
-            assert rho is not _FAILED and rho == ref[1], r
+            assert (np.isnan(rho) if ref[1] is None else rho == ref[1]), r
             assert np.array_equal(row, ref[0]), r
     assert study_rhos == [ref[1] for ref in want if ref is not None]
     failed = sum(ref is None for ref in want)
@@ -497,13 +553,14 @@ def test_resolve_rho_gets_each_good_row_once_in_order(monkeypatch):
     seed_state = _seed_state_type()
     r = np.arange(400, dtype=np.uint64)
     block, rhos = draw([seed_state(s) for s in _seed_states(_rep_seeds(master_seed, r))])
-    good = [i for i, rho in enumerate(rhos) if rho is not _FAILED]
+    good = [i for i, row in enumerate(block) if not np.isnan(row).all()]
     assert 0 < len(good) < len(rhos) and len(seen) == len(good)
     for i, z_all in zip(good, seen):
         assert np.shares_memory(z_all, block[i]) and np.array_equal(z_all, block[i])
     for row, seed in enumerate([rep_seed(master_seed, 0), rep_seed(master_seed, 1)]):
         one_row, one_rho = draw([seed])  # a chunk of one row
-        assert np.array_equal(one_row[0], block[row]) and one_rho == [rhos[row]]
+        assert np.array_equal(one_row[0], block[row])
+        assert np.array_equal(one_rho, rhos[row:row + 1], equal_nan=True)
 
 
 def test_run_model_simulation_deterministic():

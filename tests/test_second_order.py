@@ -128,7 +128,7 @@ def _min_variance_oracle(tail, grid, k_fraction=0.9):
     n = tail.n
     k_values = np.arange(max(2, math.ceil(n / 10)), math.floor(k_fraction * (n - 1)) + 1)
     z_all = all_log_spacings(tail)
-    paths = np.array([estimators._path_fit(z_all, k_values, rho, True)[0] for rho in grid])
+    paths = np.array([estimators._path_fit(z_all, k_values, (float(rho),), True)[0] for rho in grid])
     # smallest variance first, ties to the most negative rho
     return float(grid[np.lexsort((grid, paths.var(axis=1)))[0]])
 
