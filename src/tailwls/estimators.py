@@ -381,8 +381,9 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
         InvalidRhoError: one rho, not finite negative or over- or underflowing the sums.
     """
     ids = check_estimators(est_ids)
-    rhos, index = () if rho is None or np.ndim(rho) else (float(rho),), 0
-    if np.ndim(rho):  # one rho per row; np.unique keeps one NaN, last
+    per_row = getattr(rho, "ndim", 0) > 0  # np.ndim would cost a conversion per call
+    rhos, index = () if rho is None or per_row else (float(rho),), 0
+    if per_row:  # np.unique keeps one NaN, last
         distinct, index = np.unique(rho, return_inverse=True)
         rhos = tuple(distinct[~np.isnan(distinct)].tolist())
         unresolved = index == len(rhos)
@@ -404,7 +405,7 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
         paths["HILL"] = hill_sums.take(k_values - 1, axis=-1) / k_values
     if "BCHILL" in ids:
         paths["BCHILL"] = _bchill(paths["HILL"], b_hat, rhos, index, n, k_values)
-    if np.ndim(index):  # blank what each row's own call would not give
+    if per_row:  # blank what each row's own call would not give
         failed = np.isin(index, list(_rejected(rhos, int(k_values[-1]), ids))) & ~unresolved
         for e, path in paths.items():
             path[failed | unresolved & (e not in _RHO_FREE)] = np.nan

@@ -437,6 +437,7 @@ def run_model_simulation(
 
     Raises:
         NonPositiveError: gamma <= 0, or a model mean gamma + b C_j <= 0.
+        NonFiniteError: a model mean that is NaN or infinite (gamma or b so).
         EmptyOrTinyError / ValueError: bad estimator set.
         KOutOfRangeError / InvalidRhoError: k < 1, BCHILL without n >= k+1,
             rho not finite negative, or a regression estimator's covariate

@@ -10,9 +10,10 @@ the unit-sum form w_j = W_j / (k/2) of the linearly decreasing weights
 W_j = 1 - j/(k+1) (which sum to k/2 exactly), and the second-order
 covariates C_j = (j/(k+1))^(-rho) with rho < 0. This module builds those
 four objects and holds the three checks every caller shares: of rho, of a k
-range and of an array of k. ``block_tails`` alone computes spacings: it sorts a ``(rows, n)``
-block of samples and takes all their spacings at once. ``validate_and_sort``
-is its one-row case, and the other spacings functions read an OrderedTail's.
+range and of an array of k. ``block_tails`` alone computes spacings: it
+sorts a ``(rows, n)`` block of samples and takes all their spacings at once.
+``validate_and_sort`` is its one-row case, and the other spacings functions
+read an OrderedTail's.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def check_k_values(k_values, k_low: int, size: int | None = None) -> np.ndarray:
             f"need k >= {k_low}, got k={ks[0]}")
     if size is not None and ks[-1] > size:
         raise KOutOfRangeError(f"k={ks[-1]} exceeds the {size} spacings")
-    if not (ks[1:] > ks[:-1]).all():
+    if ks.size > 1 and not (ks[1:] > ks[:-1]).all():
         raise KOutOfRangeError("k values must strictly ascend")
     return ks
 
