@@ -46,14 +46,11 @@ from .estimators import (
     ESTIMATOR_IDS,
     EviPath,
     RegressionFit,
-    bchill,
     evi_path,
-    hill,
     ls_fit,
     optimal_k,
     path_estimates,
     ridge_fit,
-    select_ridge_penalty,
     wls_fit,
     wls_gamma_grid,
 )
@@ -105,12 +102,9 @@ __all__ = [
     "ESTIMATOR_IDS",
     "RegressionFit",
     "EviPath",
-    "hill",
     "wls_fit",
     "ls_fit",
     "ridge_fit",
-    "select_ridge_penalty",
-    "bchill",
     "path_estimates",
     "evi_path",
     "optimal_k",

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRhoError, KOutOfRangeError, NonFiniteError, NonPositiveError
+from .errors import InvalidRhoError, KOutOfRangeError, NonFiniteError
 from .estimators import _design, _prefix_sums, check_covariate_sums
-from .spacings import check_k_values
+from .spacings import check_k_values, check_positive
 
 
 def s1_limit(rho: float) -> float:
@@ -90,7 +90,8 @@ class SMoments:
     def amse(self, gamma: float):
         """gamma^2 * unit_amse, elementwise; NonFiniteError at the first k where it overflows.
 
-        Only for a finite gamma; InvalidRhoError from ``unit_amse`` passes on.
+        InvalidRhoError from ``unit_amse`` passes on; then a gamma whose AMSE
+        overflows raises, and any other gamma is checked by ``check_positive``.
         """
         with np.errstate(over="ignore"):  # np.float64 ** 2 is the C pow of float ** 2
             value = np.float64(gamma) ** 2 * self.unit_amse
@@ -98,6 +99,7 @@ class SMoments:
         if bad.size:
             raise NonFiniteError(
                 f"gamma={gamma}: gamma^2 overflows the AMSE at k={np.ravel(self.k)[bad[0]]}")
+        check_positive("gamma", gamma)
         return value if np.ndim(value) else float(value)
 
 
@@ -137,8 +139,9 @@ def amse(gamma: float, k: int, rho: float) -> float:
     Under the exponential regression model with b = 0 the fit is unbiased,
     and this is its variance gamma^2 sum a_j^2 (module docstring) with
     sum w_j^2 replaced by its limit 4/(3k). Errors as :func:`s_moments`,
-    InvalidRhoError where S2^2 underflows (an extreme rho), and
-    NonFiniteError where the AMSE of a finite gamma overflows.
+    InvalidRhoError where S2^2 underflows (an extreme rho), NonFiniteError
+    where the AMSE of a finite gamma overflows, and NonPositiveError or
+    NonFiniteError for a gamma that is not positive or not finite.
     """
     return s_moments(k, rho).amse(gamma)
 
@@ -153,14 +156,18 @@ def standardized_statistic(gamma_hat: float | np.ndarray, gamma_true: float,
     docstring), so it is not standard normal.
 
     Raises:
-        NonPositiveError: gamma_true <= 0.
+        NonPositiveError: gamma_true <= 0 or NaN.
+        NonFiniteError: gamma_true infinite, or a statistic that is not
+            finite (a gamma_hat NaN or infinite, or an overflow).
         KOutOfRangeError: k < 1.
     """
-    gamma_true = float(gamma_true)
-    if not gamma_true > 0.0:
-        raise NonPositiveError(f"gamma_true={gamma_true} must be > 0")
+    gamma_true = check_positive("gamma_true", gamma_true)
     k = int(k)
     if k < 1:
         raise KOutOfRangeError(f"k={k} must be at least 1")
     gamma_hat = np.asarray(gamma_hat, dtype=np.float64)
-    return np.sqrt(3.0 * k) * (gamma_hat - gamma_true) / (2.0 * gamma_true)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stat = np.sqrt(3.0 * k) * (gamma_hat - gamma_true) / (2.0 * gamma_true)
+    if not (np.isfinite(stat).all() and np.isfinite(2.0 * gamma_true)):
+        raise NonFiniteError(f"gamma_true={gamma_true}, k={k}: a statistic is not finite")
+    return stat

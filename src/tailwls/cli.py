@@ -43,7 +43,8 @@ from .asymptotics import s_moments
 from .distributions import burr, frechet, loggamma, pareto
 from .montecarlo import SimulationConfig, run_simulation
 from .second_order import RhoMethod, resolve_rho
-from .spacings import all_log_spacings, check_k_range, check_rho, validate_and_sort
+from .spacings import (all_log_spacings, check_k_range, check_positive, check_rho,
+                       validate_and_sort)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -371,9 +372,7 @@ def cmd_simulate(args) -> int:
 def cmd_diagnose(args) -> int:
     try:
         rho = check_rho(args.rho)
-        gamma = float(args.gamma)
-        if not np.isfinite(gamma) or gamma <= 0.0:
-            raise ValueError(f"--gamma {gamma} must be finite and > 0")
+        gamma = check_positive("--gamma", args.gamma)
         k_min, k_max = int(args.k_min), int(args.k_max)
         if not 2 <= k_min <= k_max:
             raise ValueError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")

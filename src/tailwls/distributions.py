@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, NonPositiveError, UOutOfRangeError
+from .errors import UOutOfRangeError
+from .spacings import check_positive
 
 FAMILIES = ("pareto", "burr", "frechet", "loggamma")
 
@@ -40,19 +41,9 @@ class DistributionSpec:
     true_rho: float
 
 
-def _require_positive(name: str, value: float) -> float:
-    """``value`` as a float; NonPositiveError unless it is > 0, NonFiniteError if it is inf."""
-    value = float(value)
-    if not value > 0.0:
-        raise NonPositiveError(f"{name}={value} must be > 0")
-    if value == np.inf:
-        raise NonFiniteError(f"{name}={value} must be finite")
-    return value
-
-
 def pareto(gamma: float) -> DistributionSpec:
     """Strict Pareto with survival function x^(-1/gamma) on [1, inf)."""
-    gamma = _require_positive("gamma", gamma)
+    gamma = check_positive("gamma", gamma)
     return DistributionSpec(
         family="pareto",
         params={"gamma": gamma},
@@ -63,9 +54,9 @@ def pareto(gamma: float) -> DistributionSpec:
 
 def burr(eta: float, tau: float, lam: float) -> DistributionSpec:
     """Burr(eta, tau, lam): 1 - F(x) = (1 + (x/eta)^tau)^(-lam) on (0, inf)."""
-    eta = _require_positive("eta", eta)
-    tau = _require_positive("tau", tau)
-    lam = _require_positive("lam", lam)
+    eta = check_positive("eta", eta)
+    tau = check_positive("tau", tau)
+    lam = check_positive("lam", lam)
     return DistributionSpec(
         family="burr",
         params={"eta": eta, "tau": tau, "lam": lam},
@@ -76,7 +67,7 @@ def burr(eta: float, tau: float, lam: float) -> DistributionSpec:
 
 def frechet(alpha: float) -> DistributionSpec:
     """Frechet with F(x) = exp(-x^(-alpha)) on (0, inf)."""
-    alpha = _require_positive("alpha", alpha)
+    alpha = check_positive("alpha", alpha)
     return DistributionSpec(
         family="frechet",
         params={"alpha": alpha},
@@ -87,8 +78,8 @@ def frechet(alpha: float) -> DistributionSpec:
 
 def loggamma(lam: float, alpha: float) -> DistributionSpec:
     """exp(G) with G ~ Gamma(shape alpha, rate lam); support [1, inf)."""
-    lam = _require_positive("lam", lam)
-    alpha = _require_positive("alpha", alpha)
+    lam = check_positive("lam", lam)
+    alpha = check_positive("alpha", alpha)
     return DistributionSpec(
         family="loggamma",
         params={"lam": lam, "alpha": alpha},

@@ -27,7 +27,9 @@ class NonFiniteError(TailwlsError, ValueError):
     """A value is NaN or infinite where it must be finite.
 
     Raised for a sample value, a distribution parameter, a model parameter
-    or mean gamma + b*C_j, and the AMSE of a finite gamma that overflows.
+    or mean gamma + b*C_j, the AMSE of a finite gamma that overflows, a
+    path or model spacing that overflows, and a standardized statistic that
+    is not finite.
     """
 
 

@@ -24,7 +24,8 @@ All regression fits share one algebraic core: with unit-sum weights w_j,
 where S1 = sum w_j C_j, S2 = sum w_j C_j^2 - S1^2, and ``shrink`` is zero for
 plain fits and penalty/k for ridge. One path engine, ``_path_fit``, fits
 every k of a path at once from prefix sums (Beirlant, Dierckx, Goegebeur and
-Matthys 1999); single fits are the engine at one k.
+Matthys 1999). The one-k fits (``wls_fit``, ``ls_fit``, ``ridge_fit``) are the
+engine at one k; they exist for the slope b_hat, which no path returns.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import EmptyOrTinyError, InvalidRhoError, KOutOfRangeError, NonPositiveError
 from .spacings import (LogSpacings, OrderedTail, all_log_spacings, check_k_range,
-                       check_k_values, check_rho)
+                       check_k_values, check_rho, raise_on_overflow)
 
 #: Canonical estimator identifiers, in reporting order.
 ESTIMATOR_IDS = ("HILL", "BCHILL", "LS", "RR", "WLS")
@@ -184,7 +185,9 @@ def _bchill(hill_values, b_hat, rhos: tuple, index, n: int, k_values: np.ndarray
     """Hill times 1 - (b_hat / (1 - rho)) * (n/k)^rho at every k, with ``index`` as the engine's."""
     if n is None or n < k_values[-1] + 1:
         raise KOutOfRangeError(f"BCHILL needs n >= k+1={k_values[-1] + 1}, got n={n}")
-    rho, decay = (np.array(a)[index] for a in (rhos, [(n / k_values) ** r for r in rhos]))
+    with np.errstate(over="ignore"):  # only a rejected rho > 0, whose row is NaN, overflows
+        decay = [(n / k_values) ** r for r in rhos]
+    rho, decay = (np.array(a)[index] for a in (rhos, decay))
     return hill_values * (1.0 - (b_hat / (1.0 - rho[..., None])) * decay)
 
 
@@ -200,11 +203,6 @@ def _fit(z: LogSpacings, rho: float, weighted: bool,
     fit = _path_fit(z.z, check_k_values(z.k, 2, z.z.size), (check_rho(rho),), weighted, shrink)
     gamma_hat, b_hat = (float(v[0]) for v in fit)
     return RegressionFit(gamma_hat, b_hat, float(rho), z.k, penalty)
-
-
-def hill(z: LogSpacings) -> float:
-    """Hill estimator: the sample mean of the spacings (the HILL path at k)."""
-    return float(path_estimates(z.z, z.n, ("HILL",), None, [z.k])[0]["HILL"][0])
 
 
 def wls_fit(z: LogSpacings, rho: float) -> RegressionFit:
@@ -251,51 +249,15 @@ def ridge_fit(z: LogSpacings, rho: float, penalty: float) -> RegressionFit:
     return _fit(z, rho, weighted=False, penalty=penalty)
 
 
-def _penalty_block(z_all: np.ndarray, k_values: np.ndarray, rhos, factors, index=0):
-    """The unweighted engine at penalty factor*k for each of ``factors``, stacked on axis 0."""
-    shrink = np.reshape(factors, (-1,) + (1,) * z_all.ndim)
-    return _path_fit(z_all, k_values, rhos, False, shrink, index)
-
-
-def _ridge_choice(gammas: np.ndarray, b_hats: np.ndarray, k_values: np.ndarray):
-    """RR's (gamma_hat, b_hat, penalty) from a full penalty block, at every k.
+def _ridge_choice(gammas: np.ndarray, k_values: np.ndarray):
+    """RR's (gamma_hat, penalty) at every k, from the gammas of a full penalty block.
 
     The chosen row is the first argmin of |gamma_hat| over axis 0, so ties go
     to the smallest penalty.
     """
     best = np.argmin(np.abs(gammas), axis=0)[None]
-    gamma_hat, b_hat = (np.take_along_axis(a, best, axis=0)[0] for a in (gammas, b_hats))
-    return gamma_hat, b_hat, np.take(RIDGE_PENALTY_FACTORS, best[0]) * k_values
-
-
-def select_ridge_penalty(z: LogSpacings, rho: float) -> RegressionFit:
-    """Ridge fit with the penalty chosen from ``RIDGE_PENALTY_FACTORS * k``.
-
-    The candidate with the smallest |gamma_hat| wins; ties go to the smallest
-    penalty. This is the ranking by the AMSE proxy gamma_hat^2 *
-    amse(1, k, rho), since amse(1, k, rho) is one positive factor shared by
-    every candidate. The choice is the RR path's at k, and the fit is the
-    chosen row of the same engine run. Errors as :func:`ridge_fit`.
-    """
-    k_values = check_k_values(z.k, 2, z.z.size)
-    block = _penalty_block(z.z, k_values, (check_rho(rho),), RIDGE_PENALTY_FACTORS)
-    gamma_hat, b_hat, penalty = (float(a[0]) for a in _ridge_choice(*block, k_values))
-    return RegressionFit(gamma_hat, b_hat, float(rho), z.k, penalty)
-
-
-def bchill(z: LogSpacings, rho: float, b_hat: float, n: int) -> float:
-    """Bias-corrected Hill estimate.
-
-    Multiplies the Hill estimate by 1 - (b_hat / (1 - rho)) * (n/k)^rho,
-    where b_hat is a slope estimate at the same k (here typically from
-    wls_fit) and n is the full sample size.
-
-    Raises:
-        InvalidRhoError: rho not finite negative.
-        KOutOfRangeError: n < k + 1.
-    """
-    k, rhos = np.array([z.k]), (check_rho(rho),)
-    return float(_bchill(hill(z), float(b_hat), rhos, 0, int(n), k)[0])
+    gamma_hat = np.take_along_axis(gammas, best, axis=0)[0]
+    return gamma_hat, np.take(RIDGE_PENALTY_FACTORS, best[0]) * k_values
 
 
 def wls_gamma_grid(z_all: np.ndarray, k_values, rhos) -> np.ndarray:
@@ -364,9 +326,8 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
     block may take one rho per row, NaN where unresolved: the engine builds
     each distinct rho's design once, and each row equals its own one-rho
     call, or is NaN where that call leaves an id out or fails on its rho
-    (HILL too). ``n``
-    is the size of the originating sample, read only by BCHILL's (n/k)^rho
-    factor.
+    (HILL too); RR's penalties are NaN on the rows where RR is. ``n`` is the
+    size of the originating sample, read only by BCHILL's (n/k)^rho factor.
 
     Returns:
         (paths, penalties): ``paths`` maps each computed id to its estimates,
@@ -379,6 +340,7 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
             < 1 or k_values[-1] > len(z_all), or BCHILL with n None or n < k + 1.
         KTooSmallError: a regression estimator with k_values[0] < 2.
         InvalidRhoError: one rho, not finite negative or over- or underflowing the sums.
+        NonFiniteError: a path that overflows (spacings near the float range).
     """
     ids = check_estimators(est_ids)
     per_row = getattr(rho, "ndim", 0) > 0  # np.ndim would cost a conversion per call
@@ -392,23 +354,27 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
         ids = tuple(_RHO_FREE.intersection(ids))
     k_values = check_k_values(k_values, 2 if needs_rho(ids) else 1, z_all.shape[-1])
     paths, penalties = {}, None
-    if _UNWEIGHTED.intersection(ids):  # LS is row 0, the zero penalty, of RR's block
-        factors = RIDGE_PENALTY_FACTORS if "RR" in ids else RIDGE_PENALTY_FACTORS[:1]
-        block = _penalty_block(z_all, k_values, rhos, factors, index)
-        paths["LS"] = block[0][0]
-        if "RR" in ids:
-            paths["RR"], _, penalties = _ridge_choice(*block, k_values)
-    if _WEIGHTED.intersection(ids):
-        paths["WLS"], b_hat = _path_fit(z_all, k_values, rhos, True, index=index)
-    if "HILL" in ids or "BCHILL" in ids:
-        hill_sums = _prefix_sums(z_all, k_values[-1], False)
-        paths["HILL"] = hill_sums.take(k_values - 1, axis=-1) / k_values
-    if "BCHILL" in ids:
-        paths["BCHILL"] = _bchill(paths["HILL"], b_hat, rhos, index, n, k_values)
+    with raise_on_overflow("a path"):
+        if _UNWEIGHTED.intersection(ids):  # LS is row 0, the zero penalty, of RR's block
+            factors = RIDGE_PENALTY_FACTORS if "RR" in ids else RIDGE_PENALTY_FACTORS[:1]
+            shrink = np.reshape(factors, (-1,) + (1,) * z_all.ndim)
+            gammas = _path_fit(z_all, k_values, rhos, False, shrink, index)[0]
+            paths["LS"] = gammas[0]
+            if "RR" in ids:
+                paths["RR"], penalties = _ridge_choice(gammas, k_values)
+        if _WEIGHTED.intersection(ids):
+            paths["WLS"], b_hat = _path_fit(z_all, k_values, rhos, True, index=index)
+        if "HILL" in ids or "BCHILL" in ids:
+            hill_sums = _prefix_sums(z_all, k_values[-1], False)
+            paths["HILL"] = hill_sums.take(k_values - 1, axis=-1) / k_values
+        if "BCHILL" in ids:
+            paths["BCHILL"] = _bchill(paths["HILL"], b_hat, rhos, index, n, k_values)
     if per_row:  # blank what each row's own call would not give
         failed = np.isin(index, list(_rejected(rhos, int(k_values[-1]), ids))) & ~unresolved
         for e, path in paths.items():
             path[failed | unresolved & (e not in _RHO_FREE)] = np.nan
+        if penalties is not None:
+            penalties[failed | unresolved] = np.nan
     return {e: paths[e] for e in ids}, penalties
 
 

@@ -36,7 +36,9 @@ three, per replication: a failed draw, or a rho that over- or underflows the
 covariate sums, marks the whole replication missing, and an unresolved rho
 marks every rho-dependent estimator. A table call fails as a whole only on
 the k range, n, the ids or the model's one rho, so studies raise those
-configuration errors before the first replication.
+configuration errors before the first replication. The one error a study
+raises later is NonFiniteError, from a model spacing or a path that
+overflows (a gamma near the float range).
 Aggregates use the population-style divisor (number of successful
 replications), so mse = variance + bias^2 holds exactly.
 """
@@ -60,7 +62,7 @@ from .errors import (KOutOfRangeError, KTooSmallError, NonFiniteError, NonPositi
 from .estimators import (ESTIMATOR_IDS, check_covariate_sums, check_estimators, needs_rho,
                          path_estimates)
 from .second_order import RhoMethod, resolve_rho
-from .spacings import block_tails, check_k_range, covariates
+from .spacings import block_tails, check_k_range, covariates, raise_on_overflow
 
 _MASK64 = (1 << 64) - 1
 
@@ -172,7 +174,8 @@ def _model_draw(gamma: float, b: float, rho: float, k: int):
 
     The draw takes one seed per replication (an int or an ISeedSequence) and
     returns the ``(rows, k)`` block of spacings, row i from seed i's PCG64
-    stream as ``means * -log1p(-U)`` with k uniforms U, and the one rho.
+    stream as ``means * -log1p(-U)`` with k uniforms U, and the one rho. It
+    raises NonFiniteError where a spacing overflows.
 
     Raises:
         KOutOfRangeError: k < 1.
@@ -180,7 +183,7 @@ def _model_draw(gamma: float, b: float, rho: float, k: int):
         NonFiniteError: some mean gamma + b C_j is NaN or overflows.
         NonPositiveError: some mean gamma + b C_j <= 0.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next: inf * 0 is NaN
         means = float(gamma) + float(b) * covariates(k, rho)
     if not np.isfinite(means).all():
         raise NonFiniteError(f"gamma={gamma}, b={b}: a mean gamma + b*C_j is not finite")
@@ -194,7 +197,8 @@ def _model_draw(gamma: float, b: float, rho: float, k: int):
     def draw(seeds):
         block = _uniforms(seeds, means.size)
         np.log1p(np.negative(block, out=block), out=block)
-        block *= scale  # log1p(-U) * -means, which is means * -log1p(-U) exactly
+        with raise_on_overflow("a model spacing"):
+            block *= scale  # log1p(-U) * -means, which is means * -log1p(-U) exactly
         return block, rho
 
     return draw
@@ -437,7 +441,8 @@ def run_model_simulation(
 
     Raises:
         NonPositiveError: gamma <= 0, or a model mean gamma + b C_j <= 0.
-        NonFiniteError: a model mean that is NaN or infinite (gamma or b so).
+        NonFiniteError: a model mean that is NaN or infinite (gamma or b so),
+            or a spacing or an estimate that overflows.
         EmptyOrTinyError / ValueError: bad estimator set.
         KOutOfRangeError / InvalidRhoError: k < 1, BCHILL without n >= k+1,
             rho not finite negative, or a regression estimator's covariate

@@ -9,8 +9,9 @@ statistics
 the unit-sum form w_j = W_j / (k/2) of the linearly decreasing weights
 W_j = 1 - j/(k+1) (which sum to k/2 exactly), and the second-order
 covariates C_j = (j/(k+1))^(-rho) with rho < 0. This module builds those
-four objects and holds the three checks every caller shares: of rho, of a k
-range and of an array of k. ``block_tails`` alone computes spacings: it
+four objects and holds the checks every caller shares: of rho, of a positive
+parameter, of a k range, of an array of k, and of overflow in a computation.
+``block_tails`` alone computes spacings: it
 sorts a ``(rows, n)`` block of samples and takes all their spacings at once.
 ``validate_and_sort`` is its one-row case, and the other spacings functions
 read an OrderedTail's.
@@ -19,6 +20,7 @@ read an OrderedTail's.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +85,29 @@ def check_rho(rho) -> float:
     if rho is None or not math.isfinite(rho := float(rho)) or rho >= 0.0:
         raise InvalidRhoError(f"rho={rho} must be finite and < 0")
     return rho
+
+
+def check_positive(name: str, value) -> float:
+    """``value`` as a float; NonPositiveError unless it is > 0 (NaN too), NonFiniteError if inf."""
+    value = float(value)
+    if not value > 0.0:
+        raise NonPositiveError(f"{name}={value} must be > 0")
+    if value == math.inf:
+        raise NonFiniteError(f"{name}={value} must be finite")
+    return value
+
+
+@contextmanager
+def raise_on_overflow(what: str):
+    """Run the block with numpy overflow raising NonFiniteError, which names ``what``.
+
+    A float overflow costs no pass over the result to find: numpy reports it.
+    """
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NonFiniteError(f"{what} overflows ({exc})") from None
 
 
 def check_k_range(k_min: int, k_max: int, n: int) -> np.ndarray:

@@ -228,6 +228,26 @@ def test_standardized_statistic_errors():
         standardized_statistic(1.0, 1.0, 0)
 
 
+@pytest.mark.parametrize("gamma, error", [(np.nan, NonPositiveError), (-1.0, NonPositiveError),
+                                          (0.0, NonPositiveError), (np.inf, NonFiniteError)])
+def test_gamma_inputs_are_checked(gamma, error):
+    """amse and standardized_statistic share the distributions' positivity check."""
+    with pytest.raises(error, match="gamma"):
+        amse(gamma, 10, -1.0)
+    with pytest.raises(error, match="gamma"):
+        s_moments(np.arange(2, 12), -1.0).amse(gamma)
+    with pytest.raises(error, match="gamma_true"):
+        standardized_statistic(1.0, gamma, 10)
+
+
+def test_standardized_statistic_that_is_not_finite_raises():
+    for gamma_hat, gamma in ((1e308, 1.0), (1.0, 1e-308), (1.0, 1e308), ([1.0, np.nan], 1.0),
+                             (np.inf, 1.0)):
+        with pytest.raises(NonFiniteError, match="not finite"):
+            standardized_statistic(gamma_hat, gamma, 10)
+    assert standardized_statistic(8e307, 8e307, 1) == 0.0
+
+
 def test_normality_report_model_mode():
     rep = normality_report(2000, 500, master_seed=8, gamma=2.0, b=0.0, rho=-1.0)
     assert rep.reps == 2000 and rep.k == 500

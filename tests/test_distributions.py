@@ -177,6 +177,8 @@ def test_sample_bad_n():
 
 
 def test_import_does_not_load_scipy():
-    # scipy is needed only by the log-gamma quantile and cdf
-    code = "import tailwls, sys; assert 'scipy' not in sys.modules"
+    # scipy is needed only by the log-gamma quantile and cdf, and numpy.random
+    # only by the first study (montecarlo._seed_state_type)
+    code = ("import tailwls, sys; "
+            "assert 'scipy' not in sys.modules and 'numpy.random' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True)

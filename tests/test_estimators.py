@@ -13,11 +13,9 @@ from tailwls import (
     RhoMethod,
     SimulationConfig,
     all_log_spacings,
-    bchill,
     burr,
     covariates,
     evi_path,
-    hill,
     log_spacings,
     ls_fit,
     optimal_k,
@@ -28,7 +26,6 @@ from tailwls import (
     run_model_simulation,
     run_simulation,
     sample,
-    select_ridge_penalty,
     validate_and_sort,
     weights,
     wls_fit,
@@ -59,8 +56,10 @@ def _one_id(z_all, n, est, rho, k_values):
 
 
 def test_hill_is_mean():
-    z = _spacings([0.2, 0.8, 0.5])
-    assert hill(z) == pytest.approx(0.5, abs=1e-15)
+    """The HILL path is the cumulative mean of the spacings."""
+    path, penalties = _one_id(np.array([0.2, 0.8, 0.5]), 4, "HILL", None, [1, 2, 3])
+    assert path == pytest.approx([0.2, 0.5, 0.5], abs=1e-15)
+    assert penalties is None
 
 
 def test_wls_noise_free_recovery():
@@ -166,7 +165,7 @@ def test_ridge_large_penalty_shrinks_to_hill():
     z = _spacings(np.random.default_rng(48).exponential(size=25))
     fit = ridge_fit(z, -1.0, 1e12)
     assert fit.b_hat == pytest.approx(0.0, abs=1e-9)
-    assert fit.gamma_hat == pytest.approx(hill(z), abs=1e-9)
+    assert fit.gamma_hat == pytest.approx(z.z.mean(), abs=1e-9)
 
 
 def test_ridge_negative_penalty():
@@ -175,63 +174,43 @@ def test_ridge_negative_penalty():
         ridge_fit(z, -1.0, -0.1)
 
 
-def test_select_ridge_penalty_minimizes_proxy():
+def test_rr_choice_minimizes_proxy():
+    """RR keeps the penalty whose ridge fit ranks lowest by gamma_hat^2 * amse(1, k, rho)."""
     from tailwls import amse
     from tailwls.estimators import RIDGE_PENALTY_FACTORS
 
     rng = np.random.default_rng(49)
     z = _spacings(rng.exponential(size=60))
-    best = select_ridge_penalty(z, -1.0)
+    rr, penalties = _one_id(z.z, z.n, "RR", -1.0, [60])
     unit = amse(1.0, 60, -1.0)
     scores = {
         f * 60: ridge_fit(z, -1.0, f * 60).gamma_hat ** 2 * unit
         for f in RIDGE_PENALTY_FACTORS
     }
-    assert best.penalty in scores
-    assert scores[best.penalty] == min(scores.values())
-
-
-def test_select_ridge_penalty_runs_the_engine_once(monkeypatch):
-    """The chosen fit is a row of the penalty block, equal to a ridge_fit rerun."""
-    from tailwls import estimators
-
-    rng = np.random.default_rng(50)
-    for k in (2, 3, 17, 60, 400):
-        z = _spacings(rng.exponential(rng.uniform(0.2, 2.0), size=k))
-        rho = -rng.uniform(0.1, 2.5)
-        calls = []
-        real = estimators._path_fit
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(estimators, "_path_fit", counted)
-        got = select_ridge_penalty(z, rho)
-        monkeypatch.setattr(estimators, "_path_fit", real)
-        assert len(calls) == 1
-        penalty = path_estimates(z.z, z.n, ("RR",), rho, [k])[1][0]
-        want = ridge_fit(z, rho, penalty)
-        assert (got.gamma_hat, got.b_hat, got.penalty) == (
-            want.gamma_hat, want.b_hat, want.penalty)
-        assert (got.rho_used, got.k) == (want.rho_used, want.k)
+    assert penalties[0] in scores
+    assert scores[penalties[0]] == min(scores.values())
+    assert rr[0] == ridge_fit(z, -1.0, penalties[0]).gamma_hat
 
 
 def test_bchill_formula_and_limits():
+    """BCHILL is the HILL path times 1 - (b_hat / (1 - rho)) * (n/k)^rho, b_hat the WLS slope."""
     z = _spacings(np.full(10, 0.5), n=101)
-    # b_hat = 0 leaves Hill untouched
-    assert bchill(z, -1.0, 0.0, 101) == pytest.approx(hill(z), abs=1e-15)
-    got = bchill(z, -1.0, 0.3, 101)
-    want = 0.5 * (1.0 - (0.3 / 2.0) * (101 / 10) ** -1.0)
-    assert got == pytest.approx(want, abs=1e-13)
+    # constant spacings: the WLS slope is 0, which leaves Hill untouched
+    paths, _ = path_estimates(z.z, 101, ("HILL", "BCHILL"), -1.0, [10])
+    assert paths["BCHILL"][0] == pytest.approx(paths["HILL"][0], abs=1e-15)
+    z = _spacings(np.random.default_rng(56).exponential(size=10), n=101)
+    paths, _ = path_estimates(z.z, 101, ("HILL", "BCHILL"), -1.0, [10])
+    want = paths["HILL"][0] * (1.0 - (wls_fit(z, -1.0).b_hat / 2.0) * (101 / 10) ** -1.0)
+    assert paths["BCHILL"][0] == pytest.approx(want, rel=1e-13)
 
 
 def test_bchill_argument_checks():
-    z = _spacings([0.5, 0.4, 0.3])
+    z_all = np.array([0.5, 0.4, 0.3])
     with pytest.raises(InvalidRhoError):
-        bchill(z, 0.0, 0.1, 100)
+        _one_id(z_all, 100, "BCHILL", 0.0, [3])
     with pytest.raises(KOutOfRangeError):
-        bchill(z, -1.0, 0.1, 3)  # n must be >= k+1
+        _one_id(z_all, 3, "BCHILL", -1.0, [3])  # n must be >= k+1
+    _one_id(z_all, 4, "BCHILL", -1.0, [3])
 
 
 def _geometric_tail(r, n):
@@ -549,6 +528,7 @@ def test_per_row_rho_equals_one_row_calls_bitwise():
     last bit from the scalar power on some hosts, so the design is built per
     distinct rho. An unresolved row keeps only HILL; a row whose rho
     overflows the covariate sums is NaN throughout, as its own call raises.
+    RR's penalties are NaN on both, as RR is.
     """
     spec, n, k_values = burr(1.0, np.sqrt(2.0), np.sqrt(2.0)), 200, np.arange(10, 151)
     seeds = [rep_seed(3, r) for r in range(40)]
@@ -566,6 +546,7 @@ def test_per_row_rho_equals_one_row_calls_bitwise():
                 with pytest.raises(InvalidRhoError):
                     path_estimates(z_all, n, ESTIMATOR_IDS, rho[row], k_values)
                 assert all(np.isnan(path[row]).all() for path in paths.values())
+                assert np.isnan(penalties[row]).all()
                 continue
             one_rho = None if row == 1 else float(rho[row])
             want, want_penalties = path_estimates(z_all, n, ESTIMATOR_IDS, one_rho, k_values)
@@ -576,6 +557,13 @@ def test_per_row_rho_equals_one_row_calls_bitwise():
                     assert np.isnan(paths[est][row]).all(), (method, row, est)
             if want_penalties is not None:
                 assert np.array_equal(penalties[row], want_penalties), (method, row)
+            else:
+                assert np.isnan(penalties[row]).all(), (method, row)
+    # three rows, one each fitted, unresolved and rejected: only the first has penalties
+    three = np.array([-1.0, np.nan, -400.0])
+    paths, penalties = path_estimates(block[:3], n, ("RR",), three, k_values)
+    assert np.array_equal(penalties[0], path_estimates(block[0], n, ("RR",), -1.0, k_values)[1])
+    assert np.isnan(paths["RR"][1:]).all() and np.isnan(penalties[1:]).all()
     # every row unresolved leaves out every id but HILL, as rho None does
     rho[:] = np.nan
     paths, penalties = path_estimates(block, n, ESTIMATOR_IDS, rho, k_values)
@@ -584,7 +572,7 @@ def test_per_row_rho_equals_one_row_calls_bitwise():
 
 
 def test_path_entries_equal_single_fits_bitwise():
-    """Every path entry is the single-k view at that k, bit for bit, on fuzzed inputs."""
+    """Each path entry is its one-k fit (HILL: cumulative mean) at that k, bit for bit, on fuzzed inputs."""
     rng = np.random.default_rng(53)
     for _ in range(2000):
         n = int(rng.integers(4, 301))
@@ -594,15 +582,13 @@ def test_path_entries_equal_single_fits_bitwise():
         z = _spacings(z_all[:k].copy(), n=n)
         at_k = {est: _one_id(z_all, n, est, -0.9, k_values)
                 for est in ESTIMATOR_IDS}
-        assert at_k["HILL"][0][k - 2] == hill(z)
+        assert at_k["HILL"][0][k - 2] == np.cumsum(z.z)[-1] / k
         if k % 10:
             continue  # the regressions on every tenth input
-        rr = select_ridge_penalty(z, -0.9)
         assert at_k["WLS"][0][k - 2] == wls_fit(z, -0.9).gamma_hat
         assert at_k["LS"][0][k - 2] == ls_fit(z, -0.9).gamma_hat
-        assert at_k["RR"][0][k - 2] == rr.gamma_hat
-        assert at_k["RR"][1][k - 2] == rr.penalty
-        assert at_k["BCHILL"][0][k - 2] == bchill(z, -0.9, wls_fit(z, -0.9).b_hat, n)
+        # RR at k is the ridge fit at the penalty it chose there
+        assert at_k["RR"][0][k - 2] == ridge_fit(z, -0.9, at_k["RR"][1][k - 2]).gamma_hat
 
 
 def test_paths_match_oracle_at_scale():

@@ -18,7 +18,6 @@ from tailwls import (
     burr,
     covariates,
     frechet,
-    hill,
     log_spacings,
     loggamma,
     normality_report,
@@ -139,7 +138,7 @@ def test_run_model_simulation_single_rep_is_exact():
     z_model = _model_draw(0.5, 0.1, -1.0, 30)([rep_seed(9, 0)])[0][0]
     z = LogSpacings(z=z_model, k=30, n=31)
     assert s.cell("WLS", 30)["mean"] == wls_fit(z, -1.0).gamma_hat
-    assert s.cell("HILL", 30)["mean"] == hill(z)
+    assert s.cell("HILL", 30)["mean"] == np.cumsum(z.z)[-1] / 30
     assert s.cell("WLS", 30)["variance"] == 0.0
     assert s.cell("WLS", 30)["missing"] == 0
 
@@ -230,6 +229,22 @@ def test_one_replication_runs_the_path_engine_twice(monkeypatch):
     s = run_model_simulation(0.5, 0.1, -1.0, 100, 1, estimators=ESTIMATOR_IDS, n=200)
     assert len(calls) == 2
     assert s.missing.sum() == 0
+
+
+def test_overflowing_model_studies_raise_non_finite_error():
+    """A gamma near the float range overflows the spacings or a path: NonFiniteError, no inf."""
+    for gamma, est_ids, n in ((1e303, ("HILL", "WLS"), None), (1e305, ("LS", "RR"), None),
+                              (1e155, ("BCHILL",), 200), (1e306, ESTIMATOR_IDS, 200)):
+        with pytest.raises(NonFiniteError, match="overflows"):
+            run_model_simulation(gamma, 0.0, -1.0, 100, 50, est_ids, n=n)
+    with pytest.raises(NonFiniteError, match="overflows"):
+        normality_report(100, 10, gamma=1e306)
+    with pytest.raises(NonFiniteError, match="model spacing overflows"):
+        _model_draw(1e308, 0.0, -1.0, 10)([rep_seed(0, r) for r in range(200)])
+    # just below, every cell is finite and nothing is missing
+    for gamma, est_ids in ((1e300, ("HILL", "WLS")), (1e304, ("LS", "RR")), (1e154, ("BCHILL",))):
+        s = run_model_simulation(gamma, 0.0, -1.0, 100, 50, est_ids, n=200)
+        assert np.isfinite(s.mean).all() and s.missing.sum() == 0, gamma
 
 
 def test_failed_table_call_marks_the_whole_replication_missing():
@@ -616,7 +631,7 @@ def test_run_simulation_replay_single_rep():
     tail = validate_and_sort(sample(spec, 60, rep_seed(42, 0)))
     for k in (10, 11, 12):
         z = log_spacings(tail, k)
-        assert s.cell("HILL", k)["mean"] == hill(z)
+        assert s.cell("HILL", k)["mean"] == np.cumsum(z.z)[-1] / k
         assert s.cell("WLS", k)["mean"] == wls_fit(z, -1.0).gamma_hat
 
 
