@@ -157,8 +157,8 @@ def standardized_statistic(gamma_hat: float | np.ndarray, gamma_true: float,
 
     Raises:
         NonPositiveError: gamma_true <= 0 or NaN.
-        NonFiniteError: gamma_true infinite, or a statistic that is not
-            finite (a gamma_hat NaN or infinite, or an overflow).
+        NonFiniteError: gamma_true infinite, a gamma_hat NaN or infinite,
+            or a statistic or 2 gamma_true that overflows.
         KOutOfRangeError: k < 1.
     """
     gamma_true = check_positive("gamma_true", gamma_true)
@@ -169,5 +169,6 @@ def standardized_statistic(gamma_hat: float | np.ndarray, gamma_true: float,
     with np.errstate(over="ignore", invalid="ignore"):
         stat = np.sqrt(3.0 * k) * (gamma_hat - gamma_true) / (2.0 * gamma_true)
     if not (np.isfinite(stat).all() and np.isfinite(2.0 * gamma_true)):
-        raise NonFiniteError(f"gamma_true={gamma_true}, k={k}: a statistic is not finite")
+        raise NonFiniteError(f"gamma_true={gamma_true}, k={k}: a statistic is not finite "
+                             "(gamma_hat not finite, or an overflow)")
     return stat

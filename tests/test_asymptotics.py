@@ -241,10 +241,11 @@ def test_gamma_inputs_are_checked(gamma, error):
 
 
 def test_standardized_statistic_that_is_not_finite_raises():
-    for gamma_hat, gamma in ((1e308, 1.0), (1.0, 1e-308), (1.0, 1e308), ([1.0, np.nan], 1.0),
-                             (np.inf, 1.0)):
+    # at k = 1, 5e307 from 1e308 is finite and 2 * 1e308 is not: the quotient would read -0.0
+    for gamma_hat, gamma, k in ((1e308, 1.0, 10), (1.0, 1e-308, 10), (1.0, 1e308, 10),
+                                ([1.0, np.nan], 1.0, 10), (np.inf, 1.0, 10), (5e307, 1e308, 1)):
         with pytest.raises(NonFiniteError, match="not finite"):
-            standardized_statistic(gamma_hat, gamma, 10)
+            standardized_statistic(gamma_hat, gamma, k)
     assert standardized_statistic(8e307, 8e307, 1) == 0.0
 
 

@@ -168,7 +168,8 @@ def test_extreme_table_inputs_give_finite_paths_or_typed_errors():
             _finite_or_typed(call)
         _finite_or_typed(lambda: list(path_estimates(z, 200, ESTIMATOR_IDS, rho, [])[0]))
     rhos = np.array((-1.0,) + EXTREMES)
-    paths, penalties = path_estimates(np.tile(z, (rhos.size, 1)), 200, ESTIMATOR_IDS, rhos, k_values)
+    block = np.tile(z, (rhos.size, 1))
+    paths, penalties = path_estimates(block, 200, ESTIMATOR_IDS, rhos, k_values)
     for row, rho in enumerate(rhos.tolist()):
         try:
             path_estimates(z, 200, ESTIMATOR_IDS, None if math.isnan(rho) else rho, k_values)
@@ -200,7 +201,7 @@ def test_extreme_model_studies_give_finite_estimates_or_typed_errors():
     """Every cell's mean and bias is finite, or the study raises a TailwlsError.
 
     mse and variance are left out: they scale as gamma^2, and ``summarize``
-    lets them overflow to inf from about gamma = 1e154.
+    lets them overflow to inf from about gamma = 1e155.
     """
     for gamma, b, rho in itertools.product(EXTREMES + (1.0,), EXTREMES + (0.0,),
                                            EXTREMES + (-1.0,)):

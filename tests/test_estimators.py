@@ -572,7 +572,11 @@ def test_per_row_rho_equals_one_row_calls_bitwise():
 
 
 def test_path_entries_equal_single_fits_bitwise():
-    """Each path entry is its one-k fit (HILL: cumulative mean) at that k, bit for bit, on fuzzed inputs."""
+    """Each path entry is its one-k fit at that k, bit for bit, on fuzzed inputs.
+
+    HILL's one-k value is the cumulative mean, and RR's the ridge fit at the
+    penalty the RR path chose at k.
+    """
     rng = np.random.default_rng(53)
     for _ in range(2000):
         n = int(rng.integers(4, 301))
