@@ -24,7 +24,7 @@ print(f"resolved rho (minimum path variance over a candidate grid): {rho}")
 print()
 
 # one table call fits all five paths over k = 20..400 with the resolved rho
-paths, penalties = tw.path_estimates(tw.all_log_spacings(tail), tail.n,
+paths, penalties = tw.path_estimates(tail.z_all, tail.n,
                                      tw.ESTIMATOR_IDS, rho, np.arange(20, 401))
 
 header = "k     " + "".join(f"{est:>9}" for est in tw.ESTIMATOR_IDS)

@@ -26,9 +26,7 @@ from .errors import (
     UOutOfRangeError,
 )
 from .spacings import (
-    LogSpacings,
     OrderedTail,
-    all_log_spacings,
     covariates,
     log_spacings,
     validate_and_sort,
@@ -92,10 +90,8 @@ __all__ = [
     "UOutOfRangeError",
     # spacings
     "OrderedTail",
-    "LogSpacings",
     "validate_and_sort",
     "log_spacings",
-    "all_log_spacings",
     "weights",
     "covariates",
     # estimators

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRhoError, KOutOfRangeError, NonFiniteError
-from .estimators import _design, _prefix_sums, check_covariate_sums
-from .spacings import check_k_values, check_positive
+from .estimators import _design, _prefix_sums
+from .spacings import check_k_values, check_positive, check_rho
 
 
 def s1_limit(rho: float) -> float:
@@ -118,8 +118,9 @@ def s_moments(k, rho: float) -> SMoments:
     """
     ks = check_k_values(k, 2)
     k_max, i = int(ks[-1]), ks - 1
-    check_covariate_sums(rho, k_max, ("WLS",))
-    v, scale, totals, m1, s1, s2, _ = _design((float(rho),), k_max, True)
+    v, scale, totals, m1, s1, s2, rejected = _design((check_rho(rho),), k_max, True)
+    if rejected:
+        raise InvalidRhoError(rejected[0][1])
     v, scale, m1 = v[0], scale[0][i], m1[0][i]
     with np.errstate(over="ignore", invalid="ignore"):
         q0, q1, q2 = ((2.0 * np.add.accumulate(p) - p)[i] / totals[i] ** 2 for p in

@@ -9,9 +9,10 @@ Subcommands:
     fetch-note  where to obtain the practical datasets, and expected sizes
 
 Exit codes: 0 success, 2 dataset parse failure, 3 estimation failure,
-4 invalid configuration (including bad flags), 5 lookup failure (estimator
-missing from a summary file). Floating point values are written with 17
-significant digits, so files round-trip exactly. Every CSV, on stdout or
+4 invalid configuration (including bad flags, and sizes whose arrays do not
+fit in memory), 5 lookup failure (estimator missing from a summary file).
+Floating point values are written with 17 significant digits, so files
+round-trip exactly. Every CSV, on stdout or
 in a file, is built as one text by one writer (``_csv_text``). No field
 needs CSV quoting (ids, integers and ``%.17g`` numbers), so the bytes are
 those a plain CSV writer with "\n" line ends gives. Output files are written
@@ -43,8 +44,7 @@ from .asymptotics import s_moments
 from .distributions import burr, frechet, loggamma, pareto
 from .montecarlo import SimulationConfig, run_simulation
 from .second_order import RhoMethod, resolve_rho
-from .spacings import (all_log_spacings, check_k_range, check_positive, check_rho,
-                       validate_and_sort)
+from .spacings import check_k_range, check_positive, check_rho, validate_and_sort
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -266,8 +266,7 @@ def cmd_estimate(args) -> int:
     try:
         # every method is k-independent: resolve once, reuse everywhere
         resolved = resolve_rho(tail, rho_method) if regression else None
-        paths = path_estimates(all_log_spacings(tail), n, estimators, resolved,
-                               k_values)[0]
+        paths = path_estimates(tail.z_all, n, estimators, resolved, k_values)[0]
     except TailwlsError as exc:
         print(f"tailwls estimate: estimation failed: {exc}", file=sys.stderr)
         return EXIT_ESTIMATION
@@ -528,7 +527,11 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError as exc:
+        print(f"tailwls {args.command}: out of memory: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entrypoint() -> None:

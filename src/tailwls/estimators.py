@@ -35,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyOrTinyError, InvalidRhoError, KOutOfRangeError, NonPositiveError
-from .spacings import (LogSpacings, OrderedTail, all_log_spacings, check_k_range,
-                       check_k_values, check_rho, raise_on_overflow)
+from .spacings import OrderedTail, check_k_range, check_k_values, check_rho, raise_on_overflow
 
 #: Canonical estimator identifiers, in reporting order.
 ESTIMATOR_IDS = ("HILL", "BCHILL", "LS", "RR", "WLS")
@@ -191,25 +190,26 @@ def _bchill(hill_values, b_hat, rhos: tuple, index, n: int, k_values: np.ndarray
     return hill_values * (1.0 - (b_hat / (1.0 - rho[..., None])) * decay)
 
 
-def _fit(z: LogSpacings, rho: float, weighted: bool,
+def _fit(z: np.ndarray, rho: float, weighted: bool,
          penalty: float | None = None) -> RegressionFit:
-    """The engine at k = z.k, behind :func:`wls_fit`, :func:`ls_fit` and :func:`ridge_fit`.
+    """The engine at k = len(z), behind :func:`wls_fit`, :func:`ls_fit` and :func:`ridge_fit`.
 
     ``weighted`` selects W_j = 1 - j/(k+1) over uniform weights 1/k; a
     ``penalty`` adds penalty/k to the centered sum of squares (ridge).
     """
+    k = len(z)
     # dividing the penalty by k matches the centered form in ridge_fit
-    shrink = 0.0 if penalty is None else penalty / z.k
-    fit = _path_fit(z.z, check_k_values(z.k, 2, z.z.size), (check_rho(rho),), weighted, shrink)
+    shrink = 0.0 if penalty is None else penalty / k
+    fit = _path_fit(z, check_k_values(k, 2), (check_rho(rho),), weighted, shrink)
     gamma_hat, b_hat = (float(v[0]) for v in fit)
-    return RegressionFit(gamma_hat, b_hat, float(rho), z.k, penalty)
+    return RegressionFit(gamma_hat, b_hat, float(rho), k, penalty)
 
 
-def wls_fit(z: LogSpacings, rho: float) -> RegressionFit:
+def wls_fit(z: np.ndarray, rho: float) -> RegressionFit:
     """Weighted least squares fit with weights W_j = 1 - j/(k+1).
 
     Args:
-        z: spacings with k >= 2.
+        z: the spacings Z_1..Z_k, k >= 2 (``log_spacings(tail, k)``).
         rho: finite negative second-order parameter fixing the covariates.
 
     Returns:
@@ -222,12 +222,12 @@ def wls_fit(z: LogSpacings, rho: float) -> RegressionFit:
     return _fit(z, rho, weighted=True)
 
 
-def ls_fit(z: LogSpacings, rho: float) -> RegressionFit:
+def ls_fit(z: np.ndarray, rho: float) -> RegressionFit:
     """Plain least squares fit (uniform weights 1/k). Same contract as wls_fit."""
     return _fit(z, rho, weighted=False)
 
 
-def ridge_fit(z: LogSpacings, rho: float, penalty: float) -> RegressionFit:
+def ridge_fit(z: np.ndarray, rho: float, penalty: float) -> RegressionFit:
     """Ridge-regularized least squares fit.
 
     The slope solves the centered normal equation with ``penalty`` added to
@@ -263,7 +263,7 @@ def _ridge_choice(gammas: np.ndarray, k_values: np.ndarray):
 def wls_gamma_grid(z_all: np.ndarray, k_values, rhos) -> np.ndarray:
     """WLS tail-index estimates for every (rho, k) pair, shape (len(rhos), len(k_values)).
 
-    ``z_all`` is the full spacings array from :func:`all_log_spacings`, and
+    ``z_all`` is a tail's full spacings array (``OrderedTail.z_all``), and
     ``k_values`` ascend. The whole grid is one run of the path engine with a
     leading rho axis, whose design is cached per (rhos, k_max); row r equals
     the WLS path at ``rhos[r]`` bit for bit. This is the hot path behind the
@@ -296,26 +296,15 @@ def needs_rho(est_ids) -> bool:
     return not _RHO_FREE.issuperset(est_ids)
 
 
-def check_covariate_sums(rho, k_max: int, est_ids) -> None:
-    """InvalidRhoError if rho is not finite negative or over- or underflows the covariate sums.
-
-    The sums are those of the engine runs that ``est_ids`` need, up to
-    k_max. This is the rho check the table makes on every call, made once
-    for a study whose rho and k_max are fixed.
-    """
-    for message in _rejected((check_rho(rho),), int(k_max), est_ids).values():
-        raise InvalidRhoError(message)
-
-
 def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
                    k_values) -> tuple[dict, np.ndarray | None]:
     """Paths of the estimators ``est_ids`` at every k in the ascending ``k_values``.
 
     This is the one place that maps estimator ids to computations. The
-    estimate at k uses the first k entries of ``z_all`` (the spacings from
-    :func:`all_log_spacings`, or any array of at least max(k_values)
-    spacings). ``z_all`` may also be a block with leading axes, one row of
-    spacings per sample along the last axis: every path and penalty array
+    estimate at k uses the first k entries of ``z_all`` (a tail's
+    ``OrderedTail.z_all``, or any array of at least max(k_values) spacings).
+    ``z_all`` may also be a block with leading axes, one row of spacings per
+    sample along the last axis: every path and penalty array
     then has the same leading axes, and each row equals the 1-D call on
     that row bit for bit (cumulative sums run along each row in order, and
     every other step is elementwise). A whole set costs at most one
@@ -407,9 +396,7 @@ def evi_path(
     n = tail.n
     k_values = check_k_range(k_min, k_max, n)
     rho = resolve_rho(tail, rho_method) if needs_rho((estimator_id,)) else np.nan
-    paths, penalties = path_estimates(
-        all_log_spacings(tail), n, (estimator_id,), rho, k_values
-    )
+    paths, penalties = path_estimates(tail.z_all, n, (estimator_id,), rho, k_values)
     return EviPath(estimator_id, k_values, paths[estimator_id], rho,
                    rho_method.method_id, n, penalties)
 

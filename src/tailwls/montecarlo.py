@@ -36,9 +36,10 @@ three, per replication: a failed draw, or a rho that over- or underflows the
 covariate sums, marks the whole replication missing, and an unresolved rho
 marks every rho-dependent estimator. A table call fails as a whole only on
 the k range, n, the ids or the model's one rho, so studies raise those
-configuration errors before the first replication. The one error a study
-raises later is NonFiniteError, from a model spacing or a path that
-overflows (a gamma near the float range).
+configuration errors from the first chunk's table call, which no
+replication survives. The one error a study raises later is NonFiniteError,
+from a model spacing, a path or an aggregate that overflows (a gamma near
+the float range).
 Aggregates use the population-style divisor (number of successful
 replications), so mse = variance + bias^2 holds exactly.
 """
@@ -57,10 +58,8 @@ import numpy as np
 from . import __version__
 from .asymptotics import standardized_statistic
 from .distributions import DistributionSpec, _uniforms, quantile
-from .errors import (KOutOfRangeError, KTooSmallError, NonFiniteError, NonPositiveError,
-                     TailwlsError)
-from .estimators import (ESTIMATOR_IDS, check_covariate_sums, check_estimators, needs_rho,
-                         path_estimates)
+from .errors import KOutOfRangeError, NonFiniteError, NonPositiveError, TailwlsError
+from .estimators import ESTIMATOR_IDS, check_estimators, needs_rho, path_estimates
 from .second_order import RhoMethod, resolve_rho
 from .spacings import block_tails, check_k_range, covariates, raise_on_overflow
 
@@ -353,13 +352,22 @@ def summarize(values: np.ndarray, true_gamma: float) -> dict:
     Means, variances and MSEs are taken over the non-NaN replications of
     each cell with the population divisor, so mse = variance + bias^2
     exactly. A permutation of the replication axis changes nothing beyond
-    float roundoff.
+    float roundoff. A cell with no replication is NaN throughout.
+
+    Raises:
+        NonFiniteError: at the first cell, estimator-major, whose mean is
+            finite but whose mse or variance overflows (a gamma near 1e155).
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         mean = np.nanmean(values, axis=2)
         variance = np.nanvar(values, axis=2)
         mse = np.nanmean((values - true_gamma) ** 2, axis=2)
+    bad = np.isfinite(mean) & ~(np.isfinite(mse) & np.isfinite(variance))
+    if bad.any():
+        e, i = np.argwhere(bad)[0]
+        raise NonFiniteError(f"the mse or variance of cell [{e}, {i}] overflows "
+                             f"(mean {mean[e, i]}, gamma {true_gamma})")
     bias = mean - true_gamma
     missing = np.isnan(values).sum(axis=2)
     return {
@@ -437,12 +445,12 @@ def run_model_simulation(
     error from rho-resolution error. BCHILL needs a nominal sample size for
     its (n/k)^rho factor, which the pure generator does not have; pass ``n``
     explicitly when requesting it. Every replication shares rho, k and n,
-    so whatever would fail its table call raises before the first one.
+    so whatever would fail its table call raises from the first one.
 
     Raises:
         NonPositiveError: gamma <= 0, or a model mean gamma + b C_j <= 0.
         NonFiniteError: a model mean that is NaN or infinite (gamma or b so),
-            or a spacing or an estimate that overflows.
+            or a spacing, an estimate or an mse that overflows.
         EmptyOrTinyError / ValueError: bad estimator set.
         KOutOfRangeError / InvalidRhoError: k < 1, BCHILL without n >= k+1,
             rho not finite negative, or a regression estimator's covariate
@@ -458,11 +466,6 @@ def run_model_simulation(
     if reps < 1:
         raise ValueError(f"reps={reps} must be at least 1")
     draw = _model_draw(gamma, b, rho, k)
-    if k < 2 and needs_rho(est_ids):
-        raise KTooSmallError(f"the regression estimators need k >= 2, got k={k}")
-    if "BCHILL" in est_ids and (n is None or n < k + 1):
-        raise KOutOfRangeError(f"BCHILL needs n >= k+1={k + 1}, got n={n}")
-    check_covariate_sums(rho, k, est_ids)
     k_values = np.array([k])
     values = _replicate(draw, k, est_ids, k_values, n, reps, master_seed)[0]
     return _summary(
@@ -515,11 +518,12 @@ def normality_report(
 
     The statistic is :func:`standardized_statistic`, so at b = 0 its
     variance approaches 3k * amse(1, k, rho) / 4 (18/5 at rho = -1), not the
-    1 of the paper's normality statement. In model mode a rho that over- or
-    underflows the covariate sums raises InvalidRhoError before the first
-    replication. A replication that fails (by the module's failure rule) is
-    counted in ``config["missing"]`` and the moments are taken over the
-    others; they are NaN when every replication fails.
+    1 of the paper's normality statement. The first table call raises
+    KTooSmallError at k = 1 and, in model mode, InvalidRhoError for a rho
+    that over- or underflows the covariate sums. A replication that fails
+    (by the module's failure rule) is counted in ``config["missing"]`` and
+    the moments are taken over the others; they are NaN when every
+    replication fails.
 
     Args:
         reps: number of replications, at least 100.
@@ -534,8 +538,6 @@ def normality_report(
     if reps < 100:
         raise ValueError(f"reps={reps}; need at least 100 for stable moments")
     k = int(k)
-    if k < 2:
-        raise KTooSmallError(f"the WLS fit needs k >= 2, got k={k}")
     t0 = time.perf_counter()
     if spec is None:
         if gamma is None or not float(gamma) > 0.0:
@@ -544,7 +546,6 @@ def normality_report(
             )
         gamma = float(gamma)
         draw, row_len = _model_draw(gamma, b, rho, k), k
-        check_covariate_sums(rho, k, ("WLS",))
         config = {
             "mode": "model",
             "gamma": gamma,

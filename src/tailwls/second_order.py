@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateTailError, EmptyOrTinyError, KOutOfRangeError
-from .spacings import OrderedTail, all_log_spacings, check_rho
+from .spacings import OrderedTail, check_rho
 
 #: Candidate grid for min-variance selection.
 DEFAULT_RHO_GRID = (-0.25, -0.5, -0.75, -1.0, -1.5, -2.0, -3.0)
@@ -37,14 +37,13 @@ class RhoMethod:
 
     Build instances through the classmethods; the extra fields only matter
     for their respective kinds (fixed_value for 'fixed', tau for 'moment',
-    grid and k_fraction for 'minvar').
+    grid for 'minvar').
     """
 
     kind: str
     fixed_value: float | None = None
     tau: float = 0.0
     grid: tuple[float, ...] = DEFAULT_RHO_GRID
-    k_fraction: float = 0.9
 
     def __post_init__(self):
         if self.kind not in ("fixed", "moment", "minvar"):
@@ -56,8 +55,6 @@ class RhoMethod:
                 raise EmptyOrTinyError("rho candidate grid is empty")
             for g in self.grid:
                 check_rho(g)
-            if not 0.0 < self.k_fraction <= 1.0:
-                raise ValueError(f"k_fraction={self.k_fraction} outside (0, 1]")
 
     @classmethod
     def fixed(cls, value: float) -> "RhoMethod":
@@ -68,13 +65,8 @@ class RhoMethod:
         return cls(kind="moment", tau=float(tau))
 
     @classmethod
-    def min_variance(
-        cls,
-        grid=DEFAULT_RHO_GRID,
-        k_fraction: float = 0.9,
-    ) -> "RhoMethod":
-        return cls(kind="minvar", grid=tuple(float(g) for g in grid),
-                   k_fraction=float(k_fraction))
+    def min_variance(cls, grid=DEFAULT_RHO_GRID) -> "RhoMethod":
+        return cls(kind="minvar", grid=tuple(float(g) for g in grid))
 
     @property
     def method_id(self) -> str:
@@ -97,7 +89,7 @@ def resolve_rho(tail: OrderedTail, method: RhoMethod) -> float:
         return float(method.fixed_value)
     if method.kind == "moment":
         return _moment_rho(tail, method.tau)
-    return _min_variance_rho(tail, method.grid, method.k_fraction)
+    return _min_variance_rho(tail, method.grid)
 
 
 def _moment_rho(tail: OrderedTail, tau: float) -> float:
@@ -140,10 +132,10 @@ def _moment_rho(tail: OrderedTail, tau: float) -> float:
     return float(np.clip(-abs(raw), lo, hi))
 
 
-def _min_variance_rho(tail: OrderedTail, grid, k_fraction: float) -> float:
+def _min_variance_rho(tail: OrderedTail, grid) -> float:
     """Grid candidate whose WLS path has the smallest variance.
 
-    The path runs over k in [max(2, ceil(n/10)), floor(k_fraction*(n-1))].
+    The path runs over k in [max(2, ceil(n/10)), floor(0.9*(n-1))].
     Ties on the variance go to the most negative candidate, so the result
     does not depend on grid order. A tail on which every candidate path is
     constant (all spacings zero, say) has nothing to choose by and raises
@@ -153,14 +145,12 @@ def _min_variance_rho(tail: OrderedTail, grid, k_fraction: float) -> float:
 
     n = tail.n
     lo = max(2, math.ceil(n / 10))
-    hi = math.floor(k_fraction * (n - 1))
+    hi = math.floor(0.9 * (n - 1))
     if hi < lo:
         raise KOutOfRangeError(
             f"n={n} leaves no k window [{lo}, {hi}] for min-variance selection"
         )
-    k_values = np.arange(lo, hi + 1)
-    z_all = all_log_spacings(tail)
-    variances = wls_gamma_grid(z_all, k_values, grid).var(axis=1)
+    variances = wls_gamma_grid(tail.z_all, np.arange(lo, hi + 1), grid).var(axis=1)
     if (variances == 0.0).all():
         raise DegenerateTailError(
             f"every candidate rho gives a constant WLS path over k in [{lo}, {hi}]"

@@ -13,8 +13,8 @@ four objects and holds the checks every caller shares: of rho, of a positive
 parameter, of a k range, of an array of k, and of overflow in a computation.
 ``block_tails`` alone computes spacings: it
 sorts a ``(rows, n)`` block of samples and takes all their spacings at once.
-``validate_and_sort`` is its one-row case, and the other spacings functions
-read an OrderedTail's.
+``validate_and_sort`` is its one-row case, and every spacing is read from an
+OrderedTail's ``z_all``.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class OrderedTail:
     """A strictly positive sample stored in descending order, with its spacings.
 
     ``values[0]`` is the sample maximum, ``values[n-1]`` the minimum, and
-    ``z_all`` is :func:`all_log_spacings`. Both arrays are read-only; build
-    instances through :func:`validate_and_sort` or :func:`block_tails`.
+    ``z_all`` holds all n-1 spacings Z_1..Z_{n-1}, which do not depend on k.
+    Both arrays are read-only; build instances through
+    :func:`validate_and_sort` or :func:`block_tails`.
     """
 
     values: np.ndarray
@@ -59,25 +60,6 @@ class OrderedTail:
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True)
-class LogSpacings:
-    """Scaled log-spacings Z_1..Z_k of the top k+1 order statistics.
-
-    Attributes
-    ----------
-    z : np.ndarray
-        The k nonnegative spacings, index j-1 holding Z_j.
-    k : int
-        Number of spacings, 1 <= k <= n - 1.
-    n : int
-        Size of the originating sample.
-    """
-
-    z: np.ndarray
-    k: int
-    n: int
 
 
 def check_rho(rho) -> float:
@@ -175,7 +157,7 @@ def validate_and_sort(raw_sample) -> OrderedTail:
     return block_tails(arr[None])[1][0]
 
 
-def log_spacings(tail: OrderedTail, k: int) -> LogSpacings:
+def log_spacings(tail: OrderedTail, k: int) -> np.ndarray:
     """Z_j = j * log(values[j-1] / values[j]) for j = 1..k, a view of the tail's spacings.
 
     With the sample in descending order, values[j-1] is X_{n-j+1,n}, so the
@@ -187,7 +169,7 @@ def log_spacings(tail: OrderedTail, k: int) -> LogSpacings:
         k: number of spacings, 1 <= k <= tail.n - 1.
 
     Returns:
-        LogSpacings over the top k+1 order statistics.
+        The read-only view ``tail.z_all[:k]`` over the top k+1 order statistics.
 
     Raises:
         KOutOfRangeError: k outside [1, n-1].
@@ -196,18 +178,7 @@ def log_spacings(tail: OrderedTail, k: int) -> LogSpacings:
     k = int(k)
     if not 1 <= k <= n - 1:
         raise KOutOfRangeError(f"k={k} outside [1, {n - 1}] for n={n}")
-    return LogSpacings(z=tail.z_all[:k], k=k, n=n)
-
-
-def all_log_spacings(tail: OrderedTail) -> np.ndarray:
-    """All spacings Z_1..Z_{n-1} in one pass.
-
-    The Z_j do not depend on k, so ``log_spacings(tail, k).z`` is the first
-    k entries of this array. The path engine of ``estimators`` takes prefix
-    sums of it, so one pass serves every k of a path. It is the tail's
-    read-only ``z_all``, computed when the tail was built.
-    """
-    return tail.z_all
+    return tail.z_all[:k]
 
 
 def block_tails(raw: np.ndarray) -> tuple[np.ndarray, list]:

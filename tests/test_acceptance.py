@@ -200,7 +200,7 @@ def test_criterion_8_exact_recovery_and_oracles():
     worst_exact = 0.0
     for k, gamma, b, rho in ((25, 0.7, 0.3, -1.0), (60, 2.0, -0.5, -0.4)):
         c = tw.covariates(k, rho)
-        z = tw.LogSpacings(z=gamma + b * c, k=k, n=k + 1)
+        z = gamma + b * c
         for fit in (tw.wls_fit(z, rho), tw.ls_fit(z, rho),
                     tw.ridge_fit(z, rho, 0.0)):
             worst_exact = max(worst_exact, abs(fit.gamma_hat - gamma),
@@ -212,7 +212,7 @@ def test_criterion_8_exact_recovery_and_oracles():
         k = int(rng.integers(2, 400))
         rho = float(-rng.uniform(0.05, 4.0))
         zvals = rng.exponential(rng.uniform(0.2, 3.0), size=k)
-        z = tw.LogSpacings(z=zvals, k=k, n=k + 1)
+        z = zvals
         w = tw.weights(k)
         c = tw.covariates(k, rho)
         design = np.stack([np.ones(k), c], axis=1)

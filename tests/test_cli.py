@@ -126,7 +126,7 @@ def test_estimate_comment_lines_and_column(tmp_path):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     tail = tw.validate_and_sort([10.0, 20.0, 30.0, 40.0])
-    z = tw.log_spacings(tail, 3).z
+    z = tw.log_spacings(tail, 3)
     assert float(rows[0]["gamma_hat"]) == np.cumsum(z)[-1] / 3  # the Hill mean
 
 
@@ -300,6 +300,32 @@ def test_diagnose_calls_s_moments_once_per_row(monkeypatch, capsys):
     monkeypatch.undo()
     assert [float(r.split(",")[7]) for r in rows] == [tw.amse(1.0, k, -1.0)
                                                       for k in range(2, 12)]
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["diagnose", "--rho", "-1", "--k-max", "50"], "s_moments"),
+    (["simulate", "--dist", "pareto", "--gamma", "0.5", "--n", "50", "--reps", "2"],
+     "run_simulation"),
+])
+def test_memory_error_exits_4_with_one_line(argv, target, tmp_path, monkeypatch, capsys):
+    """A size the host cannot hold is a configuration error, not a traceback.
+
+    The MemoryError is raised by a stand-in: a real request of that size
+    (745 GiB for ``diagnose --k-max 100000000000``) might be granted by an
+    overcommitting host and then exhaust it.
+    """
+    from tailwls import cli
+
+    def too_big(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+    monkeypatch.setattr(cli, target, too_big)
+    out = tmp_path / "o.csv"
+    assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_CONFIG == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"tailwls {argv[0]}: out of memory: Unable to allocate")
+    assert not out.exists()
 
 
 def test_optimal_k_round_trip(tmp_path):

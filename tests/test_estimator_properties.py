@@ -198,15 +198,15 @@ def test_extreme_moment_inputs_give_finite_values_or_typed_errors():
 
 
 def test_extreme_model_studies_give_finite_estimates_or_typed_errors():
-    """Every cell's mean and bias is finite, or the study raises a TailwlsError.
+    """Every cell's mean, bias, mse and variance is finite, or the study raises a TailwlsError.
 
-    mse and variance are left out: they scale as gamma^2, and ``summarize``
-    lets them overflow to inf from about gamma = 1e155.
+    mse and variance scale as gamma^2, so from about gamma = 1e155 the study
+    raises NonFiniteError where they would overflow (gamma = 1e200 here).
     """
-    for gamma, b, rho in itertools.product(EXTREMES + (1.0,), EXTREMES + (0.0,),
+    for gamma, b, rho in itertools.product(EXTREMES + (1.0, 1e200), EXTREMES + (0.0,),
                                            EXTREMES + (-1.0,)):
         for est_ids, n in ((("HILL", "WLS"), None), (ESTIMATOR_IDS, 20)):
             def study():
                 s = run_model_simulation(gamma, b, rho, 5, 3, est_ids, n=n)
-                return [s.mean, s.bias]
+                return [s.mean, s.bias, s.mse, s.variance]
             _finite_or_typed(study)

@@ -8,11 +8,9 @@ from tailwls import (
     InvalidRhoError,
     KOutOfRangeError,
     KTooSmallError,
-    LogSpacings,
     NonPositiveError,
     RhoMethod,
     SimulationConfig,
-    all_log_spacings,
     burr,
     covariates,
     evi_path,
@@ -35,9 +33,8 @@ from tailwls.asymptotics import s_moments
 from tailwls.montecarlo import _model_draw, _sampling_draw
 
 
-def _spacings(z, n=None):
-    z = np.asarray(z, dtype=float)
-    return LogSpacings(z=z, k=len(z), n=n if n is not None else len(z) + 1)
+def _spacings(z):
+    return np.asarray(z, dtype=float)
 
 
 def solve_weighted_normal_equations(z, c, w):
@@ -68,7 +65,7 @@ def test_wls_noise_free_recovery():
     fit = wls_fit(z, -1.0)
     assert fit.gamma_hat == pytest.approx(0.5, abs=1e-12)
     assert fit.b_hat == pytest.approx(0.2, abs=1e-12)
-    residuals = z.z - (fit.gamma_hat + fit.b_hat * c)
+    residuals = z - (fit.gamma_hat + fit.b_hat * c)
     assert residuals == pytest.approx(np.zeros(3), abs=1e-12)
 
 
@@ -88,7 +85,7 @@ def test_wls_matches_normal_equations_oracle():
         z = _spacings(rng.exponential(scale=rng.uniform(0.1, 3.0), size=k))
         fit = wls_fit(z, rho)
         gamma, b = solve_weighted_normal_equations(
-            z.z, covariates(k, rho), weights(k)
+            z, covariates(k, rho), weights(k)
         )
         assert abs(fit.gamma_hat - gamma) < 1e-10
         assert abs(fit.b_hat - b) < 1e-10
@@ -102,7 +99,7 @@ def test_ls_matches_normal_equations_oracle():
         z = _spacings(rng.exponential(size=k))
         fit = ls_fit(z, rho)
         gamma, b = solve_weighted_normal_equations(
-            z.z, covariates(k, rho), np.full(k, 1.0 / k)
+            z, covariates(k, rho), np.full(k, 1.0 / k)
         )
         assert abs(fit.gamma_hat - gamma) < 1e-10
         assert abs(fit.b_hat - b) < 1e-10
@@ -115,7 +112,7 @@ def test_fit_residual_orthogonality():
     fit = wls_fit(z, -0.8)
     w = weights(30)
     c = covariates(30, -0.8)
-    residuals = z.z - (fit.gamma_hat + fit.b_hat * c)
+    residuals = z - (fit.gamma_hat + fit.b_hat * c)
     assert w @ residuals == pytest.approx(0.0, abs=1e-12)
     assert (w * c) @ residuals == pytest.approx(0.0, abs=1e-12)
 
@@ -154,8 +151,8 @@ def test_ridge_matches_centered_formula():
         penalty = float(rng.uniform(0.0, 50.0))
         z = _spacings(rng.exponential(size=k))
         c = covariates(k, rho)
-        zbar, cbar = z.z.mean(), c.mean()
-        b = ((c - cbar) @ (z.z - zbar)) / (((c - cbar) @ (c - cbar)) + penalty)
+        zbar, cbar = z.mean(), c.mean()
+        b = ((c - cbar) @ (z - zbar)) / (((c - cbar) @ (c - cbar)) + penalty)
         fit = ridge_fit(z, rho, penalty)
         assert abs(fit.b_hat - b) < 1e-10
         assert abs(fit.gamma_hat - (zbar - b * cbar)) < 1e-10
@@ -165,7 +162,7 @@ def test_ridge_large_penalty_shrinks_to_hill():
     z = _spacings(np.random.default_rng(48).exponential(size=25))
     fit = ridge_fit(z, -1.0, 1e12)
     assert fit.b_hat == pytest.approx(0.0, abs=1e-9)
-    assert fit.gamma_hat == pytest.approx(z.z.mean(), abs=1e-9)
+    assert fit.gamma_hat == pytest.approx(z.mean(), abs=1e-9)
 
 
 def test_ridge_negative_penalty():
@@ -181,7 +178,7 @@ def test_rr_choice_minimizes_proxy():
 
     rng = np.random.default_rng(49)
     z = _spacings(rng.exponential(size=60))
-    rr, penalties = _one_id(z.z, z.n, "RR", -1.0, [60])
+    rr, penalties = _one_id(z, 61, "RR", -1.0, [60])
     unit = amse(1.0, 60, -1.0)
     scores = {
         f * 60: ridge_fit(z, -1.0, f * 60).gamma_hat ** 2 * unit
@@ -194,12 +191,12 @@ def test_rr_choice_minimizes_proxy():
 
 def test_bchill_formula_and_limits():
     """BCHILL is the HILL path times 1 - (b_hat / (1 - rho)) * (n/k)^rho, b_hat the WLS slope."""
-    z = _spacings(np.full(10, 0.5), n=101)
+    z = _spacings(np.full(10, 0.5))
     # constant spacings: the WLS slope is 0, which leaves Hill untouched
-    paths, _ = path_estimates(z.z, 101, ("HILL", "BCHILL"), -1.0, [10])
+    paths, _ = path_estimates(z, 101, ("HILL", "BCHILL"), -1.0, [10])
     assert paths["BCHILL"][0] == pytest.approx(paths["HILL"][0], abs=1e-15)
-    z = _spacings(np.random.default_rng(56).exponential(size=10), n=101)
-    paths, _ = path_estimates(z.z, 101, ("HILL", "BCHILL"), -1.0, [10])
+    z = _spacings(np.random.default_rng(56).exponential(size=10))
+    paths, _ = path_estimates(z, 101, ("HILL", "BCHILL"), -1.0, [10])
     want = paths["HILL"][0] * (1.0 - (wls_fit(z, -1.0).b_hat / 2.0) * (101 / 10) ** -1.0)
     assert paths["BCHILL"][0] == pytest.approx(want, rel=1e-13)
 
@@ -271,11 +268,9 @@ def test_evi_path_bad_arguments():
 
 
 def test_wls_gamma_grid_matches_fits():
-    from tailwls import all_log_spacings
-
     rng = np.random.default_rng(52)
     tail = validate_and_sort(rng.pareto(0.8, size=70) + 1.0)
-    z_all = all_log_spacings(tail)
+    z_all = tail.z_all
     ks = np.array([5, 10, 33, 69])
     rhos = (-0.5, -1.0, -2.0)
     grid = wls_gamma_grid(z_all, ks, rhos)
@@ -356,7 +351,7 @@ def test_grid_call_runs_the_engine_once(monkeypatch):
     from tailwls import estimators
 
     tail = validate_and_sort(sample(burr(1.0, np.sqrt(2.0), np.sqrt(2.0)), 200, 5))
-    z_all, k_values = all_log_spacings(tail), np.arange(20, 180)
+    z_all, k_values = tail.z_all, np.arange(20, 180)
     wls_gamma_grid(z_all, k_values, DEFAULT_RHO_GRID)  # fills the design cache
     engine, sums = [], []
     real_fit, real_sums = estimators._path_fit, estimators._prefix_sums
@@ -382,7 +377,7 @@ def test_grid_call_runs_the_engine_once(monkeypatch):
 
 
 def test_wls_gamma_grid_errors():
-    z_all = all_log_spacings(validate_and_sort(np.arange(1.0, 21.0)))
+    z_all = validate_and_sort(np.arange(1.0, 21.0)).z_all
     with pytest.raises(KTooSmallError):
         wls_gamma_grid(z_all, [1, 5], DEFAULT_RHO_GRID)
     with pytest.raises(KOutOfRangeError):
@@ -454,7 +449,7 @@ def test_all_callers_share_one_table():
 
 
 def test_path_estimates_errors():
-    z_all = all_log_spacings(validate_and_sort(np.arange(1.0, 21.0)))
+    z_all = validate_and_sort(np.arange(1.0, 21.0)).z_all
     with pytest.raises(ValueError):
         _one_id(z_all, 20, "NOPE", -1.0, [5])
     for est in ("BCHILL", "LS", "RR", "WLS"):
@@ -583,10 +578,10 @@ def test_path_entries_equal_single_fits_bitwise():
         z_all = rng.exponential(rng.uniform(0.1, 3.0), size=n - 1)
         k_values = np.arange(2, n)
         k = int(rng.integers(2, n))
-        z = _spacings(z_all[:k].copy(), n=n)
+        z = _spacings(z_all[:k].copy())
         at_k = {est: _one_id(z_all, n, est, -0.9, k_values)
                 for est in ESTIMATOR_IDS}
-        assert at_k["HILL"][0][k - 2] == np.cumsum(z.z)[-1] / k
+        assert at_k["HILL"][0][k - 2] == np.cumsum(z)[-1] / k
         if k % 10:
             continue  # the regressions on every tenth input
         assert at_k["WLS"][0][k - 2] == wls_fit(z, -0.9).gamma_hat
@@ -598,7 +593,7 @@ def test_path_entries_equal_single_fits_bitwise():
 def test_paths_match_oracle_at_scale():
     """WLS and LS paths on n = 20 000 agree with np.linalg.solve to 1e-9 of the path's scale."""
     spec = burr(1.0, np.sqrt(2.0), np.sqrt(2.0))
-    z_all = all_log_spacings(validate_and_sort(sample(spec, 20_000, 11)))
+    z_all = validate_and_sort(sample(spec, 20_000, 11)).z_all
     k_values = np.arange(2, z_all.size + 1, 97)
     for rho in DEFAULT_RHO_GRID + (-0.05, -8.0):
         for est, uniform in (("WLS", False), ("LS", True)):
@@ -615,7 +610,7 @@ def test_paths_match_oracle_at_scale():
 
 def test_extreme_rho_matches_oracle_or_raises():
     """rho = -50 still matches the direct fit; at rho = -100 the covariate sums overflow."""
-    z_all = all_log_spacings(validate_and_sort(sample(burr(1.0, 2.0, 1.0), 1000, 12)))
+    z_all = validate_and_sort(sample(burr(1.0, 2.0, 1.0), 1000, 12)).z_all
     k_values = np.arange(2, 1000)
     for est in ("WLS", "LS"):
         got, _ = _one_id(z_all, 1000, est, -50.0, k_values)
@@ -630,9 +625,7 @@ def test_extreme_rho_matches_oracle_or_raises():
 
 def test_underflowing_covariate_sums_raise():
     """Below |rho| ~ 1e-154 S2 is subnormal or 0, which would give inf or NaN estimates."""
-    from tailwls.estimators import check_covariate_sums
-
-    z_all = all_log_spacings(validate_and_sort(sample(burr(1.0, 2.0, 1.0), 200, 4)))
+    z_all = validate_and_sort(sample(burr(1.0, 2.0, 1.0), 200, 4)).z_all
     k_values = np.arange(2, 200)
     for est in ("BCHILL", "LS", "RR", "WLS"):
         got, _ = _one_id(z_all, 200, est, -1e-150, k_values)
@@ -641,8 +634,9 @@ def test_underflowing_covariate_sums_raise():
             with pytest.raises(InvalidRhoError, match="underflows"):
                 _one_id(z_all, 200, est, rho, k_values)
             with pytest.raises(InvalidRhoError, match="underflows"):
-                check_covariate_sums(rho, 2, ("HILL", est))
-    check_covariate_sums(-1e-300, 2, ("HILL",))
+                path_estimates(z_all, 200, ("HILL", est), rho, [2])
+    hill, _ = _one_id(z_all, 200, "HILL", -1e-300, k_values)
+    assert np.isfinite(hill).all()
 
 
 def test_paths_stay_accurate_as_rho_approaches_zero():
@@ -652,7 +646,7 @@ def test_paths_stay_accurate_as_rho_approaches_zero():
     sum w C^2 - S1^2 loses about 5e-8 here.
     """
     spec = burr(1.0, np.sqrt(2.0), np.sqrt(2.0))
-    z_all = all_log_spacings(validate_and_sort(sample(spec, 1000, 3)))
+    z_all = validate_and_sort(sample(spec, 1000, 3)).z_all
     for rho in (-1e-3, -1e-4):
         for est in ("WLS", "LS"):
             got, _ = _one_id(z_all, 1000, est, rho, np.arange(10, 1000, 70))

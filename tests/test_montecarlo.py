@@ -9,7 +9,6 @@ from tailwls import (
     InvalidRhoError,
     KOutOfRangeError,
     KTooSmallError,
-    LogSpacings,
     NonFiniteError,
     NonPositiveError,
     RhoMethod,
@@ -26,6 +25,7 @@ from tailwls import (
     rep_seed,
     run_model_simulation,
     run_simulation,
+    s_moments,
     sample,
     standardized_statistic,
     summarize,
@@ -33,7 +33,6 @@ from tailwls import (
     wls_fit,
 )
 from tailwls import montecarlo, resolve_rho
-from tailwls.spacings import all_log_spacings
 from tailwls.montecarlo import (_CHUNK_ENTRIES, _model_draw, _rep_seeds, _replicate,
                                 _sampling_draw, _seed_state_type, _seed_states)
 
@@ -136,9 +135,9 @@ def test_run_model_simulation_single_rep_is_exact():
     s = run_model_simulation(0.5, 0.1, -1.0, 30, reps=1, estimators=("WLS", "HILL"),
                              master_seed=9)
     z_model = _model_draw(0.5, 0.1, -1.0, 30)([rep_seed(9, 0)])[0][0]
-    z = LogSpacings(z=z_model, k=30, n=31)
+    z = z_model
     assert s.cell("WLS", 30)["mean"] == wls_fit(z, -1.0).gamma_hat
-    assert s.cell("HILL", 30)["mean"] == np.cumsum(z.z)[-1] / 30
+    assert s.cell("HILL", 30)["mean"] == np.cumsum(z)[-1] / 30
     assert s.cell("WLS", 30)["variance"] == 0.0
     assert s.cell("WLS", 30)["missing"] == 0
 
@@ -182,7 +181,7 @@ def test_non_finite_model_parameters_raise_up_front(monkeypatch):
         _model_draw(1e308, 1e308, -1.0, 10)
 
 
-def test_run_model_simulation_raises_configuration_errors_up_front(monkeypatch):
+def test_model_studies_raise_configuration_errors_from_the_first_table_call():
     # each would fail every replication alike, so it is not counted as missing
     with pytest.raises(KTooSmallError):
         run_model_simulation(1.0, 0.1, -1.0, 1, 4, estimators=("HILL", "WLS"))
@@ -190,28 +189,20 @@ def test_run_model_simulation_raises_configuration_errors_up_front(monkeypatch):
         run_model_simulation(1.0, 0.1, -1.0, 100, 5, estimators=("BCHILL", "WLS"), n=50)
     s = run_model_simulation(1.0, 0.1, -1.0, 1, 4, estimators=("HILL",))
     assert s.missing.sum() == 0
-    s = run_model_simulation(1.0, 0.0, -200.0, 100, 5, estimators=("HILL",))
-    assert s.missing.sum() == 0
-
-    real_model_draw = montecarlo._model_draw
-
-    def no_draw(*args):
-        real_model_draw(*args)
-
-        def draw(seeds):
-            raise AssertionError("a replication ran")
-
-        return draw
-
+    with pytest.raises(KTooSmallError):
+        normality_report(100, 1, gamma=1.0)
     # rho=-200 overflows the covariate sums at k=100, for every regression,
     # and rho=-1e-300 underflows them
-    monkeypatch.setattr(montecarlo, "_model_draw", no_draw)
     for rho in (-200.0, -1e-300):
+        s = run_model_simulation(1.0, 0.0, rho, 100, 5, estimators=("HILL",))
+        assert s.missing.sum() == 0
         for est in ("BCHILL", "LS", "RR", "WLS"):
             with pytest.raises(InvalidRhoError):
                 run_model_simulation(1.0, 0.0, rho, 100, 5, ("HILL", est), n=200)
         with pytest.raises(InvalidRhoError):
             normality_report(100, 100, gamma=1.0, rho=rho)
+        with pytest.raises(InvalidRhoError):
+            s_moments(100, rho)
 
 
 def test_one_replication_runs_the_path_engine_twice(monkeypatch):
@@ -241,10 +232,27 @@ def test_overflowing_model_studies_raise_non_finite_error():
         normality_report(100, 10, gamma=1e306)
     with pytest.raises(NonFiniteError, match="model spacing overflows"):
         _model_draw(1e308, 0.0, -1.0, 10)([rep_seed(0, r) for r in range(200)])
-    # just below, every cell is finite and nothing is missing
+    # just below, every replication's estimate is finite (the aggregates of
+    # the first two overflow, see the next test)
     for gamma, est_ids in ((1e300, ("HILL", "WLS")), (1e304, ("LS", "RR")), (1e154, ("BCHILL",))):
-        s = run_model_simulation(gamma, 0.0, -1.0, 100, 50, est_ids, n=200)
-        assert np.isfinite(s.mean).all() and s.missing.sum() == 0, gamma
+        values = _replicate(_model_draw(gamma, 0.0, -1.0, 100), 100, est_ids, np.array([100]),
+                            200, 50, 0)[0]
+        assert np.isfinite(values).all(), gamma
+
+
+def test_overflowing_aggregates_raise_non_finite_error():
+    """From gamma = 1e155 the squared errors overflow: NonFiniteError, not an inf mse."""
+    for est_ids in (("HILL", "WLS"), ("LS", "RR")):
+        for gamma in (1e155, 1e300):
+            with pytest.raises(NonFiniteError, match="mse or variance"):
+                run_model_simulation(gamma, 0.0, -1.0, 100, 50, est_ids)
+        s = run_model_simulation(1e154, 0.0, -1.0, 100, 50, est_ids)
+        assert np.isfinite([s.mean, s.mse, s.variance]).all() and s.missing.sum() == 0
+    # a cell with no replication stays NaN and raises nothing
+    values = np.array([[[1.0, 3.0], [np.nan, np.nan]]])
+    agg = summarize(values, 1.0)
+    assert agg["mse"][0, 0] == 2.0 and agg["variance"][0, 0] == 1.0
+    assert np.isnan([agg["mean"][0, 1], agg["mse"][0, 1], agg["variance"][0, 1]]).all()
 
 
 def test_failed_table_call_marks_the_whole_replication_missing():
@@ -516,7 +524,7 @@ def _per_sample(spec, n, master_seed, r, rho_method):
         rho = resolve_rho(tail, rho_method)
     except TailwlsError:
         rho = None
-    return all_log_spacings(tail), rho
+    return tail.z_all, rho
 
 
 @pytest.mark.parametrize("spec", [pareto(0.5), burr(1.0, np.sqrt(2.0), np.sqrt(2.0)),
@@ -559,7 +567,7 @@ def test_resolve_rho_gets_each_good_row_once_in_order(monkeypatch):
     seen, real_rho = [], montecarlo.resolve_rho
 
     def resolve(tail, method):
-        seen.append(all_log_spacings(tail))
+        seen.append(tail.z_all)
         return real_rho(tail, method)
 
     monkeypatch.setattr(montecarlo, "resolve_rho", resolve)
@@ -631,7 +639,7 @@ def test_run_simulation_replay_single_rep():
     tail = validate_and_sort(sample(spec, 60, rep_seed(42, 0)))
     for k in (10, 11, 12):
         z = log_spacings(tail, k)
-        assert s.cell("HILL", k)["mean"] == np.cumsum(z.z)[-1] / k
+        assert s.cell("HILL", k)["mean"] == np.cumsum(z)[-1] / k
         assert s.cell("WLS", k)["mean"] == wls_fit(z, -1.0).gamma_hat
 
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import tailwls
 from tailwls import errors
 
@@ -19,3 +22,26 @@ def test_public_surface():
         if cls is not tailwls.TailwlsError:
             assert issubclass(cls, tailwls.TailwlsError), name
             assert issubclass(cls, ValueError), name
+
+
+def _unused_imports(source: str) -> list:
+    """Names a module's import statements bind that no other node of it reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """A stale import is a deleted helper's leftover; ``__init__`` imports to re-export."""
+    modules = sorted(Path(tailwls.__file__).parent.glob("*.py"))
+    assert len(modules) > 2
+    stale = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
+             for path in modules if path.name != "__init__.py"}
+    assert {name: names for name, names in stale.items() if names} == {}

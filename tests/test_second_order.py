@@ -11,7 +11,6 @@ from tailwls import (
     KOutOfRangeError,
     MOMENT_RHO_RANGE,
     RhoMethod,
-    all_log_spacings,
     burr,
     frechet,
     loggamma,
@@ -49,8 +48,6 @@ class TestRhoMethod:
             RhoMethod.min_variance(grid=())
         with pytest.raises(InvalidRhoError):
             RhoMethod.min_variance(grid=(-1.0, 0.5))
-        with pytest.raises(ValueError):
-            RhoMethod.min_variance(k_fraction=0.0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -121,13 +118,13 @@ def test_minvar_single_candidate():
     assert resolve_rho(tail, RhoMethod.min_variance(grid=(-0.9,))) == -0.9
 
 
-def _min_variance_oracle(tail, grid, k_fraction=0.9):
+def _min_variance_oracle(tail, grid):
     """The min-variance rule with one one-rho WLS engine run per candidate."""
     from tailwls import estimators
 
     n = tail.n
-    k_values = np.arange(max(2, math.ceil(n / 10)), math.floor(k_fraction * (n - 1)) + 1)
-    z_all = all_log_spacings(tail)
+    k_values = np.arange(max(2, math.ceil(n / 10)), math.floor(0.9 * (n - 1)) + 1)
+    z_all = tail.z_all
     paths = np.array([estimators._path_fit(z_all, k_values, (float(rho),), True)[0] for rho in grid])
     # smallest variance first, ties to the most negative rho
     return float(grid[np.lexsort((grid, paths.var(axis=1)))[0]])

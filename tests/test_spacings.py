@@ -7,7 +7,6 @@ from tailwls import (
     KOutOfRangeError,
     NonFiniteError,
     NonPositiveError,
-    all_log_spacings,
     covariates,
     log_spacings,
     validate_and_sort,
@@ -60,8 +59,8 @@ def test_log_spacings_hand_value():
     # descending sample (e^2, e, 1): Z_1 = 1*log(e^2/e) = 1, Z_2 = 2*log(e/1) = 2
     tail = validate_and_sort([np.e**2, np.e, 1.0])
     z = log_spacings(tail, 2)
-    assert z.z == pytest.approx([1.0, 2.0], abs=1e-12)
-    assert z.k == 2 and z.n == 3
+    assert z == pytest.approx([1.0, 2.0], abs=1e-12)
+    assert len(z) == 2 and not z.flags.writeable
 
 
 def test_log_spacings_k_range():
@@ -76,35 +75,35 @@ def test_log_spacings_k_range():
 def test_tie_gives_exact_zero():
     tail = validate_and_sort([5.0, 5.0, 2.0, 1.0])
     z = log_spacings(tail, 3)
-    assert z.z[0] == 0.0
-    assert (z.z >= 0.0).all()
+    assert z[0] == 0.0
+    assert (z >= 0.0).all()
 
 
 def test_prefix_matches_full_array():
     """Z_j does not depend on k: log_spacings at k is a prefix of the n-1 array."""
     rng = np.random.default_rng(7)
     tail = validate_and_sort(rng.pareto(1.0, size=60) + 0.5)
-    z_all = all_log_spacings(tail)
+    z_all = tail.z_all
     assert z_all.shape == (59,)
     for k in (1, 7, 30, 59):
-        assert np.array_equal(log_spacings(tail, k).z, z_all[:k])
+        assert np.array_equal(log_spacings(tail, k), z_all[:k])
 
 
 def test_log_spacings_are_computed_once_per_tail(monkeypatch):
     """A min-variance resolution reuses the spacings its sample already has."""
-    from tailwls import RhoMethod, resolve_rho, second_order
+    from tailwls import RhoMethod, estimators, resolve_rho
 
     tail = validate_and_sort(np.random.default_rng(9).pareto(1.0, size=200) + 1.0)
-    z_all = all_log_spacings(tail)
-    assert all_log_spacings(tail) is z_all and not z_all.flags.writeable
+    z_all = tail.z_all
+    assert not z_all.flags.writeable
     seen = []
-    real = second_order.all_log_spacings
+    real = estimators.wls_gamma_grid
 
-    def spy(t):
-        seen.append(real(t))
-        return seen[-1]
+    def spy(z, *args):
+        seen.append(z)
+        return real(z, *args)
 
-    monkeypatch.setattr(second_order, "all_log_spacings", spy)
+    monkeypatch.setattr(estimators, "wls_gamma_grid", spy)
     resolve_rho(tail, RhoMethod.min_variance())
     assert len(seen) == 1 and seen[0] is z_all
 
@@ -132,16 +131,16 @@ def test_block_tails_rows_equal_their_own_validate_and_sort():
         want = validate_and_sort(row)
         assert np.array_equal(tail.values, want.values) and tail.n == 30
         assert not tail.values.flags.writeable and tail.values.flags.c_contiguous
-        assert np.shares_memory(all_log_spacings(tail), z_row)
-        assert np.array_equal(all_log_spacings(tail), all_log_spacings(want))
+        assert np.shares_memory(tail.z_all, z_row)
+        assert np.array_equal(tail.z_all, want.z_all)
     assert [t is None for t in block_tails(raw[:, :1])[1]] == [True] * 9  # too few values
 
 
 def test_scale_invariance():
     rng = np.random.default_rng(8)
     x = rng.pareto(2.0, size=100) + 1.0
-    z1 = all_log_spacings(validate_and_sort(x))
-    z2 = all_log_spacings(validate_and_sort(1e6 * x))
+    z1 = validate_and_sort(x).z_all
+    z2 = validate_and_sort(1e6 * x).z_all
     assert z1 == pytest.approx(z2, abs=1e-9)
 
 

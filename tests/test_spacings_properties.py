@@ -1,7 +1,7 @@
 """Property tests of the one spacings builder, ``spacings.block_tails``.
 
 ``validate_and_sort`` is its one-row case after the typed checks, and
-``all_log_spacings`` and ``log_spacings`` read the spacings it made. The
+``OrderedTail.z_all`` and ``log_spacings`` read the spacings it made. The
 examples are derandomized and no example database is kept, so a run is
 repeatable.
 """
@@ -17,7 +17,6 @@ from tailwls import (  # noqa: E402
     NonFiniteError,
     NonPositiveError,
     TailwlsError,
-    all_log_spacings,
     log_spacings,
     validate_and_sort,
 )
@@ -51,7 +50,7 @@ def test_spacings_equal_numpy_and_their_block_row(x):
     tail = validate_and_sort(x)
     assert tail.n == x.size and not tail.z_all.flags.writeable
     assert np.array_equal(tail.values, np.sort(x)[::-1])
-    assert all_log_spacings(tail).tobytes() == _spacings(x).tobytes()
+    assert tail.z_all.tobytes() == _spacings(x).tobytes()
     block, tails = block_tails(np.stack([x[::-1], x]))
     for row, row_tail in zip(block, tails):
         assert row.tobytes() == row_tail.z_all.tobytes() == tail.z_all.tobytes()
@@ -63,9 +62,9 @@ def test_log_spacings_is_a_view_of_all_log_spacings(x, data):
     tail = validate_and_sort(x)
     k = data.draw(st.integers(1, x.size - 1))
     z = log_spacings(tail, k)
-    assert (z.k, z.n) == (k, x.size)
-    assert np.shares_memory(z.z, all_log_spacings(tail))
-    assert z.z.tobytes() == all_log_spacings(tail)[:k].tobytes()
+    assert len(z) == k and not z.flags.writeable
+    assert np.shares_memory(z, tail.z_all)
+    assert z.tobytes() == tail.z_all[:k].tobytes()
 
 
 bad_values = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]) | st.floats(
