@@ -14,8 +14,6 @@ given to the regressions. What it prints:
 The point of WLS here is a flat error curve in k, not a lower minimum.
 """
 
-import numpy as np
-
 import tailwls as tw
 
 cfg = tw.SimulationConfig(

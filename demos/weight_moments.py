@@ -6,8 +6,6 @@ plus the asymptotic mean squared error proxy as a function of k, whose
 minimizer is the usual bias/variance sweet spot.
 """
 
-import numpy as np
-
 import tailwls as tw
 
 rho = -1.0

@@ -42,9 +42,7 @@ from .asymptotics import (
 )
 from .estimators import (
     ESTIMATOR_IDS,
-    EviPath,
     RegressionFit,
-    evi_path,
     ls_fit,
     optimal_k,
     path_estimates,
@@ -97,12 +95,10 @@ __all__ = [
     # estimators
     "ESTIMATOR_IDS",
     "RegressionFit",
-    "EviPath",
     "wls_fit",
     "ls_fit",
     "ridge_fit",
     "path_estimates",
-    "evi_path",
     "optimal_k",
     "wls_gamma_grid",
     # second order

@@ -146,14 +146,14 @@ def read_numeric_column(path: str, column: int | None = None,
     Without ``delimiter`` commas and whitespace both split.
 
     Raises:
-        _ParseFailure: unreadable file, malformed line, non-finite or
+        _ParseFailure: unreadable or non-UTF-8 file, malformed line, non-finite or
             non-positive value (the message names the line), or fewer than
             two values overall.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _ParseFailure(f"cannot read {path}: {exc}") from exc
     values: list[float] = []
     detected = column
@@ -425,7 +425,7 @@ def cmd_optimal_k(args) -> int:
                     raise _ParseFailure(
                         f"{args.summary}: bad row for k={row.get('k')!r}: {exc}"
                     ) from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         print(f"tailwls optimal-k: cannot read {args.summary}: {exc}",
               file=sys.stderr)
         return EXIT_PARSE

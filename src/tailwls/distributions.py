@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UOutOfRangeError
+from .errors import NonFiniteError, UOutOfRangeError
 from .spacings import check_positive
 
 FAMILIES = ("pareto", "burr", "frechet", "loggamma")
@@ -39,6 +39,13 @@ class DistributionSpec:
     params: dict
     true_gamma: float
     true_rho: float
+
+
+def _true_gamma(den: float) -> float:
+    """1/den, a spec's true gamma; NonFiniteError if den underflowed to 0 or 1/den overflows."""
+    if den == 0.0 or 1.0 / den == np.inf:
+        raise NonFiniteError(f"true gamma 1/{den} is not finite")
+    return 1.0 / den
 
 
 def pareto(gamma: float) -> DistributionSpec:
@@ -60,7 +67,7 @@ def burr(eta: float, tau: float, lam: float) -> DistributionSpec:
     return DistributionSpec(
         family="burr",
         params={"eta": eta, "tau": tau, "lam": lam},
-        true_gamma=1.0 / (lam * tau),
+        true_gamma=_true_gamma(lam * tau),
         true_rho=-1.0 / lam,
     )
 
@@ -71,7 +78,7 @@ def frechet(alpha: float) -> DistributionSpec:
     return DistributionSpec(
         family="frechet",
         params={"alpha": alpha},
-        true_gamma=1.0 / alpha,
+        true_gamma=_true_gamma(alpha),
         true_rho=-1.0,
     )
 
@@ -83,7 +90,7 @@ def loggamma(lam: float, alpha: float) -> DistributionSpec:
     return DistributionSpec(
         family="loggamma",
         params={"lam": lam, "alpha": alpha},
-        true_gamma=1.0 / lam,
+        true_gamma=_true_gamma(lam),
         true_rho=0.0,
     )
 
@@ -129,27 +136,32 @@ def quantile(spec: DistributionSpec, u):
 def cdf(spec: DistributionSpec, x):
     """Distribution function F(x); scalar in, scalar out.
 
-    Defined on the whole real line, with F = 0 left of the support.
+    Defined on the whole real line, with F = 0 left of the support and
+    F(inf) = 1. A power that overflows gives F its limit, 0 or 1, without a
+    warning. A NaN x raises NonFiniteError.
     """
     arr = np.asarray(x, dtype=np.float64)
+    if np.isnan(arr).any():
+        raise NonFiniteError("cdf argument is NaN")
     p = spec.params
     out = np.zeros_like(arr)
-    if spec.family == "pareto":
-        inside = arr > 1.0
-        out[inside] = 1.0 - arr[inside] ** (-1.0 / p["gamma"])
-    elif spec.family == "burr":
-        inside = arr > 0.0
-        out[inside] = 1.0 - (1.0 + (arr[inside] / p["eta"]) ** p["tau"]) ** (-p["lam"])
-    elif spec.family == "frechet":
-        inside = arr > 0.0
-        out[inside] = np.exp(-arr[inside] ** (-p["alpha"]))
-    elif spec.family == "loggamma":
-        from scipy import special
+    with np.errstate(over="ignore"):
+        if spec.family == "pareto":
+            inside = arr > 1.0
+            out[inside] = 1.0 - arr[inside] ** (-1.0 / p["gamma"])
+        elif spec.family == "burr":
+            inside = arr > 0.0
+            out[inside] = 1.0 - (1.0 + (arr[inside] / p["eta"]) ** p["tau"]) ** (-p["lam"])
+        elif spec.family == "frechet":
+            inside = arr > 0.0
+            out[inside] = np.exp(-arr[inside] ** (-p["alpha"]))
+        elif spec.family == "loggamma":
+            from scipy import special
 
-        inside = arr > 1.0
-        out[inside] = special.gammainc(p["alpha"], p["lam"] * np.log(arr[inside]))
-    else:
-        raise ValueError(f"unknown family {spec.family!r}")
+            inside = arr > 1.0
+            out[inside] = special.gammainc(p["alpha"], p["lam"] * np.log(arr[inside]))
+        else:
+            raise ValueError(f"unknown family {spec.family!r}")
     return float(out) if np.ndim(x) == 0 else out
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyOrTinyError, InvalidRhoError, KOutOfRangeError, NonPositiveError
-from .spacings import OrderedTail, check_k_range, check_k_values, check_rho, raise_on_overflow
+from .spacings import check_k_values, check_rho, raise_on_overflow
 
 #: Canonical estimator identifiers, in reporting order.
 ESTIMATOR_IDS = ("HILL", "BCHILL", "LS", "RR", "WLS")
@@ -59,23 +59,6 @@ class RegressionFit:
     rho_used: float
     k: int
     penalty: float | None = None
-
-
-@dataclass(frozen=True)
-class EviPath:
-    """Estimates of one estimator along a range of k values.
-
-    ``rho`` is the one rho used at every k (NaN for HILL, which needs none).
-    ``penalties`` is populated for RR paths, else None.
-    """
-
-    estimator_id: str
-    k_values: np.ndarray
-    estimates: np.ndarray
-    rho: float
-    rho_method_id: str
-    n: int
-    penalties: np.ndarray | None = None
 
 
 def _prefix_sums(f: np.ndarray, k_max: int, weighted: bool) -> np.ndarray:
@@ -365,40 +348,6 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
         if penalties is not None:
             penalties[failed | unresolved] = np.nan
     return {e: paths[e] for e in ids}, penalties
-
-
-def evi_path(
-    tail: OrderedTail,
-    estimator_id: str,
-    rho_method,
-    k_min: int,
-    k_max: int,
-) -> EviPath:
-    """Estimates of one estimator for every k in [k_min, k_max].
-
-    The second-order parameter is resolved once from the sample (all
-    resolution methods depend only on the sample, not on the current k) and
-    reused along the path. HILL ignores rho entirely.
-
-    Args:
-        tail: validated descending sample.
-        estimator_id: one of ``ESTIMATOR_IDS``.
-        rho_method: a ``RhoMethod`` describing how to resolve rho.
-        k_min, k_max: inclusive path range, 2 <= k_min <= k_max <= n - 1.
-
-    Raises:
-        ValueError: unknown estimator_id.
-        KOutOfRangeError: bad path range.
-        Errors from rho resolution propagate unchanged.
-    """
-    from .second_order import resolve_rho
-
-    n = tail.n
-    k_values = check_k_range(k_min, k_max, n)
-    rho = resolve_rho(tail, rho_method) if needs_rho((estimator_id,)) else np.nan
-    paths, penalties = path_estimates(tail.z_all, n, (estimator_id,), rho, k_values)
-    return EviPath(estimator_id, k_values, paths[estimator_id], rho,
-                   rho_method.method_id, n, penalties)
 
 
 def optimal_k(mse_by_k) -> tuple[int, float]:

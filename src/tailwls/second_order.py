@@ -141,6 +141,7 @@ def _min_variance_rho(tail: OrderedTail, grid) -> float:
     constant (all spacings zero, say) has nothing to choose by and raises
     DegenerateTailError, as the moment method does.
     """
+    # imported per call, so a wrapper patched onto estimators.wls_gamma_grid sees every call
     from .estimators import wls_gamma_grid
 
     n = tail.n

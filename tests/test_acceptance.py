@@ -153,8 +153,10 @@ def test_criterion_6_path_stability():
     wins = 0
     for r in range(100):
         tail = tw.validate_and_sort(tw.sample(spec, 200, tw.rep_seed(99, r)))
-        sd_w = np.std(tw.evi_path(tail, "WLS", meth, 40, 160).estimates)
-        sd_h = np.std(tw.evi_path(tail, "HILL", meth, 40, 160).estimates)
+        paths = tw.path_estimates(tail.z_all, tail.n, ("HILL", "WLS"),
+                                  tw.resolve_rho(tail, meth), np.arange(40, 161))[0]
+        sd_w = np.std(paths["WLS"])
+        sd_h = np.std(paths["HILL"])
         wins += sd_w < sd_h
     elapsed = time.perf_counter() - t0
     ok, line = report(
@@ -185,8 +187,9 @@ def test_criterion_7_condroz_plateau():
 
     values = read_numeric_column(str(path), column=None)
     tail = tw.validate_and_sort(values)
-    path_wls = tw.evi_path(tail, "WLS", tw.RhoMethod.min_variance(), 710, 1230)
-    mean = float(np.mean(path_wls.estimates))
+    rho = tw.resolve_rho(tail, tw.RhoMethod.min_variance())
+    path_wls = tw.path_estimates(tail.z_all, tail.n, ("WLS",), rho, np.arange(710, 1231))[0]
+    mean = float(np.mean(path_wls["WLS"]))
     ok, line = report(
         7, "condroz-plateau",
         abs(mean - 0.26) <= 0.03,

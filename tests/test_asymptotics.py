@@ -13,7 +13,6 @@ from tailwls import (
     normality_report,
     pareto,
     path_estimates,
-    rep_seed,
     run_model_simulation,
     s1_limit,
     s2_limit,

@@ -63,11 +63,12 @@ def test_estimate_values_round_trip_17g(burr_file, tmp_path):
                 "--out", str(out))
     assert r.returncode == 0, r.stderr
     tail = tw.validate_and_sort(np.loadtxt(burr_file, skiprows=1))
-    path = tw.evi_path(tail, "WLS", tw.RhoMethod.fixed(-1.0), 15, 40)
+    rho = tw.resolve_rho(tail, tw.RhoMethod.fixed(-1.0))
+    path = tw.path_estimates(tail.z_all, tail.n, ("WLS",), rho, np.arange(15, 41))[0]["WLS"]
     with open(out) as fh:
         got = [float(row["gamma_hat"]) for row in csv.DictReader(fh)]
     # 17 significant digits preserve float64 exactly
-    assert got == path.estimates.tolist()
+    assert got == path.tolist()
 
 
 def test_estimate_zero_value_names_line(tmp_path):

@@ -72,9 +72,12 @@ def test_estimate_csv_equals_csv_writer(flags, data_file, tmp_path, capsys):
     tail = tw.validate_and_sort(np.loadtxt(data_file, skiprows=1))
     k_min = k_max = int(argv["--k"]) if "--k" in argv else None
     k_min, k_max = (k_min or 2), (k_max or tail.n - 1)
-    paths = [tw.evi_path(tail, e, method, k_min, k_max) for e in estimators]
-    rows = [[k, p.estimator_id, _g(p.rho), _g(p.estimates[i])]
-            for i, k in enumerate(range(k_min, k_max + 1)) for p in paths]
+    rho = tw.resolve_rho(tail, method)  # once per file, as the CLI does
+    k_values = np.arange(k_min, k_max + 1)
+    paths = {e: tw.path_estimates(tail.z_all, tail.n, (e,), rho, k_values)[0][e]
+             for e in estimators}
+    rows = [[k, e, _g(rho if e != "HILL" else np.nan), _g(paths[e][i])]
+            for i, k in enumerate(k_values) for e in estimators]
     want = _oracle(["k", "estimator", "rho_used", "gamma_hat"], rows)
     assert out.read_text() == want
 

@@ -73,6 +73,16 @@ def test_parameters_must_be_finite():
     assert frechet(1e300).true_gamma == 1e-300
 
 
+def test_true_gamma_must_be_finite():
+    # 1/(lam*tau) with lam*tau underflowing to 0, and 1/1e-320 overflowing
+    for make in (lambda: burr(1.0, 1e-200, 1e-200), lambda: frechet(1e-320),
+                 lambda: burr(1.0, 1e-320, 1.0), lambda: loggamma(1e-320, 1.0)):
+        with pytest.raises(NonFiniteError):
+            make()
+    assert burr(1.0, 1e-154, 1e-154).true_gamma == 1.0 / (1e-154 * 1e-154)
+    assert frechet(1e-300).true_gamma == 1.0 / 1e-300
+
+
 def test_pareto_quantile_closed_form():
     s = pareto(0.5)
     u = np.array([0.0, 0.3, 0.9, 0.999])
@@ -151,6 +161,19 @@ def test_cdf_below_support():
     assert cdf(burr(1.0, 2.0, 1.0), -3.0) == 0.0
     assert cdf(frechet(2.0), 0.0) == 0.0
     assert cdf(loggamma(2.0, 2.0), 1.0) == 0.0
+
+
+def test_cdf_at_the_extremes_is_quiet_and_typed():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cdf(frechet(2.0), 1e-200) == 0.0  # x^-alpha overflows
+        assert cdf(burr(1.0, 2.0, 1.0), 1e200) == 1.0  # (x/eta)^tau overflows
+        for spec in ALL_SPECS:
+            assert cdf(spec, np.inf) == 1.0
+            assert cdf(spec, -np.inf) == 0.0
+    for x in (np.nan, np.array([2.0, np.nan])):
+        with pytest.raises(NonFiniteError):
+            cdf(pareto(1.0), x)
 
 
 def test_sample_deterministic_and_positive():

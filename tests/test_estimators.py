@@ -13,7 +13,6 @@ from tailwls import (
     SimulationConfig,
     burr,
     covariates,
-    evi_path,
     log_spacings,
     ls_fit,
     optimal_k,
@@ -30,7 +29,9 @@ from tailwls import (
     wls_gamma_grid,
 )
 from tailwls.asymptotics import s_moments
+from tailwls.estimators import check_estimators, needs_rho
 from tailwls.montecarlo import _model_draw, _sampling_draw
+from tailwls.spacings import check_k_range
 
 
 def _spacings(z):
@@ -218,53 +219,56 @@ def _geometric_tail(r, n):
 def test_paths_on_geometric_sample_match_oracle():
     tail = _geometric_tail(1.7, 40)
     logr = np.log(1.7)
-    method = RhoMethod.fixed(-1.0)
-    ph = evi_path(tail, "HILL", method, 2, 39)
+    k_values = check_k_range(2, 39, tail.n)
+    assert not needs_rho(("HILL",))
+    ph, _ = _one_id(tail.z_all, tail.n, "HILL", None, k_values)
     # Hill(k) = mean of j*logr over j<=k = logr*(k+1)/2
-    want = logr * (ph.k_values + 1) / 2.0
-    assert ph.estimates == pytest.approx(want, rel=1e-12)
-    assert np.isnan(ph.rho)
+    want = logr * (k_values + 1) / 2.0
+    assert ph == pytest.approx(want, rel=1e-12)
 
-    pw = evi_path(tail, "WLS", method, 2, 39)
-    for i, k in enumerate(pw.k_values):
+    rho = resolve_rho(tail, RhoMethod.fixed(-1.0))
+    assert rho == -1.0
+    pw, _ = _one_id(tail.z_all, tail.n, "WLS", rho, k_values)
+    for i, k in enumerate(k_values):
         z = logr * np.arange(1, k + 1)
         gamma, _ = solve_weighted_normal_equations(
             z, covariates(int(k), -1.0), weights(int(k))
         )
-        assert abs(pw.estimates[i] - gamma) < 1e-10
-    assert pw.rho == -1.0
+        assert abs(pw[i] - gamma) < 1e-10
 
 
-def test_evi_path_consistency_with_single_fits():
+def test_wls_path_consistency_with_single_fits():
     rng = np.random.default_rng(50)
     tail = validate_and_sort(rng.pareto(1.2, size=80) + 1.0)
-    method = RhoMethod.fixed(-0.7)
-    path = evi_path(tail, "WLS", method, 5, 30)
-    for i, k in enumerate(path.k_values):
+    k_values = check_k_range(5, 30, tail.n)
+    path, _ = _one_id(tail.z_all, tail.n, "WLS", resolve_rho(tail, RhoMethod.fixed(-0.7)), k_values)
+    for i, k in enumerate(k_values):
         fit = wls_fit(log_spacings(tail, int(k)), -0.7)
-        assert path.estimates[i] == pytest.approx(fit.gamma_hat, abs=1e-13)
-    assert path.n == 80
-    assert path.rho_method_id == "fixed:-0.7"
+        assert path[i] == pytest.approx(fit.gamma_hat, abs=1e-13)
 
 
-def test_evi_path_rr_records_penalties():
+def test_rr_path_records_penalties():
     rng = np.random.default_rng(51)
     tail = validate_and_sort(rng.pareto(1.0, size=50) + 1.0)
-    path = evi_path(tail, "RR", RhoMethod.fixed(-1.0), 5, 12)
-    assert path.penalties is not None
-    assert path.penalties.shape == path.estimates.shape
+    path, penalties = _one_id(tail.z_all, tail.n, "RR", -1.0, check_k_range(5, 12, tail.n))
+    assert penalties is not None
+    assert penalties.shape == path.shape
 
 
-def test_evi_path_bad_arguments():
-    tail = validate_and_sort(np.arange(1.0, 21.0))
+def test_path_bad_arguments():
+    """The checks a caller makes before the table, and the table itself, reject a bad path."""
+    z_all = validate_and_sort(np.arange(1.0, 21.0)).z_all
     with pytest.raises(ValueError):
-        evi_path(tail, "NOPE", RhoMethod.fixed(-1.0), 2, 10)
-    with pytest.raises(KOutOfRangeError):
-        evi_path(tail, "WLS", RhoMethod.fixed(-1.0), 1, 10)
-    with pytest.raises(KOutOfRangeError):
-        evi_path(tail, "WLS", RhoMethod.fixed(-1.0), 5, 20)
-    with pytest.raises(KOutOfRangeError):
-        evi_path(tail, "WLS", RhoMethod.fixed(-1.0), 12, 5)
+        check_estimators(("NOPE",))
+    with pytest.raises(ValueError):
+        _one_id(z_all, 20, "NOPE", -1.0, np.arange(2, 11))
+    # k from 1, k up to n = 20 (one past the 19 spacings), k descending
+    for k_min, k_max, k_values in ((1, 10, np.arange(1, 11)), (5, 20, np.arange(5, 21)),
+                                   (12, 5, [12, 5])):
+        with pytest.raises(KOutOfRangeError):
+            check_k_range(k_min, k_max, 20)
+        with pytest.raises(KOutOfRangeError):
+            _one_id(z_all, 20, "WLS", -1.0, k_values)
 
 
 def test_wls_gamma_grid_matches_fits():
@@ -441,9 +445,11 @@ def test_all_callers_share_one_table():
     z_model = _model_draw(0.5, 0.1, -1.0, 100)([rep_seed(3, 0)])[0][0]
     model = run_model_simulation(0.5, 0.1, -1.0, 100, reps=1,
                                  estimators=ESTIMATOR_IDS, master_seed=3, n=200)
+    rho = resolve_rho(tail, method)
     for e, est in enumerate(ESTIMATOR_IDS):
-        path = evi_path(tail, est, method, 10, 150)
-        assert np.array_equal(summary.mean[e], path.estimates), est
+        path, _ = _one_id(tail.z_all, tail.n, est, rho if needs_rho((est,)) else None,
+                          np.arange(10, 151))
+        assert np.array_equal(summary.mean[e], path), est
         want, _ = _one_id(z_model, 200, est, -1.0, [100])
         assert np.array_equal(model.mean[e], want), est
 

@@ -39,9 +39,15 @@ def _unused_imports(source: str) -> list:
 
 
 def test_no_module_imports_a_name_it_never_uses():
-    """A stale import is a deleted helper's leftover; ``__init__`` imports to re-export."""
-    modules = sorted(Path(tailwls.__file__).parent.glob("*.py"))
-    assert len(modules) > 2
-    stale = {path.name: _unused_imports(path.read_text(encoding="utf-8"))
+    """A stale import is a deleted helper's leftover; ``__init__`` imports to re-export.
+
+    The package's modules, the tests, the demos and the tools are checked.
+    """
+    root = Path(__file__).resolve().parents[1]
+    modules = [path for folder in (Path(tailwls.__file__).parent, root / "tests",
+                                   root / "demos", root / "tools")
+               for path in sorted(folder.glob("*.py"))]
+    assert len(modules) > 20
+    stale = {f"{path.parent.name}/{path.name}": _unused_imports(path.read_text(encoding="utf-8"))
              for path in modules if path.name != "__init__.py"}
     assert {name: names for name, names in stale.items() if names} == {}
