@@ -9,8 +9,11 @@ Subcommands:
     fetch-note  where to obtain the practical datasets, and expected sizes
 
 Exit codes: 0 success, 2 dataset parse failure, 3 estimation failure,
-4 invalid configuration (including bad flags, and sizes whose arrays do not
-fit in memory), 5 lookup failure (estimator missing from a summary file).
+4 invalid configuration (including bad flags, sizes whose arrays do not fit
+in memory, and an ``--out`` that cannot be written), 5 lookup failure
+(estimator missing from a summary file). Every nonzero exit writes one stderr
+line, ``tailwls <command>: <message>``: a command raises a ``_Failure``
+holding its exit code and message, and only ``main`` prints it.
 Floating point values are written with 17 significant digits, so files
 round-trip exactly. Every CSV, on stdout or
 in a file, is built as one text by one writer (``_csv_text``). No field
@@ -20,7 +23,8 @@ atomically (temp file, then rename) with a ``<out>.meta`` sidecar of
 key=value lines; timestamps appear only in sidecars. A new output gets mode
 0o666 less the umask, as ``open`` would give it, and an output that already
 exists keeps its mode. An ``--out`` in a missing directory, or naming a
-directory (itself or its sidecar), is a configuration error, found first.
+directory (itself or its sidecar), is a configuration error, found first;
+one that still cannot be written is one too, found at the write.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import os
 import stat
 import sys
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -55,8 +60,28 @@ EXIT_LOOKUP = 5
 DATA_URL = "https://lstat.kuleuven.be/Wiley/"
 
 
-class _ParseFailure(Exception):
+class _Failure(Exception):
+    """A command failed: ``main`` prints ``tailwls <command>: <message>`` and exits ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
+class _ParseFailure(_Failure):
     """Dataset or summary file could not be parsed (exit code 2)."""
+
+    def __init__(self, message: str):
+        super().__init__(EXIT_PARSE, message)
+
+
+@contextmanager
+def _failing(code: int, errors, prefix: str = ""):
+    """Re-raise an ``errors`` exception from the block as ``_Failure(code, prefix + message)``."""
+    try:
+        yield
+    except errors as exc:
+        raise _Failure(code, f"{prefix}{exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,9 +148,9 @@ def _write_outputs(out: str, text: str, command: str, entries: dict) -> None:
     """Write the CSV ``text`` to ``out``, then its ``.meta`` sidecar.
 
     The sidecar holds one key=value line per entry, framed by the command,
-    the command line, the package version and a UTC timestamp.
+    the command line, the package version and a UTC timestamp. An OSError
+    is a configuration failure (exit 4).
     """
-    _write_atomic(out, text)
     sidecar = {
         "command": command,
         "command_line": " ".join(sys.argv) if sys.argv else "tailwls",
@@ -133,7 +158,9 @@ def _write_outputs(out: str, text: str, command: str, entries: dict) -> None:
         **entries,
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    _write_atomic(out + ".meta", "".join(f"{k}={v}\n" for k, v in sidecar.items()))
+    with _failing(EXIT_CONFIG, OSError, f"cannot write {out}: "):
+        _write_atomic(out, text)
+        _write_atomic(out + ".meta", "".join(f"{k}={v}\n" for k, v in sidecar.items()))
 
 
 def read_numeric_column(path: str, column: int | None = None,
@@ -231,22 +258,14 @@ def _parse_estimators(text: str) -> tuple[str, ...]:
 
 
 def cmd_estimate(args) -> int:
-    bad = (f"--column {args.column} must be >= 0" if (args.column or 0) < 0
-           else "--delimiter must not be empty" if args.delimiter == "" else None)
-    if bad:
-        print(f"tailwls estimate: {bad}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        data = read_numeric_column(args.dataset, args.column, args.delimiter)
-        tail = validate_and_sort(data)
-    except _ParseFailure as exc:
-        print(f"tailwls estimate: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except TailwlsError as exc:
-        print(f"tailwls estimate: {args.dataset}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if (args.column or 0) < 0:
+        raise _Failure(EXIT_CONFIG, f"--column {args.column} must be >= 0")
+    if args.delimiter == "":
+        raise _Failure(EXIT_CONFIG, "--delimiter must not be empty")
+    # the reader rejects every sample validate_and_sort would
+    tail = validate_and_sort(read_numeric_column(args.dataset, args.column, args.delimiter))
     n = tail.n
-    try:
+    with _failing(EXIT_CONFIG, (ValueError, TailwlsError)):
         estimators = _parse_estimators(args.estimators)
         rho_method = _parse_rho_method(args.rho)
         if args.k is not None and (args.k_min is not None or args.k_max is not None):
@@ -258,25 +277,13 @@ def cmd_estimate(args) -> int:
             k_max = int(args.k_max) if args.k_max is not None else n - 1
         k_values = check_k_range(k_min, k_max, n)
         _check_out(args.out)
-    except (ValueError, TailwlsError) as exc:
-        print(f"tailwls estimate: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
     regression = needs_rho(estimators)
-    try:
+    with _failing(EXIT_ESTIMATION, TailwlsError, "estimation failed: "):
         # every method is k-independent: resolve once, reuse everywhere
         resolved = resolve_rho(tail, rho_method) if regression else None
         paths = path_estimates(tail.z_all, n, estimators, resolved, k_values)[0]
-    except TailwlsError as exc:
-        print(f"tailwls estimate: estimation failed: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
 
-    if k_min < 10 and regression:
-        print(
-            f"tailwls estimate: warning: regression estimates at k < 10 "
-            f"are unstable (k_min={k_min})",
-            file=sys.stderr,
-        )
     # one template per k covers every estimator; rho_used is fixed per estimator
     template = "".join(
         f"%d,{est},{_fmt(resolved if needs_rho((est,)) else np.nan)},%.17g\n"
@@ -295,6 +302,12 @@ def cmd_estimate(args) -> int:
         entries["resolved_rho"] = _fmt(resolved)
     text = _csv_text(["k", "estimator", "rho_used", "gamma_hat"], template, rows)
     _write_outputs(args.out, text, "estimate", entries)
+    if k_min < 10 and regression:
+        print(
+            f"tailwls estimate: warning: regression estimates at k < 10 "
+            f"are unstable (k_min={k_min})",
+            file=sys.stderr,
+        )
     for est in estimators:
         negative = paths[est] < 0.0
         if negative.any():
@@ -330,7 +343,7 @@ def _build_spec(args):
 
 
 def cmd_simulate(args) -> int:
-    try:
+    with _failing(EXIT_CONFIG, (ValueError, TailwlsError)):
         spec = _build_spec(args)
         estimators = _parse_estimators(args.estimators)
         rho_method = _parse_rho_method(args.rho)
@@ -347,14 +360,8 @@ def cmd_simulate(args) -> int:
             master_seed=args.seed,
         )
         _check_out(args.out)
-    except (ValueError, TailwlsError) as exc:
-        print(f"tailwls simulate: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+    with _failing(EXIT_ESTIMATION, TailwlsError, "simulation failed: "):
         summary = run_simulation(config)
-    except TailwlsError as exc:
-        print(f"tailwls simulate: simulation failed: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
     rows = ((row["estimator"], row["k"], row["mean"], row["bias"], row["mse"],
              row["variance"], row["missing"]) for row in summary.rows())
     entries = dict(summary.metadata)
@@ -369,7 +376,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    try:
+    with _failing(EXIT_CONFIG, ValueError):
         rho = check_rho(args.rho)
         gamma = check_positive("--gamma", args.gamma)
         k_min, k_max = int(args.k_min), int(args.k_max)
@@ -377,19 +384,11 @@ def cmd_diagnose(args) -> int:
             raise ValueError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
         if args.out is not None:
             _check_out(args.out)
-    except ValueError as exc:
-        print(f"tailwls diagnose: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
-    try:
+    with (_failing(EXIT_CONFIG, NonFiniteError, "--gamma: "),
+          _failing(EXIT_CONFIG, InvalidRhoError, "--rho: ")):
         m = s_moments(np.arange(k_min, k_max + 1), rho)
         columns = (m.k, m.s1, m.s2, m.s_dot, m.s_ddot, m.s1_limit, m.s2_limit, m.amse(gamma))
-    except NonFiniteError as exc:
-        print(f"tailwls diagnose: --gamma: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidRhoError as exc:
-        print(f"tailwls diagnose: --rho: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     text = _csv_text(["k", "s1", "s2", "s_dot", "s_ddot", "s1_limit", "s2_limit", "amse"],
                      "%d" + ",%.17g" * 7 + "\n",
                      zip(*(np.broadcast_to(c, m.k.shape).tolist() for c in columns)))
@@ -403,7 +402,8 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_optimal_k(args) -> int:
-    try:
+    with _failing(EXIT_PARSE, (OSError, UnicodeDecodeError, csv.Error),
+                  f"cannot read {args.summary}: "):
         with open(args.summary, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
@@ -425,26 +425,12 @@ def cmd_optimal_k(args) -> int:
                     raise _ParseFailure(
                         f"{args.summary}: bad row for k={row.get('k')!r}: {exc}"
                     ) from None
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        print(f"tailwls optimal-k: cannot read {args.summary}: {exc}",
-              file=sys.stderr)
-        return EXIT_PARSE
-    except _ParseFailure as exc:
-        print(f"tailwls optimal-k: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     if not pairs:
         known = ",".join(sorted(seen)) or "none"
-        print(
-            f"tailwls optimal-k: estimator {args.estimator!r} not in "
-            f"{args.summary} (present: {known})",
-            file=sys.stderr,
-        )
-        return EXIT_LOOKUP
-    try:
+        raise _Failure(EXIT_LOOKUP, f"estimator {args.estimator!r} not in "
+                                    f"{args.summary} (present: {known})")
+    with _failing(EXIT_ESTIMATION, TailwlsError, f"estimator {args.estimator!r}: "):
         k0, mse = optimal_k(pairs)
-    except TailwlsError as exc:
-        print(f"tailwls optimal-k: estimator {args.estimator!r}: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
     print(f"k0={k0} mse={_fmt(mse)}")
     return EXIT_OK
 
@@ -529,9 +515,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _Failure as exc:
+        code, message = exc.code, exc
     except MemoryError as exc:
-        print(f"tailwls {args.command}: out of memory: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, message = EXIT_CONFIG, f"out of memory: {exc}"
+    print(f"tailwls {args.command}: {message}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

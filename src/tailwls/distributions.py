@@ -41,10 +41,10 @@ class DistributionSpec:
     true_rho: float
 
 
-def _true_gamma(den: float) -> float:
-    """1/den, a spec's true gamma; NonFiniteError if den underflowed to 0 or 1/den overflows."""
+def _reciprocal(den: float, what: str = "true gamma") -> float:
+    """1/den for a spec's ``what``; NonFiniteError if den underflowed to 0 or 1/den overflows."""
     if den == 0.0 or 1.0 / den == np.inf:
-        raise NonFiniteError(f"true gamma 1/{den} is not finite")
+        raise NonFiniteError(f"{what} needs 1/{den}, which is not finite")
     return 1.0 / den
 
 
@@ -67,8 +67,8 @@ def burr(eta: float, tau: float, lam: float) -> DistributionSpec:
     return DistributionSpec(
         family="burr",
         params={"eta": eta, "tau": tau, "lam": lam},
-        true_gamma=_true_gamma(lam * tau),
-        true_rho=-1.0 / lam,
+        true_gamma=_reciprocal(lam * tau),
+        true_rho=-_reciprocal(lam, "true rho"),
     )
 
 
@@ -78,7 +78,7 @@ def frechet(alpha: float) -> DistributionSpec:
     return DistributionSpec(
         family="frechet",
         params={"alpha": alpha},
-        true_gamma=_true_gamma(alpha),
+        true_gamma=_reciprocal(alpha),
         true_rho=-1.0,
     )
 
@@ -90,7 +90,7 @@ def loggamma(lam: float, alpha: float) -> DistributionSpec:
     return DistributionSpec(
         family="loggamma",
         params={"lam": lam, "alpha": alpha},
-        true_gamma=_true_gamma(lam),
+        true_gamma=_reciprocal(lam),
         true_rho=0.0,
     )
 
@@ -114,6 +114,8 @@ def quantile(spec: DistributionSpec, u):
 
     Raises:
         UOutOfRangeError: some u outside [0, 1).
+        NonFiniteError: a log-gamma Q(u) that scipy gives as NaN (at a
+            subnormal alpha).
     """
     arr = _check_u(u)
     p = spec.params
@@ -127,7 +129,10 @@ def quantile(spec: DistributionSpec, u):
         elif spec.family == "loggamma":
             from scipy import special  # only log-gamma needs scipy; keep import cheap
 
-            x = np.exp(special.gammaincinv(p["alpha"], arr) / p["lam"])
+            g = special.gammaincinv(p["alpha"], arr)
+            if np.isnan(g).any():
+                raise NonFiniteError(f"alpha={p['alpha']}: scipy's gammaincinv gives NaN")
+            x = np.exp(g / p["lam"])
         else:
             raise ValueError(f"unknown family {spec.family!r}")
     return float(x) if np.ndim(u) == 0 else x
@@ -138,7 +143,8 @@ def cdf(spec: DistributionSpec, x):
 
     Defined on the whole real line, with F = 0 left of the support and
     F(inf) = 1. A power that overflows gives F its limit, 0 or 1, without a
-    warning. A NaN x raises NonFiniteError.
+    warning. A NaN x raises NonFiniteError, as does a log-gamma F that scipy
+    gives as NaN (at an alpha above about 3e305).
     """
     arr = np.asarray(x, dtype=np.float64)
     if np.isnan(arr).any():
@@ -159,7 +165,11 @@ def cdf(spec: DistributionSpec, x):
             from scipy import special
 
             inside = arr > 1.0
-            out[inside] = special.gammainc(p["alpha"], p["lam"] * np.log(arr[inside]))
+            y = p["lam"] * np.log(arr[inside])
+            # scipy's gammainc exceeds 1 by rounding at a tiny alpha (by 7.8e-14 at 1e-300)
+            out[inside] = np.minimum(special.gammainc(p["alpha"], y), 1.0)
+            if np.isnan(out).any():
+                raise NonFiniteError(f"alpha={p['alpha']}: scipy's gammainc gives NaN")
         else:
             raise ValueError(f"unknown family {spec.family!r}")
     return float(out) if np.ndim(x) == 0 else out

@@ -26,10 +26,10 @@ class NonPositiveError(TailwlsError, ValueError):
 class NonFiniteError(TailwlsError, ValueError):
     """A value is NaN or infinite where it must be finite.
 
-    Raised for a sample value, a distribution parameter or true gamma, a
-    ``cdf`` argument, a model parameter or mean gamma + b*C_j, the AMSE of a
-    finite gamma that overflows, a path or model spacing that overflows, and
-    a standardized statistic that is not finite.
+    Raised for a sample value, a distribution parameter, true gamma or true
+    rho, a ``cdf`` argument, a model parameter or mean gamma + b*C_j, the
+    AMSE of a finite gamma that overflows, a path or model spacing that
+    overflows, and a standardized statistic that is not finite.
     """
 
 

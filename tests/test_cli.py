@@ -329,6 +329,78 @@ def test_memory_error_exits_4_with_one_line(argv, target, tmp_path, monkeypatch,
     assert not out.exists()
 
 
+@pytest.fixture()
+def failing_inputs(tmp_path):
+    """The files the failing argvs read, in ``tmp_path``."""
+    x = tw.sample(tw.burr(1.0, 2.0, 0.5), 120, seed=31)
+    texts = {
+        "claims.csv": "claim\n" + "\n".join(format(v, ".17g") for v in x) + "\n",
+        "zero.csv": "claim\n1.5\n2.5\n0\n3.5\n",
+        "ties.csv": "x\n" + "2.5\n" * 100,
+        "junk.csv": "no,useful,columns\n1,2,3\n",
+        "summary.csv": "estimator,k,mean,bias,mse,variance,missing\n"
+                       "HILL,5,1,0,0.5,0.5,0\nWLS,5,nan,nan,nan,nan,3\n",
+        "hill.csv": "estimator,k,mean,bias,mse,variance,missing\nHILL,5,1,0,0.5,0.5,0\n",
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    return tmp_path
+
+
+# One failing argv per failure a command reports, with its exit code and its
+# one stderr line; {d} is the directory of ``failing_inputs``.
+FAILURES = {
+    "estimate-flag": (["estimate", "{d}/claims.csv", "--column", "-1", "--out", "{d}/o.csv"],
+                      4, "tailwls estimate: --column -1 must be >= 0"),
+    "estimate-parse": (["estimate", "{d}/zero.csv", "--out", "{d}/o.csv"],
+                       2, "tailwls estimate: {d}/zero.csv:4: non-positive value 0"),
+    "estimate-config": (["estimate", "{d}/claims.csv", "--k", "500", "--out", "{d}/o.csv"],
+                        4, "tailwls estimate: need 2 <= k_min <= k_max <= n-1, "
+                           "got k_min=500, k_max=500, n=120"),
+    "estimate-estimation": (["estimate", "{d}/ties.csv", "--out", "{d}/o.csv"],
+                            3, "tailwls estimate: estimation failed: every candidate rho "
+                               "gives a constant WLS path over k in [10, 89]"),
+    "simulate-config": (["simulate", "--dist", "pareto", "--n", "50", "--reps", "5",
+                         "--out", "{d}/o.csv"],
+                        4, "tailwls simulate: --dist pareto needs --gamma"),
+    "simulate-estimation": (["simulate", "--dist", "loggamma", "--lambda", "1e-155",
+                             "--alpha", "1e-300", "--n", "20", "--reps", "2",
+                             "--estimators", "HILL", "--out", "{d}/o.csv"],
+                            3, "tailwls simulate: simulation failed: the mse or variance "
+                               "of cell [0, 0] overflows (mean 0.0, gamma 1e+155)"),
+    "diagnose-config": (["diagnose", "--rho", "0"],
+                        4, "tailwls diagnose: rho=0.0 must be finite and < 0"),
+    "diagnose-gamma": (["diagnose", "--rho", "-1", "--gamma", "1e160"],
+                       4, "tailwls diagnose: --gamma: gamma=1e+160: "
+                          "gamma^2 overflows the AMSE at k=2"),
+    "diagnose-rho": (["diagnose", "--rho", "-800", "--k-max", "3"],
+                     4, "tailwls diagnose: --rho: rho=-800.0 overflows "
+                        "the covariate sums up to k=3"),
+    "optimal-k-read": (["optimal-k", "{d}/missing.csv", "--estimator", "WLS"],
+                       2, "tailwls optimal-k: cannot read {d}/missing.csv: [Errno 2] "
+                          "No such file or directory: '{d}/missing.csv'"),
+    "optimal-k-parse": (["optimal-k", "{d}/junk.csv", "--estimator", "WLS"],
+                        2, "tailwls optimal-k: {d}/junk.csv: missing column 'estimator'"),
+    "optimal-k-lookup": (["optimal-k", "{d}/hill.csv", "--estimator", "WLS"],
+                         5, "tailwls optimal-k: estimator 'WLS' not in {d}/hill.csv "
+                            "(present: HILL)"),
+    "optimal-k-estimation": (["optimal-k", "{d}/summary.csv", "--estimator", "WLS"],
+                             3, "tailwls optimal-k: estimator 'WLS': "
+                                "no finite MSE among the (k, mse) pairs"),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_each_failure_exits_with_its_code_and_one_exact_line(case, failing_inputs, capsys):
+    from tailwls import cli
+
+    argv, code, line = FAILURES[case]
+    assert cli.main([a.format(d=failing_inputs) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line.format(d=failing_inputs) + "\n"
+
+
 def test_optimal_k_round_trip(tmp_path):
     out = tmp_path / "s.csv"
     run_cli("simulate", "--dist", "pareto", "--gamma", "1", "--n", "60",

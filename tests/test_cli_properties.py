@@ -4,7 +4,8 @@ Every subcommand is driven in-process through ``cli.main``. Each numeric
 flag takes each of nan, +-inf, 0, -1, 1e-320 and +-1e308 (and ``--rho``
 each ``fixed:`` value of those, and of +-1e-300 and -1e300); each file
 argument takes an empty file, a header alone, one value, all ties, bytes
-that are not UTF-8, a directory and a summary with an oversized field.
+that are not UTF-8, a directory and a summary with an oversized field, and
+each ``--out`` a name too long for the file system.
 Whatever the input, the CLI exits with a documented code (0, 2, 3, 4 or 5),
 raises nothing (argparse's ``SystemExit`` counts as its exit code), and on a
 nonzero exit writes exactly one stderr line, starting ``tailwls``. Sizes stay
@@ -158,3 +159,32 @@ def test_simulate_with_no_finite_true_gamma_exits_4(tmp_path, capsys):
     assert err.count("\n") == 1
     assert not out.exists()
 
+
+def test_simulate_with_no_finite_true_rho_exits_4(tmp_path, capsys):
+    out = tmp_path / "summary.csv"
+    argv = ["simulate", "--dist=burr", "--tau=1e308", "--lambda=1e-320", "--n=40",
+            "--reps=2", f"--out={out}"]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("tailwls simulate: ") and "true rho" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "{data}", "--rho=fixed:-1"],
+    ["simulate", "--dist=pareto", "--gamma=0.5", "--n=60", "--reps=3", "--k-max=40",
+     "--estimators=HILL,WLS"],
+    ["diagnose", "--rho=-1", "--k-max=60"],
+], ids=lambda argv: argv[0])
+def test_an_unwritable_out_exits_4_with_one_line(argv, data_file, tmp_path, capsys):
+    """A file name longer than the file system allows, which even root cannot write.
+
+    The command runs, the write fails, and no temp file is left behind.
+    """
+    out = str(tmp_path / ("x" * 300 + ".csv"))
+    assert cli.main([a.format(data=data_file) for a in argv] + [f"--out={out}"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"tailwls {argv[0]}: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == [data_file.name]

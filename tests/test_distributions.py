@@ -83,6 +83,13 @@ def test_true_gamma_must_be_finite():
     assert frechet(1e-300).true_gamma == 1.0 / 1e-300
 
 
+def test_true_rho_must_be_finite():
+    # -1/lam overflows below lam ~ 5.6e-309, though 1/(lam*tau) is finite here
+    with pytest.raises(NonFiniteError, match="true rho"):
+        burr(1.0, 1e308, 1e-320)
+    assert burr(1.0, 1.0, 6e-309).true_rho == -1.0 / 6e-309
+
+
 def test_pareto_quantile_closed_form():
     s = pareto(0.5)
     u = np.array([0.0, 0.3, 0.9, 0.999])
@@ -174,6 +181,16 @@ def test_cdf_at_the_extremes_is_quiet_and_typed():
     for x in (np.nan, np.array([2.0, np.nan])):
         with pytest.raises(NonFiniteError):
             cdf(pareto(1.0), x)
+
+
+def test_loggamma_where_scipy_fails_is_typed_or_clipped():
+    # gammaincinv is NaN at a subnormal shape, gammainc at a shape near 1e308,
+    # and gammainc exceeds 1 by rounding at a tiny shape
+    with pytest.raises(NonFiniteError, match="gammaincinv"):
+        quantile(loggamma(2.0, 5e-324), 0.5)
+    with pytest.raises(NonFiniteError, match="gammainc"):
+        cdf(loggamma(2.0, 1e308), 1e308)
+    assert cdf(loggamma(2.0, 1e-300), np.exp(np.linspace(0.01, 3.0, 300))).max() == 1.0
 
 
 def test_sample_deterministic_and_positive():

@@ -1,15 +1,18 @@
-"""Property tests of the estimator contract.
+"""Property tests of the estimator and distribution contracts.
 
 The table (``path_estimates``) and the rho resolutions see a sample only
 through its log-spacings, so permuting the sample changes no bit, rescaling
 it changes only rounding, and raising it to a power p multiplies the
 spacings, and with them every linear estimator, by p. Valid but extreme
-inputs give finite values or a typed ``TailwlsError``. The examples are
-derandomized and no example database is kept, so a run is repeatable.
+inputs give finite values or a typed ``TailwlsError``, and the distributions
+give values in their documented ranges or a typed ``TailwlsError``. The
+examples are derandomized and no example database is kept, so a run is
+repeatable.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,9 +29,12 @@ from tailwls import (  # noqa: E402
     TailwlsError,
     amse,
     burr,
+    cdf,
     frechet,
+    loggamma,
     pareto,
     path_estimates,
+    quantile,
     resolve_rho,
     run_model_simulation,
     s_moments,
@@ -210,3 +216,36 @@ def test_extreme_model_studies_give_finite_estimates_or_typed_errors():
                 s = run_model_simulation(gamma, b, rho, 5, 3, est_ids, n=n)
                 return [s.mean, s.bias, s.mse, s.variance]
             _finite_or_typed(study)
+
+
+def _in_range_or_typed(call, low, high):
+    """Call; a TailwlsError passes, anything else returned must lie in [low, high]."""
+    try:
+        out = np.asarray(call(), dtype=np.float64)
+    except TailwlsError:
+        return
+    assert ((low <= out) & (out <= high)).all(), out  # NaN fails both
+
+
+def test_extreme_distribution_inputs_give_values_in_range_or_typed_errors():
+    """Each family with each parameter, u and x at each extreme, with no warning.
+
+    ``cdf`` lies in [0, 1]; ``quantile`` and ``sample`` are never NaN and
+    never negative, with inf where Q(u) overflows.
+    """
+    families = {pareto: (0.5,), burr: (1.0, 2.0, 1.0), frechet: (2.0,), loggamma: (2.0, 2.0)}
+    us = EXTREMES + (0.0, 0.5, 1.0 - 2.0 ** -53)
+    xs = EXTREMES + (1.0, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make, params in families.items():
+            for i, value in itertools.product(range(len(params)), EXTREMES):
+                try:
+                    spec = make(*params[:i], value, *params[i + 1:])
+                except TailwlsError:
+                    continue
+                for u in us + (np.array(us),):
+                    _in_range_or_typed(lambda: quantile(spec, u), 0.0, math.inf)
+                for x in xs + (np.array(xs),):
+                    _in_range_or_typed(lambda: cdf(spec, x), 0.0, 1.0)
+                _in_range_or_typed(lambda: sample(spec, 50, 3), 0.0, math.inf)

@@ -51,3 +51,48 @@ def test_no_module_imports_a_name_it_never_uses():
     stale = {f"{path.parent.name}/{path.name}": _unused_imports(path.read_text(encoding="utf-8"))
              for path in modules if path.name != "__init__.py"}
     assert {name: names for name, names in stale.items() if names} == {}
+
+
+_FAILURE_CODES = {"EXIT_PARSE", "EXIT_ESTIMATION", "EXIT_CONFIG", "EXIT_LOOKUP"}
+
+
+def _stderr_failures(source: str) -> list:
+    """Where a function of a CLI module other than ``main`` reports a failure itself.
+
+    That is, returns a nonzero exit code, or prints to ``sys.stderr`` a line
+    other than a ``warning:``.
+    """
+    def is_stderr(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "stderr"
+                and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+    def text(node):
+        parts = node.values if isinstance(node, ast.JoinedStr) else [node]
+        return "".join(p.value for p in parts
+                       if isinstance(p, ast.Constant) and isinstance(p.value, str))
+
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "main":
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Return) and node.value is not None:
+                codes = {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+                found += [f"{func.name} returns {c} (line {node.lineno})"
+                          for c in sorted(codes & _FAILURE_CODES)]
+            elif isinstance(node, ast.Call):
+                to_stderr = (is_stderr(getattr(node.func, "value", None))
+                             or isinstance(node.func, ast.Name) and node.func.id == "print"
+                             and any(k.arg == "file" and is_stderr(k.value)
+                                     for k in node.keywords))
+                if to_stderr and not (node.args and "warning: " in text(node.args[0])):
+                    found.append(f"{func.name} writes a failure to stderr (line {node.lineno})")
+    return found
+
+
+def test_only_cli_main_reports_a_failure():
+    """Commands raise; ``cli.main`` alone prints the stderr line and picks the exit code."""
+    breach = "def f():\n    print('x', file=sys.stderr)\n    return EXIT_LOOKUP\n"
+    assert len(_stderr_failures(breach)) == 2  # the check sees both kinds
+    path = Path(tailwls.__file__).parent / "cli.py"
+    assert _stderr_failures(path.read_text(encoding="utf-8")) == []
