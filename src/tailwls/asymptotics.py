@@ -118,17 +118,17 @@ def s_moments(k, rho: float) -> SMoments:
     """
     ks = check_k_values(k, 2)
     k_max, i = int(ks[-1]), ks - 1
-    v, scale, totals, m1, s1, s2, rejected = _design((check_rho(rho),), k_max, True)
-    if rejected:
-        raise InvalidRhoError(rejected[0][1])
-    v, scale, m1 = v[0], scale[0][i], m1[0][i]
+    design = _design((check_rho(rho),), ks, True)
+    if design.rejected:
+        raise InvalidRhoError(design.rejected[0][1])
+    v, m1, scale = design.v[0], design.m1[0], design.scale[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        q0, q1, q2 = ((2.0 * np.add.accumulate(p) - p)[i] / totals[i] ** 2 for p in
+        q0, q1, q2 = ((2.0 * np.add.accumulate(p) - p)[i] / design.totals ** 2 for p in
                       (_prefix_sums(f, k_max, True) for f in (np.ones(k_max), v, v * v)))
         s_dot, s_ddot = scale * (m1 * q0 - q1), scale * (scale * (q2 - 2.0 * m1 * q1 + m1**2 * q0))
     if not np.isfinite([s_dot, s_ddot]).all():
         raise InvalidRhoError(f"rho={rho} overflows the weight-moment sums up to k={k_max}")
-    sums = dict(k=ks, s1=s1[0][i], s2=s2[0][i], s_dot=s_dot, s_ddot=s_ddot)
+    sums = dict(k=ks, s1=design.s1[0], s2=design.s2[0], s_dot=s_dot, s_ddot=s_ddot)
     return SMoments(rho=float(rho), **{f: a if np.ndim(k) else a.item() for f, a in sums.items()})
 
 

@@ -19,10 +19,10 @@ round-trip exactly. Every CSV, on stdout or
 in a file, is built as one text by one writer (``_csv_text``). No field
 needs CSV quoting (ids, integers and ``%.17g`` numbers), so the bytes are
 those a plain CSV writer with "\n" line ends gives. Output files are written
-atomically (temp file, then rename) with a ``<out>.meta`` sidecar of
-key=value lines; timestamps appear only in sidecars. A new output gets mode
-0o666 less the umask, as ``open`` would give it, and an output that already
-exists keeps its mode. An ``--out`` in a missing directory, or naming a
+atomically (both temp files, then the renames, the sidecar first) with a
+``<out>.meta`` sidecar of key=value lines; timestamps appear only in
+sidecars. A new output gets mode 0o666 less the umask, as ``open`` would
+give it, and an output that already exists keeps its mode. An ``--out`` in a missing directory, or naming a
 directory (itself or its sidecar), is a configuration error, found first;
 one that still cannot be written is one too, found at the write.
 """
@@ -123,33 +123,43 @@ def _check_out(path: str) -> None:
             raise ValueError(f"--out {path}: {target} is a directory")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write text to path via a temp file in the same directory, then rename.
+def _write_atomic(files: dict) -> None:
+    """Write each text to its path via a temp file in the same directory, then rename.
 
-    The temp file gets :func:`_output_mode` before the rename, since
+    Every temp file is written before the first rename, and the renames run
+    in order, so a failure while writing changes no path, and a name that
+    cannot be taken, if it is the first, leaves the others as they were.
+    Each temp file gets :func:`_output_mode` before its rename, since
     ``mkstemp`` creates it readable by its owner only.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    temps = []
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.chmod(tmp, _output_mode(path))
-        os.replace(tmp, path)
+        for path, text in files.items():
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".tmp-", suffix="~")
+            temps.append(tmp)
+            with os.fdopen(fd, "w", newline="") as fh:
+                fh.write(text)
+            os.chmod(tmp, _output_mode(path))
+        for tmp, path in zip(temps, files):
+            os.replace(tmp, path)
     except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        for tmp in temps:  # a renamed one is gone already
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
         raise
 
 
 def _write_outputs(out: str, text: str, command: str, entries: dict) -> None:
-    """Write the CSV ``text`` to ``out``, then its ``.meta`` sidecar.
+    """Write the CSV ``text`` to ``out`` with its ``.meta`` sidecar, the sidecar renamed first.
 
-    The sidecar holds one key=value line per entry, framed by the command,
-    the command line, the package version and a UTC timestamp. An OSError
-    is a configuration failure (exit 4).
+    The sidecar's name is the longer, so a name the file system refuses
+    leaves no new CSV behind and an existing pair untouched. The sidecar
+    holds one key=value line per entry, framed by the command, the command
+    line, the package version and a UTC timestamp. An OSError is a
+    configuration failure (exit 4).
     """
     sidecar = {
         "command": command,
@@ -159,8 +169,8 @@ def _write_outputs(out: str, text: str, command: str, entries: dict) -> None:
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     with _failing(EXIT_CONFIG, OSError, f"cannot write {out}: "):
-        _write_atomic(out, text)
-        _write_atomic(out + ".meta", "".join(f"{k}={v}\n" for k, v in sidecar.items()))
+        _write_atomic({out + ".meta": "".join(f"{k}={v}\n" for k, v in sidecar.items()),
+                       out: text})
 
 
 def read_numeric_column(path: str, column: int | None = None,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, UOutOfRangeError
+from .errors import NonFiniteError, NonPositiveError, UOutOfRangeError
 from .spacings import check_positive
 
 FAMILIES = ("pareto", "burr", "frechet", "loggamma")
@@ -84,9 +84,16 @@ def frechet(alpha: float) -> DistributionSpec:
 
 
 def loggamma(lam: float, alpha: float) -> DistributionSpec:
-    """exp(G) with G ~ Gamma(shape alpha, rate lam); support [1, inf)."""
+    """exp(G) with G ~ Gamma(shape alpha, rate lam); support [1, inf).
+
+    A subnormal alpha raises NonPositiveError: scipy's incomplete gamma
+    function is wrong there (``gammainc(1e-308, 1)`` is 0, where F is 1 to
+    double precision, and ``gammaincinv`` gives NaN).
+    """
     lam = check_positive("lam", lam)
     alpha = check_positive("alpha", alpha)
+    if alpha < np.finfo(np.float64).tiny:
+        raise NonPositiveError(f"alpha={alpha} is subnormal; it must be a normal float")
     return DistributionSpec(
         family="loggamma",
         params={"lam": lam, "alpha": alpha},
@@ -114,8 +121,6 @@ def quantile(spec: DistributionSpec, u):
 
     Raises:
         UOutOfRangeError: some u outside [0, 1).
-        NonFiniteError: a log-gamma Q(u) that scipy gives as NaN (at a
-            subnormal alpha).
     """
     arr = _check_u(u)
     p = spec.params
@@ -129,10 +134,7 @@ def quantile(spec: DistributionSpec, u):
         elif spec.family == "loggamma":
             from scipy import special  # only log-gamma needs scipy; keep import cheap
 
-            g = special.gammaincinv(p["alpha"], arr)
-            if np.isnan(g).any():
-                raise NonFiniteError(f"alpha={p['alpha']}: scipy's gammaincinv gives NaN")
-            x = np.exp(g / p["lam"])
+            x = np.exp(special.gammaincinv(p["alpha"], arr) / p["lam"])
         else:
             raise ValueError(f"unknown family {spec.family!r}")
     return float(x) if np.ndim(u) == 0 else x

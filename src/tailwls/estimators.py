@@ -31,6 +31,7 @@ engine at one k; they exist for the slope b_hat, which no path returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,87 +77,111 @@ def _prefix_sums(f: np.ndarray, k_max: int, weighted: bool) -> np.ndarray:
 # The smallest positive normal float; a smaller S2 makes the slope inf or NaN.
 _TINY = np.finfo(np.float64).tiny
 
-# Cached designs, least recently used first, with at most 16 rho rows in all
-# (or one larger grid): a min-variance sampling study needs 7 + 7.
-_designs: dict = {}
+# Cached design rows, least recently used first, with at most 16 in all (or
+# one larger grid): a min-variance sampling study needs 7 + 7.
+_rows: dict = {}
 
 
-def _design(rhos: tuple, k_max: int, weighted: bool):
-    """Read-only (v, scale, totals, m1, S1, S2) at k = 1..k_max, row r for ``rhos[r]``, and rejects.
+class _Design(NamedTuple):
+    """The covariate design of one or more rhos at the k values it serves, read-only.
 
-    ``rhos`` is a tuple of float rhos; one rho is a grid of one. C_j =
-    (1 + v_j) * scale_k with v_j = j^(-rho) - 1 and scale_k = (k+1)^rho;
-    totals_k = sum_{j<=k} W_j (exact, 1-D) and m1 = sum w_j v_j. Working with
-    v keeps S2 = scale^2 * (sum w_j v_j^2 - m1^2) accurate as rho -> 0. Each
-    row is computed on its own, so it does not depend on its grid. A row is
-    NaN, and ``rejects`` pairs r with its InvalidRhoError message, unless
-    rho is finite negative with finite v_j^2 and S2 a positive normal float
-    at every k in 2..k_max (S2 underflows for |rho| below about 1e-154).
+    Row r is for ``rhos[r]``: v_j = j^(-rho) - 1 at j = 1..k_max, and at each
+    k, m1 = sum w_j v_j, scale = (k+1)^rho, S1 and S2. ``i`` holds k - 1 and
+    ``totals`` sum_{j<=k} W_j, shared by every row. ``rejected`` pairs r with
+    its InvalidRhoError message; a rejected row is NaN.
     """
-    key = (rhos, k_max, weighted)
-    design = _designs.pop(key, None)
-    if design is None:
-        k = np.arange(1, k_max + 1)
-        totals = _prefix_sums(np.ones(k_max), k_max, weighted)
-        rows, rejected = [], []
-        for r, rho in enumerate(rhos):
-            try:
-                rho = check_rho(rho)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    v, scale = np.expm1(-rho * np.log(k)), (k + 1.0) ** rho
-                    m1 = _prefix_sums(v, k_max, weighted) / totals
-                    # scaling twice keeps every intermediate a normal float
-                    s2 = (_prefix_sums(v * v, k_max, weighted) / totals - m1 * m1) * scale * scale
-                if not np.isfinite(s2).all():
-                    raise InvalidRhoError(f"rho={rho} overflows the covariate sums up to k={k_max}")
-                if not (s2[1:] >= _TINY).all():  # S2 is 0 at k = 1 for every rho
-                    raise InvalidRhoError(f"rho={rho} underflows the covariate sums up to k={k_max}")
-                rows.append((v, scale, m1, (1.0 + m1) * scale, s2))
-            except InvalidRhoError as exc:
-                rejected.append((r, str(exc)))
-                rows.append((np.full(k_max, np.nan),) * 5)
-        v, scale, m1, s1, s2 = (np.stack(a) for a in zip(*rows))
-        design = (v, scale, totals, m1, s1, s2, tuple(rejected))
-        for a in design[:-1]:
-            a.flags.writeable = False
-        while _designs and sum(len(r) for r, _, _ in _designs) + len(rhos) > 16:
-            del _designs[next(iter(_designs))]
-    _designs[key] = design
-    return design
+
+    weighted: bool
+    i: np.ndarray
+    totals: np.ndarray
+    v: np.ndarray
+    m1: np.ndarray
+    scale: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    rejected: tuple
 
 
-def _rejected(rhos: tuple, k_max: int, est_ids) -> dict:
-    """r -> message for each ``rhos[r]`` whose design an engine run of ``est_ids`` rejects."""
-    rejected = {}
-    for weighted, run_ids in ((False, _UNWEIGHTED), (True, _WEIGHTED)):
-        if run_ids.intersection(est_ids):
-            rejected.update(_design(rhos, k_max, weighted)[6])
-    return rejected
+def _row(rho: float, k_values: np.ndarray, weighted: bool) -> _Design:
+    """The one-row :class:`_Design` of ``rho`` at ``k_values``.
 
-
-def _path_fit(z_all: np.ndarray, k_values: np.ndarray, rhos: tuple, weighted: bool,
-              shrink=0.0, index=0):
-    """The path engine: (gamma_hat, b_hat) at every k of the checked ``k_values``.
-
-    The fit at k uses the first k entries of ``z_all`` along its last axis,
-    with W_j = 1 - j/(k+1) if ``weighted``, else uniform weights; ``shrink``
-    is penalty/k (ridge). ``z_all`` may have leading axes (a block of rows,
-    one per sample). ``index`` maps the rows of the ``rhos`` :func:`_design`
-    onto those axes: 0 for one rho, ``np.s_[:]`` for a grid (a rho axis in
-    front; ``np.s_[:, None]`` on a block), or an int array, a design row per
-    block row; ``shrink`` may add axes in front of all. Every row equals its
-    1-D one-rho call bit for bit: zbar, the weighted mean of Z, is summed
-    once per sample and shared by every rho. A rejected rho raises, unless
-    ``index`` is an array.
+    C_j = (1 + v_j) * scale_k, and working with v keeps S2 = scale^2 * (sum
+    w_j v_j^2 - m1^2) accurate as rho -> 0. The row is NaN, and rejected,
+    unless rho is finite negative with finite v_j^2 and S2 a positive normal
+    float at every k in 2..k_max (S2 underflows for |rho| below about 1e-154).
     """
     k_max, i = int(k_values[-1]), k_values - 1
-    v, scale, totals, m1, s1, s2, rejected = _design(rhos, k_max, weighted)
+    k = np.arange(1, k_max + 1)
+    totals = _prefix_sums(np.ones(k_max), k_max, weighted)
+    try:
+        rho = check_rho(rho)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, scale = np.expm1(-rho * np.log(k)), (k + 1.0) ** rho
+            m1 = _prefix_sums(v, k_max, weighted) / totals
+            # scaling twice keeps every intermediate a normal float
+            s2 = (_prefix_sums(v * v, k_max, weighted) / totals - m1 * m1) * scale * scale
+        if not np.isfinite(s2).all():
+            raise InvalidRhoError(f"rho={rho} overflows the covariate sums up to k={k_max}")
+        if not (s2[1:] >= _TINY).all():  # S2 is 0 at k = 1 for every rho
+            raise InvalidRhoError(f"rho={rho} underflows the covariate sums up to k={k_max}")
+        rejected = ()
+    except InvalidRhoError as exc:
+        v = m1 = scale = s2 = np.full(k_max, np.nan)
+        rejected = ((0, str(exc)),)
+    m1, scale, s2 = m1[i], scale[i], s2[i]
+    row = (i, totals[i]) + tuple(a[None] for a in (v, m1, scale, (1.0 + m1) * scale, s2))
+    for a in row:
+        a.flags.writeable = False
+    return _Design(weighted, *row, rejected)
+
+
+def _design(rhos: tuple, k_values: np.ndarray, weighted: bool) -> _Design:
+    """The :class:`_Design` of the float ``rhos`` (one rho is a grid of one) at ``k_values``.
+
+    Each row is built on its own, once per (rho, k values, weighting), so it
+    does not depend on its grid, and a new set of rhos builds only the rows
+    not cached; one rho's design is its cached row.
+    """
+    kkey = k_values.astype(np.intp, copy=False).tobytes()
+    rows = []
+    for rho in rhos:
+        key = (rho, kkey, weighted)
+        row = _rows.pop(key, None)
+        _rows[key] = row = _row(rho, k_values, weighted) if row is None else row
+        rows.append(row)
+    while len(_rows) > max(16, len(rhos)):
+        del _rows[next(iter(_rows))]
+    if len(rows) == 1:
+        return rows[0]
+    columns = [np.concatenate(a) for a in zip(*(row[3:8] for row in rows))]
+    for a in columns:
+        a.flags.writeable = False
+    rejected = tuple((r, message) for r, row in enumerate(rows) for _, message in row.rejected)
+    return _Design(weighted, rows[0].i, rows[0].totals, *columns, rejected)
+
+
+def _path_fit(z_all: np.ndarray, z_sums: np.ndarray, design: _Design, shrink=0.0, index=0):
+    """The path engine: (gamma_hat, b_hat) at every k of ``design``.
+
+    The fit at k uses the first k entries of ``z_all`` along its last axis,
+    with W_j = 1 - j/(k+1) if the design is weighted, else uniform weights;
+    ``shrink`` is penalty/k (ridge). ``z_sums`` is the running sum of
+    ``z_all`` up to the design's k_max (``_prefix_sums(z_all, k_max,
+    False)``), which a caller computes once per sample and shares. ``z_all``
+    may have leading axes (a block of rows, one per sample). ``index`` maps
+    the design's rows onto those axes: 0 for one rho, ``np.s_[:]`` for a
+    grid (a rho axis in front; ``np.s_[:, None]`` on a block), or an int
+    array, a design row per block row; ``shrink`` may add axes in front of
+    all. Every row equals its 1-D one-rho call bit for bit. A rejected rho
+    raises, unless ``index`` is an array.
+    """
+    weighted, i, totals, v, m1, scale, s1, s2, rejected = design
     if rejected and not isinstance(index, np.ndarray):
         raise InvalidRhoError(rejected[0][1])
-    v, totals = v[index], totals[i]
-    # take on the last axis costs a 1-D call less than indexing with [..., i]
-    m1, scale, s1, s2 = (a.take(i, axis=-1)[index] for a in (m1, scale, s1, s2))
-    zbar = _prefix_sums(z_all, k_max, weighted).take(i, axis=-1) / totals
+    k_max = v.shape[-1]
+    v, m1, scale, s1, s2 = (a[index] for a in (v, m1, scale, s1, s2))
+    # zbar, the weighted mean of Z: the second pass of a weighted prefix sum
+    zbar = (np.add.accumulate(z_sums, axis=-1) if weighted else z_sums).take(i, axis=-1) / totals
     svz = _prefix_sums(v * z_all[..., :k_max], k_max, weighted).take(i, axis=-1) / totals
     # sum w_j (C_j - S1) Z_j = scale_k * (sum w_j v_j Z_j - m1 * zbar)
     b_hat = (svz - m1 * zbar) * scale / (s2 + shrink)
@@ -183,7 +208,8 @@ def _fit(z: np.ndarray, rho: float, weighted: bool,
     k = len(z)
     # dividing the penalty by k matches the centered form in ridge_fit
     shrink = 0.0 if penalty is None else penalty / k
-    fit = _path_fit(z, check_k_values(k, 2), (check_rho(rho),), weighted, shrink)
+    design = _design((check_rho(rho),), check_k_values(k, 2), weighted)
+    fit = _path_fit(z, _prefix_sums(z, k, False), design, shrink)
     gamma_hat, b_hat = (float(v[0]) for v in fit)
     return RegressionFit(gamma_hat, b_hat, float(rho), k, penalty)
 
@@ -248,17 +274,18 @@ def wls_gamma_grid(z_all: np.ndarray, k_values, rhos) -> np.ndarray:
 
     ``z_all`` is a tail's full spacings array (``OrderedTail.z_all``), and
     ``k_values`` ascend. The whole grid is one run of the path engine with a
-    leading rho axis, whose design is cached per (rhos, k_max); row r equals
-    the WLS path at ``rhos[r]`` bit for bit. This is the hot path behind the
-    min-variance rho selector. Errors as the WLS path, and EmptyOrTinyError
-    for an empty grid.
+    leading rho axis; row r equals the WLS path at ``rhos[r]`` bit for bit.
+    Errors as the WLS path (NonFiniteError where a path overflows), and
+    EmptyOrTinyError for an empty grid.
     """
     rhos = tuple(float(rho) for rho in rhos)
     if not rhos:
         raise EmptyOrTinyError("rho candidate grid is empty")
     k_values = check_k_values(k_values, 2, np.shape(z_all)[-1])
     index = (slice(None),) + (None,) * (np.ndim(z_all) - 1)  # the rho axis goes first
-    return _path_fit(z_all, k_values, rhos, True, index=index)[0]
+    with raise_on_overflow("a grid path"):
+        z_sums = _prefix_sums(z_all, k_values[-1], False)
+        return _path_fit(z_all, z_sums, _design(rhos, k_values, True), index=index)[0]
 
 
 def check_estimators(est_ids) -> tuple[str, ...]:
@@ -292,8 +319,9 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
     that row bit for bit (cumulative sums run along each row in order, and
     every other step is elementwise). A whole set costs at most one
     unweighted run of the path engine (LS is the zero-penalty row of RR's
-    penalty block), one weighted run (WLS, and the slope BCHILL corrects
-    with) and one cumulative mean (HILL, and the path BCHILL corrects).
+    penalty block) and one weighted run (WLS, and the slope BCHILL corrects
+    with), which share one running sum of Z with HILL (and the path BCHILL
+    corrects).
     ``rho`` None means unresolved: the ids that need one are left out. A 2-D
     block may take one rho per row, NaN where unresolved: the engine builds
     each distinct rho's design once, and each row equals its own one-rho
@@ -325,24 +353,28 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
     if not rhos:
         ids = tuple(_RHO_FREE.intersection(ids))
     k_values = check_k_values(k_values, 2 if needs_rho(ids) else 1, z_all.shape[-1])
-    paths, penalties = {}, None
+    paths, penalties, rejected = {}, None, {}
     with raise_on_overflow("a path"):
+        z_sums = _prefix_sums(z_all, k_values[-1], False)
         if _UNWEIGHTED.intersection(ids):  # LS is row 0, the zero penalty, of RR's block
             factors = RIDGE_PENALTY_FACTORS if "RR" in ids else RIDGE_PENALTY_FACTORS[:1]
             shrink = np.reshape(factors, (-1,) + (1,) * z_all.ndim)
-            gammas = _path_fit(z_all, k_values, rhos, False, shrink, index)[0]
+            design = _design(rhos, k_values, False)
+            rejected.update(design.rejected)
+            gammas = _path_fit(z_all, z_sums, design, shrink, index)[0]
             paths["LS"] = gammas[0]
             if "RR" in ids:
                 paths["RR"], penalties = _ridge_choice(gammas, k_values)
         if _WEIGHTED.intersection(ids):
-            paths["WLS"], b_hat = _path_fit(z_all, k_values, rhos, True, index=index)
+            design = _design(rhos, k_values, True)
+            rejected.update(design.rejected)
+            paths["WLS"], b_hat = _path_fit(z_all, z_sums, design, index=index)
         if "HILL" in ids or "BCHILL" in ids:
-            hill_sums = _prefix_sums(z_all, k_values[-1], False)
-            paths["HILL"] = hill_sums.take(k_values - 1, axis=-1) / k_values
+            paths["HILL"] = z_sums.take(k_values - 1, axis=-1) / k_values
         if "BCHILL" in ids:
             paths["BCHILL"] = _bchill(paths["HILL"], b_hat, rhos, index, n, k_values)
     if per_row:  # blank what each row's own call would not give
-        failed = np.isin(index, list(_rejected(rhos, int(k_values[-1]), ids))) & ~unresolved
+        failed = np.isin(index, list(rejected)) & ~unresolved
         for e, path in paths.items():
             path[failed | unresolved & (e not in _RHO_FREE)] = np.nan
         if penalties is not None:

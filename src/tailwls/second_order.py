@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DegenerateTailError, EmptyOrTinyError, KOutOfRangeError
-from .spacings import OrderedTail, check_rho
+from .estimators import _design, _path_fit, _prefix_sums
+from .spacings import OrderedTail, check_rho, raise_on_overflow
 
 #: Candidate grid for min-variance selection.
 DEFAULT_RHO_GRID = (-0.25, -0.5, -0.75, -1.0, -1.5, -2.0, -3.0)
@@ -132,29 +134,54 @@ def _moment_rho(tail: OrderedTail, tau: float) -> float:
     return float(np.clip(-abs(raw), lo, hi))
 
 
-def _min_variance_rho(tail: OrderedTail, grid) -> float:
-    """Grid candidate whose WLS path has the smallest variance.
+@lru_cache(maxsize=1)
+def _window(grid: tuple, n: int):
+    """(float grid array, WLS design of its candidates over n's k window), built once.
 
-    The path runs over k in [max(2, ceil(n/10)), floor(0.9*(n-1))].
-    Ties on the variance go to the most negative candidate, so the result
-    does not depend on grid order. A tail on which every candidate path is
-    constant (all spacings zero, say) has nothing to choose by and raises
-    DegenerateTailError, as the moment method does.
+    The window is k in [max(2, ceil(n/10)), floor(0.9*(n-1))]. Only the last
+    (grid, n) is kept, which is all a study or a CLI call uses.
     """
-    # imported per call, so a wrapper patched onto estimators.wls_gamma_grid sees every call
-    from .estimators import wls_gamma_grid
-
-    n = tail.n
     lo = max(2, math.ceil(n / 10))
     hi = math.floor(0.9 * (n - 1))
     if hi < lo:
         raise KOutOfRangeError(
             f"n={n} leaves no k window [{lo}, {hi}] for min-variance selection"
         )
-    variances = wls_gamma_grid(tail.z_all, np.arange(lo, hi + 1), grid).var(axis=1)
+    rhos = tuple(float(g) for g in grid)
+    return np.array(rhos), _design(rhos, np.arange(lo, hi + 1), True)
+
+
+def _path_variances(z_all: np.ndarray, design) -> np.ndarray:
+    """Variance of each design row's WLS path over the design's k values: one engine run.
+
+    Computed with the two reductions of ``np.var`` without its wrapper, so
+    the bits are ``np.var``'s. NonFiniteError where a path or its variance
+    overflows.
+    """
+    with raise_on_overflow("a min-variance path"):
+        z_sums = _prefix_sums(z_all, design.v.shape[-1], False)
+        paths = _path_fit(z_all, z_sums, design, index=np.s_[:])[0]
+        m = paths.shape[-1]
+        dev = paths - np.add.reduce(paths, axis=-1, keepdims=True) / m
+        return np.add.reduce(dev * dev, axis=-1) / m
+
+
+def _min_variance_rho(tail: OrderedTail, grid) -> float:
+    """Grid candidate whose WLS path has the smallest variance.
+
+    The path runs over k in [max(2, ceil(n/10)), floor(0.9*(n-1))], on a
+    design cached per (grid, n), so a resolution is one engine run. Ties on
+    the variance go to the most negative candidate, so the result does not
+    depend on grid order. A tail on which every candidate path is constant
+    (all spacings zero, say) has nothing to choose by and raises
+    DegenerateTailError, as the moment method does.
+    """
+    rhos, design = _window(tuple(grid), tail.n)
+    variances = _path_variances(tail.z_all, design)
     if (variances == 0.0).all():
+        lo, hi = design.i[[0, -1]] + 1
         raise DegenerateTailError(
             f"every candidate rho gives a constant WLS path over k in [{lo}, {hi}]"
         )
     # smallest variance first, ties to the most negative rho
-    return float(grid[np.lexsort((grid, variances))[0]])
+    return float(rhos[np.lexsort((rhos, variances))[0]])

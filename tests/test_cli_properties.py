@@ -171,12 +171,16 @@ def test_simulate_with_no_finite_true_rho_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
+# one command line per subcommand that writes a CSV and its sidecar
+WRITERS = [
     ["estimate", "{data}", "--rho=fixed:-1"],
     ["simulate", "--dist=pareto", "--gamma=0.5", "--n=60", "--reps=3", "--k-max=40",
      "--estimators=HILL,WLS"],
     ["diagnose", "--rho=-1", "--k-max=60"],
-], ids=lambda argv: argv[0])
+]
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
 def test_an_unwritable_out_exits_4_with_one_line(argv, data_file, tmp_path, capsys):
     """A file name longer than the file system allows, which even root cannot write.
 
@@ -188,3 +192,41 @@ def test_an_unwritable_out_exits_4_with_one_line(argv, data_file, tmp_path, caps
     assert err.startswith(f"tailwls {argv[0]}: cannot write {out}: ")
     assert err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == [data_file.name]
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
+def test_a_failed_write_leaves_no_new_csv_and_an_old_pair_untouched(argv, data_file, tmp_path,
+                                                                   capsys, monkeypatch):
+    """A CSV name that fits the file system beside a sidecar name that does not.
+
+    249 + 4 bytes fit in a 255-byte name, the sidecar's 258 do not. The write
+    fails with exit 4 and leaves no CSV, no temp file, and an existing CSV at
+    that name as it was. A failure while the temp files are written leaves
+    an existing CSV and sidecar pair as it was.
+    """
+    args = [a.format(data=data_file) for a in argv]
+    out = tmp_path / ("y" * 249 + ".csv")
+    assert cli.main(args + [f"--out={out}"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"tailwls {argv[0]}: cannot write {out}: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == [data_file.name]
+    out.write_text("old csv\n")
+    assert cli.main(args + [f"--out={out}"]) == 4
+    assert out.read_text() == "old csv\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([data_file.name, out.name])
+
+    pair = tmp_path / "pair.csv"
+    pair.write_text("old csv\n")
+    (tmp_path / "pair.csv.meta").write_text("old sidecar\n")
+    real_mode = cli._output_mode
+
+    def mode(path):
+        if path == str(pair):
+            raise OSError(28, "No space left on device")
+        return real_mode(path)
+
+    monkeypatch.setattr(cli, "_output_mode", mode)
+    assert cli.main(args + [f"--out={pair}"]) == 4
+    assert pair.read_text() == "old csv\n"
+    assert (tmp_path / "pair.csv.meta").read_text() == "old sidecar\n"
+    assert not list(tmp_path.glob(".tmp-*"))

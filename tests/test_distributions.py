@@ -184,13 +184,25 @@ def test_cdf_at_the_extremes_is_quiet_and_typed():
 
 
 def test_loggamma_where_scipy_fails_is_typed_or_clipped():
-    # gammaincinv is NaN at a subnormal shape, gammainc at a shape near 1e308,
-    # and gammainc exceeds 1 by rounding at a tiny shape
-    with pytest.raises(NonFiniteError, match="gammaincinv"):
-        quantile(loggamma(2.0, 5e-324), 0.5)
+    # gammaincinv is NaN at a subnormal shape (which loggamma rejects),
+    # gammainc at a shape near 1e308, and gammainc exceeds 1 by rounding at a
+    # tiny shape
+    with pytest.raises(NonPositiveError, match="subnormal"):
+        loggamma(2.0, 5e-324)
     with pytest.raises(NonFiniteError, match="gammainc"):
         cdf(loggamma(2.0, 1e308), 1e308)
     assert cdf(loggamma(2.0, 1e-300), np.exp(np.linspace(0.01, 3.0, 300))).max() == 1.0
+
+
+def test_loggamma_rejects_a_subnormal_alpha():
+    """Below the smallest normal float scipy's gammainc reads 0 where F is 1."""
+    tiny = np.finfo(np.float64).tiny
+    for alpha in (1e-308, 5e-324, np.nextafter(tiny, 0.0)):
+        with pytest.raises(NonPositiveError, match="subnormal"):
+            loggamma(2.0, alpha)
+    spec = loggamma(2.0, tiny)
+    assert cdf(spec, np.exp(0.5)) == 1.0
+    assert quantile(spec, np.array([0.0, 0.5, 1.0 - 2.0 ** -53])).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_sample_deterministic_and_positive():

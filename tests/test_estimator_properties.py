@@ -4,7 +4,8 @@ The table (``path_estimates``) and the rho resolutions see a sample only
 through its log-spacings, so permuting the sample changes no bit, rescaling
 it changes only rounding, and raising it to a power p multiplies the
 spacings, and with them every linear estimator, by p. Valid but extreme
-inputs give finite values or a typed ``TailwlsError``, and the distributions
+inputs give finite values (or, for a min-variance rho, a grid value) or a
+typed ``TailwlsError``, and the distributions
 give values in their documented ranges or a typed ``TailwlsError``. The
 examples are derandomized and no example database is kept, so a run is
 repeatable.
@@ -173,6 +174,8 @@ def test_extreme_table_inputs_give_finite_paths_or_typed_errors():
                 return list(paths.values()) + ([] if penalties is None else [penalties])
             _finite_or_typed(call)
         _finite_or_typed(lambda: list(path_estimates(z, 200, ESTIMATOR_IDS, rho, [])[0]))
+        for grid in ((-1.0, -2.0),) + (() if rho is None else ((rho,), (rho, -1.0))):
+            _finite_or_typed(lambda: wls_gamma_grid(z / z.max() * scale, k_values, grid))
     rhos = np.array((-1.0,) + EXTREMES)
     block = np.tile(z, (rhos.size, 1))
     paths, penalties = path_estimates(block, 200, ESTIMATOR_IDS, rhos, k_values)
@@ -187,6 +190,25 @@ def test_extreme_table_inputs_give_finite_paths_or_typed_errors():
             kept = fitted or ok and est == "HILL"
             assert (np.isfinite(path[row]).all() if kept else np.isnan(path[row]).all()), (rho, est)
         assert (np.isfinite(penalties[row]).all() if fitted else np.isnan(penalties[row]).all())
+
+
+def test_extreme_min_variance_grids_give_grid_values_or_typed_errors():
+    """Grids with extreme candidates on samples with tiny, huge and widely spread spacings.
+
+    A candidate near 0 (-1e-153) passes the design checks but makes its WLS
+    path and that path's variance overflow; -1e-150 does not.
+    """
+    x = sample(FAMILIES[0], 200, 3)
+    tails = [validate_and_sort(y) for y in (x, x * 1e300, x * 1e-300, x ** 40,
+                                            np.geomspace(5e-324, 1e308, 200))]
+    grids = [(-1e-150, -40.0), (-1e-153, -1.0), (-40.0,), (-1e-150,), DEFAULT_RHO_GRID]
+    grids += [(rho, -1.0) for rho in EXTREMES]
+    for tail, grid in itertools.product(tails, grids):
+        try:
+            rho = resolve_rho(tail, RhoMethod.min_variance(grid))
+        except TailwlsError:
+            continue
+        assert rho in grid, (grid, rho)
 
 
 def test_extreme_moment_inputs_give_finite_values_or_typed_errors():

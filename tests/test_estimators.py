@@ -284,19 +284,31 @@ def test_wls_gamma_grid_matches_fits():
             assert grid[j, i] == pytest.approx(fit.gamma_hat, abs=1e-13)
 
 
+def _one_rho_path(z_all, k_values, rho):
+    """The WLS path at one rho, one engine run with its own running sum of Z."""
+    from tailwls import estimators
+
+    z_sums = estimators._prefix_sums(z_all, k_values[-1], False)
+    return estimators._path_fit(z_all, z_sums, estimators._design((float(rho),), k_values, True))[0]
+
+
 def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
     """Row r of the grid is the one-rho WLS path at rhos[r], bit for bit."""
     from tailwls import estimators
 
-    keys, designs = [], []
-    real = estimators._design
+    keys, built = [], []
+    real_design, real_row = estimators._design, estimators._row
 
-    def recorded(rhos, k_max, weighted):
+    def recorded(rhos, k_values, weighted):
         keys.append(rhos)
-        designs.append(real(rhos, k_max, weighted))
-        return designs[-1]
+        return real_design(rhos, k_values, weighted)
+
+    def row(rho, k_values, weighted):
+        built.append(rho)
+        return real_row(rho, k_values, weighted)
 
     monkeypatch.setattr(estimators, "_design", recorded)
+    monkeypatch.setattr(estimators, "_row", row)
     rng = np.random.default_rng(57)
     for _ in range(30):
         n = int(rng.integers(20, 400))
@@ -306,78 +318,129 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
         grid = tuple(-rng.uniform(0.05, 3.0, size=int(rng.integers(2, 8))))
         for k_values in (contiguous, sparse):
             for rhos in (grid[:1], grid[::-1], grid + grid[:1], DEFAULT_RHO_GRID):
-                want = np.array([estimators._path_fit(z_all, k_values, (float(rho),), True)[0]
-                                 for rho in rhos])
+                want = np.array([_one_rho_path(z_all, k_values, rho) for rho in rhos])
                 for given in (list(rhos), np.array(rhos)):
                     got = wls_gamma_grid(z_all, k_values, given)
                     assert got.shape == (len(rhos), len(k_values))
                     assert np.array_equal(got, want)
     assert all(type(key) is tuple and all(type(rho) is float for rho in key)
                for key in keys)
-    # integer and numpy rhos share the float key of the same grid
-    estimators._designs.clear()
+    # integer and numpy rhos share the float rows of the same grid: two builds, then hits
+    monkeypatch.setattr(estimators, "_rows", {})
+    built.clear()
     for given in ((-1, -2), [np.float64(-1.0), -2.0], np.array([-1.0, -2.0])):
         wls_gamma_grid(z_all, contiguous, given)
     assert keys[-3:] == [(-1.0, -2.0)] * 3
-    assert designs[-1] is designs[-2] is designs[-3]  # one build (miss), then two hits
+    assert built == [-1.0, -2.0]
     # a block of samples puts the rho axis first, each row still its one-rho path
     block = rng.exponential(size=(3, n - 1))
-    got = estimators._path_fit(block, contiguous, grid, True, index=np.s_[:, None])[0]
+    z_sums = estimators._prefix_sums(block, contiguous[-1], False)
+    design = estimators._design(grid, contiguous, True)
+    got = estimators._path_fit(block, z_sums, design, index=np.s_[:, None])[0]
     assert got.shape == (len(grid), 3, len(contiguous))
     for r, rho in enumerate(grid):
         for row in range(3):
-            want = estimators._path_fit(block[row], contiguous, (float(rho),), True)[0]
-            assert np.array_equal(got[r, row], want)
+            assert np.array_equal(got[r, row], _one_rho_path(block[row], contiguous, rho))
 
 
-def test_design_cache_keeps_16_rho_rows_and_evicts_the_least_recent(monkeypatch):
+def test_design_cache_keeps_16_rows_and_evicts_the_least_recent(monkeypatch):
+    """Rows are cached per (rho, k values, weighting), at most 16 of them, or one larger grid."""
     from tailwls import estimators
 
-    monkeypatch.setattr(estimators, "_designs", {})
-    singles = [(-0.1 * (i + 1),) for i in range(16)]
-    for rhos in singles:
-        estimators._design(rhos, 30, True)
-    first = estimators._design(singles[0], 30, True)  # a hit makes it the most recent
-    assert estimators._design(singles[0], 30, True) is first
+    built = []
+    real_row = estimators._row
+
+    def row(rho, k_values, weighted):
+        built.append((rho, len(k_values), weighted))
+        return real_row(rho, k_values, weighted)
+
+    monkeypatch.setattr(estimators, "_rows", {})
+    monkeypatch.setattr(estimators, "_row", row)
+    k_values = np.arange(2, 31)
+    singles = [-0.1 * (i + 1) - 0.01 for i in range(16)]
+    for rho in singles:
+        estimators._design((rho,), k_values, True)
+    estimators._design((singles[0],), k_values, True)  # a hit makes it the most recent
+    assert len(built) == 16
     grid = tuple(-0.25 * (i + 1) for i in range(7))
-    estimators._design(grid, 30, True)
+    design = estimators._design(grid, k_values, True)
+    assert design.v.shape == (7, 30) and design.s2.shape == (7, len(k_values))
+    assert not any(a.flags.writeable for a in design[1:-1])
     # 7 rows need room: the 7 least recent singles go, singles[0] was used last
-    assert list(estimators._designs) == [(rhos, 30, True) for rhos in
-                                         singles[8:] + [singles[0], grid]]
-    assert sum(len(key[0]) for key in estimators._designs) == 16
+    assert list(estimators._rows) == [(rho, k_values.tobytes(), True) for rho in
+                                      singles[8:] + [singles[0], *grid]]
+    # another k range or weighting is another row; a known row is not rebuilt
+    estimators._design((grid[0], -9.0), np.arange(2, 30), True)
+    estimators._design((grid[0],), k_values, False)
+    estimators._design((grid[1], grid[0]), k_values, True)
+    assert len(built) == 16 + 7 + 3 and len(estimators._rows) == 16
     big = tuple(-0.05 * (i + 1) for i in range(20))
-    estimators._design(big, 30, True)  # a grid of more than 16 rhos is kept alone
-    assert list(estimators._designs) == [(big, 30, True)]
+    estimators._design(big, k_values, True)  # a grid of more than 16 rhos is kept alone
+    assert [key[0] for key in estimators._rows] == list(big)
+
+
+def test_min_variance_studies_build_each_design_row_once(monkeypatch):
+    """A sweep of sim_minvar-sized studies builds the 7 grid rows and at most 7 pick rows."""
+    from tailwls import estimators, second_order
+
+    built = []
+    real_row = estimators._row
+
+    def row(rho, k_values, weighted):
+        built.append((rho, k_values[0], k_values[-1], weighted))
+        return real_row(rho, k_values, weighted)
+
+    monkeypatch.setattr(estimators, "_rows", {})
+    monkeypatch.setattr(estimators, "_row", row)
+    second_order._window.cache_clear()
+    for seed in range(50):
+        run_simulation(SimulationConfig(spec=burr(1.0, np.sqrt(2.0), np.sqrt(2.0)), n=200,
+                                        reps=20, k_min=10, k_max=150, estimators=("HILL", "WLS"),
+                                        rho_method=RhoMethod.min_variance(), master_seed=seed))
+    assert len(built) == len(set(built)) <= 14
+    assert sorted(rho for rho, lo, hi, _ in built if (lo, hi) == (20, 179)) == sorted(DEFAULT_RHO_GRID)
+    assert {(lo, hi, weighted) for _, lo, hi, weighted in built} == {(20, 179, True), (10, 150, True)}
 
 
 def test_grid_call_runs_the_engine_once(monkeypatch):
-    """One grid call is one engine run with two prefix sums, however many rhos."""
-    from tailwls import estimators
+    """One grid call or resolution is one engine run, one table call two sharing one sum of Z."""
+    from tailwls import estimators, second_order
 
     tail = validate_and_sort(sample(burr(1.0, np.sqrt(2.0), np.sqrt(2.0)), 200, 5))
     z_all, k_values = tail.z_all, np.arange(20, 180)
-    wls_gamma_grid(z_all, k_values, DEFAULT_RHO_GRID)  # fills the design cache
+    # fill the design caches
+    wls_gamma_grid(z_all, k_values, DEFAULT_RHO_GRID)
+    resolve_rho(tail, RhoMethod.min_variance())
+    path_estimates(z_all, tail.n, ESTIMATOR_IDS, -1.0, k_values)
     engine, sums = [], []
     real_fit, real_sums = estimators._path_fit, estimators._prefix_sums
 
     def fit(*args, **kwargs):
-        engine.append(args[2])
+        engine.append((args[2].v.shape[0], args[2].weighted))
         return real_fit(*args, **kwargs)
 
     def prefix_sums(*args):
         sums.append(args[0].shape)
         return real_sums(*args)
 
-    monkeypatch.setattr(estimators, "_path_fit", fit)
-    monkeypatch.setattr(estimators, "_prefix_sums", prefix_sums)
+    for module in (estimators, second_order):
+        monkeypatch.setattr(module, "_path_fit", fit)
+        monkeypatch.setattr(module, "_prefix_sums", prefix_sums)
     wls_gamma_grid(z_all, k_values, DEFAULT_RHO_GRID)
-    assert engine == [DEFAULT_RHO_GRID]
-    # zbar once per sample, then the (rho, k) block of slope sums
+    assert engine == [(len(DEFAULT_RHO_GRID), True)]
+    # the running sum of Z once per sample, then the (rho, k) block of slope sums
     assert sums == [z_all.shape, (len(DEFAULT_RHO_GRID), 179)]
     engine.clear()
     sums.clear()
     resolve_rho(tail, RhoMethod.min_variance())
-    assert len(engine) == 1 and len(sums) == 2
+    assert engine == [(len(DEFAULT_RHO_GRID), True)]
+    assert sums == [z_all.shape, (len(DEFAULT_RHO_GRID), 179)]
+    engine.clear()
+    sums.clear()
+    path_estimates(z_all, tail.n, ESTIMATOR_IDS, -1.0, k_values)
+    assert engine == [(1, False), (1, True)]
+    # one sum of Z for HILL and both runs, then one slope sum per run
+    assert sums == [z_all.shape, (179,), (179,)]
 
 
 def test_wls_gamma_grid_errors():

@@ -125,7 +125,10 @@ def _min_variance_oracle(tail, grid):
     n = tail.n
     k_values = np.arange(max(2, math.ceil(n / 10)), math.floor(0.9 * (n - 1)) + 1)
     z_all = tail.z_all
-    paths = np.array([estimators._path_fit(z_all, k_values, (float(rho),), True)[0] for rho in grid])
+    z_sums = estimators._prefix_sums(z_all, k_values[-1], False)
+    paths = np.array([estimators._path_fit(z_all, z_sums,
+                                           estimators._design((float(rho),), k_values, True))[0]
+                      for rho in grid])
     # smallest variance first, ties to the most negative rho
     return float(grid[np.lexsort((grid, paths.var(axis=1)))[0]])
 
@@ -144,6 +147,32 @@ def test_minvar_pick_equals_per_rho_oracle():
                     assert got == _min_variance_oracle(tail, grid), (spec, n, seed, grid)
                     picks.add(got)
     assert len(picks) > 2
+
+
+def test_minvar_variances_and_picks_equal_the_grid_reference():
+    """The resolver's window variances are ``wls_gamma_grid(...).var(axis=1)`` bit for bit.
+
+    The reference is the public grid with ``np.var`` and ``np.lexsort``; the
+    resolver runs the engine on its cached window design and reduces as
+    ``np.var`` does, without its wrapper.
+    """
+    from tailwls import second_order, wls_gamma_grid
+
+    specs = (pareto(0.5), burr(1.0, 2.0, 1.0), frechet(2.0), loggamma(1.5, 2.0))
+    grids = (DEFAULT_RHO_GRID, tuple(reversed(DEFAULT_RHO_GRID)), (-0.5, -2.0, -0.5))
+    for spec in specs:
+        for n in (20, 200, 1000):
+            k_values = np.arange(max(2, math.ceil(n / 10)), math.floor(0.9 * (n - 1)) + 1)
+            for seed in range(5):
+                tail = validate_and_sort(sample(spec, n, rep_seed(21, seed)))
+                for grid in grids:
+                    want = wls_gamma_grid(tail.z_all, k_values, grid).var(axis=1)
+                    rhos, design = second_order._window(grid, n)
+                    assert np.array_equal(design.i + 1, k_values) and rhos.tolist() == list(grid)
+                    got = second_order._path_variances(tail.z_all, design)
+                    assert got.tobytes() == want.tobytes(), (spec, n, seed, grid)
+                    pick = float(grid[np.lexsort((grid, want))[0]])
+                    assert resolve_rho(tail, RhoMethod.min_variance(grid)) == pick
 
 
 def test_minvar_grid_overflow_raises_invalid_rho():

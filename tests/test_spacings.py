@@ -91,19 +91,19 @@ def test_prefix_matches_full_array():
 
 def test_log_spacings_are_computed_once_per_tail(monkeypatch):
     """A min-variance resolution reuses the spacings its sample already has."""
-    from tailwls import RhoMethod, estimators, resolve_rho
+    from tailwls import RhoMethod, resolve_rho, second_order
 
     tail = validate_and_sort(np.random.default_rng(9).pareto(1.0, size=200) + 1.0)
     z_all = tail.z_all
     assert not z_all.flags.writeable
     seen = []
-    real = estimators.wls_gamma_grid
+    real = second_order._path_fit
 
-    def spy(z, *args):
+    def spy(z, *args, **kwargs):
         seen.append(z)
-        return real(z, *args)
+        return real(z, *args, **kwargs)
 
-    monkeypatch.setattr(estimators, "wls_gamma_grid", spy)
+    monkeypatch.setattr(second_order, "_path_fit", spy)
     resolve_rho(tail, RhoMethod.min_variance())
     assert len(seen) == 1 and seen[0] is z_all
 
