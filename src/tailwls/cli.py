@@ -22,9 +22,10 @@ those a plain CSV writer with "\n" line ends gives. Output files are written
 atomically (both temp files, then the renames, the sidecar first) with a
 ``<out>.meta`` sidecar of key=value lines; timestamps appear only in
 sidecars. A new output gets mode 0o666 less the umask, as ``open`` would
-give it, and an output that already exists keeps its mode. An ``--out`` in a missing directory, or naming a
-directory (itself or its sidecar), is a configuration error, found first;
-one that still cannot be written is one too, found at the write.
+give it, and an output that already exists keeps its mode. An ``--out`` in
+a missing directory, or naming a directory (itself or its sidecar), is a
+configuration error, found first; one that still cannot be written is one
+too, found at the write.
 """
 
 from __future__ import annotations

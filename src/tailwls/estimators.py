@@ -78,7 +78,7 @@ def _prefix_sums(f: np.ndarray, k_max: int, weighted: bool) -> np.ndarray:
 _TINY = np.finfo(np.float64).tiny
 
 # Cached design rows, least recently used first, with at most 16 in all (or
-# one larger grid): a min-variance sampling study needs 7 + 7.
+# one larger grid): the per-row table calls of a min-variance study need 7.
 _rows: dict = {}
 
 
@@ -151,13 +151,18 @@ def _design(rhos: tuple, k_values: np.ndarray, weighted: bool) -> _Design:
         rows.append(row)
     while len(_rows) > max(16, len(rhos)):
         del _rows[next(iter(_rows))]
+    return _stack(rows)
+
+
+def _stack(rows: list) -> _Design:
+    """The :class:`_Design` whose row r is the one-row design ``rows[r]``; one row is itself."""
     if len(rows) == 1:
         return rows[0]
     columns = [np.concatenate(a) for a in zip(*(row[3:8] for row in rows))]
     for a in columns:
         a.flags.writeable = False
     rejected = tuple((r, message) for r, row in enumerate(rows) for _, message in row.rejected)
-    return _Design(weighted, rows[0].i, rows[0].totals, *columns, rejected)
+    return _Design(rows[0].weighted, rows[0].i, rows[0].totals, *columns, rejected)
 
 
 def _path_fit(z_all: np.ndarray, z_sums: np.ndarray, design: _Design, shrink=0.0, index=0):

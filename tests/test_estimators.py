@@ -391,7 +391,8 @@ def test_min_variance_studies_build_each_design_row_once(monkeypatch):
         return real_row(rho, k_values, weighted)
 
     monkeypatch.setattr(estimators, "_rows", {})
-    monkeypatch.setattr(estimators, "_row", row)
+    for module in (estimators, second_order):  # the grid rows are the resolver's
+        monkeypatch.setattr(module, "_row", row)
     second_order._window.cache_clear()
     for seed in range(50):
         run_simulation(SimulationConfig(spec=burr(1.0, np.sqrt(2.0), np.sqrt(2.0)), n=200,
@@ -400,6 +401,7 @@ def test_min_variance_studies_build_each_design_row_once(monkeypatch):
     assert len(built) == len(set(built)) <= 14
     assert sorted(rho for rho, lo, hi, _ in built if (lo, hi) == (20, 179)) == sorted(DEFAULT_RHO_GRID)
     assert {(lo, hi, weighted) for _, lo, hi, weighted in built} == {(20, 179, True), (10, 150, True)}
+    assert len(estimators._rows) == len(built) - len(DEFAULT_RHO_GRID)  # the picks
 
 
 def test_grid_call_runs_the_engine_once(monkeypatch):
