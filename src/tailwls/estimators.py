@@ -68,10 +68,11 @@ def _prefix_sums(f: np.ndarray, k_max: int, weighted: bool) -> np.ndarray:
     sum_{j<=k} (k+1-j) f_j = cumsum(cumsum(f))_k, so either takes O(k_max).
     The sums run along the last axis, so each row of a block is summed in
     sequence, as its own 1-D call would be. ``np.add.accumulate`` is what
-    ``cumsum`` computes, without its wrapper's cost on short rows.
+    ``cumsum`` computes, without its wrapper's cost on short rows; the second
+    pass runs in place, which gives the same bits without a second array.
     """
     p = np.add.accumulate(f[..., :k_max], axis=-1)
-    return np.add.accumulate(p, axis=-1) if weighted else p
+    return np.add.accumulate(p, axis=-1, out=p) if weighted else p
 
 
 # The smallest positive normal float; a smaller S2 makes the slope inf or NaN.
@@ -187,7 +188,12 @@ def _path_fit(z_all: np.ndarray, z_sums: np.ndarray, design: _Design, shrink=0.0
     v, m1, scale, s1, s2 = (a[index] for a in (v, m1, scale, s1, s2))
     # zbar, the weighted mean of Z: the second pass of a weighted prefix sum
     zbar = (np.add.accumulate(z_sums, axis=-1) if weighted else z_sums).take(i, axis=-1) / totals
-    svz = _prefix_sums(v * z_all[..., :k_max], k_max, weighted).take(i, axis=-1) / totals
+    # summed in place: a run's slope sums take one array the size of the block
+    svz = np.multiply(v, z_all[..., :k_max])
+    np.add.accumulate(svz, axis=-1, out=svz)
+    if weighted:
+        np.add.accumulate(svz, axis=-1, out=svz)
+    svz = svz.take(i, axis=-1) / totals
     # sum w_j (C_j - S1) Z_j = scale_k * (sum w_j v_j Z_j - m1 * zbar)
     b_hat = (svz - m1 * zbar) * scale / (s2 + shrink)
     return zbar - b_hat * s1, b_hat
