@@ -188,7 +188,8 @@ def _path_fit(z_all: np.ndarray, z_sums: np.ndarray, design: _Design, shrink=0.0
     v, m1, scale, s1, s2 = (a[index] for a in (v, m1, scale, s1, s2))
     # zbar, the weighted mean of Z: the second pass of a weighted prefix sum
     zbar = (np.add.accumulate(z_sums, axis=-1) if weighted else z_sums).take(i, axis=-1) / totals
-    # summed in place: a run's slope sums take one array the size of the block
+    # summed in place, so a run's slope sums take one block-sized array: on a
+    # 128 KiB model chunk each more live one cost page faults on every call
     svz = np.multiply(v, z_all[..., :k_max])
     np.add.accumulate(svz, axis=-1, out=svz)
     if weighted:
