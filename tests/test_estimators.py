@@ -343,7 +343,7 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
             assert np.array_equal(got[r, row], _one_rho_path(block[row], contiguous, rho))
 
 
-def test_design_cache_keeps_16_rows_and_evicts_the_least_recent(monkeypatch):
+def test_design_cache_keeps_16_rho_rows_and_evicts_the_least_recent(monkeypatch):
     """Rows are cached per (rho, k values, weighting), at most 16 of them, or one larger grid."""
     from tailwls import estimators
 
