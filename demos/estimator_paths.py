@@ -24,8 +24,8 @@ print(f"resolved rho (minimum path variance over a candidate grid): {rho}")
 print()
 
 # one table call fits all five paths over k = 20..400 with the resolved rho
-paths, penalties = tw.path_estimates(tail.z_all, tail.n,
-                                     tw.ESTIMATOR_IDS, rho, np.arange(20, 401))
+table = tw.path_estimates(tail.z_all, tail.n, tw.ESTIMATOR_IDS, rho, np.arange(20, 401))
+paths = table.paths
 
 header = "k     " + "".join(f"{est:>9}" for est in tw.ESTIMATOR_IDS)
 print(header)
@@ -40,4 +40,4 @@ print()
 print(f"spread over the printed window: sd(WLS)={np.std(paths['WLS']):.4f} "
       f"sd(HILL)={np.std(paths['HILL']):.4f}")
 print(f"ridge penalties chosen along the RR path (first 8): "
-      f"{penalties[:8].tolist()}")
+      f"{table.penalties[:8].tolist()}")

@@ -42,13 +42,8 @@ from .asymptotics import (
 )
 from .estimators import (
     ESTIMATOR_IDS,
-    RegressionFit,
-    ls_fit,
     optimal_k,
     path_estimates,
-    ridge_fit,
-    wls_fit,
-    wls_gamma_grid,
 )
 from .second_order import DEFAULT_RHO_GRID, MOMENT_RHO_RANGE, RhoMethod, resolve_rho
 from .distributions import (
@@ -94,13 +89,8 @@ __all__ = [
     "covariates",
     # estimators
     "ESTIMATOR_IDS",
-    "RegressionFit",
-    "wls_fit",
-    "ls_fit",
-    "ridge_fit",
     "path_estimates",
     "optimal_k",
-    "wls_gamma_grid",
     # second order
     "RhoMethod",
     "resolve_rho",

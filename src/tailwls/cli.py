@@ -293,7 +293,7 @@ def cmd_estimate(args) -> int:
     with _failing(EXIT_ESTIMATION, TailwlsError, "estimation failed: "):
         # every method is k-independent: resolve once, reuse everywhere
         resolved = resolve_rho(tail, rho_method) if regression else None
-        paths = path_estimates(tail.z_all, n, estimators, resolved, k_values)[0]
+        paths = path_estimates(tail.z_all, n, estimators, resolved, k_values).paths
 
     # one template per k covers every estimator; rho_used is fixed per estimator
     template = "".join(

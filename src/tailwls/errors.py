@@ -18,9 +18,8 @@ class NonPositiveError(TailwlsError, ValueError):
     """A value is zero or negative where it must be positive.
 
     Raised for a sample value, a distribution parameter or a true gamma
-    that is not strictly positive, a subnormal log-gamma alpha, a model mean
-    gamma + b*C_j that is not strictly positive, and a negative ridge
-    penalty.
+    that is not strictly positive, a subnormal log-gamma alpha, and a model
+    mean gamma + b*C_j that is not strictly positive.
     """
 
 

@@ -24,18 +24,17 @@ All regression fits share one algebraic core: with unit-sum weights w_j,
 where S1 = sum w_j C_j, S2 = sum w_j C_j^2 - S1^2, and ``shrink`` is zero for
 plain fits and penalty/k for ridge. One path engine, ``_path_fit``, fits
 every k of a path at once from prefix sums (Beirlant, Dierckx, Goegebeur and
-Matthys 1999). The one-k fits (``wls_fit``, ``ls_fit``, ``ridge_fit``) are the
-engine at one k; they exist for the slope b_hat, which no path returns.
+Matthys 1999); the table returns the slope b_hat of LS and WLS beside their
+paths, and a fit at one k is the table at ``[k]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyOrTinyError, InvalidRhoError, KOutOfRangeError, NonPositiveError
+from .errors import EmptyOrTinyError, InvalidRhoError, KOutOfRangeError
 from .spacings import check_k_values, check_rho, raise_on_overflow
 
 #: Canonical estimator identifiers, in reporting order.
@@ -49,17 +48,6 @@ _UNWEIGHTED, _WEIGHTED = frozenset({"LS", "RR"}), frozenset({"WLS", "BCHILL"})
 
 #: Ridge penalty candidates are these factors times k.
 RIDGE_PENALTY_FACTORS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-
-
-@dataclass(frozen=True)
-class RegressionFit:
-    """Result of one linear fit on k spacings; ``penalty`` is set only by ridge fits."""
-
-    gamma_hat: float
-    b_hat: float
-    rho_used: float
-    k: int
-    penalty: float | None = None
 
 
 def _prefix_sums(f: np.ndarray, k_max: int, weighted: bool) -> np.ndarray:
@@ -210,66 +198,6 @@ def _bchill(hill_values, b_hat, rhos: tuple, index, n: int, k_values: np.ndarray
     return hill_values * (1.0 - (b_hat / (1.0 - rho[..., None])) * decay)
 
 
-def _fit(z: np.ndarray, rho: float, weighted: bool,
-         penalty: float | None = None) -> RegressionFit:
-    """The engine at k = len(z), behind :func:`wls_fit`, :func:`ls_fit` and :func:`ridge_fit`.
-
-    ``weighted`` selects W_j = 1 - j/(k+1) over uniform weights 1/k; a
-    ``penalty`` adds penalty/k to the centered sum of squares (ridge).
-    """
-    k = len(z)
-    # dividing the penalty by k matches the centered form in ridge_fit
-    shrink = 0.0 if penalty is None else penalty / k
-    design = _design((check_rho(rho),), check_k_values(k, 2), weighted)
-    fit = _path_fit(z, _prefix_sums(z, k, False), design, shrink)
-    gamma_hat, b_hat = (float(v[0]) for v in fit)
-    return RegressionFit(gamma_hat, b_hat, float(rho), k, penalty)
-
-
-def wls_fit(z: np.ndarray, rho: float) -> RegressionFit:
-    """Weighted least squares fit with weights W_j = 1 - j/(k+1).
-
-    Args:
-        z: the spacings Z_1..Z_k, k >= 2 (``log_spacings(tail, k)``).
-        rho: finite negative second-order parameter fixing the covariates.
-
-    Returns:
-        RegressionFit; ``gamma_hat`` is the reduced-bias tail-index estimate.
-
-    Raises:
-        KTooSmallError: k < 2.
-        InvalidRhoError: rho not finite negative.
-    """
-    return _fit(z, rho, weighted=True)
-
-
-def ls_fit(z: np.ndarray, rho: float) -> RegressionFit:
-    """Plain least squares fit (uniform weights 1/k). Same contract as wls_fit."""
-    return _fit(z, rho, weighted=False)
-
-
-def ridge_fit(z: np.ndarray, rho: float, penalty: float) -> RegressionFit:
-    """Ridge-regularized least squares fit.
-
-    The slope solves the centered normal equation with ``penalty`` added to
-    the centered sum of squares:
-
-        b_hat = sum (C_j - Cbar)(Z_j - Zbar) / (sum (C_j - Cbar)^2 + penalty)
-
-    and gamma_hat = Zbar - b_hat * Cbar. penalty=0 reproduces ls_fit exactly,
-    penalty -> infinity sends b_hat to 0 and gamma_hat to the Hill estimate.
-
-    Raises:
-        KTooSmallError: k < 2.
-        InvalidRhoError: rho not finite negative.
-        NonPositiveError: penalty < 0.
-    """
-    penalty = float(penalty)
-    if not penalty >= 0.0:
-        raise NonPositiveError(f"penalty={penalty} must be >= 0")
-    return _fit(z, rho, weighted=False, penalty=penalty)
-
-
 def _ridge_choice(gammas: np.ndarray, k_values: np.ndarray):
     """RR's (gamma_hat, penalty) at every k, from the gammas of a full penalty block.
 
@@ -279,25 +207,6 @@ def _ridge_choice(gammas: np.ndarray, k_values: np.ndarray):
     best = np.argmin(np.abs(gammas), axis=0)[None]
     gamma_hat = np.take_along_axis(gammas, best, axis=0)[0]
     return gamma_hat, np.take(RIDGE_PENALTY_FACTORS, best[0]) * k_values
-
-
-def wls_gamma_grid(z_all: np.ndarray, k_values, rhos) -> np.ndarray:
-    """WLS tail-index estimates for every (rho, k) pair, shape (len(rhos), len(k_values)).
-
-    ``z_all`` is a tail's full spacings array (``OrderedTail.z_all``), and
-    ``k_values`` ascend. The whole grid is one run of the path engine with a
-    leading rho axis; row r equals the WLS path at ``rhos[r]`` bit for bit.
-    Errors as the WLS path (NonFiniteError where a path overflows), and
-    EmptyOrTinyError for an empty grid.
-    """
-    rhos = tuple(float(rho) for rho in rhos)
-    if not rhos:
-        raise EmptyOrTinyError("rho candidate grid is empty")
-    k_values = check_k_values(k_values, 2, np.shape(z_all)[-1])
-    index = (slice(None),) + (None,) * (np.ndim(z_all) - 1)  # the rho axis goes first
-    with raise_on_overflow("a grid path"):
-        z_sums = _prefix_sums(z_all, k_values[-1], False)
-        return _path_fit(z_all, z_sums, _design(rhos, k_values, True), index=index)[0]
 
 
 def check_estimators(est_ids) -> tuple[str, ...]:
@@ -318,15 +227,29 @@ def needs_rho(est_ids) -> bool:
     return not _RHO_FREE.issuperset(est_ids)
 
 
-def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
-                   k_values) -> tuple[dict, np.ndarray | None]:
+class Table(NamedTuple):
+    """What :func:`path_estimates` returns, read by field name.
+
+    ``paths`` maps each computed id to its estimates, aligned with
+    ``k_values`` on the last axis. ``slopes`` maps each computed id of an
+    unshrunk engine run, LS and WLS, to its slope b_hat at every k.
+    ``penalties`` holds RR's chosen ridge penalties if RR is computed, else
+    None.
+    """
+
+    paths: dict
+    slopes: dict
+    penalties: np.ndarray | None
+
+
+def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho, k_values) -> Table:
     """Paths of the estimators ``est_ids`` at every k in the ascending ``k_values``.
 
     This is the one place that maps estimator ids to computations. The
     estimate at k uses the first k entries of ``z_all`` (a tail's
     ``OrderedTail.z_all``, or any array of at least max(k_values) spacings).
     ``z_all`` may also be a block with leading axes, one row of spacings per
-    sample along the last axis: every path and penalty array
+    sample along the last axis: every path, slope and penalty array
     then has the same leading axes, and each row equals the 1-D call on
     that row bit for bit (cumulative sums run along each row in order, and
     every other step is elementwise). A whole set costs at most one
@@ -338,13 +261,12 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
     block may take one rho per row, NaN where unresolved: the engine builds
     each distinct rho's design once, and each row equals its own one-rho
     call, or is NaN where that call leaves an id out or fails on its rho
-    (HILL too); RR's penalties are NaN on the rows where RR is. ``n`` is the
-    size of the originating sample, read only by BCHILL's (n/k)^rho factor.
+    (HILL too); slopes and RR's penalties are NaN on the rows where their
+    paths are. ``n`` is the size of the originating sample, read only by
+    BCHILL's (n/k)^rho factor.
 
     Returns:
-        (paths, penalties): ``paths`` maps each computed id to its estimates,
-        aligned with ``k_values`` on the last axis; ``penalties`` holds the
-        chosen ridge penalties if RR is computed, else None.
+        :class:`Table` of the paths, the LS and WLS slopes, and RR's penalties.
 
     Raises:
         EmptyOrTinyError / ValueError: bad ``est_ids``, as check_estimators, or no k.
@@ -365,7 +287,7 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
     if not rhos:
         ids = tuple(_RHO_FREE.intersection(ids))
     k_values = check_k_values(k_values, 2 if needs_rho(ids) else 1, z_all.shape[-1])
-    paths, penalties, rejected = {}, None, {}
+    paths, slopes, penalties, rejected = {}, {}, None, {}
     with raise_on_overflow("a path"):
         z_sums = _prefix_sums(z_all, k_values[-1], False)
         if _UNWEIGHTED.intersection(ids):  # LS is row 0, the zero penalty, of RR's block
@@ -373,25 +295,25 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho,
             shrink = np.reshape(factors, (-1,) + (1,) * z_all.ndim)
             design = _design(rhos, k_values, False)
             rejected.update(design.rejected)
-            gammas = _path_fit(z_all, z_sums, design, shrink, index)[0]
-            paths["LS"] = gammas[0]
+            gammas, b_hat = _path_fit(z_all, z_sums, design, shrink, index)
+            paths["LS"], slopes["LS"] = gammas[0], b_hat[0]
             if "RR" in ids:
                 paths["RR"], penalties = _ridge_choice(gammas, k_values)
         if _WEIGHTED.intersection(ids):
             design = _design(rhos, k_values, True)
             rejected.update(design.rejected)
-            paths["WLS"], b_hat = _path_fit(z_all, z_sums, design, index=index)
+            paths["WLS"], slopes["WLS"] = _path_fit(z_all, z_sums, design, index=index)
         if "HILL" in ids or "BCHILL" in ids:
             paths["HILL"] = z_sums.take(k_values - 1, axis=-1) / k_values
         if "BCHILL" in ids:
-            paths["BCHILL"] = _bchill(paths["HILL"], b_hat, rhos, index, n, k_values)
+            paths["BCHILL"] = _bchill(paths["HILL"], slopes["WLS"], rhos, index, n, k_values)
+    paths, slopes = {e: paths[e] for e in ids}, {e: slopes[e] for e in ids if e in slopes}
     if per_row:  # blank what each row's own call would not give
         failed = np.isin(index, list(rejected)) & ~unresolved
-        for e, path in paths.items():
-            path[failed | unresolved & (e not in _RHO_FREE)] = np.nan
-        if penalties is not None:
-            penalties[failed | unresolved] = np.nan
-    return {e: paths[e] for e in ids}, penalties
+        for e, a in [*paths.items(), *slopes.items(), ("RR", penalties)]:
+            if a is not None:
+                a[failed | unresolved & (e not in _RHO_FREE)] = np.nan
+    return Table(paths, slopes, penalties)
 
 
 def optimal_k(mse_by_k) -> tuple[int, float]:

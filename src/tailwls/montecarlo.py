@@ -264,7 +264,7 @@ def _replicate(draw, row_len: int, est_ids: tuple[str, ...], k_values: np.ndarra
         block, rho = draw([seed_state(state) for state in states[offset:offset + chunk]])
         ok = ~np.isnan(block[:, 0])  # a failed draw's row is NaN
         rhos += [None if math.isnan(r) else r for r in np.broadcast_to(rho, ok.shape)[ok].tolist()]
-        paths = path_estimates(block, n, est_ids, rho, k_values)[0]
+        paths = path_estimates(block, n, est_ids, rho, k_values).paths
         for e, est in enumerate(est_ids):
             if est in paths:
                 values[e][:, start:start + len(block)] = paths[est].T

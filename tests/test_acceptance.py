@@ -154,7 +154,7 @@ def test_criterion_6_path_stability():
     for r in range(100):
         tail = tw.validate_and_sort(tw.sample(spec, 200, tw.rep_seed(99, r)))
         paths = tw.path_estimates(tail.z_all, tail.n, ("HILL", "WLS"),
-                                  tw.resolve_rho(tail, meth), np.arange(40, 161))[0]
+                                  tw.resolve_rho(tail, meth), np.arange(40, 161)).paths
         sd_w = np.std(paths["WLS"])
         sd_h = np.std(paths["HILL"])
         wins += sd_w < sd_h
@@ -188,7 +188,7 @@ def test_criterion_7_condroz_plateau():
     values = read_numeric_column(str(path), column=None)
     tail = tw.validate_and_sort(values)
     rho = tw.resolve_rho(tail, tw.RhoMethod.min_variance())
-    path_wls = tw.path_estimates(tail.z_all, tail.n, ("WLS",), rho, np.arange(710, 1231))[0]
+    path_wls = tw.path_estimates(tail.z_all, tail.n, ("WLS",), rho, np.arange(710, 1231)).paths
     mean = float(np.mean(path_wls["WLS"]))
     ok, line = report(
         7, "condroz-plateau",
@@ -204,10 +204,10 @@ def test_criterion_8_exact_recovery_and_oracles():
     for k, gamma, b, rho in ((25, 0.7, 0.3, -1.0), (60, 2.0, -0.5, -0.4)):
         c = tw.covariates(k, rho)
         z = gamma + b * c
-        for fit in (tw.wls_fit(z, rho), tw.ls_fit(z, rho),
-                    tw.ridge_fit(z, rho, 0.0)):
-            worst_exact = max(worst_exact, abs(fit.gamma_hat - gamma),
-                              abs(fit.b_hat - b))
+        table = tw.path_estimates(z, None, ("LS", "WLS"), rho, [k])
+        for est in ("LS", "WLS"):
+            worst_exact = max(worst_exact, abs(table.paths[est][0] - gamma),
+                              abs(table.slopes[est][0] - b))
 
     rng = np.random.default_rng(424242)
     worst_oracle = 0.0
@@ -222,9 +222,9 @@ def test_criterion_8_exact_recovery_and_oracles():
         lhs = design.T @ (w[:, None] * design)
         rhs = design.T @ (w * zvals)
         g_ref, b_ref = np.linalg.solve(lhs, rhs)
-        fit = tw.wls_fit(z, rho)
-        worst_oracle = max(worst_oracle, abs(fit.gamma_hat - g_ref),
-                           abs(fit.b_hat - b_ref))
+        table = tw.path_estimates(z, None, ("WLS",), rho, [k])
+        worst_oracle = max(worst_oracle, abs(table.paths["WLS"][0] - g_ref),
+                           abs(table.slopes["WLS"][0] - b_ref))
 
     u = np.linspace(0.001, 0.999, 400)
     worst_round = 0.0

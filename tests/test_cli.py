@@ -64,7 +64,7 @@ def test_estimate_values_round_trip_17g(burr_file, tmp_path):
     assert r.returncode == 0, r.stderr
     tail = tw.validate_and_sort(np.loadtxt(burr_file, skiprows=1))
     rho = tw.resolve_rho(tail, tw.RhoMethod.fixed(-1.0))
-    path = tw.path_estimates(tail.z_all, tail.n, ("WLS",), rho, np.arange(15, 41))[0]["WLS"]
+    path = tw.path_estimates(tail.z_all, tail.n, ("WLS",), rho, np.arange(15, 41)).paths["WLS"]
     with open(out) as fh:
         got = [float(row["gamma_hat"]) for row in csv.DictReader(fh)]
     # 17 significant digits preserve float64 exactly

@@ -74,7 +74,7 @@ def test_estimate_csv_equals_csv_writer(flags, data_file, tmp_path, capsys):
     k_min, k_max = (k_min or 2), (k_max or tail.n - 1)
     rho = tw.resolve_rho(tail, method)  # once per file, as the CLI does
     k_values = np.arange(k_min, k_max + 1)
-    paths = {e: tw.path_estimates(tail.z_all, tail.n, (e,), rho, k_values)[0][e]
+    paths = {e: tw.path_estimates(tail.z_all, tail.n, (e,), rho, k_values).paths[e]
              for e in estimators}
     rows = [[k, e, _g(rho if e != "HILL" else np.nan), _g(paths[e][i])]
             for i, k in enumerate(k_values) for e in estimators]

@@ -1,7 +1,9 @@
-"""The documented demo scripts run to completion."""
+"""The documented demo scripts and the README's code run to completion."""
 
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -21,3 +23,15 @@ def test_demo_exits_zero(script):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run():
+    """Every ```python block of README.md runs, in order, in one namespace."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 3
+    namespace = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)

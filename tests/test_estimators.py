@@ -8,25 +8,20 @@ from tailwls import (
     InvalidRhoError,
     KOutOfRangeError,
     KTooSmallError,
-    NonPositiveError,
     RhoMethod,
     SimulationConfig,
     burr,
     covariates,
     log_spacings,
-    ls_fit,
     optimal_k,
     path_estimates,
     rep_seed,
     resolve_rho,
-    ridge_fit,
     run_model_simulation,
     run_simulation,
     sample,
     validate_and_sort,
     weights,
-    wls_fit,
-    wls_gamma_grid,
 )
 from tailwls.asymptotics import s_moments
 from tailwls.estimators import check_estimators, needs_rho
@@ -49,8 +44,25 @@ def solve_weighted_normal_equations(z, c, w):
 
 def _one_id(z_all, n, est, rho, k_values):
     """The table called for one estimator id: (its path, the RR penalties or None)."""
-    paths, penalties = path_estimates(z_all, n, (est,), rho, k_values)
-    return paths[est], penalties
+    table = path_estimates(z_all, n, (est,), rho, k_values)
+    return table.paths[est], table.penalties
+
+
+def _at_k(z, est, rho):
+    """(gamma_hat, b_hat) of LS or WLS at k = len(z): one table call at [k]."""
+    table = path_estimates(z, None, (est,), rho, [len(z)])
+    return table.paths[est][0], table.slopes[est][0]
+
+
+def _ridge(z, rho, penalty):
+    """(gamma_hat, b_hat) of the ridge fit at k = len(z): the engine with shrink penalty/k."""
+    from tailwls import estimators
+
+    k = len(z)
+    design = estimators._design((float(rho),), np.array([k]), False)
+    gamma_hat, b_hat = estimators._path_fit(z, estimators._prefix_sums(z, k, False), design,
+                                            penalty / k)
+    return gamma_hat[0], b_hat[0]
 
 
 def test_hill_is_mean():
@@ -63,18 +75,19 @@ def test_hill_is_mean():
 def test_wls_noise_free_recovery():
     c = covariates(3, -1.0)
     z = _spacings(0.5 + 0.2 * c)
-    fit = wls_fit(z, -1.0)
-    assert fit.gamma_hat == pytest.approx(0.5, abs=1e-12)
-    assert fit.b_hat == pytest.approx(0.2, abs=1e-12)
-    residuals = z - (fit.gamma_hat + fit.b_hat * c)
+    gamma_hat, b_hat = _at_k(z, "WLS", -1.0)
+    assert gamma_hat == pytest.approx(0.5, abs=1e-12)
+    assert b_hat == pytest.approx(0.2, abs=1e-12)
+    residuals = z - (gamma_hat + b_hat * c)
     assert residuals == pytest.approx(np.zeros(3), abs=1e-12)
 
 
 def test_constant_spacings_give_zero_slope():
     z = _spacings(np.full(20, 0.7))
-    for fit in (wls_fit(z, -1.5), ls_fit(z, -1.5)):
-        assert fit.gamma_hat == pytest.approx(0.7, abs=1e-12)
-        assert fit.b_hat == pytest.approx(0.0, abs=1e-12)
+    for est in ("WLS", "LS"):
+        gamma_hat, b_hat = _at_k(z, est, -1.5)
+        assert gamma_hat == pytest.approx(0.7, abs=1e-12)
+        assert b_hat == pytest.approx(0.0, abs=1e-12)
 
 
 def test_wls_matches_normal_equations_oracle():
@@ -84,12 +97,12 @@ def test_wls_matches_normal_equations_oracle():
         k = int(rng.integers(2, 200))
         rho = float(-rng.uniform(0.05, 6.0))
         z = _spacings(rng.exponential(scale=rng.uniform(0.1, 3.0), size=k))
-        fit = wls_fit(z, rho)
+        gamma_hat, b_hat = _at_k(z, "WLS", rho)
         gamma, b = solve_weighted_normal_equations(
             z, covariates(k, rho), weights(k)
         )
-        assert abs(fit.gamma_hat - gamma) < 1e-10
-        assert abs(fit.b_hat - b) < 1e-10
+        assert abs(gamma_hat - gamma) < 1e-10
+        assert abs(b_hat - b) < 1e-10
 
 
 def test_ls_matches_normal_equations_oracle():
@@ -98,50 +111,47 @@ def test_ls_matches_normal_equations_oracle():
         k = int(rng.integers(2, 150))
         rho = float(-rng.uniform(0.1, 4.0))
         z = _spacings(rng.exponential(size=k))
-        fit = ls_fit(z, rho)
+        gamma_hat, b_hat = _at_k(z, "LS", rho)
         gamma, b = solve_weighted_normal_equations(
             z, covariates(k, rho), np.full(k, 1.0 / k)
         )
-        assert abs(fit.gamma_hat - gamma) < 1e-10
-        assert abs(fit.b_hat - b) < 1e-10
+        assert abs(gamma_hat - gamma) < 1e-10
+        assert abs(b_hat - b) < 1e-10
 
 
 def test_fit_residual_orthogonality():
     # normal equations: weighted residuals are orthogonal to (1, C)
     rng = np.random.default_rng(44)
     z = _spacings(rng.exponential(size=30))
-    fit = wls_fit(z, -0.8)
+    gamma_hat, b_hat = _at_k(z, "WLS", -0.8)
     w = weights(30)
     c = covariates(30, -0.8)
-    residuals = z - (fit.gamma_hat + fit.b_hat * c)
+    residuals = z - (gamma_hat + b_hat * c)
     assert w @ residuals == pytest.approx(0.0, abs=1e-12)
     assert (w * c) @ residuals == pytest.approx(0.0, abs=1e-12)
 
 
 def test_regression_needs_two_spacings():
     z = _spacings([0.5])
-    for f in (wls_fit, ls_fit):
+    for est in ("WLS", "LS", "RR"):
         with pytest.raises(KTooSmallError):
-            f(z, -1.0)
-    with pytest.raises(KTooSmallError):
-        ridge_fit(z, -1.0, 1.0)
+            path_estimates(z, None, (est,), -1.0, [1])
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0, np.inf, np.nan])
 def test_fit_rejects_bad_rho(rho):
     z = _spacings([0.5, 0.6, 0.7])
     with pytest.raises(InvalidRhoError):
-        wls_fit(z, rho)
+        _at_k(z, "WLS", rho)
 
 
 def test_ridge_zero_penalty_is_ls_bitwise():
     rng = np.random.default_rng(46)
     z = _spacings(rng.exponential(size=40))
-    r = ridge_fit(z, -1.2, 0.0)
-    l = ls_fit(z, -1.2)
-    assert r.gamma_hat == l.gamma_hat
-    assert r.b_hat == l.b_hat
-    assert r.penalty == 0.0 and l.penalty is None
+    r = _ridge(z, -1.2, 0.0)
+    l = _at_k(z, "LS", -1.2)
+    assert r[0] == l[0]
+    assert r[1] == l[1]
 
 
 def test_ridge_matches_centered_formula():
@@ -154,22 +164,16 @@ def test_ridge_matches_centered_formula():
         c = covariates(k, rho)
         zbar, cbar = z.mean(), c.mean()
         b = ((c - cbar) @ (z - zbar)) / (((c - cbar) @ (c - cbar)) + penalty)
-        fit = ridge_fit(z, rho, penalty)
-        assert abs(fit.b_hat - b) < 1e-10
-        assert abs(fit.gamma_hat - (zbar - b * cbar)) < 1e-10
+        gamma_hat, b_hat = _ridge(z, rho, penalty)
+        assert abs(b_hat - b) < 1e-10
+        assert abs(gamma_hat - (zbar - b * cbar)) < 1e-10
 
 
 def test_ridge_large_penalty_shrinks_to_hill():
     z = _spacings(np.random.default_rng(48).exponential(size=25))
-    fit = ridge_fit(z, -1.0, 1e12)
-    assert fit.b_hat == pytest.approx(0.0, abs=1e-9)
-    assert fit.gamma_hat == pytest.approx(z.mean(), abs=1e-9)
-
-
-def test_ridge_negative_penalty():
-    z = _spacings([0.5, 0.6])
-    with pytest.raises(NonPositiveError):
-        ridge_fit(z, -1.0, -0.1)
+    gamma_hat, b_hat = _ridge(z, -1.0, 1e12)
+    assert b_hat == pytest.approx(0.0, abs=1e-9)
+    assert gamma_hat == pytest.approx(z.mean(), abs=1e-9)
 
 
 def test_rr_choice_minimizes_proxy():
@@ -182,24 +186,25 @@ def test_rr_choice_minimizes_proxy():
     rr, penalties = _one_id(z, 61, "RR", -1.0, [60])
     unit = amse(1.0, 60, -1.0)
     scores = {
-        f * 60: ridge_fit(z, -1.0, f * 60).gamma_hat ** 2 * unit
+        f * 60: _ridge(z, -1.0, f * 60)[0] ** 2 * unit
         for f in RIDGE_PENALTY_FACTORS
     }
     assert penalties[0] in scores
     assert scores[penalties[0]] == min(scores.values())
-    assert rr[0] == ridge_fit(z, -1.0, penalties[0]).gamma_hat
+    assert rr[0] == _ridge(z, -1.0, penalties[0])[0]
 
 
 def test_bchill_formula_and_limits():
     """BCHILL is the HILL path times 1 - (b_hat / (1 - rho)) * (n/k)^rho, b_hat the WLS slope."""
     z = _spacings(np.full(10, 0.5))
     # constant spacings: the WLS slope is 0, which leaves Hill untouched
-    paths, _ = path_estimates(z, 101, ("HILL", "BCHILL"), -1.0, [10])
+    paths = path_estimates(z, 101, ("HILL", "BCHILL"), -1.0, [10]).paths
     assert paths["BCHILL"][0] == pytest.approx(paths["HILL"][0], abs=1e-15)
     z = _spacings(np.random.default_rng(56).exponential(size=10))
-    paths, _ = path_estimates(z, 101, ("HILL", "BCHILL"), -1.0, [10])
-    want = paths["HILL"][0] * (1.0 - (wls_fit(z, -1.0).b_hat / 2.0) * (101 / 10) ** -1.0)
-    assert paths["BCHILL"][0] == pytest.approx(want, rel=1e-13)
+    table = path_estimates(z, 101, ("HILL", "BCHILL", "WLS"), -1.0, [10])
+    slope = table.slopes["WLS"][0]
+    want = table.paths["HILL"][0] * (1.0 - (slope / 2.0) * (101 / 10) ** -1.0)
+    assert table.paths["BCHILL"][0] == pytest.approx(want, rel=1e-13)
 
 
 def test_bchill_argument_checks():
@@ -243,8 +248,8 @@ def test_wls_path_consistency_with_single_fits():
     k_values = check_k_range(5, 30, tail.n)
     path, _ = _one_id(tail.z_all, tail.n, "WLS", resolve_rho(tail, RhoMethod.fixed(-0.7)), k_values)
     for i, k in enumerate(k_values):
-        fit = wls_fit(log_spacings(tail, int(k)), -0.7)
-        assert path[i] == pytest.approx(fit.gamma_hat, abs=1e-13)
+        gamma_hat, _ = _at_k(log_spacings(tail, int(k)), "WLS", -0.7)
+        assert path[i] == pytest.approx(gamma_hat, abs=1e-13)
 
 
 def test_rr_path_records_penalties():
@@ -271,29 +276,12 @@ def test_path_bad_arguments():
             _one_id(z_all, 20, "WLS", -1.0, k_values)
 
 
-def test_wls_gamma_grid_matches_fits():
-    rng = np.random.default_rng(52)
-    tail = validate_and_sort(rng.pareto(0.8, size=70) + 1.0)
-    z_all = tail.z_all
-    ks = np.array([5, 10, 33, 69])
-    rhos = (-0.5, -1.0, -2.0)
-    grid = wls_gamma_grid(z_all, ks, rhos)
-    for j, rho in enumerate(rhos):
-        for i, k in enumerate(ks):
-            fit = wls_fit(log_spacings(tail, int(k)), rho)
-            assert grid[j, i] == pytest.approx(fit.gamma_hat, abs=1e-13)
-
-
-def _one_rho_path(z_all, k_values, rho):
-    """The WLS path at one rho, one engine run with its own running sum of Z."""
-    from tailwls import estimators
-
-    z_sums = estimators._prefix_sums(z_all, k_values[-1], False)
-    return estimators._path_fit(z_all, z_sums, estimators._design((float(rho),), k_values, True))[0]
-
-
 def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
-    """Row r of the grid is the one-rho WLS path at rhos[r], bit for bit."""
+    """Row r of a grid run is the one-rho WLS table path at rhos[r], bit for bit.
+
+    A grid run is one engine run on a stacked design with a leading rho axis,
+    as the min-variance resolver makes.
+    """
     from tailwls import estimators
 
     keys, built = [], []
@@ -318,20 +306,22 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
         grid = tuple(-rng.uniform(0.05, 3.0, size=int(rng.integers(2, 8))))
         for k_values in (contiguous, sparse):
             for rhos in (grid[:1], grid[::-1], grid + grid[:1], DEFAULT_RHO_GRID):
-                want = np.array([_one_rho_path(z_all, k_values, rho) for rho in rhos])
-                for given in (list(rhos), np.array(rhos)):
-                    got = wls_gamma_grid(z_all, k_values, given)
-                    assert got.shape == (len(rhos), len(k_values))
-                    assert np.array_equal(got, want)
-    assert all(type(key) is tuple and all(type(rho) is float for rho in key)
-               for key in keys)
-    # integer and numpy rhos share the float rows of the same grid: two builds, then hits
+                want = np.array([path_estimates(z_all, None, ("WLS",), rho, k_values).paths["WLS"]
+                                 for rho in rhos])
+                z_sums = estimators._prefix_sums(z_all, k_values[-1], False)
+                design = estimators._design(tuple(map(float, rhos)), k_values, True)
+                got = estimators._path_fit(z_all, z_sums, design, index=np.s_[:])[0]
+                assert got.shape == (len(rhos), len(k_values))
+                assert np.array_equal(got, want)
+    # integer and numpy rhos share the float row of the same rho: one build, then hits
     monkeypatch.setattr(estimators, "_rows", {})
     built.clear()
-    for given in ((-1, -2), [np.float64(-1.0), -2.0], np.array([-1.0, -2.0])):
-        wls_gamma_grid(z_all, contiguous, given)
-    assert keys[-3:] == [(-1.0, -2.0)] * 3
-    assert built == [-1.0, -2.0]
+    for given in (-1, np.int64(-1), np.float64(-1.0), -1.0):
+        path_estimates(z_all, None, ("WLS",), given, contiguous)
+    assert keys[-4:] == [(-1.0,)] * 4
+    assert built == [-1.0]
+    assert all(type(key) is tuple and all(type(rho) is float for rho in key)
+               for key in keys)
     # a block of samples puts the rho axis first, each row still its one-rho path
     block = rng.exponential(size=(3, n - 1))
     z_sums = estimators._prefix_sums(block, contiguous[-1], False)
@@ -340,7 +330,8 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
     assert got.shape == (len(grid), 3, len(contiguous))
     for r, rho in enumerate(grid):
         for row in range(3):
-            assert np.array_equal(got[r, row], _one_rho_path(block[row], contiguous, rho))
+            want = path_estimates(block[row], None, ("WLS",), rho, contiguous).paths["WLS"]
+            assert np.array_equal(got[r, row], want)
 
 
 def test_design_cache_keeps_16_rho_rows_and_evicts_the_least_recent(monkeypatch):
@@ -405,13 +396,12 @@ def test_min_variance_studies_build_each_design_row_once(monkeypatch):
 
 
 def test_grid_call_runs_the_engine_once(monkeypatch):
-    """One grid call or resolution is one engine run, one table call two, each with one sum of Z."""
+    """One resolution is one engine run, one table call two, each with one sum of Z."""
     from tailwls import estimators, second_order
 
     tail = validate_and_sort(sample(burr(1.0, np.sqrt(2.0), np.sqrt(2.0)), 200, 5))
     z_all, k_values = tail.z_all, np.arange(20, 180)
     # fill the design caches
-    wls_gamma_grid(z_all, k_values, DEFAULT_RHO_GRID)
     resolve_rho(tail, RhoMethod.min_variance())
     path_estimates(z_all, tail.n, ESTIMATOR_IDS, -1.0, k_values)
     engine, sums = [], []
@@ -428,33 +418,14 @@ def test_grid_call_runs_the_engine_once(monkeypatch):
     for module in (estimators, second_order):
         monkeypatch.setattr(module, "_path_fit", fit)
         monkeypatch.setattr(module, "_prefix_sums", prefix_sums)
-    wls_gamma_grid(z_all, k_values, DEFAULT_RHO_GRID)
-    assert engine == [(len(DEFAULT_RHO_GRID), True)]
-    assert sums == [z_all.shape]  # the running sum of Z, once per sample
-    engine.clear()
-    sums.clear()
     resolve_rho(tail, RhoMethod.min_variance())
     assert engine == [(len(DEFAULT_RHO_GRID), True)]
-    assert sums == [z_all.shape]
+    assert sums == [z_all.shape]  # the running sum of Z, once per sample
     engine.clear()
     sums.clear()
     path_estimates(z_all, tail.n, ESTIMATOR_IDS, -1.0, k_values)
     assert engine == [(1, False), (1, True)]
     assert sums == [z_all.shape]  # shared by HILL and both runs
-
-
-def test_wls_gamma_grid_errors():
-    z_all = validate_and_sort(np.arange(1.0, 21.0)).z_all
-    with pytest.raises(KTooSmallError):
-        wls_gamma_grid(z_all, [1, 5], DEFAULT_RHO_GRID)
-    with pytest.raises(KOutOfRangeError):
-        wls_gamma_grid(z_all, [5, 20], DEFAULT_RHO_GRID)
-    with pytest.raises(InvalidRhoError):
-        wls_gamma_grid(z_all, [5, 19], (-1.0, 0.0))
-    with pytest.raises(InvalidRhoError):  # overflows the covariate sums
-        wls_gamma_grid(z_all, [5, 19], (-1.0, -400.0))
-    with pytest.raises(EmptyOrTinyError):
-        wls_gamma_grid(z_all, [5, 19], [])
 
 
 def test_every_k_array_entry_raises_typed_errors():
@@ -464,7 +435,6 @@ def test_every_k_array_entry_raises_typed_errors():
         "s_moments": lambda k: s_moments(k, -1.0),
         "WLS": lambda k: path_estimates(z_all, 21, ("WLS",), -1.0, k),
         "HILL": lambda k: path_estimates(z_all, 21, ("HILL",), None, k),
-        "grid": lambda k: wls_gamma_grid(z_all, k, (-1.0,)),
     }
     bad = [([10, 5], KOutOfRangeError), ([5, 5], KOutOfRangeError),
            ([], EmptyOrTinyError), (np.array([], dtype=int), EmptyOrTinyError),
@@ -537,9 +507,10 @@ def test_path_estimates_errors():
 
 
 def test_set_table_equals_one_id_calls_bitwise():
-    """Every estimator set gives each id the path of its one-id call, bit for bit.
+    """Every estimator set gives each id the path and slope of its one-id call, bit for bit.
 
     A (rows, n - 1) block gives each row the paths of its own 1-D call.
+    Slopes come with LS and WLS only.
     """
     from itertools import combinations
 
@@ -552,36 +523,43 @@ def test_set_table_equals_one_id_calls_bitwise():
         k_values = np.arange(int(rng.integers(2, 10)), n)
         rho = -rng.uniform(0.05, 3.0)
         block = np.vstack([z_all, block_rng.exponential(size=(rows - 1, n - 1))])
-        single = {est: _one_id(z_all, n, est, rho, k_values) for est in ESTIMATOR_IDS}
-        per_row = [{est: _one_id(row, n, est, rho, k_values) for est in ESTIMATOR_IDS}
+        single = {est: path_estimates(z_all, n, (est,), rho, k_values) for est in ESTIMATOR_IDS}
+        per_row = [{est: path_estimates(row, n, (est,), rho, k_values) for est in ESTIMATOR_IDS}
                    for row in block]
         for ids in subsets:
-            paths, penalties = path_estimates(z_all, n, ids, rho, k_values)
-            assert list(paths) == list(ids)
+            table = path_estimates(z_all, n, ids, rho, k_values)
+            assert list(table.paths) == list(ids)
+            assert list(table.slopes) == [est for est in ids if est in ("LS", "WLS")]
             for est in ids:
-                assert np.array_equal(paths[est], single[est][0]), (ids, est)
+                assert np.array_equal(table.paths[est], single[est].paths[est]), (ids, est)
+            for est in table.slopes:
+                assert np.array_equal(table.slopes[est], single[est].slopes[est]), (ids, est)
             if "RR" in ids:
-                assert np.array_equal(penalties, single["RR"][1])
+                assert np.array_equal(table.penalties, single["RR"].penalties)
             else:
-                assert penalties is None
-            paths, penalties = path_estimates(block, n, ids, rho, k_values)
-            assert list(paths) == list(ids)
+                assert table.penalties is None
+            table = path_estimates(block, n, ids, rho, k_values)
+            assert list(table.paths) == list(ids)
             for est in ids:
-                assert paths[est].shape == (rows, len(k_values))
+                assert table.paths[est].shape == (rows, len(k_values))
                 for r, want in enumerate(per_row):
-                    assert np.array_equal(paths[est][r], want[est][0]), (ids, est, r)
+                    assert np.array_equal(table.paths[est][r], want[est].paths[est]), (ids, est, r)
+            for est in table.slopes:
+                assert table.slopes[est].shape == (rows, len(k_values))
+                for r, want in enumerate(per_row):
+                    assert np.array_equal(table.slopes[est][r], want[est].slopes[est]), (ids, est, r)
             if "RR" in ids:
-                assert np.array_equal(penalties, [want["RR"][1] for want in per_row])
+                assert np.array_equal(table.penalties, [want["RR"].penalties for want in per_row])
             else:
-                assert penalties is None
+                assert table.penalties is None
             # an unresolved rho leaves out every id but HILL
             for z in (z_all, block):
-                paths, penalties = path_estimates(z, n, ids, None, k_values)
-                assert list(paths) == (["HILL"] if "HILL" in ids else [])
-                assert penalties is None
+                table = path_estimates(z, n, ids, None, k_values)
+                assert list(table.paths) == (["HILL"] if "HILL" in ids else [])
+                assert table.slopes == {} and table.penalties is None
             if "HILL" in ids:
-                assert np.array_equal(paths["HILL"],
-                                      [want["HILL"][0] for want in per_row])
+                assert np.array_equal(table.paths["HILL"],
+                                      [want["HILL"].paths["HILL"] for want in per_row])
 
 
 def test_per_row_rho_equals_one_row_calls_bitwise():
@@ -592,7 +570,7 @@ def test_per_row_rho_equals_one_row_calls_bitwise():
     last bit from the scalar power on some hosts, so the design is built per
     distinct rho. An unresolved row keeps only HILL; a row whose rho
     overflows the covariate sums is NaN throughout, as its own call raises.
-    RR's penalties are NaN on both, as RR is.
+    The LS and WLS slopes and RR's penalties are NaN on both, as their paths are.
     """
     spec, n, k_values = burr(1.0, np.sqrt(2.0), np.sqrt(2.0)), 200, np.arange(10, 151)
     seeds = [rep_seed(3, r) for r in range(40)]
@@ -603,44 +581,53 @@ def test_per_row_rho_equals_one_row_calls_bitwise():
         else:
             assert len(set(rho.tolist())) == len(rho)
         rho[[1, 5]] = np.nan, -200.0
-        paths, penalties = path_estimates(block, n, ESTIMATOR_IDS, rho, k_values)
-        assert list(paths) == list(ESTIMATOR_IDS)
+        table = path_estimates(block, n, ESTIMATOR_IDS, rho, k_values)
+        assert list(table.paths) == list(ESTIMATOR_IDS)
+        assert list(table.slopes) == ["LS", "WLS"]
         for row, z_all in enumerate(block):
             if row == 5:
                 with pytest.raises(InvalidRhoError):
                     path_estimates(z_all, n, ESTIMATOR_IDS, rho[row], k_values)
-                assert all(np.isnan(path[row]).all() for path in paths.values())
-                assert np.isnan(penalties[row]).all()
+                assert all(np.isnan(a[row]).all()
+                           for a in [*table.paths.values(), *table.slopes.values()])
+                assert np.isnan(table.penalties[row]).all()
                 continue
             one_rho = None if row == 1 else float(rho[row])
-            want, want_penalties = path_estimates(z_all, n, ESTIMATOR_IDS, one_rho, k_values)
-            for est in ESTIMATOR_IDS:
-                if est in want:
-                    assert np.array_equal(paths[est][row], want[est]), (method, row, est)
-                else:
-                    assert np.isnan(paths[est][row]).all(), (method, row, est)
-            if want_penalties is not None:
-                assert np.array_equal(penalties[row], want_penalties), (method, row)
+            want = path_estimates(z_all, n, ESTIMATOR_IDS, one_rho, k_values)
+            for field in ("paths", "slopes"):
+                got, wanted = getattr(table, field), getattr(want, field)
+                for est in got:
+                    if est in wanted:
+                        assert np.array_equal(got[est][row], wanted[est]), (method, row, est)
+                    else:
+                        assert np.isnan(got[est][row]).all(), (method, row, est)
+            if want.penalties is not None:
+                assert np.array_equal(table.penalties[row], want.penalties), (method, row)
             else:
-                assert np.isnan(penalties[row]).all(), (method, row)
+                assert np.isnan(table.penalties[row]).all(), (method, row)
     # three rows, one each fitted, unresolved and rejected: only the first has penalties
     three = np.array([-1.0, np.nan, -400.0])
-    paths, penalties = path_estimates(block[:3], n, ("RR",), three, k_values)
-    assert np.array_equal(penalties[0], path_estimates(block[0], n, ("RR",), -1.0, k_values)[1])
-    assert np.isnan(paths["RR"][1:]).all() and np.isnan(penalties[1:]).all()
+    table = path_estimates(block[:3], n, ("RR", "WLS"), three, k_values)
+    want = path_estimates(block[0], n, ("RR", "WLS"), -1.0, k_values)
+    assert np.array_equal(table.penalties[0], want.penalties)
+    assert np.array_equal(table.slopes["WLS"][0], want.slopes["WLS"])
+    assert np.isnan(table.paths["RR"][1:]).all() and np.isnan(table.penalties[1:]).all()
+    assert np.isnan(table.slopes["WLS"][1:]).all()
     # every row unresolved leaves out every id but HILL, as rho None does
     rho[:] = np.nan
-    paths, penalties = path_estimates(block, n, ESTIMATOR_IDS, rho, k_values)
-    assert list(paths) == ["HILL"] and penalties is None
-    assert np.array_equal(paths["HILL"], path_estimates(block, n, ("HILL",), None, k_values)[0]["HILL"])
+    table = path_estimates(block, n, ESTIMATOR_IDS, rho, k_values)
+    assert list(table.paths) == ["HILL"] and table.slopes == {} and table.penalties is None
+    assert np.array_equal(table.paths["HILL"],
+                          path_estimates(block, n, ("HILL",), None, k_values).paths["HILL"])
 
 
 def test_path_entries_equal_single_fits_bitwise():
-    """Each path entry is its one-k fit at that k, bit for bit, on fuzzed inputs.
+    """Each path entry equals the one-k table call on ``z_all[:k]``, bit for bit, on fuzzed inputs.
 
-    HILL's one-k value is the cumulative mean, and RR's the ridge fit at the
-    penalty the RR path chose at k.
+    That holds for the paths, the LS and WLS slopes and RR's penalty at k;
+    HILL's entry is also the cumulative mean.
     """
+    ids = ("HILL", "LS", "RR", "WLS")
     rng = np.random.default_rng(53)
     for _ in range(2000):
         n = int(rng.integers(4, 301))
@@ -648,15 +635,16 @@ def test_path_entries_equal_single_fits_bitwise():
         k_values = np.arange(2, n)
         k = int(rng.integers(2, n))
         z = _spacings(z_all[:k].copy())
-        at_k = {est: _one_id(z_all, n, est, -0.9, k_values)
-                for est in ESTIMATOR_IDS}
-        assert at_k["HILL"][0][k - 2] == np.cumsum(z)[-1] / k
+        table = path_estimates(z_all, n, ids, -0.9, k_values)
+        assert table.paths["HILL"][k - 2] == np.cumsum(z)[-1] / k
         if k % 10:
-            continue  # the regressions on every tenth input
-        assert at_k["WLS"][0][k - 2] == wls_fit(z, -0.9).gamma_hat
-        assert at_k["LS"][0][k - 2] == ls_fit(z, -0.9).gamma_hat
-        # RR at k is the ridge fit at the penalty it chose there
-        assert at_k["RR"][0][k - 2] == ridge_fit(z, -0.9, at_k["RR"][1][k - 2]).gamma_hat
+            continue  # the one-k calls on every tenth input
+        at_k = path_estimates(z, None, ids, -0.9, [k])
+        for est in ids:
+            assert table.paths[est][k - 2] == at_k.paths[est][0], est
+        for est in ("LS", "WLS"):
+            assert table.slopes[est][k - 2] == at_k.slopes[est][0], est
+        assert table.penalties[k - 2] == at_k.penalties[0]
 
 
 def test_paths_match_oracle_at_scale():

@@ -30,7 +30,6 @@ from tailwls import (
     standardized_statistic,
     summarize,
     validate_and_sort,
-    wls_fit,
 )
 from tailwls import montecarlo, resolve_rho
 from tailwls.montecarlo import (_CHUNK_ENTRIES, _model_draw, _rep_seeds, _replicate,
@@ -136,7 +135,7 @@ def test_run_model_simulation_single_rep_is_exact():
                              master_seed=9)
     z_model = _model_draw(0.5, 0.1, -1.0, 30)([rep_seed(9, 0)])[0][0]
     z = z_model
-    assert s.cell("WLS", 30)["mean"] == wls_fit(z, -1.0).gamma_hat
+    assert s.cell("WLS", 30)["mean"] == path_estimates(z, None, ("WLS",), -1.0, [30]).paths["WLS"][0]
     assert s.cell("HILL", 30)["mean"] == np.cumsum(z)[-1] / 30
     assert s.cell("WLS", 30)["variance"] == 0.0
     assert s.cell("WLS", 30)["missing"] == 0
@@ -280,7 +279,7 @@ def _reference_replicate(draw, est_ids, k_values, n, reps, master_seed):
         rho = None if np.isnan(rho) else rho
         rhos.append(rho)
         try:
-            paths = path_estimates(z_all, n, est_ids, rho, k_values)[0]
+            paths = path_estimates(z_all, n, est_ids, rho, k_values).paths
         except TailwlsError:
             continue
         for e, est in enumerate(est_ids):
@@ -640,7 +639,7 @@ def test_run_simulation_replay_single_rep():
     for k in (10, 11, 12):
         z = log_spacings(tail, k)
         assert s.cell("HILL", k)["mean"] == np.cumsum(z)[-1] / k
-        assert s.cell("WLS", k)["mean"] == wls_fit(z, -1.0).gamma_hat
+        assert s.cell("WLS", k)["mean"] == path_estimates(z, None, ("WLS",), -1.0, [k]).paths["WLS"][0]
 
 
 def test_run_simulation_shapes_and_determinism():

@@ -150,13 +150,14 @@ def test_minvar_pick_equals_per_rho_oracle():
 
 
 def test_minvar_variances_and_picks_equal_the_grid_reference():
-    """The resolver's window variances are ``wls_gamma_grid(...).var(axis=1)`` bit for bit.
+    """The resolver's window variances are those of the one-rho WLS table paths, bit for bit.
 
-    The reference is the public grid with ``np.var`` and ``np.lexsort``; the
-    resolver runs the engine on its cached window design and reduces as
-    ``np.var`` does, without its wrapper.
+    The reference stacks one ``path_estimates`` call per candidate over the
+    k window, with ``np.var`` and ``np.lexsort``; the resolver runs the
+    engine once on its cached window design and reduces as ``np.var`` does,
+    without its wrapper.
     """
-    from tailwls import second_order, wls_gamma_grid
+    from tailwls import path_estimates, second_order
 
     specs = (pareto(0.5), burr(1.0, 2.0, 1.0), frechet(2.0), loggamma(1.5, 2.0))
     grids = (DEFAULT_RHO_GRID, tuple(reversed(DEFAULT_RHO_GRID)), (-0.5, -2.0, -0.5))
@@ -166,7 +167,9 @@ def test_minvar_variances_and_picks_equal_the_grid_reference():
             for seed in range(5):
                 tail = validate_and_sort(sample(spec, n, rep_seed(21, seed)))
                 for grid in grids:
-                    want = wls_gamma_grid(tail.z_all, k_values, grid).var(axis=1)
+                    want = np.array([
+                        path_estimates(tail.z_all, None, ("WLS",), rho, k_values).paths["WLS"]
+                        for rho in grid]).var(axis=1)
                     rhos, design = second_order._window(grid, n)
                     assert np.array_equal(design.i + 1, k_values) and rhos.tolist() == list(grid)
                     got = second_order._path_variances(tail.z_all, design)
