@@ -42,9 +42,12 @@ class DistributionSpec:
 
 
 def _reciprocal(den: float, what: str = "true gamma") -> float:
-    """1/den for a spec's ``what``; NonFiniteError if den underflowed to 0 or 1/den overflows."""
-    if den == 0.0 or 1.0 / den == np.inf:
-        raise NonFiniteError(f"{what} needs 1/{den}, which is not finite")
+    """1/den for a spec's ``what``; NonFiniteError if den under- or overflowed, or 1/den overflows.
+
+    An overflowed den gives 1/den = 0, which no spec's true gamma or rho may be.
+    """
+    if den in (0.0, np.inf) or 1.0 / den == np.inf:
+        raise NonFiniteError(f"{what} needs 1/{den}, which is not finite and nonzero")
     return 1.0 / den
 
 

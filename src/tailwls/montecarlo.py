@@ -30,9 +30,11 @@ of the exponential regression model, built and checked once per study,
 
     Z_j = (gamma + b * C_j) * f_j.
 
-``run_simulation``, ``run_model_simulation`` and ``normality_report``
-validate, build a draw and call the engine. One failure rule holds for all
-three, per replication: a failed draw, or a rho that over- or underflows the
+Each draw mode has one core (``_model_core``, ``_sampling_core``) that
+validates, builds the draw and calls the engine. ``run_model_simulation``
+and ``run_simulation`` summarize its values, and ``normality_report``
+standardizes their WLS column. One failure rule holds for all three, per
+replication: a failed draw, or a rho that over- or underflows the
 covariate sums, marks the whole replication missing, and an unresolved rho
 marks every rho-dependent estimator. A table call fails as a whole only on
 the k range, n, the ids or the model's one rho, so studies raise those
@@ -61,7 +63,8 @@ from .distributions import DistributionSpec, _uniforms, quantile
 from .errors import KOutOfRangeError, NonFiniteError, NonPositiveError, TailwlsError
 from .estimators import ESTIMATOR_IDS, check_estimators, needs_rho, path_estimates
 from .second_order import RhoMethod, resolve_rho
-from .spacings import block_tails, check_k_range, covariates, raise_on_overflow
+from .spacings import (block_tails, check_k_range, check_k_values, check_positive,
+                       covariates, raise_on_overflow)
 
 _MASK64 = (1 << 64) - 1
 
@@ -299,6 +302,45 @@ class SimulationConfig:
         check_estimators(self.estimators)
 
 
+def _model_core(gamma, b, rho, k, reps, estimators, n, master_seed):
+    """A model study up to its values: (values[estimator, 0, rep], est_ids, settings).
+
+    It checks gamma, the estimators and reps, builds the model draw and runs
+    the engine; it raises what :func:`run_model_simulation` documents.
+    """
+    gamma = check_positive("gamma", gamma)
+    est_ids = check_estimators(estimators)
+    reps, k = int(reps), int(k)
+    if reps < 1:
+        raise ValueError(f"reps={reps} must be at least 1")
+    values = _replicate(_model_draw(gamma, b, rho, k), k, est_ids, np.array([k]), n, reps,
+                        master_seed)[0]
+    return values, est_ids, {"mode": "model", "gamma": gamma, "b": float(b),
+                             "rho": float(rho), "k": k, "reps": reps}
+
+
+def _sampling_core(config: SimulationConfig):
+    """A sampling study up to its values: (values[estimator, k, rep], est_ids, settings)."""
+    est_ids = check_estimators(config.estimators)
+    spec, n = config.spec, config.n
+    values, rhos = _replicate(_sampling_draw(spec, n, config.rho_method, est_ids), n - 1,
+                              est_ids, np.arange(config.k_min, config.k_max + 1), n,
+                              config.reps, config.master_seed)
+    return values, est_ids, {
+        "mode": "sampling",
+        "family": spec.family,
+        "params": dict(spec.params),
+        "true_gamma": spec.true_gamma,
+        "true_rho": spec.true_rho,
+        "n": n,
+        "reps": config.reps,
+        "k_min": config.k_min,
+        "k_max": config.k_max,
+        "rho_method": config.rho_method.method_id,
+        "resolved_rho_counts": _rho_counts(rhos),
+    }
+
+
 @dataclass(frozen=True)
 class SimulationSummary:
     """Aggregated results, one cell per (estimator, k).
@@ -332,12 +374,11 @@ class SimulationSummary:
         }
 
     def cell(self, estimator: str, k: int) -> dict:
-        """All aggregates for one (estimator, k) pair."""
-        e = self.estimators.index(estimator)
+        """All aggregates for one (estimator, k) pair; KeyError if the summary lacks either."""
         hits = np.nonzero(np.asarray(self.k_values) == int(k))[0]
-        if len(hits) == 0:
-            raise KeyError(f"k={k} not in summary")
-        return self._cell(e, int(hits[0]))
+        if estimator not in self.estimators or len(hits) == 0:
+            raise KeyError(f"estimator {estimator!r} at k={k} is not in the summary")
+        return self._cell(self.estimators.index(estimator), int(hits[0]))
 
     def rows(self):
         """Yield cells in reporting order: estimator-major, k ascending."""
@@ -405,28 +446,9 @@ def run_simulation(config: SimulationConfig) -> SimulationSummary:
     counts the replications per resolved rho, then the unresolved ones.
     """
     t0 = time.perf_counter()
-    est_ids = check_estimators(config.estimators)
-    k_values = np.arange(config.k_min, config.k_max + 1)
-    spec = config.spec
-    draw = _sampling_draw(spec, config.n, config.rho_method, est_ids)
-    values, rhos = _replicate(draw, config.n - 1, est_ids, k_values, config.n, config.reps,
-                              config.master_seed)
-    return _summary(
-        values, est_ids, k_values, spec.true_gamma, config.master_seed, t0,
-        {
-            "mode": "sampling",
-            "family": spec.family,
-            "params": dict(spec.params),
-            "true_gamma": spec.true_gamma,
-            "true_rho": spec.true_rho,
-            "n": config.n,
-            "reps": config.reps,
-            "k_min": config.k_min,
-            "k_max": config.k_max,
-            "rho_method": config.rho_method.method_id,
-            "resolved_rho_counts": _rho_counts(rhos),
-        },
-    )
+    values, est_ids, settings = _sampling_core(config)
+    return _summary(values, est_ids, np.arange(config.k_min, config.k_max + 1),
+                    config.spec.true_gamma, config.master_seed, t0, settings)
 
 
 def run_model_simulation(
@@ -458,27 +480,9 @@ def run_model_simulation(
         KTooSmallError: a regression estimator with k < 2.
     """
     t0 = time.perf_counter()
-    gamma = float(gamma)
-    if not gamma > 0.0:
-        raise NonPositiveError(f"gamma={gamma} must be > 0")
-    est_ids = check_estimators(estimators)
-    reps, k = int(reps), int(k)
-    if reps < 1:
-        raise ValueError(f"reps={reps} must be at least 1")
-    draw = _model_draw(gamma, b, rho, k)
-    k_values = np.array([k])
-    values = _replicate(draw, k, est_ids, k_values, n, reps, master_seed)[0]
-    return _summary(
-        values, est_ids, k_values, gamma, master_seed, t0,
-        {
-            "mode": "model",
-            "gamma": gamma,
-            "b": float(b),
-            "rho": float(rho),
-            "k": k,
-            "reps": reps,
-        },
-    )
+    values, est_ids, settings = _model_core(gamma, b, rho, k, reps, estimators, n, master_seed)
+    return _summary(values, est_ids, np.array([settings["k"]]), settings["gamma"],
+                    master_seed, t0, settings)
 
 
 @dataclass(frozen=True)
@@ -508,22 +512,25 @@ def normality_report(
 ) -> NormalityReport:
     """Moments of the standardized WLS statistic under repeated sampling.
 
-    Two generation modes share the signature and the replication engine of
-    :func:`run_simulation`. With ``spec`` None the spacings come straight
-    from the exponential regression model with parameters (gamma, b, rho),
-    which must then include gamma > 0. With ``spec`` set to a
-    DistributionSpec, full samples of size ``n`` are drawn and the top k
-    order statistics are kept; rho is then resolved by ``rho_method``
-    (default: the spec's true rho when finite negative, else -1).
+    The two generation modes run on the cores of :func:`run_model_simulation`
+    and :func:`run_simulation` (at k_min = k_max = k), and ``config`` is the
+    core's settings plus ``master_seed``, ``missing`` and ``wall_clock_s``; in
+    sampling mode that includes ``resolved_rho_counts``. With ``spec`` None
+    the spacings come straight from the exponential regression model with
+    parameters (gamma, b, rho), which must then include gamma > 0. With
+    ``spec`` set to a DistributionSpec, full samples of size ``n`` are drawn
+    and the top k order statistics are kept; rho is then resolved by
+    ``rho_method`` (default: the spec's true rho when finite negative, else -1).
 
     The statistic is :func:`standardized_statistic`, so at b = 0 its
     variance approaches 3k * amse(1, k, rho) / 4 (18/5 at rho = -1), not the
-    1 of the paper's normality statement. The first table call raises
-    KTooSmallError at k = 1 and, in model mode, InvalidRhoError for a rho
-    that over- or underflows the covariate sums. A replication that fails
-    (by the module's failure rule) is counted in ``config["missing"]`` and
-    the moments are taken over the others; they are NaN when every
-    replication fails.
+    1 of the paper's normality statement. A true gamma that is not positive,
+    or whose 2 gamma overflows, raises before any draw, and so does k = 1 in
+    sampling mode (KTooSmallError). In model mode the first table call raises
+    KTooSmallError at k = 1 and InvalidRhoError for a rho that over- or
+    underflows the covariate sums. A replication that fails (by the module's
+    failure rule) is counted in ``config["missing"]`` and the moments are
+    taken over the others; they are NaN when every replication fails.
 
     Args:
         reps: number of replications, at least 100.
@@ -534,64 +541,42 @@ def normality_report(
         NormalityReport with mean, variance, skewness, excess kurtosis of the
         statistic and an echo of the generation settings.
     """
-    reps = int(reps)
+    reps, k = int(reps), int(k)
     if reps < 100:
         raise ValueError(f"reps={reps}; need at least 100 for stable moments")
-    k = int(k)
     t0 = time.perf_counter()
     if spec is None:
-        if gamma is None or not float(gamma) > 0.0:
-            raise NonPositiveError(
-                f"model mode needs gamma > 0, got {gamma}"
-            )
-        gamma = float(gamma)
-        draw, row_len = _model_draw(gamma, b, rho, k), k
-        config = {
-            "mode": "model",
-            "gamma": gamma,
-            "b": float(b),
-            "rho": float(rho),
-            "master_seed": int(master_seed),
-        }
+        if gamma is None:
+            raise NonPositiveError("model mode needs gamma > 0, got None")
+        standardized_statistic(gamma, gamma, k)  # gamma and 2 gamma, before any draw
+        values, _, config = _model_core(gamma, b, rho, k, reps, ("WLS",), n, master_seed)
     else:
         if n is None or int(n) < k + 1:
             raise KOutOfRangeError(f"sampling mode needs n >= k+1, got n={n}")
-        n = int(n)
-        if rho_method is None:
-            true_rho = spec.true_rho
-            fallback = true_rho if np.isfinite(true_rho) and true_rho < 0.0 else -1.0
-            rho_method = RhoMethod.fixed(fallback)
+        check_k_values(k, 2)  # KTooSmallError at k = 1, as in model mode
         gamma = spec.true_gamma
-        draw, row_len = _sampling_draw(spec, n, rho_method, ("WLS",)), n - 1
-        config = {
-            "mode": "sampling",
-            "family": spec.family,
-            "params": dict(spec.params),
-            "n": n,
-            "rho_method": rho_method.method_id,
-            "master_seed": int(master_seed),
-        }
-    gamma_hat = _replicate(draw, row_len, ("WLS",), np.array([k]), n, reps,
-                           master_seed)[0][0, 0]
+        standardized_statistic(gamma, gamma, k)  # 2 gamma, before any draw
+        if rho_method is None:  # the true rho where a fit takes it, else -1
+            true_rho = spec.true_rho
+            rho_method = RhoMethod.fixed(true_rho if -np.inf < true_rho < 0.0 else -1.0)
+        values, _, config = _sampling_core(SimulationConfig(spec, int(n), reps, k, k, ("WLS",),
+                                                            rho_method, master_seed))
+    gamma_hat = values[0, 0]
     stats = standardized_statistic(gamma_hat[~np.isnan(gamma_hat)], gamma, k)
-    config["missing"] = reps - stats.size
-    config["wall_clock_s"] = time.perf_counter() - t0
+    config.update(master_seed=int(master_seed), missing=reps - stats.size,
+                  wall_clock_s=time.perf_counter() - t0)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # NaN below two replications
         mean = np.mean(stats)
         centered = stats - mean
-        m2 = np.mean(centered**2)
-        m3 = np.mean(centered**3)
-        m4 = np.mean(centered**4)
-        skewness = m3 / m2**1.5
-        excess_kurtosis = m4 / m2**2 - 3.0
-    return NormalityReport(
-        sample_mean=float(mean),
-        sample_variance=float(m2),
-        skewness=float(skewness),
-        excess_kurtosis=float(excess_kurtosis),
-        reps=reps,
-        k=k,
-        config=config,
-    )
+        m2, m3, m4 = (np.mean(centered**p) for p in (2, 3, 4))
+        return NormalityReport(
+            sample_mean=float(mean),
+            sample_variance=float(m2),
+            skewness=float(m3 / m2**1.5),
+            excess_kurtosis=float(m4 / m2**2 - 3.0),
+            reps=reps,
+            k=k,
+            config=config,
+        )

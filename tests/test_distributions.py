@@ -74,12 +74,15 @@ def test_parameters_must_be_finite():
 
 
 def test_true_gamma_must_be_finite():
-    # 1/(lam*tau) with lam*tau underflowing to 0, and 1/1e-320 overflowing
-    for make in (lambda: burr(1.0, 1e-200, 1e-200), lambda: frechet(1e-320),
-                 lambda: burr(1.0, 1e-320, 1.0), lambda: loggamma(1e-320, 1.0)):
+    # 1/(lam*tau) with lam*tau underflowing to 0 or overflowing to inf (its
+    # reciprocal reads 0), and 1/1e-320 overflowing
+    for make in (lambda: burr(1.0, 1e-200, 1e-200), lambda: burr(1.0, 2.0, 1e308),
+                 lambda: frechet(1e-320), lambda: burr(1.0, 1e-320, 1.0),
+                 lambda: loggamma(1e-320, 1.0)):
         with pytest.raises(NonFiniteError):
             make()
     assert burr(1.0, 1e-154, 1e-154).true_gamma == 1.0 / (1e-154 * 1e-154)
+    assert burr(1.0, 1.0, 1e308).true_gamma == 1e-308
     assert frechet(1e-300).true_gamma == 1.0 / 1e-300
 
 

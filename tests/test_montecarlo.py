@@ -180,6 +180,21 @@ def test_non_finite_model_parameters_raise_up_front(monkeypatch):
         _model_draw(1e308, 1e308, -1.0, 10)
 
 
+def test_normality_report_checks_the_true_gamma_before_any_draw(monkeypatch):
+    """A true gamma of 1e308 overflows 2 gamma: NonFiniteError up front, in either mode."""
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(montecarlo, "_replicate", no_replication)
+    for spec in (pareto(1e308), frechet(1e-308), burr(1.0, 1e-308, 1.0)):
+        for method in (RhoMethod.fixed(-1.0), RhoMethod.moment(), RhoMethod.min_variance()):
+            with pytest.raises(NonFiniteError):
+                normality_report(100, 5, spec=spec, n=20, rho_method=method)
+    for gamma in (1e308, np.inf):
+        with pytest.raises(NonFiniteError):
+            normality_report(100, 10, gamma=gamma)
+
+
 def test_model_studies_raise_configuration_errors_from_the_first_table_call():
     # each would fail every replication alike, so it is not counted as missing
     with pytest.raises(KTooSmallError):
@@ -677,6 +692,12 @@ def test_cell_unknown_k():
         s.cell("HILL", 11)
 
 
+def test_cell_unknown_estimator_raises_key_error_naming_it():
+    s = run_model_simulation(1.0, 0.0, -1.0, 10, 3, ("HILL",), master_seed=0)
+    with pytest.raises(KeyError, match="'WLS'"):
+        s.cell("WLS", 10)
+
+
 def test_normality_report_on_loggamma_falls_back_to_rho_minus_one():
     # log-gamma's true rho is 0, which no fit accepts; the default is then -1
     rep = normality_report(100, 20, spec=loggamma(2.0, 2.0), n=200)
@@ -699,3 +720,39 @@ def test_normality_report_shares_the_engine_with_model_simulation():
     want = standardized_statistic(s.cell("WLS", k)["mean"], gamma, k)
     assert rep.sample_mean == pytest.approx(want, rel=1e-12)
     assert rep.config["missing"] == 0
+
+
+def test_normality_report_shares_the_engine_with_sampling_simulation():
+    # at gamma = 150 some samples overflow to inf: 86 of the 300 draws fail
+    n, k, reps, seed = 40, 30, 300, 5
+    for spec in (burr(1.0, np.sqrt(2.0), np.sqrt(2.0)), pareto(150.0)):
+        for method in (RhoMethod.fixed(-0.5), RhoMethod.moment(), RhoMethod.min_variance()):
+            rep = normality_report(reps, k, master_seed=seed, spec=spec, n=n, rho_method=method)
+            s = run_simulation(SimulationConfig(spec, n, reps, k, k, ("WLS",), method, seed))
+            want = standardized_statistic(s.cell("WLS", k)["mean"], spec.true_gamma, k)
+            assert rep.sample_mean == pytest.approx(want, rel=1e-12)
+            assert rep.config["missing"] == s.cell("WLS", k)["missing"]
+            assert rep.config["resolved_rho_counts"] == s.metadata["resolved_rho_counts"]
+    assert 0 < rep.config["missing"] < reps
+
+
+def test_normality_report_config_keeps_its_keys():
+    """The keys a report has always had keep their values; the new ones are the studies' own."""
+    rep = normality_report(100, 10, master_seed=np.int64(3), gamma=2, b=0, rho=-1)
+    old = {key: rep.config[key] for key in ("mode", "gamma", "b", "rho", "master_seed", "missing")}
+    assert repr(old) == repr({"mode": "model", "gamma": 2.0, "b": 0.0, "rho": -1.0,
+                              "master_seed": 3, "missing": 0})
+    assert rep.config["k"] == 10 and rep.config["reps"] == 100
+    spec = burr(1.0, 2.0, 1.0)
+    rep = normality_report(100, 10, master_seed=np.int64(3), spec=spec, n=np.int64(30))
+    old = {key: rep.config[key]
+           for key in ("mode", "family", "params", "n", "rho_method", "master_seed", "missing")}
+    assert repr(old) == repr({"mode": "sampling", "family": "burr",
+                              "params": {"eta": 1.0, "tau": 2.0, "lam": 1.0}, "n": 30,
+                              "rho_method": "fixed:-1", "master_seed": 3, "missing": 0})
+    s = run_simulation(SimulationConfig(spec, 30, 100, 10, 10, ("WLS",), RhoMethod.fixed(-1.0),
+                                        3))
+    for key in set(rep.config) & set(s.metadata) - {"wall_clock_s"}:
+        assert rep.config[key] == s.metadata[key], key
+    assert rep.config["resolved_rho_counts"] == "-1:100,unresolved:0"
+    assert rep.config["wall_clock_s"] > 0.0

@@ -96,3 +96,30 @@ def test_only_cli_main_reports_a_failure():
     assert len(_stderr_failures(breach)) == 2  # the check sees both kinds
     path = Path(tailwls.__file__).parent / "cli.py"
     assert _stderr_failures(path.read_text(encoding="utf-8")) == []
+
+
+_ENGINE_CALLS = {"_replicate", "_model_draw", "_sampling_draw"}
+
+
+def _engine_calls(source: str) -> list:
+    """(enclosing top-level name, callee) for each call of the engine or of a draw builder."""
+    calls = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in _ENGINE_CALLS:
+                    calls.append((getattr(top, "name", "<module>"), callee))
+    return sorted(calls)
+
+
+def test_only_the_two_study_cores_draw_and_replicate():
+    """Each draw mode has one core; every study reaches the engine through it."""
+    breach = "def normality_report():\n    return montecarlo._replicate(_model_draw(1))\n"
+    assert _engine_calls(breach) == [("normality_report", "_model_draw"),
+                                     ("normality_report", "_replicate")]
+    calls = []
+    for path in sorted(Path(tailwls.__file__).parent.glob("*.py")):
+        calls += _engine_calls(path.read_text(encoding="utf-8"))
+    assert calls == [("_model_core", "_model_draw"), ("_model_core", "_replicate"),
+                     ("_sampling_core", "_replicate"), ("_sampling_core", "_sampling_draw")]
