@@ -18,7 +18,7 @@ print("k        s1         s2      s_dot     s_ddot   |s1-lim|   |s2-lim|")
 for k in (10, 100, 1000, 10_000, 100_000):
     m = tw.s_moments(k, rho)
     print(f"{k:<7d} {m.s1:.6f} {m.s2:.6f} {m.s_dot:9.6f} {m.s_ddot:9.6f} "
-          f"{abs(m.s1 - m.s1_limit):10.2e} {abs(m.s2 - m.s2_limit):10.2e}")
+          f"{abs(m.s1 - tw.s1_limit(rho)):10.2e} {abs(m.s2 - tw.s2_limit(rho)):10.2e}")
 
 # The amse proxy is the variance part of the error, so it decays like 1/k.
 # The interesting number is the constant: k * amse tends to 24/5, not the

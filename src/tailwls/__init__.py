@@ -28,7 +28,6 @@ from .errors import (
 from .spacings import (
     OrderedTail,
     covariates,
-    log_spacings,
     validate_and_sort,
     weights,
 )
@@ -84,7 +83,6 @@ __all__ = [
     # spacings
     "OrderedTail",
     "validate_and_sort",
-    "log_spacings",
     "weights",
     "covariates",
     # estimators

@@ -56,7 +56,7 @@ def s2_limit(rho: float) -> float:
 
 @dataclass(frozen=True)
 class SMoments:
-    """The four weight-moment sums at a finite k, or at each k of an array, plus their limits."""
+    """The four weight-moment sums at a finite k, or at each k of an array."""
 
     k: int | np.ndarray
     rho: float
@@ -64,14 +64,6 @@ class SMoments:
     s2: float | np.ndarray
     s_dot: float | np.ndarray
     s_ddot: float | np.ndarray
-
-    @property
-    def s1_limit(self) -> float:
-        return s1_limit(self.rho)
-
-    @property
-    def s2_limit(self) -> float:
-        return s2_limit(self.rho)
 
     @property
     def unit_amse(self):

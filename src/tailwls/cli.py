@@ -46,8 +46,8 @@ from . import __version__
 from .errors import InvalidRhoError, NonFiniteError, TailwlsError
 from .estimators import (ESTIMATOR_IDS, check_estimators, needs_rho, optimal_k,
                          path_estimates)
-from .asymptotics import s_moments
-from .distributions import burr, frechet, loggamma, pareto
+from .asymptotics import s1_limit, s2_limit, s_moments
+from .distributions import FAMILIES, burr, frechet, loggamma, pareto
 from .montecarlo import SimulationConfig, run_simulation
 from .second_order import RhoMethod, resolve_rho
 from .spacings import check_k_range, check_positive, check_rho, validate_and_sort
@@ -399,7 +399,7 @@ def cmd_diagnose(args) -> int:
     with (_failing(EXIT_CONFIG, NonFiniteError, "--gamma: "),
           _failing(EXIT_CONFIG, InvalidRhoError, "--rho: ")):
         m = s_moments(np.arange(k_min, k_max + 1), rho)
-        columns = (m.k, m.s1, m.s2, m.s_dot, m.s_ddot, m.s1_limit, m.s2_limit, m.amse(gamma))
+        columns = (m.k, m.s1, m.s2, m.s_dot, m.s_ddot, s1_limit(rho), s2_limit(rho), m.amse(gamma))
     text = _csv_text(["k", "s1", "s2", "s_dot", "s_ddot", "s1_limit", "s2_limit", "amse"],
                      "%d" + ",%.17g" * 7 + "\n",
                      zip(*(np.broadcast_to(c, m.k.shape).tolist() for c in columns)))
@@ -480,7 +480,7 @@ def build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="Monte Carlo study to summary.csv")
     sim.add_argument("--dist", required=True,
-                     choices=["pareto", "burr", "frechet", "loggamma"])
+                     choices=FAMILIES)
     sim.add_argument("--gamma", type=float, default=None, help="pareto index")
     sim.add_argument("--eta", type=float, default=1.0, help="burr scale")
     sim.add_argument("--tau", type=float, default=None, help="burr shape")

@@ -80,24 +80,13 @@ GENERATOR_ID = "pcg64/splitmix64-xor"
 _CHUNK_ENTRIES = 16384
 
 
-def _splitmix64(x: int) -> int:
-    """SplitMix64 finalizer; bijective scramble of a 64-bit integer."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
 def rep_seed(master_seed: int, r: int) -> int:
-    """Derived seed for replication r; distinct r give well-separated seeds."""
-    return (int(master_seed) & _MASK64) ^ _splitmix64(int(r))
+    """Derived seed for replication r, taken mod 2^64; distinct r give well-separated seeds."""
+    return int(_rep_seeds(master_seed, np.array([int(r) & _MASK64], dtype=np.uint64))[0])
 
 
 def _rep_seeds(master_seed: int, r: np.ndarray) -> np.ndarray:
-    """``rep_seed(master_seed, r)`` for every entry of a uint64 array r.
-
-    uint64 arithmetic wraps modulo 2^64, as the masks of the scalar form do.
-    """
+    """master_seed XOR splitmix64(r) for every entry of a uint64 array r, wrapping mod 2^64."""
     u = np.uint64
     x = r + u(0x9E3779B97F4A7C15)
     x = (x ^ (x >> u(30))) * u(0xBF58476D1CE4E5B9)
@@ -284,7 +273,11 @@ def _rho_counts(rhos) -> str:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Settings for a sampling-based study over a k range."""
+    """Settings for a sampling-based study over a k range.
+
+    ``estimators`` is stored as the tuple ``check_estimators`` returns, so
+    an iterable of ids is read once, here.
+    """
 
     spec: DistributionSpec
     n: int
@@ -299,7 +292,7 @@ class SimulationConfig:
         if self.reps < 1:
             raise ValueError(f"reps={self.reps} must be at least 1")
         check_k_range(self.k_min, self.k_max, self.n)
-        check_estimators(self.estimators)
+        object.__setattr__(self, "estimators", check_estimators(self.estimators))
 
 
 def _model_core(gamma, b, rho, k, reps, estimators, n, master_seed):
@@ -321,8 +314,7 @@ def _model_core(gamma, b, rho, k, reps, estimators, n, master_seed):
 
 def _sampling_core(config: SimulationConfig):
     """A sampling study up to its values: (values[estimator, k, rep], est_ids, settings)."""
-    est_ids = check_estimators(config.estimators)
-    spec, n = config.spec, config.n
+    est_ids, spec, n = config.estimators, config.spec, config.n
     values, rhos = _replicate(_sampling_draw(spec, n, config.rho_method, est_ids), n - 1,
                               est_ids, np.arange(config.k_min, config.k_max + 1), n,
                               config.reps, config.master_seed)
@@ -375,7 +367,7 @@ class SimulationSummary:
 
     def cell(self, estimator: str, k: int) -> dict:
         """All aggregates for one (estimator, k) pair; KeyError if the summary lacks either."""
-        hits = np.nonzero(np.asarray(self.k_values) == int(k))[0]
+        hits = np.nonzero(np.asarray(self.k_values) == k)[0]
         if estimator not in self.estimators or len(hits) == 0:
             raise KeyError(f"estimator {estimator!r} at k={k} is not in the summary")
         return self._cell(self.estimators.index(estimator), int(hits[0]))

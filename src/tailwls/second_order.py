@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateTailError, EmptyOrTinyError, KOutOfRangeError
+from .errors import DegenerateTailError, EmptyOrTinyError, KOutOfRangeError, NonFiniteError
 from .estimators import _path_fit, _prefix_sums, _row, _stack
 from .spacings import OrderedTail, check_rho, raise_on_overflow
 
@@ -52,6 +52,8 @@ class RhoMethod:
             raise ValueError(f"unknown rho method kind {self.kind!r}")
         if self.kind == "fixed":
             check_rho(self.fixed_value)
+        if self.kind == "moment" and not math.isfinite(self.tau):
+            raise NonFiniteError(f"tau={self.tau} must be finite")
         if self.kind == "minvar":
             if len(self.grid) == 0:
                 raise EmptyOrTinyError("rho candidate grid is empty")
@@ -86,6 +88,7 @@ def resolve_rho(tail: OrderedTail, method: RhoMethod) -> float:
         KOutOfRangeError: the sample is too small for the min-variance window.
         DegenerateTailError: a tail with no variation (moment method), or
             one on which every min-variance candidate path is constant.
+        NonFiniteError: a power of the moment method's tau overflows.
     """
     if method.kind == "fixed":
         return float(method.fixed_value)
@@ -121,8 +124,11 @@ def _moment_rho(tail: OrderedTail, tau: float) -> float:
         num = math.log(m1) - 0.5 * math.log(m2 / 2.0)
         den = 0.5 * math.log(m2 / 2.0) - math.log(m3 / 6.0) / 3.0
     else:
-        num = m1**tau - (m2 / 2.0) ** (tau / 2.0)
-        den = (m2 / 2.0) ** (tau / 2.0) - (m3 / 6.0) ** (tau / 3.0)
+        try:
+            num = m1**tau - (m2 / 2.0) ** (tau / 2.0)
+            den = (m2 / 2.0) ** (tau / 2.0) - (m3 / 6.0) ** (tau / 3.0)
+        except OverflowError:
+            raise NonFiniteError(f"tau={tau}: a moment power overflows") from None
     if den == 0.0:
         raise DegenerateTailError("moment ratio is degenerate (zero denominator)")
     t_stat = num / den

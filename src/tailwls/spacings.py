@@ -14,7 +14,8 @@ parameter, of a k range, of an array of k, and of overflow in a computation.
 ``block_tails`` alone computes spacings: it
 sorts a ``(rows, n)`` block of samples and takes all their spacings at once.
 ``validate_and_sort`` is its one-row case, and every spacing is read from an
-OrderedTail's ``z_all``.
+OrderedTail's ``z_all``: Z_1..Z_k of a tail are ``tail.z_all[:k]``, and tied
+order statistics give exact zeros.
 """
 
 from __future__ import annotations
@@ -155,30 +156,6 @@ def validate_and_sort(raw_sample) -> OrderedTail:
         i = int(np.argmax(nonpos))
         raise NonPositiveError(f"non-positive value {arr[i]} at index {i}")
     return block_tails(arr[None])[1][0]
-
-
-def log_spacings(tail: OrderedTail, k: int) -> np.ndarray:
-    """Z_j = j * log(values[j-1] / values[j]) for j = 1..k, a view of the tail's spacings.
-
-    With the sample in descending order, values[j-1] is X_{n-j+1,n}, so the
-    ratio matches the classical definition. Ties between consecutive order
-    statistics give exact zeros.
-
-    Args:
-        tail: validated descending sample.
-        k: number of spacings, 1 <= k <= tail.n - 1.
-
-    Returns:
-        The read-only view ``tail.z_all[:k]`` over the top k+1 order statistics.
-
-    Raises:
-        KOutOfRangeError: k outside [1, n-1].
-    """
-    n = tail.n
-    k = int(k)
-    if not 1 <= k <= n - 1:
-        raise KOutOfRangeError(f"k={k} outside [1, {n - 1}] for n={n}")
-    return tail.z_all[:k]
 
 
 def block_tails(raw: np.ndarray) -> tuple[np.ndarray, list]:

@@ -39,8 +39,8 @@ def test_criterion_1_weight_moment_limits():
         m = tw.s_moments(100_000, rho)
         worst = max(
             worst,
-            abs(m.s1 - m.s1_limit),
-            abs(m.s2 - m.s2_limit),
+            abs(m.s1 - tw.s1_limit(rho)),
+            abs(m.s2 - tw.s2_limit(rho)),
             abs(m.s_dot),
             abs(m.s_ddot),
         )

@@ -127,7 +127,7 @@ def test_estimate_comment_lines_and_column(tmp_path):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     tail = tw.validate_and_sort([10.0, 20.0, 30.0, 40.0])
-    z = tw.log_spacings(tail, 3)
+    z = tail.z_all[:3]
     assert float(rows[0]["gamma_hat"]) == np.cumsum(z)[-1] / 3  # the Hill mean
 
 

@@ -28,6 +28,7 @@ from tailwls import (  # noqa: E402
     ESTIMATOR_IDS,
     MOMENT_RHO_RANGE,
     InvalidRhoError,
+    NonFiniteError,
     RhoMethod,
     SimulationConfig,
     TailwlsError,
@@ -232,6 +233,35 @@ def test_extreme_min_variance_grids_give_grid_values_or_typed_errors():
         except TailwlsError:
             continue
         assert rho in grid, (grid, rho)
+
+
+# finite taus whose powers of the moment method's moments over- or underflow
+EXTREME_TAUS = (1e308, -1e308, 1e3, -1e3)
+
+
+def test_extreme_moment_taus_give_range_values_or_typed_errors():
+    """A moment rho is in MOMENT_RHO_RANGE or a typed error, and a study counts it unresolved.
+
+    The tails have log-excess moments from near 0 to large, so each tau
+    sign overflows a power on some tail. RhoMethod.moment rejects a tau
+    that is NaN or infinite.
+    """
+    x = sample(FAMILIES[0], 200, 3)
+    tails = [validate_and_sort(y) for y in (x, x * 1e300, x ** 0.01, x ** 40)]
+    for tail, tau in itertools.product(tails, EXTREME_TAUS):
+        try:
+            rho = resolve_rho(tail, RhoMethod.moment(tau))
+        except TailwlsError:
+            continue
+        assert MOMENT_RHO_RANGE[0] <= rho <= MOMENT_RHO_RANGE[1], (tau, rho)
+    for tau in EXTREME_TAUS:
+        s = run_simulation(SimulationConfig(FAMILIES[0], 100, 3, 5, 20, ("WLS",),
+                                            RhoMethod.moment(tau)))
+        assert s.metadata["resolved_rho_counts"].endswith(
+            "unresolved:3" if abs(tau) == 1e308 else "unresolved:0"), tau
+    for tau in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteError, match="tau"):
+            RhoMethod.moment(tau)
 
 
 def test_extreme_moment_inputs_give_finite_values_or_typed_errors():

@@ -12,7 +12,6 @@ from tailwls import (
     SimulationConfig,
     burr,
     covariates,
-    log_spacings,
     optimal_k,
     path_estimates,
     rep_seed,
@@ -248,7 +247,7 @@ def test_wls_path_consistency_with_single_fits():
     k_values = check_k_range(5, 30, tail.n)
     path, _ = _one_id(tail.z_all, tail.n, "WLS", resolve_rho(tail, RhoMethod.fixed(-0.7)), k_values)
     for i, k in enumerate(k_values):
-        gamma_hat, _ = _at_k(log_spacings(tail, int(k)), "WLS", -0.7)
+        gamma_hat, _ = _at_k(tail.z_all[:k], "WLS", -0.7)
         assert path[i] == pytest.approx(gamma_hat, abs=1e-13)
 
 

@@ -17,7 +17,6 @@ from tailwls import (
     burr,
     covariates,
     frechet,
-    log_spacings,
     loggamma,
     normality_report,
     pareto,
@@ -44,12 +43,30 @@ def test_rep_seed_is_deterministic_and_wide():
     assert all(0 <= s < 2**64 for s in seeds)
 
 
+# rep_seed(m, r) for these r (a negative r is taken mod 2^64), per master seed m; the values
+# were computed by a scalar SplitMix64 finalizer with Python integers masked to 64 bits.
+REP_SEED_R = (1, 2**32, 2**63, 2**64 - 1, -1)
+REP_SEED_REFERENCE = {
+    0: (0x910A2DEC89025CC1, 0xC42C5A1AA3820138, 0x481EC0A212A9F3DB, 0xE4D971771B652C20,
+        0xE4D971771B652C20),
+    1: (0x910A2DEC89025CC0, 0xC42C5A1AA3820139, 0x481EC0A212A9F3DA, 0xE4D971771B652C21,
+        0xE4D971771B652C21),
+    2**63: (0x110A2DEC89025CC1, 0x442C5A1AA3820138, 0xC81EC0A212A9F3DB, 0x64D971771B652C20,
+            0x64D971771B652C20),
+    -1: (0x6EF5D21376FDA33E, 0x3BD3A5E55C7DFEC7, 0xB7E13F5DED560C24, 0x1B268E88E49AD3DF,
+         0x1B268E88E49AD3DF),
+}
+
+
 @pytest.mark.parametrize("master_seed", [0, 1, 2**63, -1])
 def test_vectorised_rep_seed_equals_the_scalar_one(master_seed):
-    r = np.arange(20_001, dtype=np.uint64)
-    got = _rep_seeds(master_seed, r)
-    assert got.dtype == np.uint64
-    assert got.tolist() == [rep_seed(master_seed, i) for i in range(20_001)]
+    """rep_seed and the engine's vectorised _rep_seeds give the scalar SplitMix64 values."""
+    # the first output of SplitMix64 seeded with 0 (Steele, Lea & Flood 2014)
+    assert rep_seed(0, 0) == 0xE220A8397B1DCDAF
+    want = list(REP_SEED_REFERENCE[master_seed])
+    assert [rep_seed(master_seed, r) for r in REP_SEED_R] == want
+    got = _rep_seeds(master_seed, np.array([r % 2**64 for r in REP_SEED_R], dtype=np.uint64))
+    assert got.dtype == np.uint64 and got.tolist() == want
 
 
 def test_seed_states_equal_numpy_seed_sequence():
@@ -652,7 +669,7 @@ def test_run_simulation_replay_single_rep():
     s = run_simulation(cfg)
     tail = validate_and_sort(sample(spec, 60, rep_seed(42, 0)))
     for k in (10, 11, 12):
-        z = log_spacings(tail, k)
+        z = tail.z_all[:k]
         assert s.cell("HILL", k)["mean"] == np.cumsum(z)[-1] / k
         assert s.cell("WLS", k)["mean"] == path_estimates(z, None, ("WLS",), -1.0, [k]).paths["WLS"][0]
 
@@ -696,6 +713,18 @@ def test_cell_unknown_estimator_raises_key_error_naming_it():
     s = run_model_simulation(1.0, 0.0, -1.0, 10, 3, ("HILL",), master_seed=0)
     with pytest.raises(KeyError, match="'WLS'"):
         s.cell("WLS", 10)
+    for k in (10.5, 9.9):  # a k off the summary's, not truncated onto one
+        with pytest.raises(KeyError, match=f"k={k} "):
+            s.cell("HILL", k)
+    assert s.cell("HILL", 10.0) == s.cell("HILL", np.int64(10)) == s.cell("HILL", 10)
+
+
+def test_simulation_config_keeps_a_one_shot_iterable_of_ids_as_their_tuple():
+    cfg = SimulationConfig(spec=pareto(1.0), n=50, reps=3, k_min=5, k_max=20,
+                           estimators=(e for e in ("HILL", "WLS")))
+    s = run_simulation(cfg)
+    assert cfg.estimators == ("HILL", "WLS") and s.estimators == ("HILL", "WLS")
+    assert s.missing.sum() == 0
 
 
 def test_normality_report_on_loggamma_falls_back_to_rho_minus_one():

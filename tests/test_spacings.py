@@ -8,7 +8,6 @@ from tailwls import (
     NonFiniteError,
     NonPositiveError,
     covariates,
-    log_spacings,
     validate_and_sort,
     weights,
 )
@@ -58,35 +57,26 @@ def test_nonpositive_reports_index():
 def test_log_spacings_hand_value():
     # descending sample (e^2, e, 1): Z_1 = 1*log(e^2/e) = 1, Z_2 = 2*log(e/1) = 2
     tail = validate_and_sort([np.e**2, np.e, 1.0])
-    z = log_spacings(tail, 2)
+    z = tail.z_all
     assert z == pytest.approx([1.0, 2.0], abs=1e-12)
     assert len(z) == 2 and not z.flags.writeable
 
 
-def test_log_spacings_k_range():
-    tail = validate_and_sort([4.0, 3.0, 2.0, 1.0])
-    log_spacings(tail, 1)
-    log_spacings(tail, 3)
-    for bad in (0, 4, -1):
-        with pytest.raises(KOutOfRangeError):
-            log_spacings(tail, bad)
-
-
 def test_tie_gives_exact_zero():
     tail = validate_and_sort([5.0, 5.0, 2.0, 1.0])
-    z = log_spacings(tail, 3)
+    z = tail.z_all
     assert z[0] == 0.0
     assert (z >= 0.0).all()
 
 
 def test_prefix_matches_full_array():
-    """Z_j does not depend on k: log_spacings at k is a prefix of the n-1 array."""
+    """Z_j does not depend on k: the top k+1 order statistics alone give z_all[:k]."""
     rng = np.random.default_rng(7)
     tail = validate_and_sort(rng.pareto(1.0, size=60) + 0.5)
     z_all = tail.z_all
     assert z_all.shape == (59,)
     for k in (1, 7, 30, 59):
-        assert np.array_equal(log_spacings(tail, k), z_all[:k])
+        assert np.array_equal(validate_and_sort(tail.values[:k + 1]).z_all, z_all[:k])
 
 
 def test_log_spacings_are_computed_once_per_tail(monkeypatch):

@@ -1,7 +1,7 @@
 """Property tests of the one spacings builder, ``spacings.block_tails``.
 
 ``validate_and_sort`` is its one-row case after the typed checks, and
-``OrderedTail.z_all`` and ``log_spacings`` read the spacings it made. The
+``OrderedTail.z_all`` holds the spacings it made. The
 examples are derandomized and no example database is kept, so a run is
 repeatable.
 """
@@ -17,7 +17,6 @@ from tailwls import (  # noqa: E402
     NonFiniteError,
     NonPositiveError,
     TailwlsError,
-    log_spacings,
     validate_and_sort,
 )
 from tailwls.spacings import block_tails  # noqa: E402
@@ -54,17 +53,6 @@ def test_spacings_equal_numpy_and_their_block_row(x):
     block, tails = block_tails(np.stack([x[::-1], x]))
     for row, row_tail in zip(block, tails):
         assert row.tobytes() == row_tail.z_all.tobytes() == tail.z_all.tobytes()
-
-
-@SETTINGS
-@given(samples, st.data())
-def test_log_spacings_is_a_view_of_all_log_spacings(x, data):
-    tail = validate_and_sort(x)
-    k = data.draw(st.integers(1, x.size - 1))
-    z = log_spacings(tail, k)
-    assert len(z) == k and not z.flags.writeable
-    assert np.shares_memory(z, tail.z_all)
-    assert z.tobytes() == tail.z_all[:k].tobytes()
 
 
 bad_values = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]) | st.floats(
