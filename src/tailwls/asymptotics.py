@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRhoError, KOutOfRangeError, NonFiniteError
+from .errors import InvalidRhoError, NonFiniteError
 from .estimators import _design, _prefix_sums
-from .spacings import check_k_values, check_positive, check_rho
+from .spacings import check_int, check_k_values, check_positive, check_rho
 
 
 def s1_limit(rho: float) -> float:
@@ -152,12 +152,10 @@ def standardized_statistic(gamma_hat: float | np.ndarray, gamma_true: float,
         NonPositiveError: gamma_true <= 0 or NaN.
         NonFiniteError: gamma_true infinite, a gamma_hat NaN or infinite,
             or a statistic or 2 gamma_true that overflows.
-        KOutOfRangeError: k < 1.
+        KOutOfRangeError: k < 1, or k not an integer.
     """
     gamma_true = check_positive("gamma_true", gamma_true)
-    k = int(k)
-    if k < 1:
-        raise KOutOfRangeError(f"k={k} must be at least 1")
+    k = check_int("k", k, low=1)
     gamma_hat = np.asarray(gamma_hat, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         stat = np.sqrt(3.0 * k) * (gamma_hat - gamma_true) / (2.0 * gamma_true)

@@ -5,15 +5,16 @@ Subcommands:
     estimate    tail-index paths for a numeric dataset file
     simulate    Monte Carlo study over a k range, written as summary.csv
     diagnose    weight-moment sums, their limits, and the AMSE proxy per k
-    optimal-k   smallest-MSE k for one estimator in a written summary
     fetch-note  where to obtain the practical datasets, and expected sizes
+
+A ``simulate`` sidecar holds each estimator's MSE-minimising k and its MSE,
+``k0_<E>`` and ``mse_k0_<E>`` from :func:`optimal_k`, unless no MSE is finite.
 
 Exit codes: 0 success, 2 dataset parse failure, 3 estimation failure,
 4 invalid configuration (including bad flags, sizes whose arrays do not fit
-in memory, and an ``--out`` that cannot be written), 5 lookup failure
-(estimator missing from a summary file). Every nonzero exit writes one stderr
-line, ``tailwls <command>: <message>``: a command raises a ``_Failure``
-holding its exit code and message, and only ``main`` prints it.
+in memory, and an ``--out`` that cannot be written). Every nonzero exit
+writes one stderr line, ``tailwls <command>: <message>``: a command raises a
+``_Failure`` holding its exit code and message, and only ``main`` prints it.
 Floating point values are written with 17 significant digits, so files
 round-trip exactly. Every CSV, on stdout or
 in a file, is built as one text by one writer (``_csv_text``). No field
@@ -31,7 +32,6 @@ too, found at the write.
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import math
 import os
@@ -43,7 +43,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .errors import InvalidRhoError, NonFiniteError, TailwlsError
+from .errors import EmptyOrTinyError, InvalidRhoError, NonFiniteError, TailwlsError
 from .estimators import (ESTIMATOR_IDS, check_estimators, needs_rho, optimal_k,
                          path_estimates)
 from .asymptotics import s1_limit, s2_limit, s_moments
@@ -56,7 +56,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_ESTIMATION = 3
 EXIT_CONFIG = 4
-EXIT_LOOKUP = 5
 
 DATA_URL = "https://lstat.kuleuven.be/Wiley/"
 
@@ -67,13 +66,6 @@ class _Failure(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-class _ParseFailure(_Failure):
-    """Dataset or summary file could not be parsed (exit code 2)."""
-
-    def __init__(self, message: str):
-        super().__init__(EXIT_PARSE, message)
 
 
 @contextmanager
@@ -184,15 +176,15 @@ def read_numeric_column(path: str, column: int | None = None,
     Without ``delimiter`` commas and whitespace both split.
 
     Raises:
-        _ParseFailure: unreadable or non-UTF-8 file, malformed line, non-finite or
-            non-positive value (the message names the line), or fewer than
-            two values overall.
+        _Failure: exit code 2, for an unreadable or non-UTF-8 file, a
+            malformed line, a non-finite or non-positive value (the message
+            names the line), or fewer than two values overall.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise _ParseFailure(f"cannot read {path}: {exc}") from exc
+        raise _Failure(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
     values: list[float] = []
     detected = column
     header_used = False
@@ -214,14 +206,12 @@ def read_numeric_column(path: str, column: int | None = None,
                 break
             if detected is None:
                 if header_used:
-                    raise _ParseFailure(f"{path}:{lineno}: no numeric field")
+                    raise _Failure(EXIT_PARSE, f"{path}:{lineno}: no numeric field")
                 header_used = True
                 continue
         if detected >= len(fields):
-            raise _ParseFailure(
-                f"{path}:{lineno}: expected at least {detected + 1} fields, "
-                f"got {len(fields)}"
-            )
+            raise _Failure(EXIT_PARSE, f"{path}:{lineno}: expected at least "
+                                       f"{detected + 1} fields, got {len(fields)}")
         raw = fields[detected]
         try:
             v = float(raw)
@@ -229,18 +219,16 @@ def read_numeric_column(path: str, column: int | None = None,
             if not header_used and not values:
                 header_used = True
                 continue
-            raise _ParseFailure(
-                f"{path}:{lineno}: cannot parse {raw!r} as a number"
-            ) from None
+            raise _Failure(EXIT_PARSE,
+                           f"{path}:{lineno}: cannot parse {raw!r} as a number") from None
         if not 0.0 < v < math.inf:  # a good value takes one test
             if not math.isfinite(v):
-                raise _ParseFailure(f"{path}:{lineno}: non-finite value {raw}")
-            raise _ParseFailure(f"{path}:{lineno}: non-positive value {raw}")
+                raise _Failure(EXIT_PARSE, f"{path}:{lineno}: non-finite value {raw}")
+            raise _Failure(EXIT_PARSE, f"{path}:{lineno}: non-positive value {raw}")
         values.append(v)
     if len(values) < 2:
-        raise _ParseFailure(
-            f"{path}: need at least two positive values, found {len(values)}"
-        )
+        raise _Failure(EXIT_PARSE,
+                       f"{path}: need at least two positive values, found {len(values)}")
     return np.asarray(values)
 
 
@@ -281,11 +269,10 @@ def cmd_estimate(args) -> int:
         rho_method = _parse_rho_method(args.rho)
         if args.k is not None and (args.k_min is not None or args.k_max is not None):
             raise ValueError("give either --k or --k-min/--k-max, not both")
-        if args.k is not None:
-            k_min = k_max = int(args.k)
-        else:
-            k_min = int(args.k_min) if args.k_min is not None else 2
-            k_max = int(args.k_max) if args.k_max is not None else n - 1
+        k_min = k_max = args.k
+        if args.k is None:
+            k_min = 2 if args.k_min is None else args.k_min
+            k_max = n - 1 if args.k_max is None else args.k_max
         k_values = check_k_range(k_min, k_max, n)
         _check_out(args.out)
 
@@ -358,14 +345,12 @@ def cmd_simulate(args) -> int:
         spec = _build_spec(args)
         estimators = _parse_estimators(args.estimators)
         rho_method = _parse_rho_method(args.rho)
-        k_min = int(args.k_min) if args.k_min is not None else 5
-        k_max = int(args.k_max) if args.k_max is not None else args.n - 1
         config = SimulationConfig(
             spec=spec,
             n=args.n,
             reps=args.reps,
-            k_min=k_min,
-            k_max=k_max,
+            k_min=5 if args.k_min is None else args.k_min,
+            k_max=args.n - 1 if args.k_max is None else args.k_max,
             estimators=estimators,
             rho_method=rho_method,
             master_seed=args.seed,
@@ -378,6 +363,12 @@ def cmd_simulate(args) -> int:
     entries = dict(summary.metadata)
     for pname, pval in entries.pop("params").items():
         entries[f"param_{pname}"] = _fmt(pval)
+    for est, mse_row in zip(summary.estimators, summary.mse):
+        try:
+            k0, mse = optimal_k(zip(summary.k_values, mse_row))
+        except EmptyOrTinyError:  # no finite MSE: no line
+            continue
+        entries[f"k0_{est}"], entries[f"mse_k0_{est}"] = k0, _fmt(mse)
     text = _csv_text(["estimator", "k", "mean", "bias", "mse", "variance", "missing"],
                      "%s,%d,%.17g,%.17g,%.17g,%.17g,%d\n", rows)
     _write_outputs(args.out, text, "simulate", entries)
@@ -409,40 +400,6 @@ def cmd_diagnose(args) -> int:
         entries = {"rho": _fmt(rho), "gamma": _fmt(gamma)}
         _write_outputs(args.out, text, "diagnose", entries)
         print(f"wrote {args.out}")
-    return EXIT_OK
-
-
-def cmd_optimal_k(args) -> int:
-    with _failing(EXIT_PARSE, (OSError, UnicodeDecodeError, csv.Error),
-                  f"cannot read {args.summary}: "):
-        with open(args.summary, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise _ParseFailure(f"{args.summary}: empty file")
-            for col in ("estimator", "k", "mse"):
-                if col not in reader.fieldnames:
-                    raise _ParseFailure(
-                        f"{args.summary}: missing column {col!r}"
-                    )
-            pairs = []
-            seen = set()
-            for row in reader:
-                seen.add(row["estimator"])
-                if row["estimator"] != args.estimator:
-                    continue
-                try:
-                    pairs.append((int(row["k"]), float(row["mse"])))
-                except (TypeError, ValueError) as exc:
-                    raise _ParseFailure(
-                        f"{args.summary}: bad row for k={row.get('k')!r}: {exc}"
-                    ) from None
-    if not pairs:
-        known = ",".join(sorted(seen)) or "none"
-        raise _Failure(EXIT_LOOKUP, f"estimator {args.estimator!r} not in "
-                                    f"{args.summary} (present: {known})")
-    with _failing(EXIT_ESTIMATION, TailwlsError, f"estimator {args.estimator!r}: "):
-        k0, mse = optimal_k(pairs)
-    print(f"k0={k0} mse={_fmt(mse)}")
     return EXIT_OK
 
 
@@ -508,12 +465,6 @@ def build_parser() -> _Parser:
     diag.add_argument("--out", default=None,
                       help="output CSV path (default: stdout)")
     diag.set_defaults(func=cmd_diagnose)
-
-    opt = sub.add_parser("optimal-k",
-                         help="smallest-MSE k in a summary.csv")
-    opt.add_argument("summary", help="summary.csv written by simulate")
-    opt.add_argument("--estimator", required=True)
-    opt.set_defaults(func=cmd_optimal_k)
 
     note = sub.add_parser("fetch-note",
                           help="where to get the practical datasets")

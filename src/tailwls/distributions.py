@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, NonPositiveError, UOutOfRangeError
-from .spacings import check_positive
+from .spacings import check_int, check_positive
 
 FAMILIES = ("pareto", "burr", "frechet", "loggamma")
 
@@ -201,8 +201,7 @@ def sample(spec: DistributionSpec, n: int, seed) -> np.ndarray:
     builds from that seed, so an ISeedSequence whose state equals
     ``SeedSequence(s).generate_state(4, np.uint64)`` gives the stream of
     the int s. The uniforms are the one-row block of :func:`_uniforms`.
+    n must be an integer >= 1 (else ValueError).
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n={n} must be at least 1")
+    n = check_int("n", n, ValueError, 1)
     return quantile(spec, _uniforms([seed], n)[0])

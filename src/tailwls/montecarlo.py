@@ -63,7 +63,7 @@ from .distributions import DistributionSpec, _uniforms, quantile
 from .errors import KOutOfRangeError, NonFiniteError, NonPositiveError, TailwlsError
 from .estimators import ESTIMATOR_IDS, check_estimators, needs_rho, path_estimates
 from .second_order import RhoMethod, resolve_rho
-from .spacings import (block_tails, check_k_range, check_k_values, check_positive,
+from .spacings import (block_tails, check_int, check_k_range, check_k_values, check_positive,
                        covariates, raise_on_overflow)
 
 _MASK64 = (1 << 64) - 1
@@ -276,7 +276,8 @@ class SimulationConfig:
     """Settings for a sampling-based study over a k range.
 
     ``estimators`` is stored as the tuple ``check_estimators`` returns, so
-    an iterable of ids is read once, here.
+    an iterable of ids is read once, here; each integer setting as the int
+    ``check_int`` returns (a non-integer reps or master_seed is a ValueError).
     """
 
     spec: DistributionSpec
@@ -289,8 +290,10 @@ class SimulationConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError(f"reps={self.reps} must be at least 1")
+        for name, error, low in (("reps", ValueError, 1), ("master_seed", ValueError, None),
+                                 ("n", KOutOfRangeError, None), ("k_min", KOutOfRangeError, None),
+                                 ("k_max", KOutOfRangeError, None)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), error, low))
         check_k_range(self.k_min, self.k_max, self.n)
         object.__setattr__(self, "estimators", check_estimators(self.estimators))
 
@@ -298,14 +301,13 @@ class SimulationConfig:
 def _model_core(gamma, b, rho, k, reps, estimators, n, master_seed):
     """A model study up to its values: (values[estimator, 0, rep], est_ids, settings).
 
-    It checks gamma, the estimators and reps, builds the model draw and runs
-    the engine; it raises what :func:`run_model_simulation` documents.
+    It checks gamma, the estimators, reps and k, builds the model draw and
+    runs the engine on the ``master_seed`` its caller checked; it raises what
+    :func:`run_model_simulation` documents.
     """
     gamma = check_positive("gamma", gamma)
     est_ids = check_estimators(estimators)
-    reps, k = int(reps), int(k)
-    if reps < 1:
-        raise ValueError(f"reps={reps} must be at least 1")
+    reps, k = check_int("reps", reps, ValueError, 1), check_int("k", k)
     values = _replicate(_model_draw(gamma, b, rho, k), k, est_ids, np.array([k]), n, reps,
                         master_seed)[0]
     return values, est_ids, {"mode": "model", "gamma": gamma, "b": float(b),
@@ -465,13 +467,15 @@ def run_model_simulation(
         NonPositiveError: gamma <= 0, or a model mean gamma + b C_j <= 0.
         NonFiniteError: a model mean that is NaN or infinite (gamma or b so),
             or a spacing, an estimate or an mse that overflows.
-        EmptyOrTinyError / ValueError: bad estimator set.
-        KOutOfRangeError / InvalidRhoError: k < 1, BCHILL without n >= k+1,
-            rho not finite negative, or a regression estimator's covariate
-            sums over- or underflowing at rho.
+        EmptyOrTinyError / ValueError: bad estimator set, reps < 1, or a
+            reps or master_seed that is not an integer.
+        KOutOfRangeError / InvalidRhoError: k not an integer, k < 1, BCHILL
+            without n >= k+1, rho not finite negative, or a regression
+            estimator's covariate sums over- or underflowing at rho.
         KTooSmallError: a regression estimator with k < 2.
     """
     t0 = time.perf_counter()
+    master_seed = check_int("master_seed", master_seed, ValueError)
     values, est_ids, settings = _model_core(gamma, b, rho, k, reps, estimators, n, master_seed)
     return _summary(values, est_ids, np.array([settings["k"]]), settings["gamma"],
                     master_seed, t0, settings)
@@ -525,17 +529,16 @@ def normality_report(
     taken over the others; they are NaN when every replication fails.
 
     Args:
-        reps: number of replications, at least 100.
-        k: tail fraction used by every fit, at least 2.
-        master_seed: base seed; replication r uses a derived stream.
+        reps: number of replications, an integer >= 100 (else ValueError).
+        k: tail fraction used by every fit, an integer >= 2 (else KOutOfRangeError).
+        master_seed: integer base seed (else ValueError); replication r uses a derived stream.
 
     Returns:
         NormalityReport with mean, variance, skewness, excess kurtosis of the
         statistic and an echo of the generation settings.
     """
-    reps, k = int(reps), int(k)
-    if reps < 100:
-        raise ValueError(f"reps={reps}; need at least 100 for stable moments")
+    reps, k = check_int("reps", reps, ValueError, 100), check_int("k", k)
+    master_seed = check_int("master_seed", master_seed, ValueError)
     t0 = time.perf_counter()
     if spec is None:
         if gamma is None:
@@ -543,7 +546,7 @@ def normality_report(
         standardized_statistic(gamma, gamma, k)  # gamma and 2 gamma, before any draw
         values, _, config = _model_core(gamma, b, rho, k, reps, ("WLS",), n, master_seed)
     else:
-        if n is None or int(n) < k + 1:
+        if n is None or check_int("n", n) < k + 1:
             raise KOutOfRangeError(f"sampling mode needs n >= k+1, got n={n}")
         check_k_values(k, 2)  # KTooSmallError at k = 1, as in model mode
         gamma = spec.true_gamma
@@ -551,11 +554,11 @@ def normality_report(
         if rho_method is None:  # the true rho where a fit takes it, else -1
             true_rho = spec.true_rho
             rho_method = RhoMethod.fixed(true_rho if -np.inf < true_rho < 0.0 else -1.0)
-        values, _, config = _sampling_core(SimulationConfig(spec, int(n), reps, k, k, ("WLS",),
+        values, _, config = _sampling_core(SimulationConfig(spec, n, reps, k, k, ("WLS",),
                                                             rho_method, master_seed))
     gamma_hat = values[0, 0]
     stats = standardized_statistic(gamma_hat[~np.isnan(gamma_hat)], gamma, k)
-    config.update(master_seed=int(master_seed), missing=reps - stats.size,
+    config.update(master_seed=master_seed, missing=reps - stats.size,
                   wall_clock_s=time.perf_counter() - t0)
 
     with warnings.catch_warnings():

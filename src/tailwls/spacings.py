@@ -10,7 +10,8 @@ the unit-sum form w_j = W_j / (k/2) of the linearly decreasing weights
 W_j = 1 - j/(k+1) (which sum to k/2 exactly), and the second-order
 covariates C_j = (j/(k+1))^(-rho) with rho < 0. This module builds those
 four objects and holds the checks every caller shares: of rho, of a positive
-parameter, of a k range, of an array of k, and of overflow in a computation.
+parameter, of an integer setting, of a k range, of an array of k, and of
+overflow in a computation.
 ``block_tails`` alone computes spacings: it
 sorts a ``(rows, n)`` block of samples and takes all their spacings at once.
 ``validate_and_sort`` is its one-row case, and every spacing is read from an
@@ -21,6 +22,7 @@ order statistics give exact zeros.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -80,6 +82,17 @@ def check_positive(name: str, value) -> float:
     return value
 
 
+def check_int(name: str, value, error: type = KOutOfRangeError, low: int | None = None) -> int:
+    """``value`` as an int; ``error`` unless ``operator.index`` takes it and it is >= ``low``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name}={value!r} must be an integer") from None
+    if low is not None and value < low:
+        raise error(f"{name}={value} must be at least {low}")
+    return value
+
+
 @contextmanager
 def raise_on_overflow(what: str):
     """Run the block with numpy overflow raising NonFiniteError, which names ``what``.
@@ -94,8 +107,8 @@ def raise_on_overflow(what: str):
 
 
 def check_k_range(k_min: int, k_max: int, n: int) -> np.ndarray:
-    """The k values of a path; KOutOfRangeError unless 2 <= k_min <= k_max <= n - 1."""
-    k_min, k_max = int(k_min), int(k_max)
+    """The k values of a path; KOutOfRangeError unless integers 2 <= k_min <= k_max <= n - 1."""
+    k_min, k_max, n = check_int("k_min", k_min), check_int("k_max", k_max), check_int("n", n)
     if not 2 <= k_min <= k_max <= n - 1:
         raise KOutOfRangeError(
             f"need 2 <= k_min <= k_max <= n-1, got k_min={k_min}, "
@@ -191,11 +204,9 @@ def weights(k: int) -> np.ndarray:
     Dividing by the exact total k/2 sums them to one without a float total.
 
     Raises:
-        KOutOfRangeError: k < 1.
+        KOutOfRangeError: k < 1, or k not an integer.
     """
-    k = int(k)
-    if k < 1:
-        raise KOutOfRangeError(f"k={k} must be at least 1")
+    k = check_int("k", k, low=1)
     j = np.arange(1, k + 1, dtype=np.float64)
     return _readonly((1.0 - j / (k + 1.0)) / (k / 2.0))
 
@@ -207,12 +218,10 @@ def covariates(k: int, rho: float) -> np.ndarray:
     in (0, 1) for every admissible rho.
 
     Raises:
-        KOutOfRangeError: k < 1.
+        KOutOfRangeError: k < 1, or k not an integer.
         InvalidRhoError: rho is not finite or not strictly negative.
     """
-    k = int(k)
-    if k < 1:
-        raise KOutOfRangeError(f"k={k} must be at least 1")
+    k = check_int("k", k, low=1)
     rho = check_rho(rho)
     j = np.arange(1, k + 1, dtype=np.float64)
     return _readonly((j / (k + 1.0)) ** (-rho))

@@ -225,6 +225,8 @@ def test_standardized_statistic_errors():
         standardized_statistic(1.0, 0.0, 10)
     with pytest.raises(KOutOfRangeError):
         standardized_statistic(1.0, 1.0, 0)
+    with pytest.raises(KOutOfRangeError, match="^k=10.7 must be an integer$"):
+        standardized_statistic(1.0, 1.0, 10.7)  # int() made it k = 10
 
 
 @pytest.mark.parametrize("gamma, error", [(np.nan, NonPositiveError), (-1.0, NonPositiveError),

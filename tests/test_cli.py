@@ -1,6 +1,9 @@
+import argparse
 import csv
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -337,10 +340,6 @@ def failing_inputs(tmp_path):
         "claims.csv": "claim\n" + "\n".join(format(v, ".17g") for v in x) + "\n",
         "zero.csv": "claim\n1.5\n2.5\n0\n3.5\n",
         "ties.csv": "x\n" + "2.5\n" * 100,
-        "junk.csv": "no,useful,columns\n1,2,3\n",
-        "summary.csv": "estimator,k,mean,bias,mse,variance,missing\n"
-                       "HILL,5,1,0,0.5,0.5,0\nWLS,5,nan,nan,nan,nan,3\n",
-        "hill.csv": "estimator,k,mean,bias,mse,variance,missing\nHILL,5,1,0,0.5,0.5,0\n",
     }
     for name, text in texts.items():
         (tmp_path / name).write_text(text)
@@ -376,17 +375,6 @@ FAILURES = {
     "diagnose-rho": (["diagnose", "--rho", "-800", "--k-max", "3"],
                      4, "tailwls diagnose: --rho: rho=-800.0 overflows "
                         "the covariate sums up to k=3"),
-    "optimal-k-read": (["optimal-k", "{d}/missing.csv", "--estimator", "WLS"],
-                       2, "tailwls optimal-k: cannot read {d}/missing.csv: [Errno 2] "
-                          "No such file or directory: '{d}/missing.csv'"),
-    "optimal-k-parse": (["optimal-k", "{d}/junk.csv", "--estimator", "WLS"],
-                        2, "tailwls optimal-k: {d}/junk.csv: missing column 'estimator'"),
-    "optimal-k-lookup": (["optimal-k", "{d}/hill.csv", "--estimator", "WLS"],
-                         5, "tailwls optimal-k: estimator 'WLS' not in {d}/hill.csv "
-                            "(present: HILL)"),
-    "optimal-k-estimation": (["optimal-k", "{d}/summary.csv", "--estimator", "WLS"],
-                             3, "tailwls optimal-k: estimator 'WLS': "
-                                "no finite MSE among the (k, mse) pairs"),
 }
 
 
@@ -401,34 +389,34 @@ def test_each_failure_exits_with_its_code_and_one_exact_line(case, failing_input
     assert captured.err == line.format(d=failing_inputs) + "\n"
 
 
+def _sidecar(path) -> dict:
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
 def test_optimal_k_round_trip(tmp_path):
+    """The sidecar's k0 lines are ``optimal_k`` over the study's cells, to the %.17g text."""
     out = tmp_path / "s.csv"
-    run_cli("simulate", "--dist", "pareto", "--gamma", "1", "--n", "60",
-            "--reps", "30", "--seed", "2", "--k-min", "5", "--k-max", "25",
-            "--estimators", "HILL,WLS", "--rho", "fixed:-1", "--out", str(out))
-    r = run_cli("optimal-k", str(out), "--estimator", "WLS")
-    assert r.returncode == 0
+    r = run_cli("simulate", "--dist", "pareto", "--gamma", "1", "--n", "60",
+                "--reps", "30", "--seed", "2", "--k-min", "5", "--k-max", "25",
+                "--estimators", "HILL,WLS", "--rho", "fixed:-1", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    meta = _sidecar(tmp_path / "s.csv.meta")
     cfg = tw.SimulationConfig(spec=tw.pareto(1.0), n=60, reps=30, k_min=5,
                               k_max=25, estimators=("HILL", "WLS"),
                               rho_method=tw.RhoMethod.fixed(-1.0), master_seed=2)
     s = tw.run_simulation(cfg)
-    k0, mse = tw.optimal_k(
-        (int(k), s.cell("WLS", int(k))["mse"]) for k in s.k_values
-    )
-    assert r.stdout.strip() == f"k0={k0} mse={format(mse, '.17g')}"
+    for est in ("HILL", "WLS"):
+        k0, mse = tw.optimal_k(
+            (int(k), s.cell(est, int(k))["mse"]) for k in s.k_values
+        )
+        assert meta[f"k0_{est}"] == str(k0)
+        assert meta[f"mse_k0_{est}"] == format(mse, ".17g")
+    # after the param_* lines, before the timestamp
+    assert list(meta)[-6:] == ["param_gamma", "k0_HILL", "mse_k0_HILL", "k0_WLS",
+                               "mse_k0_WLS", "timestamp_utc"]
 
 
-def test_optimal_k_lookup_failure(tmp_path):
-    out = tmp_path / "s.csv"
-    run_cli("simulate", "--dist", "pareto", "--gamma", "1", "--n", "40",
-            "--reps", "5", "--k-min", "5", "--k-max", "8",
-            "--estimators", "HILL", "--out", str(out))
-    r = run_cli("optimal-k", str(out), "--estimator", "WLS")
-    assert r.returncode == 5
-    assert "HILL" in r.stderr
-
-
-def test_optimal_k_without_finite_mse_exits_3(tmp_path, capsys):
+def test_simulate_without_finite_mse_writes_no_k0(tmp_path, capsys):
     from tailwls import cli
 
     # rho=-200 overflows the covariate sums, so every WLS cell is missing
@@ -437,18 +425,24 @@ def test_optimal_k_without_finite_mse_exits_3(tmp_path, capsys):
                      "--n", "10", "--reps", "3", "--k-min", "2", "--k-max", "9",
                      "--estimators", "WLS", "--rho", "fixed:-200",
                      "--out", str(out)]) == 0
-    capsys.readouterr()
-    assert cli.main(["optimal-k", str(out), "--estimator", "WLS"]) == 3
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "'WLS'" in err and "finite" in err
+    assert capsys.readouterr().err == ""
+    assert not [key for key in _sidecar(tmp_path / "s.csv.meta") if "k0_" in key]
 
 
-def test_optimal_k_malformed_file(tmp_path):
-    bad = tmp_path / "junk.csv"
-    bad.write_text("no,useful,columns\n1,2,3\n")
-    assert run_cli("optimal-k", str(bad), "--estimator", "WLS").returncode == 2
-    assert run_cli("optimal-k", str(tmp_path / "missing.csv"),
-                   "--estimator", "WLS").returncode == 2
+def test_subcommands_match_the_docs():
+    """``build_parser`` accepts exactly the subcommands ``cli``'s docstring and README list."""
+    from tailwls import cli
+
+    parser = cli.build_parser()
+    accepted = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    block = cli.__doc__.split("Subcommands:\n\n", 1)[1].split("\n\n", 1)[0]
+    docstring = [line.split()[0] for line in block.splitlines()]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^- `([a-z-]+)", section, flags=re.M)
+    assert sorted(accepted) == sorted(docstring) == sorted(bullets)
+    assert "fetch-note" in bullets and "optimal-k" not in accepted
 
 
 def test_fetch_note_contents():

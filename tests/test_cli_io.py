@@ -156,9 +156,9 @@ def test_reader_values_and_messages(text, column, delimiter, want, tmp_path):
     path = tmp_path / "d.txt"
     path.write_bytes(text.encode())
     if isinstance(want, str):
-        with pytest.raises(cli._ParseFailure) as info:
+        with pytest.raises(cli._Failure) as info:
             cli.read_numeric_column(str(path), column, delimiter)
-        assert str(info.value) == want.format(path=path)
+        assert (info.value.code, str(info.value)) == (cli.EXIT_PARSE, want.format(path=path))
     else:
         got = cli.read_numeric_column(str(path), column, delimiter)
         assert got.dtype == np.float64 and got.tolist() == want

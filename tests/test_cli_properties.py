@@ -6,7 +6,7 @@ each ``fixed:`` value of those, and of +-1e-300 and -1e300); each file
 argument takes an empty file, a header alone, one value, all ties, bytes
 that are not UTF-8, a directory and a summary with an oversized field, and
 each ``--out`` a name too long for the file system.
-Whatever the input, the CLI exits with a documented code (0, 2, 3, 4 or 5),
+Whatever the input, the CLI exits with a documented code (0, 2, 3 or 4),
 raises nothing (argparse's ``SystemExit`` counts as its exit code), and on a
 nonzero exit writes exactly one stderr line, starting ``tailwls``. Sizes stay
 small: n <= 60, reps <= 3, and no parsable k above 100, so no large array is
@@ -21,7 +21,7 @@ import pytest
 import tailwls as tw
 from tailwls import cli
 
-EXIT_CODES = {0, 2, 3, 4, 5}
+EXIT_CODES = {0, 2, 3, 4}
 NUMBERS = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1e308", "-1e308")
 RHOS = tuple(f"fixed:{v}" for v in NUMBERS + ("1e-300", "-1e-300", "-1e300"))
 
@@ -132,18 +132,13 @@ def test_bad_input_files(bad_files, tmp_path, capsys):
     for path in bad_files.values():
         for rho in ("fixed:-1", "minvar", "moment"):
             breaches += _run(["estimate", str(path), f"--rho={rho}", f"--out={out}"], capsys)
-        for estimator in ("WLS", "NOPE"):
-            breaches += _run(["optimal-k", str(path), f"--estimator={estimator}"], capsys)
     assert breaches == []
 
 
-@pytest.mark.parametrize("name,command", [
-    ("not-utf8", "estimate"), ("not-utf8", "optimal-k"), ("oversized-field", "optimal-k"),
-])
+@pytest.mark.parametrize("name,command", [("not-utf8", "estimate"), ("directory", "estimate")])
 def test_unreadable_files_exit_2_naming_the_file(name, command, bad_files, tmp_path, capsys):
     path = str(bad_files[name])
-    flag = "--out=" + str(tmp_path / "p.csv") if command == "estimate" else "--estimator=WLS"
-    assert cli.main([command, path, flag]) == 2
+    assert cli.main([command, path, "--out=" + str(tmp_path / "p.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"tailwls {command}: cannot read {path}: ")
     assert err.count("\n") == 1

@@ -229,6 +229,9 @@ def test_sample_matches_inverse_transform():
 def test_sample_bad_n():
     with pytest.raises(ValueError):
         sample(pareto(1.0), 0, seed=1)
+    with pytest.raises(ValueError, match="^n=5.9 must be an integer$"):
+        sample(pareto(1.0), 5.9, seed=1)  # int() drew 5 values
+    assert sample(pareto(1.0), np.int64(5), seed=1).size == 5
 
 
 def test_import_does_not_load_scipy():

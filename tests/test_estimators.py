@@ -273,6 +273,9 @@ def test_path_bad_arguments():
             check_k_range(k_min, k_max, 20)
         with pytest.raises(KOutOfRangeError):
             _one_id(z_all, 20, "WLS", -1.0, k_values)
+    for k_min, k_max, n in ((2.5, 10, 20), (2, 10.7, 20), (2, 10, 20.0)):  # int() truncated
+        with pytest.raises(KOutOfRangeError, match="must be an integer"):
+            check_k_range(k_min, k_max, n)
 
 
 def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):

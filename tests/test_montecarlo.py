@@ -727,6 +727,53 @@ def test_simulation_config_keeps_a_one_shot_iterable_of_ids_as_their_tuple():
     assert s.missing.sum() == 0
 
 
+@pytest.mark.parametrize("setting,error", [
+    ({"reps": 2.5}, ValueError), ({"reps": "3"}, ValueError), ({"n": 50.5}, KOutOfRangeError),
+    ({"k_min": 5.7}, KOutOfRangeError), ({"k_max": 20.0}, KOutOfRangeError),
+    ({"master_seed": 1.5}, ValueError),
+])
+def test_integer_settings_must_be_integers(setting, error):
+    (name, value), = setting.items()
+    base = dict(spec=pareto(1.0), n=50, reps=3, k_min=5, k_max=20)
+    with pytest.raises(error, match=f"^{name}={value!r} must be an integer$"):
+        SimulationConfig(**{**base, **setting})
+
+
+@pytest.mark.parametrize("kwargs,error", [
+    ({"gamma": 1.0, "reps": 100.0}, ValueError),
+    ({"gamma": 1.0, "k": 10.5}, KOutOfRangeError),
+    ({"gamma": 1.0, "master_seed": 1.5}, ValueError),
+    ({"spec": pareto(1.0), "n": 50.5}, KOutOfRangeError),
+    ({"spec": pareto(1.0), "n": 50, "master_seed": 1.5}, ValueError),
+])
+def test_normality_report_rejects_non_integer_settings(kwargs, error):
+    with pytest.raises(error, match="must be an integer"):
+        normality_report(**{"reps": 100, "k": 10, **kwargs})
+
+
+def test_model_study_rejects_a_non_integer_seed_reps_or_k():
+    for kwargs, error in (({"master_seed": 1.5}, ValueError), ({"reps": 2.5}, ValueError),
+                          ({"k": 10.0}, KOutOfRangeError)):
+        args = {"gamma": 1.0, "b": 0.1, "rho": -1.0, "k": 10, "reps": 5, **kwargs}
+        with pytest.raises(error, match="must be an integer"):
+            run_model_simulation(**args)
+
+
+def test_integer_settings_are_stored_as_the_ints_that_ran():
+    cfg = SimulationConfig(spec=pareto(1.0), n=np.int64(50), reps=np.int32(3),
+                           k_min=np.int64(5), k_max=np.uint16(20), master_seed=np.int64(7))
+    assert [type(getattr(cfg, name)) for name in ("n", "reps", "k_min", "k_max",
+                                                   "master_seed")] == [int] * 5
+    s = run_simulation(cfg)
+    want = run_simulation(replace(cfg, master_seed=7))
+    np.testing.assert_array_equal(s.mean, want.mean)
+    assert s.metadata["master_seed"] == 7 and type(s.metadata["master_seed"]) is int
+    m = run_model_simulation(1.0, 0.1, -1.0, np.int64(10), np.int64(5), master_seed=np.int64(2))
+    assert type(m.metadata["master_seed"]) is int and m.metadata["reps"] == 5
+    rep = normality_report(np.int64(100), np.int64(10), np.int64(3), gamma=1.0)
+    assert type(rep.config["master_seed"]) is int and (rep.reps, rep.k) == (100, 10)
+
+
 def test_normality_report_on_loggamma_falls_back_to_rho_minus_one():
     # log-gamma's true rho is 0, which no fit accepts; the default is then -1
     rep = normality_report(100, 20, spec=loggamma(2.0, 2.0), n=200)

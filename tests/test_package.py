@@ -67,7 +67,7 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in stale.items() if names} == {}
 
 
-_FAILURE_CODES = {"EXIT_PARSE", "EXIT_ESTIMATION", "EXIT_CONFIG", "EXIT_LOOKUP"}
+_FAILURE_CODES = {"EXIT_PARSE", "EXIT_ESTIMATION", "EXIT_CONFIG"}
 
 
 def _stderr_failures(source: str) -> list:
@@ -106,7 +106,7 @@ def _stderr_failures(source: str) -> list:
 
 def test_only_cli_main_reports_a_failure():
     """Commands raise; ``cli.main`` alone prints the stderr line and picks the exit code."""
-    breach = "def f():\n    print('x', file=sys.stderr)\n    return EXIT_LOOKUP\n"
+    breach = "def f():\n    print('x', file=sys.stderr)\n    return EXIT_CONFIG\n"
     assert len(_stderr_failures(breach)) == 2  # the check sees both kinds
     path = Path(tailwls.__file__).parent / "cli.py"
     assert _stderr_failures(path.read_text(encoding="utf-8")) == []

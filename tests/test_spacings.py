@@ -155,6 +155,9 @@ def test_weight_sums(k):
 def test_weights_bad_k():
     with pytest.raises(KOutOfRangeError):
         weights(0)
+    with pytest.raises(KOutOfRangeError, match="^k=2.5 must be an integer$"):
+        weights(2.5)  # int() made it k = 2
+    assert weights(np.int64(3)).tolist() == weights(3).tolist()
 
 
 def test_covariates_hand_values():
@@ -181,3 +184,5 @@ def test_covariates_bad_rho(rho):
 def test_covariates_bad_k():
     with pytest.raises(KOutOfRangeError):
         covariates(0, -1.0)
+    with pytest.raises(KOutOfRangeError, match="^k=3.0 must be an integer$"):
+        covariates(3.0, -1.0)
