@@ -24,7 +24,7 @@ term alone. The standardized statistic sqrt(3k) (gamma_hat - gamma) /
 (3/4) lim k * amse(1, k, rho), which is 18/5 at rho = -1, not 1.
 
 ``amse`` is this variance, cross-term coefficient 2, with sum w_j^2 at its
-limit 4/(3k); ``SMoments.unit_amse`` computes it from the four sums, which
+limit 4/(3k); ``SMoments.amse`` computes it from the four sums, which
 ``s_moments`` reads for every k at once from the WLS path engine's design.
 """
 
@@ -65,28 +65,22 @@ class SMoments:
     s_dot: float | np.ndarray
     s_ddot: float | np.ndarray
 
-    @property
-    def unit_amse(self):
-        """amse(1, k, rho), elementwise: 4/(3k) + 2 S1 S_dot / S2 + S1^2 S_ddot / S2^2.
+    def amse(self, gamma: float):
+        """gamma^2 (4/(3k) + 2 S1 S_dot / S2 + S1^2 S_ddot / S2^2), elementwise.
 
         InvalidRhoError at the first k where S2 is not positive or S2^2 underflows
         to a subnormal or 0: an extreme rho makes the covariates all but equal.
+        Then NonFiniteError at the first k where the AMSE of a finite gamma
+        overflows, and any other gamma is checked by ``check_positive``.
         """
         bad = np.flatnonzero(~((self.s2 > 0.0) & (np.square(self.s2) >= sys.float_info.min)))
         if bad.size:
             raise InvalidRhoError(f"rho={self.rho}: S2={np.ravel(self.s2)[bad[0]]} at "
                                   f"k={np.ravel(self.k)[bad[0]]} is too small for the AMSE")
-        return (4.0 / (3.0 * self.k) + 2.0 * self.s1 * self.s_dot / self.s2
-                + self.s1 * self.s1 * self.s_ddot / (self.s2 * self.s2))
-
-    def amse(self, gamma: float):
-        """gamma^2 * unit_amse, elementwise; NonFiniteError at the first k where it overflows.
-
-        InvalidRhoError from ``unit_amse`` passes on; then a gamma whose AMSE
-        overflows raises, and any other gamma is checked by ``check_positive``.
-        """
         with np.errstate(over="ignore"):  # np.float64 ** 2 is the C pow of float ** 2
-            value = np.float64(gamma) ** 2 * self.unit_amse
+            value = np.float64(gamma) ** 2 * (
+                4.0 / (3.0 * self.k) + 2.0 * self.s1 * self.s_dot / self.s2
+                + self.s1 * self.s1 * self.s_ddot / (self.s2 * self.s2))
         bad = np.flatnonzero(~np.isfinite(value) & np.isfinite(gamma))
         if bad.size:
             raise NonFiniteError(

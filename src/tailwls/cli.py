@@ -381,15 +381,14 @@ def cmd_diagnose(args) -> int:
     with _failing(EXIT_CONFIG, ValueError):
         rho = check_rho(args.rho)
         gamma = check_positive("--gamma", args.gamma)
-        k_min, k_max = int(args.k_min), int(args.k_max)
-        if not 2 <= k_min <= k_max:
-            raise ValueError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
         if args.out is not None:
             _check_out(args.out)
 
-    with (_failing(EXIT_CONFIG, NonFiniteError, "--gamma: "),
+    # s_moments checks the k values; np.arange rejects a range too long to index
+    with (_failing(EXIT_CONFIG, ValueError, f"--k-min {args.k_min} --k-max {args.k_max}: "),
+          _failing(EXIT_CONFIG, NonFiniteError, "--gamma: "),
           _failing(EXIT_CONFIG, InvalidRhoError, "--rho: ")):
-        m = s_moments(np.arange(k_min, k_max + 1), rho)
+        m = s_moments(np.arange(args.k_min, args.k_max + 1), rho)
         columns = (m.k, m.s1, m.s2, m.s_dot, m.s_ddot, s1_limit(rho), s2_limit(rho), m.amse(gamma))
     text = _csv_text(["k", "s1", "s2", "s_dot", "s_ddot", "s1_limit", "s2_limit", "amse"],
                      "%d" + ",%.17g" * 7 + "\n",
@@ -426,13 +425,6 @@ def build_parser() -> _Parser:
     est.add_argument("--delimiter", default=None,
                      help="field delimiter (default: comma or whitespace)")
     est.add_argument("--k", type=int, default=None, help="single tail fraction")
-    est.add_argument("--k-min", type=int, default=None)
-    est.add_argument("--k-max", type=int, default=None)
-    est.add_argument("--estimators", default=",".join(ESTIMATOR_IDS),
-                     help="comma-separated subset of " + ",".join(ESTIMATOR_IDS))
-    est.add_argument("--rho", default="minvar",
-                     help="fixed:<value>, moment, or minvar")
-    est.add_argument("--out", default="path.csv", help="output CSV path")
     est.set_defaults(func=cmd_estimate)
 
     sim = sub.add_parser("simulate", help="Monte Carlo study to summary.csv")
@@ -448,13 +440,16 @@ def build_parser() -> _Parser:
     sim.add_argument("--n", type=int, required=True, help="sample size")
     sim.add_argument("--reps", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0, help="master seed")
-    sim.add_argument("--k-min", type=int, default=None, help="default 5")
-    sim.add_argument("--k-max", type=int, default=None, help="default n-1")
-    sim.add_argument("--estimators", default=",".join(ESTIMATOR_IDS))
-    sim.add_argument("--rho", default="minvar",
-                     help="fixed:<value>, moment, or minvar")
-    sim.add_argument("--out", default="summary.csv", help="output CSV path")
     sim.set_defaults(func=cmd_simulate)
+
+    for command, k_min, out in ((est, 2, "path.csv"), (sim, 5, "summary.csv")):
+        command.add_argument("--k-min", type=int, default=None, help=f"default {k_min}")
+        command.add_argument("--k-max", type=int, default=None, help="default n-1")
+        command.add_argument("--estimators", default=",".join(ESTIMATOR_IDS),
+                             help="comma-separated subset of " + ",".join(ESTIMATOR_IDS))
+        command.add_argument("--rho", default="minvar",
+                             help="fixed:<value>, moment, or minvar")
+        command.add_argument("--out", default=out, help="output CSV path")
 
     diag = sub.add_parser("diagnose",
                           help="weight-moment sums, limits, AMSE per k")

@@ -30,12 +30,13 @@ paths, and a fit at one k is the table at ``[k]``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EmptyOrTinyError, InvalidRhoError, KOutOfRangeError
-from .spacings import check_k_values, check_rho, raise_on_overflow
+from .spacings import check_int, check_k_values, check_rho, raise_on_overflow
 
 #: Canonical estimator identifiers, in reporting order.
 ESTIMATOR_IDS = ("HILL", "BCHILL", "LS", "RR", "WLS")
@@ -65,10 +66,6 @@ def _prefix_sums(f: np.ndarray, k_max: int, weighted: bool) -> np.ndarray:
 
 # The smallest positive normal float; a smaller S2 makes the slope inf or NaN.
 _TINY = np.finfo(np.float64).tiny
-
-# Cached design rows, least recently used first, with at most 16 in all (or
-# one larger grid): the per-row table calls of a min-variance study need 7.
-_rows: dict = {}
 
 
 class _Design(NamedTuple):
@@ -132,15 +129,15 @@ def _design(rhos: tuple, k_values: np.ndarray, weighted: bool) -> _Design:
     not cached; one rho's design is its cached row.
     """
     kkey = k_values.astype(np.intp, copy=False).tobytes()
-    rows = []
-    for rho in rhos:
-        key = (rho, kkey, weighted)
-        row = _rows.pop(key, None)
-        _rows[key] = row = _row(rho, k_values, weighted) if row is None else row
-        rows.append(row)
-    while len(_rows) > max(16, len(rhos)):
-        del _rows[next(iter(_rows))]
-    return _stack(rows)
+    return _stack([_cached_row(rho, kkey, weighted) for rho in rhos])
+
+
+# The 16 most recently used design rows: the per-row table calls of a
+# min-variance study need 7. A call with more rhos keeps its last 16.
+@lru_cache(maxsize=16)
+def _cached_row(rho: float, k_bytes: bytes, weighted: bool) -> _Design:
+    """:func:`_row` at the k values whose ``np.intp`` bytes are ``k_bytes``."""
+    return _row(rho, np.frombuffer(k_bytes, np.intp), weighted)
 
 
 def _stack(rows: list) -> _Design:
@@ -327,13 +324,13 @@ def optimal_k(mse_by_k) -> tuple[int, float]:
 
     Raises:
         EmptyOrTinyError: no pair has a finite MSE (or none is given).
+        KOutOfRangeError: a k that is not an integer.
     """
     best_k: int | None = None
     best_mse = np.inf
     for k, mse in mse_by_k:
-        k = int(k)
-        mse = float(mse)
-        if mse < best_mse or (mse == best_mse and (best_k is None or k < best_k)):
+        k, mse = check_int("k", k), float(mse)
+        if np.isfinite(mse) and (mse < best_mse or mse == best_mse and k < best_k):
             best_k, best_mse = k, mse
     if best_k is None:
         raise EmptyOrTinyError("no finite MSE among the (k, mse) pairs")

@@ -81,17 +81,19 @@ _CHUNK_ENTRIES = 16384
 
 
 def rep_seed(master_seed: int, r: int) -> int:
-    """Derived seed for replication r, taken mod 2^64; distinct r give well-separated seeds."""
-    return int(_rep_seeds(master_seed, np.array([int(r) & _MASK64], dtype=np.uint64))[0])
+    """Derived seed for replication r, taken mod 2^64; ValueError for a non-integer r or seed."""
+    r = check_int("r", r, ValueError) & _MASK64
+    return int(_rep_seeds(master_seed, np.array([r], dtype=np.uint64))[0])
 
 
 def _rep_seeds(master_seed: int, r: np.ndarray) -> np.ndarray:
     """master_seed XOR splitmix64(r) for every entry of a uint64 array r, wrapping mod 2^64."""
+    master_seed = check_int("master_seed", master_seed, ValueError)
     u = np.uint64
     x = r + u(0x9E3779B97F4A7C15)
     x = (x ^ (x >> u(30))) * u(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> u(27))) * u(0x94D049BB133111EB)
-    return u(int(master_seed) & _MASK64) ^ x ^ (x >> u(31))
+    return u(master_seed & _MASK64) ^ x ^ (x >> u(31))
 
 
 def _hash_steps(init: int, mult: int, count: int) -> tuple:
@@ -514,8 +516,9 @@ def normality_report(
     sampling mode that includes ``resolved_rho_counts``. With ``spec`` None
     the spacings come straight from the exponential regression model with
     parameters (gamma, b, rho), which must then include gamma > 0. With
-    ``spec`` set to a DistributionSpec, full samples of size ``n`` are drawn
-    and the top k order statistics are kept; rho is then resolved by
+    ``spec`` set to a DistributionSpec, full samples of size ``n`` (an integer
+    >= k+1; the ``SimulationConfig`` raises KOutOfRangeError otherwise) are
+    drawn and the top k order statistics are kept; rho is then resolved by
     ``rho_method`` (default: the spec's true rho when finite negative, else -1).
 
     The statistic is :func:`standardized_statistic`, so at b = 0 its
@@ -546,8 +549,6 @@ def normality_report(
         standardized_statistic(gamma, gamma, k)  # gamma and 2 gamma, before any draw
         values, _, config = _model_core(gamma, b, rho, k, reps, ("WLS",), n, master_seed)
     else:
-        if n is None or check_int("n", n) < k + 1:
-            raise KOutOfRangeError(f"sampling mode needs n >= k+1, got n={n}")
         check_k_values(k, 2)  # KTooSmallError at k = 1, as in model mode
         gamma = spec.true_gamma
         standardized_statistic(gamma, gamma, k)  # 2 gamma, before any draw

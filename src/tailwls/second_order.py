@@ -6,9 +6,9 @@ regression fit can run. Three ways to get one:
     fixed         the caller supplies a constant,
     moment        the moment-ratio estimator of Fraga Alves, Gomes and
                   de Haan (2003) on the top k1 = floor(n^0.995) excesses,
-    min_variance  pick, from a small grid of candidates, the rho whose WLS
-                  estimate path is flattest (smallest variance over a wide
-                  k window); ties go to the most negative candidate.
+    min_variance  pick, from the candidates of DEFAULT_RHO_GRID, the rho whose
+                  WLS estimate path is flattest (smallest variance over a
+                  wide k window); ties go to the most negative candidate.
 
 All three depend on the sample only, never on the k later used for the fit,
 so a resolved value can be reused along a whole estimate path.
@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateTailError, EmptyOrTinyError, KOutOfRangeError, NonFiniteError
+from .errors import DegenerateTailError, KOutOfRangeError, NonFiniteError
 from .estimators import _path_fit, _prefix_sums, _row, _stack
 from .spacings import OrderedTail, check_rho, raise_on_overflow
 
@@ -38,14 +38,13 @@ class RhoMethod:
     """How to obtain rho: kind 'fixed', 'moment' or 'minvar'.
 
     Build instances through the classmethods; the extra fields only matter
-    for their respective kinds (fixed_value for 'fixed', tau for 'moment',
-    grid for 'minvar').
+    for their respective kinds (fixed_value for 'fixed', tau for 'moment').
+    'minvar' always searches DEFAULT_RHO_GRID.
     """
 
     kind: str
     fixed_value: float | None = None
     tau: float = 0.0
-    grid: tuple[float, ...] = DEFAULT_RHO_GRID
 
     def __post_init__(self):
         if self.kind not in ("fixed", "moment", "minvar"):
@@ -54,11 +53,6 @@ class RhoMethod:
             check_rho(self.fixed_value)
         if self.kind == "moment" and not math.isfinite(self.tau):
             raise NonFiniteError(f"tau={self.tau} must be finite")
-        if self.kind == "minvar":
-            if len(self.grid) == 0:
-                raise EmptyOrTinyError("rho candidate grid is empty")
-            for g in self.grid:
-                check_rho(g)
 
     @classmethod
     def fixed(cls, value: float) -> "RhoMethod":
@@ -69,8 +63,8 @@ class RhoMethod:
         return cls(kind="moment", tau=float(tau))
 
     @classmethod
-    def min_variance(cls, grid=DEFAULT_RHO_GRID) -> "RhoMethod":
-        return cls(kind="minvar", grid=tuple(float(g) for g in grid))
+    def min_variance(cls) -> "RhoMethod":
+        return cls(kind="minvar")
 
     @property
     def method_id(self) -> str:
@@ -94,7 +88,7 @@ def resolve_rho(tail: OrderedTail, method: RhoMethod) -> float:
         return float(method.fixed_value)
     if method.kind == "moment":
         return _moment_rho(tail, method.tau)
-    return _min_variance_rho(tail, method.grid)
+    return _min_variance_rho(tail)
 
 
 def _moment_rho(tail: OrderedTail, tau: float) -> float:
@@ -110,8 +104,7 @@ def _moment_rho(tail: OrderedTail, tau: float) -> float:
     MOMENT_RHO_RANGE.
     """
     n = tail.n
-    k1 = int(math.floor(n**0.995))
-    k1 = min(max(k1, 1), n - 1)
+    k1 = int(math.floor(n**0.995))  # in [1, n - 1] for every n >= 2
     logs = np.log(tail.values[:k1]) - np.log(tail.values[k1])
     if not logs[0] > 0.0:
         raise DegenerateTailError(
@@ -173,11 +166,13 @@ def _path_variances(z_all: np.ndarray, design) -> np.ndarray:
         return np.add.reduce(dev * dev, axis=-1) / m
 
 
-def _min_variance_rho(tail: OrderedTail, grid) -> float:
+def _min_variance_rho(tail: OrderedTail, grid=DEFAULT_RHO_GRID) -> float:
     """Grid candidate whose WLS path has the smallest variance.
 
-    The path runs over k in [max(2, ceil(n/10)), floor(0.9*(n-1))], on a
-    design cached per (grid, n), so a resolution is one engine run. Ties on
+    ``RhoMethod.min_variance`` always searches DEFAULT_RHO_GRID; ``grid`` is
+    there for tests of the tie rule, the per-rho oracle and overflowing
+    candidates. The path runs over k in [max(2, ceil(n/10)), floor(0.9*(n-1))],
+    on a design cached per (grid, n), so a resolution is one engine run. Ties on
     the variance go to the most negative candidate, so the result does not
     depend on grid order. A tail on which every candidate path is constant
     (all spacings zero, say) has nothing to choose by and raises

@@ -106,7 +106,7 @@ def test_amse_at_an_underflowing_s2_is_a_typed_error(rho):
     m = s_moments(2, rho)
     assert 0.0 < m.s2 < 1e-150
     with pytest.raises(InvalidRhoError, match="too small"):
-        m.unit_amse
+        m.amse(1.0)
     with pytest.raises(InvalidRhoError, match="too small"):
         amse(1.0, 2, rho)
 
@@ -141,11 +141,14 @@ def test_array_k_equals_each_single_k_bit_for_bit():
         block = s_moments(k, rho)
         assert np.array_equal(block.k, k) and block.rho == rho
         singles = [s_moments(int(j), rho) for j in k]
-        for field in ("s1", "s2", "s_dot", "s_ddot", "unit_amse"):
+        for field in ("s1", "s2", "s_dot", "s_ddot"):
             want = [getattr(m, field) for m in singles]
             assert all(type(x) is float for x in want)
             assert np.array_equal(getattr(block, field), want), (rho, field)
-        assert np.array_equal(block.amse(2.5), [m.amse(2.5) for m in singles])
+        for gamma in (1.0, 2.5):
+            want = [m.amse(gamma) for m in singles]
+            assert all(type(x) is float for x in want)
+            assert np.array_equal(block.amse(gamma), want), (rho, gamma)
 
 
 def test_s_moments_rejects_a_rho_every_fit_rejects():
@@ -167,7 +170,7 @@ def test_array_errors_name_the_first_k_at_fault():
         s_moments(np.arange(2, 20), -1.0).amse(1e154)
     assert np.isfinite(s_moments(np.arange(4, 20), -1.0).amse(1e154)).all()
     with pytest.raises(InvalidRhoError, match=r"at k=2 is too small"):
-        s_moments(np.arange(2, 20), -1e-100).unit_amse
+        s_moments(np.arange(2, 20), -1e-100).amse(1.0)
     with pytest.raises(KTooSmallError, match="k=1"):
         s_moments(np.arange(1, 20), -1.0)
 

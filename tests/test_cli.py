@@ -372,6 +372,8 @@ FAILURES = {
     "diagnose-gamma": (["diagnose", "--rho", "-1", "--gamma", "1e160"],
                        4, "tailwls diagnose: --gamma: gamma=1e+160: "
                           "gamma^2 overflows the AMSE at k=2"),
+    "diagnose-k": (["diagnose", "--rho", "-1", "--k-min", "9", "--k-max", "3"],
+                   4, "tailwls diagnose: --k-min 9 --k-max 3: no k values"),
     "diagnose-rho": (["diagnose", "--rho", "-800", "--k-max", "3"],
                      4, "tailwls diagnose: --rho: rho=-800.0 overflows "
                         "the covariate sums up to k=3"),

@@ -109,7 +109,7 @@ def test_diagnose_csv_equals_csv_writer(to_file, tmp_path, capsys):
     for k in range(2, 61):
         m = tw.s_moments(k, -0.5)
         rows.append([k, _g(m.s1), _g(m.s2), _g(m.s_dot), _g(m.s_ddot),
-                     _g(tw.s1_limit(-0.5)), _g(tw.s2_limit(-0.5)), _g(2.5**2 * m.unit_amse)])
+                     _g(tw.s1_limit(-0.5)), _g(tw.s2_limit(-0.5)), _g(2.5**2 * m.amse(1.0))])
     want = _oracle(["k", "s1", "s2", "s_dot", "s_ddot", "s1_limit", "s2_limit",
                     "amse"], rows)
     assert (out.read_text() if to_file else printed) == want

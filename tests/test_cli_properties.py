@@ -119,7 +119,10 @@ def test_simulate_extreme_flags(dist, flag, tmp_path, capsys):
 @pytest.mark.parametrize("flag", ["--rho", "--gamma", "--k-min", "--k-max"])
 def test_diagnose_extreme_flags(flag, tmp_path, capsys):
     breaches = []
-    for value in NUMBERS + (("1e-300", "-1e-300", "-1e300") if flag == "--rho" else ()):
+    # a k range numpy cannot index raises ValueError before any allocation
+    extra = {"--rho": ("1e-300", "-1e-300", "-1e300"), "--k-min": ("1" + "0" * 30,),
+             "--k-max": ("1" + "0" * 30,)}
+    for value in NUMBERS + extra.get(flag, ()):
         for out in ([], [f"--out={tmp_path / 'd.csv'}"]):
             argv = ["diagnose", "--rho=-1", "--k-max=60", f"{flag}={value}", *out]
             breaches += _run(argv, capsys)

@@ -229,7 +229,7 @@ def test_extreme_min_variance_grids_give_grid_values_or_typed_errors():
     grids += [(rho, -1.0) for rho in EXTREMES]
     for tail, grid in itertools.product(tails, grids):
         try:
-            rho = resolve_rho(tail, RhoMethod.min_variance(grid))
+            rho = second_order._min_variance_rho(tail, grid)
         except TailwlsError:
             continue
         assert rho in grid, (grid, rho)

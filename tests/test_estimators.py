@@ -316,7 +316,7 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
                 assert got.shape == (len(rhos), len(k_values))
                 assert np.array_equal(got, want)
     # integer and numpy rhos share the float row of the same rho: one build, then hits
-    monkeypatch.setattr(estimators, "_rows", {})
+    estimators._cached_row.cache_clear()
     built.clear()
     for given in (-1, np.int64(-1), np.float64(-1.0), -1.0):
         path_estimates(z_all, None, ("WLS",), given, contiguous)
@@ -337,7 +337,7 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
 
 
 def test_design_cache_keeps_16_rho_rows_and_evicts_the_least_recent(monkeypatch):
-    """Rows are cached per (rho, k values, weighting), at most 16 of them, or one larger grid."""
+    """Rows are cached per (rho, k values, weighting), the 16 most recently used."""
     from tailwls import estimators
 
     built = []
@@ -347,7 +347,13 @@ def test_design_cache_keeps_16_rho_rows_and_evicts_the_least_recent(monkeypatch)
         built.append((rho, len(k_values), weighted))
         return real_row(rho, k_values, weighted)
 
-    monkeypatch.setattr(estimators, "_rows", {})
+    def rebuilt(rhos, k_values=np.arange(2, 31), weighted=True):
+        """The rhos of ``rhos`` whose rows a ``_design`` call builds, in order."""
+        before = len(built)
+        estimators._design(tuple(rhos), k_values, weighted)
+        return [rho for rho, _, _ in built[before:]]
+
+    estimators._cached_row.cache_clear()
     monkeypatch.setattr(estimators, "_row", row)
     k_values = np.arange(2, 31)
     singles = [-0.1 * (i + 1) - 0.01 for i in range(16)]
@@ -360,16 +366,18 @@ def test_design_cache_keeps_16_rho_rows_and_evicts_the_least_recent(monkeypatch)
     assert design.v.shape == (7, 30) and design.s2.shape == (7, len(k_values))
     assert not any(a.flags.writeable for a in design[1:-1])
     # 7 rows need room: the 7 least recent singles go, singles[0] was used last
-    assert list(estimators._rows) == [(rho, k_values.tobytes(), True) for rho in
-                                      singles[8:] + [singles[0], *grid]]
+    assert rebuilt(singles[8:] + [singles[0], *grid]) == []
+    assert estimators._cached_row.cache_info().currsize == 16
     # another k range or weighting is another row; a known row is not rebuilt
     estimators._design((grid[0], -9.0), np.arange(2, 30), True)
     estimators._design((grid[0],), k_values, False)
     estimators._design((grid[1], grid[0]), k_values, True)
-    assert len(built) == 16 + 7 + 3 and len(estimators._rows) == 16
-    big = tuple(-0.05 * (i + 1) for i in range(20))
-    estimators._design(big, k_values, True)  # a grid of more than 16 rhos is kept alone
-    assert [key[0] for key in estimators._rows] == list(big)
+    assert len(built) == 16 + 7 + 3 and estimators._cached_row.cache_info().currsize == 16
+    assert rebuilt(singles[1:8]) == singles[1:8]  # evicted, so built again
+    big = tuple(-0.05 * (i + 1) - 0.003 for i in range(20))  # none cached yet
+    assert rebuilt(big) == list(big)
+    # a call of more than 16 rhos keeps its last 16 rows
+    assert rebuilt(big[4:]) == [] and rebuilt(big[:4]) == list(big[:4])
 
 
 def test_min_variance_studies_build_each_design_row_once(monkeypatch):
@@ -383,7 +391,7 @@ def test_min_variance_studies_build_each_design_row_once(monkeypatch):
         built.append((rho, k_values[0], k_values[-1], weighted))
         return real_row(rho, k_values, weighted)
 
-    monkeypatch.setattr(estimators, "_rows", {})
+    estimators._cached_row.cache_clear()
     for module in (estimators, second_order):  # the grid rows are the resolver's
         monkeypatch.setattr(module, "_row", row)
     second_order._window.cache_clear()
@@ -394,7 +402,8 @@ def test_min_variance_studies_build_each_design_row_once(monkeypatch):
     assert len(built) == len(set(built)) <= 14
     assert sorted(rho for rho, lo, hi, _ in built if (lo, hi) == (20, 179)) == sorted(DEFAULT_RHO_GRID)
     assert {(lo, hi, weighted) for _, lo, hi, weighted in built} == {(20, 179, True), (10, 150, True)}
-    assert len(estimators._rows) == len(built) - len(DEFAULT_RHO_GRID)  # the picks
+    # the picks
+    assert estimators._cached_row.cache_info().currsize == len(built) - len(DEFAULT_RHO_GRID)
 
 
 def test_grid_call_runs_the_engine_once(monkeypatch):
@@ -461,11 +470,21 @@ def test_every_k_array_entry_raises_typed_errors():
 def test_optimal_k_picks_smallest_on_ties():
     assert optimal_k([(10, 0.5), (4, 0.25), (7, 0.25)]) == (4, 0.25)
     assert optimal_k([(3, 1.0)]) == (3, 1.0)
+    assert optimal_k([(np.int64(3), 1.0)]) == (3, 1.0)
+    with pytest.raises(KOutOfRangeError, match="must be an integer"):
+        optimal_k([(5.7, 0.1)])  # int() would give (5, 0.1)
 
 
 def test_optimal_k_empty():
     with pytest.raises(EmptyOrTinyError):
         optimal_k([])
+
+
+def test_optimal_k_skips_non_finite_mses():
+    assert optimal_k([(5, np.inf), (6, 0.1)]) == (6, 0.1)
+    assert optimal_k([(5, np.nan), (6, np.inf), (7, 0.3)]) == (7, 0.3)
+    with pytest.raises(EmptyOrTinyError):
+        optimal_k([(5, np.inf), (6, np.inf)])
 
 
 def test_all_callers_share_one_table():

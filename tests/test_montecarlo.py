@@ -33,6 +33,7 @@ from tailwls import (
 from tailwls import montecarlo, resolve_rho
 from tailwls.montecarlo import (_CHUNK_ENTRIES, _model_draw, _rep_seeds, _replicate,
                                 _sampling_draw, _seed_state_type, _seed_states)
+from tailwls.second_order import _min_variance_rho
 
 
 def test_rep_seed_is_deterministic_and_wide():
@@ -41,6 +42,10 @@ def test_rep_seed_is_deterministic_and_wide():
     assert rep_seed(123, 7) == rep_seed(123, 7)
     assert rep_seed(123, 7) != rep_seed(124, 7)
     assert all(0 <= s < 2**64 for s in seeds)
+    assert rep_seed(np.int64(123), np.uint8(7)) == rep_seed(123, 7)
+    for master_seed, r in ((0, 1.5), (1.5, 0)):  # int() would run seed 0, r 1 and seed 1, r 0
+        with pytest.raises(ValueError, match="must be an integer"):
+            rep_seed(master_seed, r)
 
 
 # rep_seed(m, r) for these r (a negative r is taken mod 2^64), per master seed m; the values
@@ -494,12 +499,16 @@ def test_one_table_call_per_chunk_for_every_rho_method(monkeypatch, method):
     assert s.metadata["resolved_rho_counts"].endswith(f"unresolved:{unresolved}")
 
 
-def test_overflowing_minvar_grid_blanks_only_the_regressions():
-    # rho=-400 overflows the covariate sums, so resolve_rho raises InvalidRhoError
-    # on every sample: the regressions are missing and HILL is filled
+def test_overflowing_minvar_grid_blanks_only_the_regressions(monkeypatch):
+    # rho=-400 overflows the covariate sums, so resolving on this grid raises
+    # InvalidRhoError on every sample: the regressions are missing and HILL is filled
+    def overflowing_grid(tail, method):
+        return _min_variance_rho(tail, (-1.0, -400.0))
+
+    monkeypatch.setattr(montecarlo, "resolve_rho", overflowing_grid)
     cfg = SimulationConfig(spec=burr(1.0, 2.0, 1.0), n=200, reps=6, k_min=10, k_max=150,
                            estimators=("HILL", "WLS", "RR"), master_seed=3,
-                           rho_method=RhoMethod.min_variance(grid=(-1.0, -400.0)))
+                           rho_method=RhoMethod.min_variance())
     s = run_simulation(cfg)
     assert (s.missing[0] == 0).all()
     assert (s.missing[1:] == 6).all()

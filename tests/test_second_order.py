@@ -6,7 +6,6 @@ import pytest
 from tailwls import (
     DEFAULT_RHO_GRID,
     DegenerateTailError,
-    EmptyOrTinyError,
     InvalidRhoError,
     KOutOfRangeError,
     MOMENT_RHO_RANGE,
@@ -20,6 +19,7 @@ from tailwls import (
     sample,
     validate_and_sort,
 )
+from tailwls.second_order import _min_variance_rho
 
 
 def _burr_tail(n, seed, tau=None, lam=None):
@@ -41,13 +41,6 @@ class TestRhoMethod:
     def test_moment_ids(self):
         assert RhoMethod.moment().method_id == "moment"
         assert RhoMethod.moment(tau=0.5).method_id == "moment:tau=0.5"
-
-    def test_minvar_validation(self):
-        assert RhoMethod.min_variance().grid == DEFAULT_RHO_GRID
-        with pytest.raises(EmptyOrTinyError):
-            RhoMethod.min_variance(grid=())
-        with pytest.raises(InvalidRhoError):
-            RhoMethod.min_variance(grid=(-1.0, 0.5))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -106,16 +99,14 @@ def test_minvar_returns_grid_element_deterministically():
 
 def test_minvar_grid_order_does_not_matter():
     tail = _burr_tail(150, 5)
-    fwd = resolve_rho(tail, RhoMethod.min_variance(grid=DEFAULT_RHO_GRID))
-    rev = resolve_rho(
-        tail, RhoMethod.min_variance(grid=tuple(reversed(DEFAULT_RHO_GRID)))
-    )
-    assert fwd == rev
+    fwd = _min_variance_rho(tail, DEFAULT_RHO_GRID)
+    rev = _min_variance_rho(tail, tuple(reversed(DEFAULT_RHO_GRID)))
+    assert fwd == rev == resolve_rho(tail, RhoMethod.min_variance())
 
 
 def test_minvar_single_candidate():
     tail = _burr_tail(80, 6)
-    assert resolve_rho(tail, RhoMethod.min_variance(grid=(-0.9,))) == -0.9
+    assert _min_variance_rho(tail, (-0.9,)) == -0.9
 
 
 def _min_variance_oracle(tail, grid):
@@ -143,7 +134,7 @@ def test_minvar_pick_equals_per_rho_oracle():
             for seed in range(4):
                 tail = validate_and_sort(sample(spec, n, rep_seed(13, seed)))
                 for grid in grids:
-                    got = resolve_rho(tail, RhoMethod.min_variance(grid=grid))
+                    got = _min_variance_rho(tail, grid)
                     assert got == _min_variance_oracle(tail, grid), (spec, n, seed, grid)
                     picks.add(got)
     assert len(picks) > 2
@@ -175,13 +166,13 @@ def test_minvar_variances_and_picks_equal_the_grid_reference():
                     got = second_order._path_variances(tail.z_all, design)
                     assert got.tobytes() == want.tobytes(), (spec, n, seed, grid)
                     pick = float(grid[np.lexsort((grid, want))[0]])
-                    assert resolve_rho(tail, RhoMethod.min_variance(grid)) == pick
+                    assert _min_variance_rho(tail, grid) == pick
 
 
 def test_minvar_grid_overflow_raises_invalid_rho():
     # rho=-400 overflows the covariate sums of the k window at n=200
     with pytest.raises(InvalidRhoError):
-        resolve_rho(_burr_tail(200, 9), RhoMethod.min_variance(grid=(-1.0, -400.0)))
+        _min_variance_rho(_burr_tail(200, 9), (-1.0, -400.0))
 
 
 def test_minvar_tiny_sample():
