@@ -22,6 +22,7 @@ sample bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -180,15 +181,44 @@ def cdf(spec: DistributionSpec, x):
     return float(out) if np.ndim(x) == 0 else out
 
 
-def _uniforms(seeds, width: int) -> np.ndarray:
-    """The ``(rows, width)`` block of uniforms, row i the start of seed i's PCG64 stream.
+@cache
+def _seed_state_type() -> type:
+    """The ISeedSequence that hands a precomputed seed state to ``np.random.PCG64``.
 
-    The one place a seed becomes uniforms: a row holds what
-    ``np.random.Generator(np.random.PCG64(seed)).random(width)`` returns.
+    PCG64 asks its seed object once, for ``generate_state(4, np.uint64)``,
+    and reads the answer's memory as its 4 words; an instance answers with
+    the array its ``state`` points to. The class is built on first use, so
+    importing the package does not load numpy.random.
     """
-    block = np.empty((len(seeds), width))
-    for row, seed in zip(block, seeds):
-        np.random.Generator(np.random.PCG64(seed)).random(out=row)
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        state = None
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return SeedState
+
+
+def _uniforms(states, width: int) -> np.ndarray:
+    """The ``(rows, width)`` block of uniforms, row i the start of state row i's PCG64 stream.
+
+    The one place a seed becomes uniforms. ``states`` is a ``(rows, 4)``
+    block of uint64 PCG64 seed states, row i what ``np.random.PCG64`` asks a
+    seed for (``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for
+    an int s), and row i of the result is what
+    ``np.random.Generator(np.random.PCG64(seed_i)).random(width)`` returns.
+    The block is taken C-contiguous once, since PCG64 reads a state row's
+    memory and not its values: a strided row would seed another stream. One
+    adapter of :func:`_seed_state_type` is pointed at each row in turn.
+    """
+    states = np.ascontiguousarray(states, dtype=np.uint64)
+    block = np.empty((len(states), width))
+    adapter = _seed_state_type()()
+    for row, state in zip(block, states):
+        adapter.state = state
+        np.random.Generator(np.random.PCG64(adapter)).random(out=row)
     return block
 
 
@@ -198,10 +228,14 @@ def sample(spec: DistributionSpec, n: int, seed) -> np.ndarray:
     The same (spec, n, seed) always yields the same array; the stream is a
     PCG64 generator seeded with ``seed``, a nonnegative int or an
     ``ISeedSequence``. Either way the stream is the one ``np.random.PCG64``
-    builds from that seed, so an ISeedSequence whose state equals
-    ``SeedSequence(s).generate_state(4, np.uint64)`` gives the stream of
-    the int s. The uniforms are the one-row block of :func:`_uniforms`.
-    n must be an integer >= 1 (else ValueError).
+    builds from that seed: the uniforms are the one-row block of
+    :func:`_uniforms` on the state PCG64 asks the seed for, its
+    ``generate_state(4, np.uint64)``, or that of ``np.random.SeedSequence``
+    built from an int. n must be an integer >= 1 (else ValueError).
     """
     n = check_int("n", n, ValueError, 1)
-    return quantile(spec, _uniforms([seed], n)[0])
+    from numpy.random.bit_generator import ISeedSequence
+
+    if not isinstance(seed, ISeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return quantile(spec, _uniforms(seed.generate_state(4, np.uint64)[None], n)[0])

@@ -151,20 +151,20 @@ def _stack(rows: list) -> _Design:
     return _Design(rows[0].weighted, rows[0].i, rows[0].totals, *columns, rejected)
 
 
-def _path_fit(z_all: np.ndarray, z_sums: np.ndarray, design: _Design, shrink=0.0, index=0):
+def _path_fit(z_all: np.ndarray, z_sums: np.ndarray, design: _Design, shrink=None, index=0):
     """The path engine: (gamma_hat, b_hat) at every k of ``design``.
 
     The fit at k uses the first k entries of ``z_all`` along its last axis,
     with W_j = 1 - j/(k+1) if the design is weighted, else uniform weights;
-    ``shrink`` is penalty/k (ridge). ``z_sums`` is the running sum of
-    ``z_all`` up to the design's k_max (``_prefix_sums(z_all, k_max,
-    False)``), which a caller computes once per sample and shares. ``z_all``
-    may have leading axes (a block of rows, one per sample). ``index`` maps
-    the design's rows onto those axes: 0 for one rho, ``np.s_[:]`` for a
-    grid (a rho axis in front; ``np.s_[:, None]`` on a block), or an int
-    array, a design row per block row; ``shrink`` may add axes in front of
-    all. Every row equals its 1-D one-rho call bit for bit. A rejected rho
-    raises, unless ``index`` is an array.
+    ``shrink`` is penalty/k (ridge), None for a plain fit. ``z_sums`` is the
+    running sum of ``z_all`` up to the design's k_max (``_prefix_sums(z_all,
+    k_max, False)``), which a caller computes once per sample and shares.
+    ``z_all`` may have leading axes (a block of rows, one per sample).
+    ``index`` maps the design's rows onto those axes: 0 for one rho,
+    ``np.s_[:]`` for a grid (a rho axis in front; ``np.s_[:, None]`` on a
+    block), or an int array, a design row per block row; ``shrink`` may add
+    axes in front of all. Every row equals its 1-D one-rho call bit for bit.
+    A rejected rho raises, unless ``index`` is an array.
     """
     weighted, i, totals, v, m1, scale, s1, s2, rejected = design
     if rejected and not isinstance(index, np.ndarray):
@@ -172,17 +172,26 @@ def _path_fit(z_all: np.ndarray, z_sums: np.ndarray, design: _Design, shrink=0.0
     k_max = v.shape[-1]
     v, m1, scale, s1, s2 = (a[index] for a in (v, m1, scale, s1, s2))
     # zbar, the weighted mean of Z: the second pass of a weighted prefix sum
-    zbar = (np.add.accumulate(z_sums, axis=-1) if weighted else z_sums).take(i, axis=-1) / totals
+    zbar = (np.add.accumulate(z_sums, axis=-1) if weighted else z_sums).take(i, axis=-1)
+    zbar /= totals
     # summed in place, so a run's slope sums take one block-sized array: on a
     # 128 KiB model chunk each more live one cost page faults on every call
     svz = np.multiply(v, z_all[..., :k_max])
     np.add.accumulate(svz, axis=-1, out=svz)
     if weighted:
         np.add.accumulate(svz, axis=-1, out=svz)
-    svz = svz.take(i, axis=-1) / totals
-    # sum w_j (C_j - S1) Z_j = scale_k * (sum w_j v_j Z_j - m1 * zbar)
-    b_hat = (svz - m1 * zbar) * scale / (s2 + shrink)
-    return zbar - b_hat * s1, b_hat
+    b_hat = svz.take(i, axis=-1)
+    b_hat /= totals
+    # sum w_j (C_j - S1) Z_j = scale_k * (sum w_j v_j Z_j - m1 * zbar), formed
+    # in the array the slope sums own; a shrink adds its axes in a new one
+    b_hat -= m1 * zbar
+    b_hat *= scale
+    if shrink is None:
+        b_hat /= s2
+    else:
+        b_hat = b_hat / (s2 + shrink)
+    gamma_hat = b_hat * s1
+    return np.subtract(zbar, gamma_hat, out=gamma_hat), b_hat
 
 
 def _bchill(hill_values, b_hat, rhos: tuple, index, n: int, k_values: np.ndarray):

@@ -8,13 +8,13 @@ so runs are reproducible, independent of replication order, and cheap to
 shard. Every study runs through one engine, ``_replicate``. It takes the
 replications in order, in chunks of at most ``_CHUNK_ENTRIES`` spacings,
 sized from the draw's row length before anything is drawn. It derives the
-PCG64 seed states of a batch of whole chunks in one vectorised step, which
-equals ``np.random.SeedSequence(rep_seed(master_seed, r))
-.generate_state(4, np.uint64)`` bit for bit; a batch is as many chunks as
-fit their ``(rows, 4)`` state block in ``_CHUNK_ENTRIES`` words (128 KiB),
-and at least one. Each chunk hands the draw one seed object per
-replication, from its rows of the batch's block. A PCG64 built from that
-object is the stream ``PCG64(rep_seed(master_seed, r))`` would give, so a
+PCG64 seed states of a batch of whole chunks in one vectorised step on
+uint32 words, which equals ``np.random.SeedSequence(rep_seed(master_seed,
+r)).generate_state(4, np.uint64)`` bit for bit; a batch is as many chunks
+as fit their C-contiguous ``(rows, 4)`` uint64 state block in
+``_CHUNK_ENTRIES`` words (128 KiB), and at least one. That block is the
+draw's input: each chunk hands the draw its rows of it, and the stream of
+row r is the one ``PCG64(rep_seed(master_seed, r))`` gives, so a
 replication replays from its integer seed alone. One call of
 :func:`tailwls.estimators.path_estimates` computes every estimator path of a
 chunk, whatever the rho method: the model draw hands it one rho, the
@@ -53,7 +53,6 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -101,74 +100,59 @@ def _hash_steps(init: int, mult: int, count: int) -> tuple:
     steps = [init]
     while len(steps) < count:
         steps.append(steps[-1] * mult & 0xFFFFFFFF)
-    return tuple(np.uint64(h) for h in steps)
+    return tuple(np.uint32(h) for h in steps)
 
 
 # numpy's SeedSequence: INIT_A/MULT_A drive the 16 hashes that fill and mix a
 # pool of 4 words, INIT_B/MULT_B the 8 that give 4 uint64 words of output.
 _POOL_HASH = _hash_steps(0x43B0D7E5, 0x931E8875, 17)
 _STATE_HASH = _hash_steps(0x8B51F9DD, 0x58F38DED, 9)
-_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
-_MASK32, _SHIFT = np.uint64(0xFFFFFFFF), np.uint64(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
 
 
 def _hash32(v: np.ndarray, before, after) -> np.ndarray:
-    """One SeedSequence hash step on uint32 values held in uint64: (v ^ h_i) * h_{i+1}."""
-    v = (v ^ before) * after & _MASK32
-    return v ^ (v >> _SHIFT)
+    """One SeedSequence hash step on a uint32 array, in a new one: (v ^ h_i) * h_{i+1}, mixed."""
+    v = v ^ before
+    v *= after
+    v ^= v >> _SHIFT
+    return v
 
 
 def _seed_states(seeds: np.ndarray) -> np.ndarray:
     """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` per uint64 seed s.
 
-    Returns a ``(rows, 4)`` uint64 block. numpy's pool hash and output hash
-    run on 32-bit words held in uint64 arrays, so a product of two words
-    never overflows before the mask. SeedSequence pools a one- or two-word
-    seed exactly as it pools the same words padded with zeros to 4, so every
-    seed takes this one path.
+    Returns a C-contiguous ``(rows, 4)`` uint64 block. numpy's pool hash and
+    output hash are arithmetic mod 2^32, which uint32 arrays do by wrapping;
+    every step is an array op, as numpy warns on a uint32 scalar that wraps.
+    SeedSequence pools a one- or two-word seed exactly as it pools the same
+    words padded with zeros to 4, so every seed takes this one path. The 8
+    output words of a row are its 4 uint64 words, low word first, which is
+    how numpy views them on a little-endian host.
     """
-    zero = np.zeros_like(seeds)
-    pool = [seeds & _MASK32, seeds >> np.uint64(32), zero, zero]
+    lo, hi = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(lo)
     h = iter(zip(_POOL_HASH, _POOL_HASH[1:]))
-    pool = [_hash32(word, *next(h)) for word in pool]
+    pool = [_hash32(word, *next(h)) for word in (lo, hi, zero, zero)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
-                mixed = (pool[dst] * _MIX_L - _hash32(pool[src], *next(h)) * _MIX_R) & _MASK32
-                pool[dst] = mixed ^ (mixed >> _SHIFT)
+                mixed = pool[dst] * _MIX_L
+                mixed -= _hash32(pool[src], *next(h)) * _MIX_R
+                mixed ^= mixed >> _SHIFT
+                pool[dst] = mixed
     words = [_hash32(pool[i % 4], _STATE_HASH[i], _STATE_HASH[i + 1]) for i in range(8)]
-    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(words[::2], words[1::2])],
-                    axis=1)
-
-
-@cache
-def _seed_state_type() -> type:
-    """The ISeedSequence that hands a precomputed seed state to ``np.random.PCG64``.
-
-    PCG64 asks its seed object once, for ``generate_state(4, np.uint64)``;
-    an instance answers with its row of :func:`_seed_states`, a contiguous
-    uint64 array of 4. The class is built on first use, so importing the
-    package does not load numpy.random.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedState(ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    return SeedState
+    return np.stack(words, axis=1).view(np.uint64)
 
 
 def _model_draw(gamma: float, b: float, rho: float, k: int):
     """Draw of model spacings with the true rho; the means are checked once, here.
 
-    The draw takes one seed per replication (an int or an ISeedSequence) and
-    returns the ``(rows, k)`` block of spacings, row i from seed i's PCG64
-    stream as ``means * -log1p(-U)`` with k uniforms U, and the one rho. It
-    raises NonFiniteError where a spacing overflows.
+    The draw takes the ``(rows, 4)`` block of PCG64 seed states of its
+    replications (see :func:`tailwls.distributions._uniforms`) and returns
+    the ``(rows, k)`` block of spacings, row i from state row i's stream as
+    ``means * -log1p(-U)`` with k uniforms U, and the one rho. It raises
+    NonFiniteError where a spacing overflows.
 
     Raises:
         KOutOfRangeError: k < 1.
@@ -187,8 +171,8 @@ def _model_draw(gamma: float, b: float, rho: float, k: int):
         )
     scale = -means
 
-    def draw(seeds):
-        block = _uniforms(seeds, means.size)
+    def draw(states):
+        block = _uniforms(states, means.size)
         np.log1p(np.negative(block, out=block), out=block)
         with raise_on_overflow("a model spacing"):
             block *= scale  # log1p(-U) * -means, which is means * -log1p(-U) exactly
@@ -201,9 +185,10 @@ def _sampling_draw(spec: DistributionSpec, n: int, rho_method: RhoMethod,
                    est_ids: tuple[str, ...]):
     """Draw of full samples: one block for the chunk, then each row's rho.
 
-    The draw takes one seed per replication and returns the ``(rows, n-1)``
-    block of spacings and the ``(rows,)`` array of their rhos. Row i is the
-    sample ``sample(spec, n, seed_i)`` gives and the spacings
+    The draw takes the ``(rows, 4)`` block of PCG64 seed states of its
+    replications and returns the ``(rows, n-1)`` block of spacings and the
+    ``(rows,)`` array of their rhos. Row i is the sample ``sample(spec, n,
+    seed_i)`` gives, for a seed whose state is row i, and the spacings
     ``validate_and_sort`` gives it, as both are the one-row case of the
     builders used here; a row that fails that validation is NaN, spacings and
     rho. Rho is resolved per good row, on the row's own OrderedTail, only
@@ -212,8 +197,8 @@ def _sampling_draw(spec: DistributionSpec, n: int, rho_method: RhoMethod,
     """
     resolves = needs_rho(est_ids)
 
-    def draw(seeds):
-        block, tails = block_tails(quantile(spec, _uniforms(seeds, n)))
+    def draw(states):
+        block, tails = block_tails(quantile(spec, _uniforms(states, n)))
         rho = np.full(len(tails), np.nan)
         for row, tail in enumerate(tails):
             if resolves and tail is not None:
@@ -235,29 +220,30 @@ def _replicate(draw, row_len: int, est_ids: tuple[str, ...], k_values: np.ndarra
     states come from one :func:`_seed_states` call per batch of whole
     chunks, the most whose ``(rows, 4)`` state block fits in
     ``_CHUNK_ENTRIES`` words and at least one: the cost of that call is
-    mostly per call, not per row. ``draw`` gets one seed object (of
-    :func:`_seed_state_type`) per replication of a chunk, each holding its
-    row of the batch's block. It returns the ``(rows, row_len)`` block of
-    spacings, NaN in a row whose draw failed, and the rows' rho: one for all,
-    or one per row, NaN where unresolved. The chunk is one table call, and
-    each row of the result is its replication's paths, bit for bit, or NaN
-    where the module's failure rule marks it missing; a call that fails as a
-    whole raises. ``rhos`` holds the rho (None if unresolved) of every draw
-    that did not fail, in order of r.
+    mostly per call, not per row. ``draw`` gets a chunk's rows of the
+    batch's C-contiguous block, one PCG64 seed state per replication. It
+    returns the ``(rows, row_len)`` block of spacings, NaN in a row whose
+    draw failed, and the rows' rho: one for all, or one per row, NaN where
+    unresolved. The chunk is one table call, and each row of the result is
+    its replication's paths, bit for bit, or NaN where the module's failure
+    rule marks it missing; a call that fails as a whole raises. ``rhos``
+    holds the rho (None if unresolved) of every draw that did not fail, in
+    order of r, if the draw gives one per row; a draw that gives one rho
+    for all (the model's, known to its caller) adds none.
     """
     values = np.full((len(est_ids), len(k_values), reps), np.nan)
     rhos = []
     chunk = max(1, _CHUNK_ENTRIES // row_len)
     batch = max(1, _CHUNK_ENTRIES // 4 // chunk) * chunk
-    seed_state = _seed_state_type()
     for start in range(0, reps, chunk):
         offset = start % batch
         if offset == 0:
             r = np.arange(start, min(start + batch, reps), dtype=np.uint64)
             states = _seed_states(_rep_seeds(master_seed, r))
-        block, rho = draw([seed_state(state) for state in states[offset:offset + chunk]])
-        ok = ~np.isnan(block[:, 0])  # a failed draw's row is NaN
-        rhos += [None if math.isnan(r) else r for r in np.broadcast_to(rho, ok.shape)[ok].tolist()]
+        block, rho = draw(states[offset:offset + chunk])
+        if getattr(rho, "ndim", 0):
+            ok = ~np.isnan(block[:, 0])  # a failed draw's row is NaN
+            rhos += [None if math.isnan(r) else r for r in rho[ok].tolist()]
         paths = path_estimates(block, n, est_ids, rho, k_values).paths
         for e, est in enumerate(est_ids):
             if est in paths:
@@ -384,32 +370,49 @@ class SimulationSummary:
 
 
 def summarize(values: np.ndarray, true_gamma: float) -> dict:
-    """Aggregate a (E, K, reps) array with NaN marking failures.
+    """Aggregate a (E, K, reps) float64 array with NaN marking failures.
 
     Means, variances and MSEs are taken over the non-NaN replications of
     each cell with the population divisor, so mse = variance + bias^2
     exactly. A permutation of the replication axis changes nothing beyond
-    float roundoff. A cell with no replication is NaN throughout.
+    float roundoff. A cell with no replication is NaN throughout. The
+    arithmetic is that of ``np.nanmean``, ``np.nanvar`` and
+    ``np.nanmean((values - true_gamma)**2)`` for a finite ``true_gamma``,
+    so the bits are theirs: one NaN mask, a zero-filled copy, one sum over
+    the replications per aggregate, divided by the count. It runs those ops
+    without the functions' wrappers and warning filters, which cost more
+    than the sums on a study-sized block.
 
     Raises:
         NonFiniteError: at the first cell, estimator-major, whose mean is
             finite but whose mse or variance overflows (a gamma near 1e155).
     """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        mean = np.nanmean(values, axis=2)
-        variance = np.nanvar(values, axis=2)
-        mse = np.nanmean((values - true_gamma) ** 2, axis=2)
+    nan = np.isnan(values)
+    filled = np.array(values, copy=True)  # the layout numpy's nan-reductions copy to
+    np.copyto(filled, 0.0, where=nan)
+    missing = np.add.reduce(nan, axis=2, dtype=np.intp)
+    count = values.shape[2] - missing
+    with np.errstate(all="ignore"):  # 0/0 in an empty cell; an overflow is checked below
+        mean = np.add.reduce(filled, axis=2)
+        mean /= count
+        squares = []  # of the deviations from the mean, then from gamma
+        for centre in (mean[..., None], true_gamma):
+            dev = filled - centre
+            np.copyto(dev, 0.0, where=nan)
+            np.multiply(dev, dev, out=dev)
+            total = np.add.reduce(dev, axis=2)
+            total /= count
+            squares.append(total)
+    variance, mse = squares
+    np.copyto(variance, np.nan, where=count == 0)  # as np.nanvar marks an empty cell
     bad = np.isfinite(mean) & ~(np.isfinite(mse) & np.isfinite(variance))
     if bad.any():
         e, i = np.argwhere(bad)[0]
         raise NonFiniteError(f"the mse or variance of cell [{e}, {i}] overflows "
                              f"(mean {mean[e, i]}, gamma {true_gamma})")
-    bias = mean - true_gamma
-    missing = np.isnan(values).sum(axis=2)
     return {
         "mean": mean,
-        "bias": bias,
+        "bias": mean - true_gamma,
         "mse": mse,
         "variance": variance,
         "missing": missing,

@@ -162,8 +162,13 @@ def _path_variances(z_all: np.ndarray, design) -> np.ndarray:
         z_sums = _prefix_sums(z_all, design.v.shape[-1], False)
         paths = _path_fit(z_all, z_sums, design, index=np.s_[:])[0]
         m = paths.shape[-1]
-        dev = paths - np.add.reduce(paths, axis=-1, keepdims=True) / m
-        return np.add.reduce(dev * dev, axis=-1) / m
+        mean = np.add.reduce(paths, axis=-1, keepdims=True)
+        mean /= m
+        paths -= mean  # centred and squared in place: the paths are this call's own
+        np.multiply(paths, paths, out=paths)
+        variances = np.add.reduce(paths, axis=-1)
+        variances /= m
+        return variances
 
 
 def _min_variance_rho(tail: OrderedTail, grid=DEFAULT_RHO_GRID) -> float:
@@ -180,7 +185,7 @@ def _min_variance_rho(tail: OrderedTail, grid=DEFAULT_RHO_GRID) -> float:
     """
     rhos, design = _window(tuple(grid), tail.n)
     variances = _path_variances(tail.z_all, design)
-    if (variances == 0.0).all():
+    if not variances.any():  # every variance 0 (a NaN is nonzero)
         lo, hi = design.i[[0, -1]] + 1
         raise DegenerateTailError(
             f"every candidate rho gives a constant WLS path over k in [{lo}, {hi}]"

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,17 +92,28 @@ def check_int(name: str, value, error: type = KOutOfRangeError, low: int | None 
     return value
 
 
-@contextmanager
-def raise_on_overflow(what: str):
+class raise_on_overflow:
     """Run the block with numpy overflow raising NonFiniteError, which names ``what``.
 
     A float overflow costs no pass over the result to find: numpy reports it.
+    A small class around ``np.errstate(over="raise")``, not a generator
+    ``@contextmanager``: a sampling study enters it once per table call and
+    once per min-variance resolution, and the generator's machinery costs
+    more than the errstate itself.
     """
-    try:
-        with np.errstate(over="raise"):
-            yield
-    except FloatingPointError as exc:
-        raise NonFiniteError(f"{what} overflows ({exc})") from None
+
+    __slots__ = ("what", "_errstate")
+
+    def __init__(self, what: str):
+        self.what, self._errstate = what, np.errstate(over="raise")
+
+    def __enter__(self):
+        self._errstate.__enter__()
+
+    def __exit__(self, kind, exc, tb):
+        self._errstate.__exit__(kind, exc, tb)
+        if kind is not None and issubclass(kind, FloatingPointError):
+            raise NonFiniteError(f"{self.what} overflows ({exc})") from None
 
 
 def check_k_range(k_min: int, k_max: int, n: int) -> np.ndarray:

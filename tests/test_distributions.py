@@ -19,6 +19,7 @@ from tailwls import (
     sample,
     validate_and_sort,
 )
+from tailwls.distributions import _seed_state_type, _uniforms
 
 ALL_SPECS = [
     pareto(0.5),
@@ -226,6 +227,30 @@ def test_sample_matches_inverse_transform():
     assert np.array_equal(got, quantile(s, u))
 
 
+def test_uniforms_take_the_state_values_whatever_their_layout():
+    """PCG64 reads a state row's memory: a strided block must seed the same streams."""
+    seeds = (0, 1, 2**64 - 1)
+    states = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
+    want = np.array([np.random.Generator(np.random.PCG64(s)).random(50) for s in seeds])
+    assert np.array_equal(_uniforms(states, 50), want)
+    for strided in (np.asfortranarray(states), np.repeat(states, 2, axis=0)[::2],
+                    np.repeat(states, 2, axis=1)[:, ::2], states.astype(">u8")):
+        assert not strided.flags.c_contiguous or strided.dtype != np.uint64
+        assert np.array_equal(_uniforms(strided, 50), want)
+
+
+def test_sample_takes_an_int_seed_or_its_seed_object():
+    spec = burr(1.0, 2.0, 0.5)
+    for s in (0, 7, 2**32, 2**64 - 1):
+        want = sample(spec, 30, s)
+        assert np.array_equal(want, quantile(spec, np.random.Generator(
+            np.random.PCG64(s)).random(30)))
+        assert np.array_equal(sample(spec, 30, np.random.SeedSequence(s)), want)
+        adapter = _seed_state_type()()
+        adapter.state = np.random.SeedSequence(s).generate_state(4, np.uint64)
+        assert np.array_equal(sample(spec, 30, adapter), want)
+
+
 def test_sample_bad_n():
     with pytest.raises(ValueError):
         sample(pareto(1.0), 0, seed=1)
@@ -236,7 +261,7 @@ def test_sample_bad_n():
 
 def test_import_does_not_load_scipy():
     # scipy is needed only by the log-gamma quantile and cdf, and numpy.random
-    # only by the first study (montecarlo._seed_state_type)
+    # only by the first draw (distributions._seed_state_type)
     code = ("import tailwls, sys; "
             "assert 'scipy' not in sys.modules and 'numpy.random' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True)

@@ -24,7 +24,7 @@ from tailwls import (
 )
 from tailwls.asymptotics import s_moments
 from tailwls.estimators import check_estimators, needs_rho
-from tailwls.montecarlo import _model_draw, _sampling_draw
+from tailwls.montecarlo import _model_draw, _rep_seeds, _sampling_draw, _seed_states
 from tailwls.spacings import check_k_range
 
 
@@ -496,7 +496,8 @@ def test_all_callers_share_one_table():
         spec=spec, n=200, reps=1, k_min=10, k_max=150,
         estimators=ESTIMATOR_IDS, rho_method=method, master_seed=3,
     ))
-    z_model = _model_draw(0.5, 0.1, -1.0, 100)([rep_seed(3, 0)])[0][0]
+    state = _seed_states(_rep_seeds(3, np.zeros(1, dtype=np.uint64)))  # replication 0's
+    z_model = _model_draw(0.5, 0.1, -1.0, 100)(state)[0][0]
     model = run_model_simulation(0.5, 0.1, -1.0, 100, reps=1,
                                  estimators=ESTIMATOR_IDS, master_seed=3, n=200)
     rho = resolve_rho(tail, method)
@@ -594,9 +595,9 @@ def test_per_row_rho_equals_one_row_calls_bitwise():
     The LS and WLS slopes and RR's penalties are NaN on both, as their paths are.
     """
     spec, n, k_values = burr(1.0, np.sqrt(2.0), np.sqrt(2.0)), 200, np.arange(10, 151)
-    seeds = [rep_seed(3, r) for r in range(40)]
+    states = _seed_states(_rep_seeds(3, np.arange(40, dtype=np.uint64)))
     for method in (RhoMethod.min_variance(), RhoMethod.moment()):
-        block, rho = _sampling_draw(spec, n, method, ESTIMATOR_IDS)(seeds)
+        block, rho = _sampling_draw(spec, n, method, ESTIMATOR_IDS)(states)
         if method.kind == "minvar":
             assert (rho == -1.0).sum() >= 2 and 1 < len(set(rho.tolist())) < 8
         else:

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -32,8 +33,13 @@ from tailwls import (
 )
 from tailwls import montecarlo, resolve_rho
 from tailwls.montecarlo import (_CHUNK_ENTRIES, _model_draw, _rep_seeds, _replicate,
-                                _sampling_draw, _seed_state_type, _seed_states)
+                                _sampling_draw, _seed_states)
 from tailwls.second_order import _min_variance_rho
+
+
+def _states(*seeds):
+    """The (rows, 4) block of PCG64 seed states of the int seeds, as PCG64 asks each for it."""
+    return np.array([np.random.SeedSequence(s).generate_state(4, np.uint64) for s in seeds])
 
 
 def test_rep_seed_is_deterministic_and_wide():
@@ -84,12 +90,29 @@ def test_seed_states_equal_numpy_seed_sequence():
     assert np.array_equal(got, want)
 
 
+SEED_EDGES = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+@pytest.mark.parametrize("rows", [1, 20, 4075])
+def test_seed_states_at_edge_seeds_and_batch_sizes(rows):
+    """Each row is SeedSequence(s).generate_state(4, uint64), in a C-contiguous block.
+
+    The hash wraps mod 2^32 in uint32 arrays; numpy warns where a uint32
+    scalar wraps, which the suite's warning filter turns into a failure.
+    """
+    want = {s: np.random.SeedSequence(s).generate_state(4, np.uint64) for s in SEED_EDGES}
+    edges = np.array(SEED_EDGES, dtype=np.uint64)
+    for seeds in ([edges[i:i + 1] for i in range(edges.size)] if rows == 1
+                  else [np.resize(edges, rows)]):
+        got = _seed_states(seeds)
+        assert got.shape == (rows, 4) and got.dtype == np.uint64 and got.flags.c_contiguous
+        assert all(np.array_equal(row, want[s]) for row, s in zip(got, seeds.tolist()))
+
+
 def test_model_block_rows_are_the_replication_streams():
     gamma, b, rho, k, master_seed = 0.5, 0.1, -1.0, 50, 6
     r = np.arange(40, dtype=np.uint64)
-    seed_state = _seed_state_type()
-    seeds = [seed_state(state) for state in _seed_states(_rep_seeds(master_seed, r))]
-    block, rhos = _model_draw(gamma, b, rho, k)(seeds)
+    block, rhos = _model_draw(gamma, b, rho, k)(_seed_states(_rep_seeds(master_seed, r)))
     assert block.shape == (40, k) and rhos == rho
     means = gamma + b * covariates(k, rho)
     for i, row in enumerate(block):
@@ -123,8 +146,8 @@ def test_model_study_constructs_no_seed_sequence(monkeypatch):
 
 
 def test_model_spacings_deterministic():
-    a, rho_a = _model_draw(0.5, 0.1, -1.0, 50)([11])
-    b, _ = _model_draw(0.5, 0.1, -1.0, 50)([11])
+    a, rho_a = _model_draw(0.5, 0.1, -1.0, 50)(_states(11))
+    b, _ = _model_draw(0.5, 0.1, -1.0, 50)(_states(11))
     assert np.array_equal(a, b)
     assert a.shape == (1, 50) and rho_a == -1.0
     assert (a >= 0).all()
@@ -136,7 +159,7 @@ def test_model_spacings_mean_matches_theory():
     acc = np.zeros(k)
     draw = _model_draw(gamma, b, rho, k)
     for r in range(reps):
-        acc += draw([rep_seed(77, r)])[0][0]
+        acc += draw(_states(rep_seed(77, r)))[0][0]
     mean = acc / reps
     expect = gamma + b * covariates(k, rho)
     se = expect / np.sqrt(reps)  # sd of Z_j equals its mean for exponential noise
@@ -155,7 +178,7 @@ def test_model_spacings_argument_errors():
 def test_run_model_simulation_single_rep_is_exact():
     s = run_model_simulation(0.5, 0.1, -1.0, 30, reps=1, estimators=("WLS", "HILL"),
                              master_seed=9)
-    z_model = _model_draw(0.5, 0.1, -1.0, 30)([rep_seed(9, 0)])[0][0]
+    z_model = _model_draw(0.5, 0.1, -1.0, 30)(_states(rep_seed(9, 0)))[0][0]
     z = z_model
     assert s.cell("WLS", 30)["mean"] == path_estimates(z, None, ("WLS",), -1.0, [30]).paths["WLS"][0]
     assert s.cell("HILL", 30)["mean"] == np.cumsum(z)[-1] / 30
@@ -267,7 +290,7 @@ def test_overflowing_model_studies_raise_non_finite_error():
     with pytest.raises(NonFiniteError, match="overflows"):
         normality_report(100, 10, gamma=1e306)
     with pytest.raises(NonFiniteError, match="model spacing overflows"):
-        _model_draw(1e308, 0.0, -1.0, 10)([rep_seed(0, r) for r in range(200)])
+        _model_draw(1e308, 0.0, -1.0, 10)(_states(*(rep_seed(0, r) for r in range(200))))
     # just below, every replication's estimate is finite (the aggregates of
     # the first two overflow, see the next test)
     for gamma, est_ids in ((1e300, ("HILL", "WLS")), (1e304, ("LS", "RR")), (1e154, ("BCHILL",))):
@@ -291,6 +314,46 @@ def test_overflowing_aggregates_raise_non_finite_error():
     assert np.isnan([agg["mean"][0, 1], agg["mse"][0, 1], agg["variance"][0, 1]]).all()
 
 
+def _nan_aggregates(values, true_gamma):
+    """numpy's nan-reductions, the definition summarize's arithmetic follows."""
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)  # an empty slice
+        return {"mean": np.nanmean(values, axis=2), "variance": np.nanvar(values, axis=2),
+                "mse": np.nanmean((values - true_gamma) ** 2, axis=2),
+                "missing": np.isnan(values).sum(axis=2)}
+
+
+def test_summarize_equals_numpy_nan_reductions_bitwise():
+    """NaN cells, an all-NaN cell, one replication and either layout give numpy's bits."""
+    rng = np.random.default_rng(27)
+    blocks = []
+    for shape in ((2, 141, 20), (3, 7, 1), (1, 5, 333)):
+        values = rng.normal(0.5, 0.3, size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        values[rng.random(shape) < 0.2] = np.nan
+        values[0, 1] = np.nan  # a cell with no replication
+        blocks += [values, np.asfortranarray(values)]
+    for values in blocks:
+        got, want = summarize(values, 0.5), _nan_aggregates(values, 0.5)
+        for key in ("mean", "variance", "mse", "missing"):
+            assert got[key].dtype == want[key].dtype, key
+            assert got[key].tobytes() == want[key].tobytes(), key  # NaN bits too
+        assert got["bias"].tobytes() == (want["mean"] - 0.5).tobytes()
+
+
+def test_summarize_raises_on_overflow_at_numpys_first_bad_cell():
+    values = np.full((2, 3, 4), 1.0)
+    values[1, 2, :2] = [1e200, -1e200]  # finite mean, overflowing mse and variance
+    values[1, 1, :] = np.nan
+    want = _nan_aggregates(values, 1.0)
+    bad = np.isfinite(want["mean"]) & ~np.isfinite(want["mse"] + want["variance"])
+    e, i = np.argwhere(bad)[0]
+    message = (f"the mse or variance of cell [{e}, {i}] overflows "
+               f"(mean {want['mean'][e, i]}, gamma 1.0)")
+    with pytest.raises(NonFiniteError) as raised:
+        summarize(values, 1.0)
+    assert str(raised.value) == message
+
+
 def test_failed_table_call_marks_the_whole_replication_missing():
     # rho=-200 overflows the covariate sums and rho=-1e-170 underflows them,
     # so every replication's table call fails; HILL, which needs no rho, is
@@ -304,11 +367,11 @@ def test_failed_table_call_marks_the_whole_replication_missing():
 
 
 def _reference_replicate(draw, est_ids, k_values, n, reps, master_seed):
-    """The engine one replication at a time: a one-row draw from the int seed, a 1-D call."""
+    """The engine one replication at a time: a one-row draw from the int seed's state, a 1-D call."""
     values = np.full((len(est_ids), len(k_values), reps), np.nan)
     rhos = []
     for r in range(reps):
-        block, rho = draw([rep_seed(master_seed, r)])
+        block, rho = draw(_states(rep_seed(master_seed, r)))
         if np.isnan(block[0]).all():  # the draw failed
             continue
         z_all = block[0]
@@ -330,10 +393,10 @@ def test_chunked_engine_equals_one_replication_at_a_time():
     rows = _CHUNK_ENTRIES // (n - 1)
     k_values = np.arange(2, n)
 
-    def draw(seeds):
-        block, rhos = np.empty((len(seeds), n - 1)), []
-        for row, seed in zip(block, seeds):
-            rng = np.random.default_rng(seed)
+    def draw(states):
+        block, rhos = np.empty((len(states), n - 1)), []
+        for row, state in zip(block, states):
+            rng = np.random.default_rng(state)
             pick = int(rng.integers(0, 6))
             # the draw failed (a NaN row); NaN is unresolved; -200 overflows the
             # covariate sums, failing its row
@@ -374,10 +437,10 @@ def test_seed_batches_of_several_chunks_equal_one_replication_at_a_time(monkeypa
     monkeypatch.setattr(montecarlo, "_CHUNK_ENTRIES", 64)
     k_values = np.arange(2, n)
 
-    def draw(seeds):
-        block, rhos = np.empty((len(seeds), n - 1)), []
-        for row, seed in zip(block, seeds):
-            rng = np.random.default_rng(seed)
+    def draw(states):
+        block, rhos = np.empty((len(states), n - 1)), []
+        for row, state in zip(block, states):
+            rng = np.random.default_rng(state)
             pick = int(rng.integers(0, 5))
             rhos.append((np.nan, np.nan, -0.5, -1.0, -200.0)[pick])
             row[:] = rng.exponential(size=n - 1)
@@ -392,8 +455,8 @@ def test_seed_batches_of_several_chunks_equal_one_replication_at_a_time(monkeypa
         assert np.array_equal(got, want, equal_nan=True) and rhos == want_rhos
     model = _model_draw(1.0, 0.1, -1.0, n - 1)
     got, rhos = _replicate(model, n - 1, est_ids, k_values[-1:], n, 50, 7)
-    want, want_rhos = _reference_replicate(model, est_ids, k_values[-1:], n, 50, 7)
-    assert np.array_equal(got, want) and rhos == want_rhos
+    want = _reference_replicate(model, est_ids, k_values[-1:], n, 50, 7)[0]
+    assert np.array_equal(got, want) and rhos == []  # the model's one rho is its caller's
 
 
 def test_seed_states_run_once_per_batch_of_chunks(monkeypatch):
@@ -613,15 +676,14 @@ def test_resolve_rho_gets_each_good_row_once_in_order(monkeypatch):
     monkeypatch.setattr(montecarlo, "resolve_rho", resolve)
     spec, n, master_seed = pareto(100.0), 60, 1
     draw = _sampling_draw(spec, n, RhoMethod.min_variance(), ("HILL", "WLS"))
-    seed_state = _seed_state_type()
     r = np.arange(400, dtype=np.uint64)
-    block, rhos = draw([seed_state(s) for s in _seed_states(_rep_seeds(master_seed, r))])
+    block, rhos = draw(_seed_states(_rep_seeds(master_seed, r)))
     good = [i for i, row in enumerate(block) if not np.isnan(row).all()]
     assert 0 < len(good) < len(rhos) and len(seen) == len(good)
     for i, z_all in zip(good, seen):
         assert np.shares_memory(z_all, block[i]) and np.array_equal(z_all, block[i])
     for row, seed in enumerate([rep_seed(master_seed, 0), rep_seed(master_seed, 1)]):
-        one_row, one_rho = draw([seed])  # a chunk of one row
+        one_row, one_rho = draw(_states(seed))  # a chunk of one row
         assert np.array_equal(one_row[0], block[row])
         assert np.array_equal(one_rho, rhos[row:row + 1], equal_nan=True)
 
