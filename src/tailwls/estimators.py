@@ -25,7 +25,9 @@ where S1 = sum w_j C_j, S2 = sum w_j C_j^2 - S1^2, and ``shrink`` is zero for
 plain fits and penalty/k for ridge. One path engine, ``_path_fit``, fits
 every k of a path at once from prefix sums (Beirlant, Dierckx, Goegebeur and
 Matthys 1999); the table returns the slope b_hat of LS and WLS beside their
-paths, and a fit at one k is the table at ``[k]``.
+paths, and a fit at one k is the table at ``[k]``. The covariate sums of a set
+of rhos are one design, built in one pass by ``_build_design`` and cached
+whole.
 """
 
 from __future__ import annotations
@@ -88,67 +90,58 @@ class _Design(NamedTuple):
     rejected: tuple
 
 
-def _row(rho: float, k_values: np.ndarray, weighted: bool) -> _Design:
-    """The one-row :class:`_Design` of ``rho`` at ``k_values``.
+def _design(rhos: tuple, k_values: np.ndarray, weighted: bool) -> _Design:
+    """The :class:`_Design` of the float ``rhos`` (one rho is a grid of one) at ``k_values``."""
+    return _build_design(rhos, k_values.astype(np.intp, copy=False).tobytes(), weighted)
 
-    C_j = (1 + v_j) * scale_k, and working with v keeps S2 = scale^2 * (sum
-    w_j v_j^2 - m1^2) accurate as rho -> 0. The row is NaN, and rejected,
-    unless rho is finite negative with finite v_j^2 and S2 a positive normal
-    float at every k in 2..k_max (S2 underflows for |rho| below about 1e-154).
+
+def _rejection(rho: float, over: bool, k_max: int) -> str:
+    """The InvalidRhoError message of a design row that ``rho`` cannot fill."""
+    try:
+        check_rho(rho)
+    except InvalidRhoError as exc:
+        return str(exc)
+    return f"rho={rho} {'over' if over else 'under'}flows the covariate sums up to k={k_max}"
+
+
+# The 16 most recently used designs, whole: a min-variance study's per-row
+# table calls cycle through a few sets of picks.
+@lru_cache(maxsize=16)
+def _build_design(rhos: tuple, k_bytes: bytes, weighted: bool) -> _Design:
+    """The design of ``rhos`` at the k values whose ``np.intp`` bytes are ``k_bytes``.
+
+    Every row is built at once on a (rho, k) block. C_j = (1 + v_j) * scale_k,
+    and working with v keeps S2 = scale^2 * (sum w_j v_j^2 - m1^2) accurate as
+    rho -> 0. A row is NaN, and rejected, unless its rho is finite negative
+    with finite v_j^2 and S2 a positive normal float at every k in 2..k_max
+    (S2 underflows for |rho| below about 1e-154). Each row equals the design
+    of its rho alone bit for bit: only the power runs once per rho, as numpy's
+    power on a block can miss the scalar-exponent fast paths (a reciprocal at
+    rho = -1) by a last bit.
     """
-    k_max, i = int(k_values[-1]), k_values - 1
+    i = np.frombuffer(k_bytes, np.intp) - 1
+    k_max = int(i[-1]) + 1
     k = np.arange(1, k_max + 1)
     totals = _prefix_sums(np.ones(k_max), k_max, weighted)
-    try:
-        rho = check_rho(rho)
-        with np.errstate(over="ignore", invalid="ignore"):
-            v, scale = np.expm1(-rho * np.log(k)), (k + 1.0) ** rho
-            m1 = _prefix_sums(v, k_max, weighted) / totals
-            # scaling twice keeps every intermediate a normal float
-            s2 = (_prefix_sums(v * v, k_max, weighted) / totals - m1 * m1) * scale * scale
-        if not np.isfinite(s2).all():
-            raise InvalidRhoError(f"rho={rho} overflows the covariate sums up to k={k_max}")
-        if not (s2[1:] >= _TINY).all():  # S2 is 0 at k = 1 for every rho
-            raise InvalidRhoError(f"rho={rho} underflows the covariate sums up to k={k_max}")
-        rejected = ()
-    except InvalidRhoError as exc:
-        v = m1 = scale = s2 = np.full(k_max, np.nan)
-        rejected = ((0, str(exc)),)
-    m1, scale, s2 = m1[i], scale[i], s2[i]
-    row = (i, totals[i]) + tuple(a[None] for a in (v, m1, scale, (1.0 + m1) * scale, s2))
-    for a in row:
+    rho = np.array(rhos)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = np.expm1(-rho[:, None] * np.log(k))
+        scale = np.array([(k + 1.0) ** r for r in rhos])
+        m1 = _prefix_sums(v, k_max, weighted) / totals
+        # scaling twice keeps every intermediate a normal float
+        s2 = (_prefix_sums(v * v, k_max, weighted) / totals - m1 * m1) * scale * scale
+    # row masks; S2 is 0 at k = 1 for every rho
+    over = ~np.isfinite(s2).all(axis=-1)
+    bad = over | ~(s2[:, 1:] >= _TINY).all(axis=-1) | ~((-np.inf < rho) & (rho < 0.0))
+    rejected = tuple((r, _rejection(rhos[r], over[r], k_max)) for r in bad.nonzero()[0].tolist())
+    for a in (v, m1, scale, s2):
+        a[bad] = np.nan
+    # take keeps the gathered columns C-contiguous, as the engine reads them
+    m1, scale, s2 = (a.take(i, axis=-1) for a in (m1, scale, s2))
+    design = _Design(weighted, i, totals.take(i), v, m1, scale, (1.0 + m1) * scale, s2, rejected)
+    for a in design[1:-1]:
         a.flags.writeable = False
-    return _Design(weighted, *row, rejected)
-
-
-def _design(rhos: tuple, k_values: np.ndarray, weighted: bool) -> _Design:
-    """The :class:`_Design` of the float ``rhos`` (one rho is a grid of one) at ``k_values``.
-
-    Each row is built on its own, once per (rho, k values, weighting), so it
-    does not depend on its grid, and a new set of rhos builds only the rows
-    not cached; one rho's design is its cached row.
-    """
-    kkey = k_values.astype(np.intp, copy=False).tobytes()
-    return _stack([_cached_row(rho, kkey, weighted) for rho in rhos])
-
-
-# The 16 most recently used design rows: the per-row table calls of a
-# min-variance study need 7. A call with more rhos keeps its last 16.
-@lru_cache(maxsize=16)
-def _cached_row(rho: float, k_bytes: bytes, weighted: bool) -> _Design:
-    """:func:`_row` at the k values whose ``np.intp`` bytes are ``k_bytes``."""
-    return _row(rho, np.frombuffer(k_bytes, np.intp), weighted)
-
-
-def _stack(rows: list) -> _Design:
-    """The :class:`_Design` whose row r is the one-row design ``rows[r]``; one row is itself."""
-    if len(rows) == 1:
-        return rows[0]
-    columns = [np.concatenate(a) for a in zip(*(row[3:8] for row in rows))]
-    for a in columns:
-        a.flags.writeable = False
-    rejected = tuple((r, message) for r, row in enumerate(rows) for _, message in row.rejected)
-    return _Design(rows[0].weighted, rows[0].i, rows[0].totals, *columns, rejected)
+    return design
 
 
 def _path_fit(z_all: np.ndarray, z_sums: np.ndarray, design: _Design, shrink=None, index=0):
@@ -264,12 +257,12 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho, k_values) -> 
     with), which share one running sum of Z with HILL (and the path BCHILL
     corrects).
     ``rho`` None means unresolved: the ids that need one are left out. A 2-D
-    block may take one rho per row, NaN where unresolved: the engine builds
-    each distinct rho's design once, and each row equals its own one-rho
-    call, or is NaN where that call leaves an id out or fails on its rho
-    (HILL too); slopes and RR's penalties are NaN on the rows where their
-    paths are. ``n`` is the size of the originating sample, read only by
-    BCHILL's (n/k)^rho factor.
+    block may take one rho per row, a 1-D array with one entry per row, NaN
+    where unresolved: the engine runs once on the design of the distinct
+    rhos, and each row equals its own one-rho call, or is NaN where that
+    call leaves an id out or fails on its rho (HILL too); slopes and RR's
+    penalties are NaN on the rows where their paths are. ``n`` is the size
+    of the originating sample, read only by BCHILL's (n/k)^rho factor.
 
     Returns:
         :class:`Table` of the paths, the LS and WLS slopes, and RR's penalties.
@@ -279,12 +272,16 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho, k_values) -> 
         KOutOfRangeError: k_values not strictly ascending integers, k_values[0]
             < 1 or k_values[-1] > len(z_all), or BCHILL with n None or n < k + 1.
         KTooSmallError: a regression estimator with k_values[0] < 2.
-        InvalidRhoError: one rho, not finite negative or over- or underflowing the sums.
+        InvalidRhoError: one rho, not finite negative or over- or underflowing the
+            sums, or a per-row rho that is not one entry per row of a 2-D block.
         NonFiniteError: a path that overflows (spacings near the float range).
     """
     ids = check_estimators(est_ids)
     per_row = getattr(rho, "ndim", 0) > 0  # np.ndim would cost a conversion per call
     rhos, index = () if rho is None or per_row else (float(rho),), 0
+    if per_row and not (rho.ndim == 1 and z_all.ndim == 2 and len(rho) == len(z_all)):
+        raise InvalidRhoError(f"rho of shape {rho.shape} is not one rho per row of spacings "
+                              f"of shape {z_all.shape}")
     if per_row:  # np.unique keeps one NaN, last
         distinct, index = np.unique(rho, return_inverse=True)
         rhos = tuple(distinct[~np.isnan(distinct)].tolist())
@@ -315,7 +312,7 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho, k_values) -> 
             paths["BCHILL"] = _bchill(paths["HILL"], slopes["WLS"], rhos, index, n, k_values)
     paths, slopes = {e: paths[e] for e in ids}, {e: slopes[e] for e in ids if e in slopes}
     if per_row:  # blank what each row's own call would not give
-        failed = np.isin(index, list(rejected)) & ~unresolved
+        failed = np.isin(index, list(rejected)) & ~unresolved if rejected else False
         for e, a in [*paths.items(), *slopes.items(), ("RR", penalties)]:
             if a is not None:
                 a[failed | unresolved & (e not in _RHO_FREE)] = np.nan

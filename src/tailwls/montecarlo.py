@@ -266,6 +266,7 @@ class SimulationConfig:
     ``estimators`` is stored as the tuple ``check_estimators`` returns, so
     an iterable of ids is read once, here; each integer setting as the int
     ``check_int`` returns (a non-integer reps or master_seed is a ValueError).
+    ``rho_method`` must be a :class:`RhoMethod` (else TypeError).
     """
 
     spec: DistributionSpec
@@ -284,6 +285,9 @@ class SimulationConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name), error, low))
         check_k_range(self.k_min, self.k_max, self.n)
         object.__setattr__(self, "estimators", check_estimators(self.estimators))
+        if not isinstance(self.rho_method, RhoMethod):
+            raise TypeError(f"rho_method={self.rho_method!r} is not a RhoMethod.fixed(value), "
+                            "RhoMethod.moment() or RhoMethod.min_variance()")
 
 
 def _model_core(gamma, b, rho, k, reps, estimators, n, master_seed):

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateTailError, KOutOfRangeError, NonFiniteError
-from .estimators import _path_fit, _prefix_sums, _row, _stack
+from .estimators import _design, _path_fit, _prefix_sums
 from .spacings import OrderedTail, check_rho, raise_on_overflow
 
 #: Candidate grid for min-variance selection.
@@ -138,8 +138,8 @@ def _window(grid: tuple, n: int):
     """(float grid array, WLS design of its candidates over n's k window), built once.
 
     The window is k in [max(2, ceil(n/10)), floor(0.9*(n-1))]. Only the last
-    (grid, n) is kept, which is all a study or a CLI call uses. Its rows
-    stay out of the engine's row cache, so the design is held once.
+    (grid, n) is kept, which is all a study or a CLI call uses. The design is
+    the engine's cached one, so it is built once and held once.
     """
     lo = max(2, math.ceil(n / 10))
     hi = math.floor(0.9 * (n - 1))
@@ -148,7 +148,7 @@ def _window(grid: tuple, n: int):
             f"n={n} leaves no k window [{lo}, {hi}] for min-variance selection"
         )
     rhos, window = tuple(float(g) for g in grid), np.arange(lo, hi + 1)
-    return np.array(rhos), _stack([_row(rho, window, True) for rho in rhos])
+    return np.array(rhos), _design(rhos, window, True)
 
 
 def _path_variances(z_all: np.ndarray, design) -> np.ndarray:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -286,19 +288,14 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
     """
     from tailwls import estimators
 
-    keys, built = [], []
-    real_design, real_row = estimators._design, estimators._row
+    keys = []
+    real_design = estimators._design
 
     def recorded(rhos, k_values, weighted):
         keys.append(rhos)
         return real_design(rhos, k_values, weighted)
 
-    def row(rho, k_values, weighted):
-        built.append(rho)
-        return real_row(rho, k_values, weighted)
-
     monkeypatch.setattr(estimators, "_design", recorded)
-    monkeypatch.setattr(estimators, "_row", row)
     rng = np.random.default_rng(57)
     for _ in range(30):
         n = int(rng.integers(20, 400))
@@ -315,13 +312,13 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
                 got = estimators._path_fit(z_all, z_sums, design, index=np.s_[:])[0]
                 assert got.shape == (len(rhos), len(k_values))
                 assert np.array_equal(got, want)
-    # integer and numpy rhos share the float row of the same rho: one build, then hits
-    estimators._cached_row.cache_clear()
-    built.clear()
+    # integer and numpy rhos share the float design of the same rho: one build, then hits
+    estimators._build_design.cache_clear()
     for given in (-1, np.int64(-1), np.float64(-1.0), -1.0):
         path_estimates(z_all, None, ("WLS",), given, contiguous)
     assert keys[-4:] == [(-1.0,)] * 4
-    assert built == [-1.0]
+    info = estimators._build_design.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
     assert all(type(key) is tuple and all(type(rho) is float for rho in key)
                for key in keys)
     # a block of samples puts the rho axis first, each row still its one-rho path
@@ -336,74 +333,69 @@ def test_grid_rows_equal_one_rho_runs_bitwise(monkeypatch):
             assert np.array_equal(got[r, row], want)
 
 
-def test_design_cache_keeps_16_rho_rows_and_evicts_the_least_recent(monkeypatch):
-    """Rows are cached per (rho, k values, weighting), the 16 most recently used."""
+def test_design_cache_keeps_16_designs_and_evicts_the_least_recent():
+    """Designs are built whole and cached per (rhos, k values, weighting), the 16 most recent."""
     from tailwls import estimators
 
-    built = []
-    real_row = estimators._row
-
-    def row(rho, k_values, weighted):
-        built.append((rho, len(k_values), weighted))
-        return real_row(rho, k_values, weighted)
-
     def rebuilt(rhos, k_values=np.arange(2, 31), weighted=True):
-        """The rhos of ``rhos`` whose rows a ``_design`` call builds, in order."""
-        before = len(built)
+        """Whether a ``_design`` call builds its design, i.e. misses the cache."""
+        before = estimators._build_design.cache_info().misses
         estimators._design(tuple(rhos), k_values, weighted)
-        return [rho for rho, _, _ in built[before:]]
+        return estimators._build_design.cache_info().misses > before
 
-    estimators._cached_row.cache_clear()
-    monkeypatch.setattr(estimators, "_row", row)
+    estimators._build_design.cache_clear()
     k_values = np.arange(2, 31)
-    singles = [-0.1 * (i + 1) - 0.01 for i in range(16)]
-    for rho in singles:
-        estimators._design((rho,), k_values, True)
-    estimators._design((singles[0],), k_values, True)  # a hit makes it the most recent
-    assert len(built) == 16
+    singles = [(-0.1 * (i + 1) - 0.01,) for i in range(16)]
+    assert all(rebuilt(rhos) for rhos in singles)
+    assert not rebuilt(singles[0])  # a repeated rho set builds nothing; now the most recent
     grid = tuple(-0.25 * (i + 1) for i in range(7))
+    assert rebuilt(grid) and not rebuilt(grid)
     design = estimators._design(grid, k_values, True)
     assert design.v.shape == (7, 30) and design.s2.shape == (7, len(k_values))
     assert not any(a.flags.writeable for a in design[1:-1])
-    # 7 rows need room: the 7 least recent singles go, singles[0] was used last
-    assert rebuilt(singles[8:] + [singles[0], *grid]) == []
-    assert estimators._cached_row.cache_info().currsize == 16
-    # another k range or weighting is another row; a known row is not rebuilt
-    estimators._design((grid[0], -9.0), np.arange(2, 30), True)
-    estimators._design((grid[0],), k_values, False)
-    estimators._design((grid[1], grid[0]), k_values, True)
-    assert len(built) == 16 + 7 + 3 and estimators._cached_row.cache_info().currsize == 16
-    assert rebuilt(singles[1:8]) == singles[1:8]  # evicted, so built again
-    big = tuple(-0.05 * (i + 1) - 0.003 for i in range(20))  # none cached yet
-    assert rebuilt(big) == list(big)
-    # a call of more than 16 rhos keeps its last 16 rows
-    assert rebuilt(big[4:]) == [] and rebuilt(big[:4]) == list(big[:4])
+    assert all(a.flags.c_contiguous for a in design[1:-1])
+    # each row is the design of its rho alone, bit for bit
+    for r, rho in enumerate(grid):
+        one = estimators._design((rho,), k_values, True)
+        assert all(np.array_equal(got[r], want[0]) for got, want in zip(design[3:8], one[3:8]))
+    assert estimators._build_design.cache_info().currsize == 16
+    # the grid and its rows took the room of the 8 least recent singles; singles[0] was used last
+    assert not rebuilt(singles[0]) and not rebuilt(singles[9])
+    assert rebuilt(singles[1])
+    # another k range, weighting or order of the rhos is another design
+    assert rebuilt(grid, np.arange(2, 30)) and rebuilt(grid, weighted=False)
+    assert rebuilt(grid[::-1])
+    assert estimators._build_design.cache_info().currsize == 16
 
 
-def test_min_variance_studies_build_each_design_row_once(monkeypatch):
-    """A sweep of sim_minvar-sized studies builds the 7 grid rows and at most 7 pick rows."""
+def test_min_variance_studies_build_the_window_design_once(monkeypatch):
+    """A sweep of sim_minvar-sized studies builds the grid's window design once."""
     from tailwls import estimators, second_order
 
-    built = []
-    real_row = estimators._row
+    window_calls, keys = [], set()
+    real_design = estimators._design
 
-    def row(rho, k_values, weighted):
-        built.append((rho, k_values[0], k_values[-1], weighted))
-        return real_row(rho, k_values, weighted)
+    def window_design(rhos, k_values, weighted):
+        window_calls.append((rhos, k_values[0], k_values[-1], weighted))
+        return real_design(rhos, k_values, weighted)
 
-    estimators._cached_row.cache_clear()
-    for module in (estimators, second_order):  # the grid rows are the resolver's
-        monkeypatch.setattr(module, "_row", row)
+    def table_design(rhos, k_values, weighted):
+        keys.add((rhos, k_values[0], k_values[-1], weighted))
+        return real_design(rhos, k_values, weighted)
+
+    estimators._build_design.cache_clear()
     second_order._window.cache_clear()
+    monkeypatch.setattr(second_order, "_design", window_design)
+    monkeypatch.setattr(estimators, "_design", table_design)
     for seed in range(50):
         run_simulation(SimulationConfig(spec=burr(1.0, np.sqrt(2.0), np.sqrt(2.0)), n=200,
                                         reps=20, k_min=10, k_max=150, estimators=("HILL", "WLS"),
                                         rho_method=RhoMethod.min_variance(), master_seed=seed))
-    assert len(built) == len(set(built)) <= 14
-    assert sorted(rho for rho, lo, hi, _ in built if (lo, hi) == (20, 179)) == sorted(DEFAULT_RHO_GRID)
-    assert {(lo, hi, weighted) for _, lo, hi, weighted in built} == {(20, 179, True), (10, 150, True)}
-    # the picks
-    assert estimators._cached_row.cache_info().currsize == len(built) - len(DEFAULT_RHO_GRID)
+    assert window_calls == [(DEFAULT_RHO_GRID, 20, 179, True)]
+    # the table's designs are of the picks at the study's k values, each built at most once
+    assert {(lo, hi, weighted) for _, lo, hi, weighted in keys} == {(10, 150, True)}
+    assert all(set(rhos) <= set(DEFAULT_RHO_GRID) for rhos, *_ in keys)
+    assert estimators._build_design.cache_info().misses == 1 + len(keys) <= 1 + 16
 
 
 def test_grid_call_runs_the_engine_once(monkeypatch):
@@ -589,8 +581,8 @@ def test_per_row_rho_equals_one_row_calls_bitwise():
 
     Min-variance picks repeat a few grid values, -1 among them; a moment rho
     differs on every row. (k+1)^rho taken on a column of rhos differs in the
-    last bit from the scalar power on some hosts, so the design is built per
-    distinct rho. An unresolved row keeps only HILL; a row whose rho
+    last bit from the scalar power on some hosts, so the design's power runs
+    per distinct rho. An unresolved row keeps only HILL; a row whose rho
     overflows the covariate sums is NaN throughout, as its own call raises.
     The LS and WLS slopes and RR's penalties are NaN on both, as their paths are.
     """
@@ -641,6 +633,11 @@ def test_per_row_rho_equals_one_row_calls_bitwise():
     assert list(table.paths) == ["HILL"] and table.slopes == {} and table.penalties is None
     assert np.array_equal(table.paths["HILL"],
                           path_estimates(block, n, ("HILL",), None, k_values).paths["HILL"])
+    # a per-row rho is 1-D with one entry per row of a 2-D block; other shapes are typed
+    for z_all, shape in ((block[:3, :50], (2,)), (block[0], (1,)), (block[:3], (3, 1))):
+        message = f"rho of shape {re.escape(str(shape))} .* of shape {re.escape(str(z_all.shape))}"
+        with pytest.raises(InvalidRhoError, match=message):
+            path_estimates(z_all, n, ESTIMATOR_IDS, np.full(shape, -1.0), np.arange(10, 30))
 
 
 def test_path_entries_equal_single_fits_bitwise():

@@ -417,17 +417,17 @@ def test_chunked_engine_equals_one_replication_at_a_time():
     assert np.array_equal(got, want, equal_nan=True) and rhos == want_rhos
 
     spec = burr(1.0, np.sqrt(2.0), np.sqrt(2.0))
-    n = 60
-    reps = 2 * (_CHUNK_ENTRIES // (n - 1)) + 1
-    draw = _sampling_draw(spec, n, RhoMethod.min_variance(), ESTIMATOR_IDS)
-    k_values = np.arange(5, n)
-    got, rhos = _replicate(draw, n - 1, ESTIMATOR_IDS, k_values, n, reps, 11)
-    want, want_rhos = _reference_replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 11)
-    assert np.array_equal(got, want, equal_nan=True)
-    assert rhos == want_rhos
-    got, rhos = _replicate(draw, n - 1, ESTIMATOR_IDS, k_values, n, 1, 11)
-    want, want_rhos = _reference_replicate(draw, ESTIMATOR_IDS, k_values, n, 1, 11)
-    assert np.array_equal(got, want, equal_nan=True) and rhos == want_rhos
+    # n = 200 with k up to 150 builds designs of more rhos and k than a (3, 150)
+    # block, where a power taken on the whole block changed bits
+    for n, k_values, method in ((60, np.arange(5, 60), RhoMethod.min_variance()),
+                                (200, np.arange(10, 151), RhoMethod.min_variance()),
+                                (200, np.arange(10, 151), RhoMethod.moment())):
+        draw = _sampling_draw(spec, n, method, ESTIMATOR_IDS)
+        for reps in (2 * (_CHUNK_ENTRIES // (n - 1)) + 1, 1):
+            got, rhos = _replicate(draw, n - 1, ESTIMATOR_IDS, k_values, n, reps, 11)
+            want, want_rhos = _reference_replicate(draw, ESTIMATOR_IDS, k_values, n, reps, 11)
+            assert np.array_equal(got, want, equal_nan=True), (n, method)
+            assert rhos == want_rhos
 
 
 @pytest.mark.parametrize("n", [9, 6, 3])
@@ -828,6 +828,17 @@ def test_model_study_rejects_a_non_integer_seed_reps_or_k():
         args = {"gamma": 1.0, "b": 0.1, "rho": -1.0, "k": 10, "reps": 5, **kwargs}
         with pytest.raises(error, match="must be an integer"):
             run_model_simulation(**args)
+
+
+@pytest.mark.parametrize("rho_method", ["minvar", "moment", None, -1.0])
+def test_rho_method_must_be_a_rho_method(rho_method):
+    """A rho method that is not a RhoMethod fails at construction, naming the builders."""
+    message = r"RhoMethod\.fixed\(value\), RhoMethod\.moment\(\) or RhoMethod\.min_variance\(\)"
+    with pytest.raises(TypeError, match=message):
+        SimulationConfig(spec=pareto(1.0), n=50, reps=3, k_min=5, k_max=20, rho_method=rho_method)
+    if rho_method is not None:  # normality_report reads None as the spec's true rho
+        with pytest.raises(TypeError, match=message):
+            normality_report(100, 10, spec=pareto(1.0), n=50, rho_method=rho_method)
 
 
 def test_integer_settings_are_stored_as_the_ints_that_ran():
