@@ -54,7 +54,6 @@ from .distributions import (
     loggamma,
     pareto,
     quantile,
-    sample,
 )
 from .montecarlo import (
     GENERATOR_ID,
@@ -65,6 +64,7 @@ from .montecarlo import (
     rep_seed,
     run_model_simulation,
     run_simulation,
+    sample,
     summarize,
 )
 
@@ -103,12 +103,12 @@ __all__ = [
     "loggamma",
     "quantile",
     "cdf",
-    "sample",
     # monte carlo
     "GENERATOR_ID",
     "SimulationConfig",
     "SimulationSummary",
     "rep_seed",
+    "sample",
     "run_simulation",
     "run_model_simulation",
     "summarize",

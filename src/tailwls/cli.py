@@ -35,6 +35,7 @@ import argparse
 import datetime
 import math
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -78,6 +79,13 @@ def _failing(code: int, errors, prefix: str = ""):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's private matcher (Python 3.10-3.13: ^-\d+$|^-\d*\.\d+$), widened
+        # so that a spaced negative number with an exponent, as in ``--rho -1e-08``,
+        # is a value and not an option; subparsers are built from this class too
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # bad flags are a configuration problem; keep 2 for dataset parse errors
     def error(self, message):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
@@ -321,23 +329,18 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+# each family's builder and the flags of its arguments, in order; only --eta has a default
+_SPEC_FLAGS = {"pareto": (pareto, "gamma"), "burr": (burr, "eta", "tau", "lambda"),
+               "frechet": (frechet, "alpha"), "loggamma": (loggamma, "lambda", "alpha")}
+
+
 def _build_spec(args):
-    family = args.dist
-    if family == "pareto":
-        if args.gamma is None:
-            raise ValueError("--dist pareto needs --gamma")
-        return pareto(args.gamma)
-    if family == "burr":
-        if args.tau is None or args.lam is None:
-            raise ValueError("--dist burr needs --tau and --lambda")
-        return burr(args.eta, args.tau, args.lam)
-    if family == "frechet":
-        if args.alpha is None:
-            raise ValueError("--dist frechet needs --alpha")
-        return frechet(args.alpha)
-    if args.lam is None or args.alpha is None:
-        raise ValueError("--dist loggamma needs --lambda and --alpha")
-    return loggamma(args.lam, args.alpha)
+    builder, *flags = _SPEC_FLAGS[args.dist]
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        needed = " and ".join(f"--{flag}" for flag in flags if flag != "eta")
+        raise ValueError(f"--dist {args.dist} needs {needed}")
+    return builder(*values)
 
 
 def cmd_simulate(args) -> int:
@@ -433,7 +436,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--gamma", type=float, default=None, help="pareto index")
     sim.add_argument("--eta", type=float, default=1.0, help="burr scale")
     sim.add_argument("--tau", type=float, default=None, help="burr shape")
-    sim.add_argument("--lambda", dest="lam", type=float, default=None,
+    sim.add_argument("--lambda", type=float, default=None,
                      help="burr / loggamma parameter")
     sim.add_argument("--alpha", type=float, default=None,
                      help="frechet / loggamma shape")

@@ -15,19 +15,19 @@ parameter ``true_rho`` implied by its parameters:
 The strict Pareto tail has no second-order term at all, recorded as
 ``true_rho = -inf``. The log-gamma family sits at the boundary rho = 0 where
 the regression model is misspecified; it is included for exactly that reason.
-Sampling is inverse-transform with one uniform per draw, so a seed fixes the
-sample bit for bit.
+The module holds the families only: specs, :func:`quantile` and :func:`cdf`.
+Seeds, uniform streams and the inverse-transform draws from a spec, one
+uniform per draw, live in ``montecarlo``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from .errors import NonFiniteError, NonPositiveError, UOutOfRangeError
-from .spacings import check_int, check_positive
+from .spacings import check_positive
 
 FAMILIES = ("pareto", "burr", "frechet", "loggamma")
 
@@ -179,63 +179,3 @@ def cdf(spec: DistributionSpec, x):
         else:
             raise ValueError(f"unknown family {spec.family!r}")
     return float(out) if np.ndim(x) == 0 else out
-
-
-@cache
-def _seed_state_type() -> type:
-    """The ISeedSequence that hands a precomputed seed state to ``np.random.PCG64``.
-
-    PCG64 asks its seed object once, for ``generate_state(4, np.uint64)``,
-    and reads the answer's memory as its 4 words; an instance answers with
-    the array its ``state`` points to. The class is built on first use, so
-    importing the package does not load numpy.random.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class SeedState(ISeedSequence):
-        state = None
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    return SeedState
-
-
-def _uniforms(states, width: int) -> np.ndarray:
-    """The ``(rows, width)`` block of uniforms, row i the start of state row i's PCG64 stream.
-
-    The one place a seed becomes uniforms. ``states`` is a ``(rows, 4)``
-    block of uint64 PCG64 seed states, row i what ``np.random.PCG64`` asks a
-    seed for (``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for
-    an int s), and row i of the result is what
-    ``np.random.Generator(np.random.PCG64(seed_i)).random(width)`` returns.
-    The block is taken C-contiguous once, since PCG64 reads a state row's
-    memory and not its values: a strided row would seed another stream. One
-    adapter of :func:`_seed_state_type` is pointed at each row in turn.
-    """
-    states = np.ascontiguousarray(states, dtype=np.uint64)
-    block = np.empty((len(states), width))
-    adapter = _seed_state_type()()
-    for row, state in zip(block, states):
-        adapter.state = state
-        np.random.Generator(np.random.PCG64(adapter)).random(out=row)
-    return block
-
-
-def sample(spec: DistributionSpec, n: int, seed) -> np.ndarray:
-    """Draw n values by inverse transform, one uniform per draw.
-
-    The same (spec, n, seed) always yields the same array; the stream is a
-    PCG64 generator seeded with ``seed``, a nonnegative int or an
-    ``ISeedSequence``. Either way the stream is the one ``np.random.PCG64``
-    builds from that seed: the uniforms are the one-row block of
-    :func:`_uniforms` on the state PCG64 asks the seed for, its
-    ``generate_state(4, np.uint64)``, or that of ``np.random.SeedSequence``
-    built from an int. n must be an integer >= 1 (else ValueError).
-    """
-    n = check_int("n", n, ValueError, 1)
-    from numpy.random.bit_generator import ISeedSequence
-
-    if not isinstance(seed, ISeedSequence):
-        seed = np.random.SeedSequence(seed)
-    return quantile(spec, _uniforms(seed.generate_state(4, np.uint64)[None], n)[0])

@@ -1,5 +1,8 @@
-"""Monte Carlo machinery: seeded generators, one replication engine, aggregation.
+"""Monte Carlo machinery: the seeded stream, one replication engine, aggregation.
 
+The module owns the seeded stream: it turns a replication into a seed
+(``rep_seed``), a seed into a PCG64 seed state (``_seed_states``) and a state
+into uniforms (``_uniforms``), and ``sample`` is that stream's one-row case.
 Replication r of a study draws from a PCG64 stream seeded with
 
     rep_seed(master_seed, r) = master_seed XOR splitmix64(r)
@@ -20,7 +23,7 @@ replication replays from its integer seed alone. One call of
 chunk, whatever the rho method: the model draw hands it one rho, the
 sampling draw one per row.
 Both draws start from one block of uniforms, one row from each
-replication's stream (``distributions._uniforms``; ``sample`` is one row).
+replication's stream (``_uniforms``; ``sample`` is one row).
 The sampling draw turns the chunk's block into samples with one quantile
 call, then validates, sorts and takes the log-spacings of all rows at once
 (:func:`tailwls.spacings.block_tails`; ``validate_and_sort`` is one row);
@@ -53,12 +56,13 @@ import time
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from . import __version__
 from .asymptotics import standardized_statistic
-from .distributions import DistributionSpec, _uniforms, quantile
+from .distributions import DistributionSpec, quantile
 from .errors import KOutOfRangeError, NonFiniteError, NonPositiveError, TailwlsError
 from .estimators import ESTIMATOR_IDS, check_estimators, needs_rho, path_estimates
 from .second_order import RhoMethod, resolve_rho
@@ -145,11 +149,64 @@ def _seed_states(seeds: np.ndarray) -> np.ndarray:
     return np.stack(words, axis=1).view(np.uint64)
 
 
+@cache
+def _seed_state_type() -> type:
+    """The ISeedSequence that hands a precomputed seed state to ``np.random.PCG64``.
+
+    PCG64 asks its seed object once, for ``generate_state(4, np.uint64)``,
+    and reads the answer's memory as its 4 words; an instance answers with
+    the array its ``state`` points to. The class is built on first use, so
+    importing the package does not load numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return SeedState
+
+
+def _uniforms(states, width: int) -> np.ndarray:
+    """The ``(rows, width)`` block of uniforms, row i the start of state row i's PCG64 stream.
+
+    The one place a seed state becomes uniforms. ``states`` is a ``(rows,
+    4)`` block of uint64 PCG64 seed states, row i what ``np.random.PCG64``
+    asks a seed for (:func:`_seed_states` of an int seed s), and row i of
+    the result is what ``np.random.Generator(np.random.PCG64(s)).random(width)``
+    returns. The block is taken C-contiguous once, since PCG64 reads a state
+    row's memory and not its values: a strided row would seed another stream.
+    One adapter of :func:`_seed_state_type` is pointed at each row in turn.
+    """
+    states = np.ascontiguousarray(states, dtype=np.uint64)
+    block = np.empty((len(states), width))
+    adapter = _seed_state_type()()
+    for row, state in zip(block, states):
+        adapter.state = state
+        np.random.Generator(np.random.PCG64(adapter)).random(out=row)
+    return block
+
+
+def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
+    """Draw n values from ``spec`` by inverse transform, one uniform per draw.
+
+    The same (spec, n, seed) always yields the same array: the uniforms are
+    ``np.random.Generator(np.random.PCG64(seed)).random(n)``, the one-row
+    block of :func:`_uniforms`. n must be an integer >= 1 and seed an
+    integer >= 0 (else ValueError).
+    """
+    n, seed = check_int("n", n, ValueError, 1), check_int("seed", seed, ValueError, 0)
+    # numpy's SeedSequence builds one state in ~21 us where _seed_states, built
+    # for a batch, takes ~150 us; it also takes the seeds past 2^64
+    state = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+    return quantile(spec, _uniforms(state[None], n)[0])
+
+
 def _model_draw(gamma: float, b: float, rho: float, k: int):
     """Draw of model spacings with the true rho; the means are checked once, here.
 
     The draw takes the ``(rows, 4)`` block of PCG64 seed states of its
-    replications (see :func:`tailwls.distributions._uniforms`) and returns
+    replications (see :func:`_uniforms`) and returns
     the ``(rows, k)`` block of spacings, row i from state row i's stream as
     ``means * -log1p(-U)`` with k uniforms U, and the one rho. It raises
     NonFiniteError where a spacing overflows.
@@ -259,6 +316,14 @@ def _rho_counts(rhos) -> str:
     return ",".join(f"{label}:{count}" for label, count in counts.items())
 
 
+def _check_spec(spec) -> DistributionSpec:
+    """``spec`` if it is a DistributionSpec, else TypeError before any draw reads it."""
+    if not isinstance(spec, DistributionSpec):
+        raise TypeError(f"spec={spec!r} is not a DistributionSpec from pareto(), burr(), "
+                        "frechet() or loggamma()")
+    return spec
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Settings for a sampling-based study over a k range.
@@ -266,7 +331,8 @@ class SimulationConfig:
     ``estimators`` is stored as the tuple ``check_estimators`` returns, so
     an iterable of ids is read once, here; each integer setting as the int
     ``check_int`` returns (a non-integer reps or master_seed is a ValueError).
-    ``rho_method`` must be a :class:`RhoMethod` (else TypeError).
+    ``spec`` must be a :class:`DistributionSpec` and ``rho_method`` a
+    :class:`RhoMethod` (else TypeError).
     """
 
     spec: DistributionSpec
@@ -279,6 +345,7 @@ class SimulationConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        _check_spec(self.spec)
         for name, error, low in (("reps", ValueError, 1), ("master_seed", ValueError, None),
                                  ("n", KOutOfRangeError, None), ("k_min", KOutOfRangeError, None),
                                  ("k_max", KOutOfRangeError, None)):
@@ -523,10 +590,11 @@ def normality_report(
     sampling mode that includes ``resolved_rho_counts``. With ``spec`` None
     the spacings come straight from the exponential regression model with
     parameters (gamma, b, rho), which must then include gamma > 0. With
-    ``spec`` set to a DistributionSpec, full samples of size ``n`` (an integer
-    >= k+1; the ``SimulationConfig`` raises KOutOfRangeError otherwise) are
-    drawn and the top k order statistics are kept; rho is then resolved by
-    ``rho_method`` (default: the spec's true rho when finite negative, else -1).
+    ``spec`` set to a DistributionSpec (any other spec is a TypeError), full
+    samples of size ``n`` (an integer >= k+1; the ``SimulationConfig``
+    raises KOutOfRangeError otherwise) are drawn and the top k order
+    statistics are kept; rho is then resolved by ``rho_method`` (default:
+    the spec's true rho when finite negative, else -1).
 
     The statistic is :func:`standardized_statistic`, so at b = 0 its
     variance approaches 3k * amse(1, k, rho) / 4 (18/5 at rho = -1), not the
@@ -557,7 +625,7 @@ def normality_report(
         values, _, config = _model_core(gamma, b, rho, k, reps, ("WLS",), n, master_seed)
     else:
         check_k_values(k, 2)  # KTooSmallError at k = 1, as in model mode
-        gamma = spec.true_gamma
+        gamma = _check_spec(spec).true_gamma
         standardized_statistic(gamma, gamma, k)  # 2 gamma, before any draw
         if rho_method is None:  # the true rho where a fit takes it, else -1
             true_rho = spec.true_rho

@@ -359,9 +359,31 @@ FAILURES = {
     "estimate-estimation": (["estimate", "{d}/ties.csv", "--out", "{d}/o.csv"],
                             3, "tailwls estimate: estimation failed: every candidate rho "
                                "gives a constant WLS path over k in [10, 89]"),
+    "estimate-fixed-rho": (["estimate", "{d}/claims.csv", "--rho", "fixed:abc",
+                            "--out", "{d}/o.csv"],
+                           4, "tailwls estimate: bad fixed rho in 'fixed:abc'"),
+    "estimate-rho": (["estimate", "{d}/claims.csv", "--rho", "sometimes", "--out", "{d}/o.csv"],
+                     4, "tailwls estimate: bad --rho value 'sometimes'; "
+                        "expected fixed:<value>, moment, or minvar"),
+    "estimate-k-clash": (["estimate", "{d}/claims.csv", "--k", "10", "--k-min", "5",
+                          "--out", "{d}/o.csv"],
+                         4, "tailwls estimate: give either --k or --k-min/--k-max, not both"),
     "simulate-config": (["simulate", "--dist", "pareto", "--n", "50", "--reps", "5",
                          "--out", "{d}/o.csv"],
                         4, "tailwls simulate: --dist pareto needs --gamma"),
+    "simulate-burr": (["simulate", "--dist", "burr", "--tau", "2", "--n", "50", "--reps", "5",
+                       "--out", "{d}/o.csv"],
+                      4, "tailwls simulate: --dist burr needs --tau and --lambda"),
+    "simulate-frechet": (["simulate", "--dist", "frechet", "--n", "50", "--reps", "5",
+                          "--out", "{d}/o.csv"],
+                         4, "tailwls simulate: --dist frechet needs --alpha"),
+    "simulate-loggamma": (["simulate", "--dist", "loggamma", "--lambda", "1", "--n", "50",
+                           "--reps", "5", "--out", "{d}/o.csv"],
+                          4, "tailwls simulate: --dist loggamma needs --lambda and --alpha"),
+    # a spaced negative number with an exponent is a value, not an option
+    "simulate-gamma": (["simulate", "--dist", "pareto", "--gamma", "-1e-3", "--n", "50",
+                        "--reps", "5", "--out", "{d}/o.csv"],
+                       4, "tailwls simulate: gamma=-0.001 must be > 0"),
     "simulate-estimation": (["simulate", "--dist", "loggamma", "--lambda", "1e-155",
                              "--alpha", "1e-300", "--n", "20", "--reps", "2",
                              "--estimators", "HILL", "--out", "{d}/o.csv"],
@@ -389,6 +411,18 @@ def test_each_failure_exits_with_its_code_and_one_exact_line(case, failing_input
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == line.format(d=failing_inputs) + "\n"
+
+
+def test_a_spaced_negative_rho_with_an_exponent_is_a_value(capsys):
+    """``--rho -1e-08`` reads as ``--rho=-1e-08``: the same diagnose CSV, byte for byte."""
+    from tailwls import cli
+
+    outputs = []
+    for rho in (["--rho", "-1e-08"], ["--rho=-1e-08"]):
+        assert cli.main(["diagnose", *rho, "--gamma", "1", "--k-min", "2", "--k-max", "4"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].err == ""
+    assert outputs[0].out.count("\n") == 4
 
 
 def _sidecar(path) -> dict:

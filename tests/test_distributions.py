@@ -7,6 +7,7 @@ import pytest
 from scipy import special
 
 from tailwls import (
+    DistributionSpec,
     NonFiniteError,
     NonPositiveError,
     UOutOfRangeError,
@@ -19,7 +20,7 @@ from tailwls import (
     sample,
     validate_and_sort,
 )
-from tailwls.distributions import _seed_state_type, _uniforms
+from tailwls.montecarlo import _seed_state_type, _uniforms
 
 ALL_SPECS = [
     pareto(0.5),
@@ -147,6 +148,8 @@ def test_u_out_of_range():
             quantile(s, bad)
     with pytest.raises(UOutOfRangeError):
         quantile(s, np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="^unknown family 'weibull'$"):
+        quantile(DistributionSpec("weibull", {"k": 2.0}, 0.5, -1.0), 0.5)
 
 
 def test_quantile_beyond_the_float_range_is_inf_without_a_warning():
@@ -185,6 +188,8 @@ def test_cdf_at_the_extremes_is_quiet_and_typed():
     for x in (np.nan, np.array([2.0, np.nan])):
         with pytest.raises(NonFiniteError):
             cdf(pareto(1.0), x)
+    with pytest.raises(ValueError, match="^unknown family 'weibull'$"):
+        cdf(DistributionSpec("weibull", {"k": 2.0}, 0.5, -1.0), 2.0)
 
 
 def test_loggamma_where_scipy_fails_is_typed_or_clipped():
@@ -239,16 +244,17 @@ def test_uniforms_take_the_state_values_whatever_their_layout():
         assert np.array_equal(_uniforms(strided, 50), want)
 
 
-def test_sample_takes_an_int_seed_or_its_seed_object():
+def test_sample_takes_only_an_int_seed():
+    """An int seed s gives PCG64(s)'s stream, past 2^64 too; any other seed is a ValueError."""
     spec = burr(1.0, 2.0, 0.5)
-    for s in (0, 7, 2**32, 2**64 - 1):
-        want = sample(spec, 30, s)
-        assert np.array_equal(want, quantile(spec, np.random.Generator(
-            np.random.PCG64(s)).random(30)))
-        assert np.array_equal(sample(spec, 30, np.random.SeedSequence(s)), want)
-        adapter = _seed_state_type()()
-        adapter.state = np.random.SeedSequence(s).generate_state(4, np.uint64)
-        assert np.array_equal(sample(spec, 30, adapter), want)
+    for s in (0, 7, 2**32, 2**64 - 1, 2**70):
+        want = quantile(spec, np.random.Generator(np.random.PCG64(s)).random(30))
+        assert np.array_equal(sample(spec, 30, s), want)
+    adapter = _seed_state_type()()
+    adapter.state = np.random.SeedSequence(7).generate_state(4, np.uint64)
+    for bad in (None, 1.5, -1, [1, 2], np.random.SeedSequence(7), adapter):
+        with pytest.raises(ValueError, match="^seed="):
+            sample(spec, 30, bad)
 
 
 def test_sample_bad_n():
@@ -261,7 +267,7 @@ def test_sample_bad_n():
 
 def test_import_does_not_load_scipy():
     # scipy is needed only by the log-gamma quantile and cdf, and numpy.random
-    # only by the first draw (distributions._seed_state_type)
+    # only by the first draw (montecarlo._seed_state_type)
     code = ("import tailwls, sys; "
             "assert 'scipy' not in sys.modules and 'numpy.random' not in sys.modules")
     subprocess.run([sys.executable, "-c", code], check=True)

@@ -266,6 +266,8 @@ def test_path_bad_arguments():
     z_all = validate_and_sort(np.arange(1.0, 21.0)).z_all
     with pytest.raises(ValueError):
         check_estimators(("NOPE",))
+    with pytest.raises(ValueError, match=r"^duplicate estimator in \('WLS', 'WLS'\)$"):
+        check_estimators(("WLS", "WLS"))
     with pytest.raises(ValueError):
         _one_id(z_all, 20, "NOPE", -1.0, np.arange(2, 11))
     # k from 1, k up to n = 20 (one past the 19 spacings), k descending

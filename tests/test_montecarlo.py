@@ -841,6 +841,17 @@ def test_rho_method_must_be_a_rho_method(rho_method):
             normality_report(100, 10, spec=pareto(1.0), n=50, rho_method=rho_method)
 
 
+@pytest.mark.parametrize("spec", [None, "pareto", {"gamma": 1.0}])
+def test_spec_must_be_a_distribution_spec(spec):
+    """A spec that is not a DistributionSpec fails before any draw, naming the builders."""
+    message = r"pareto\(\), burr\(\), frechet\(\) or loggamma\(\)$"
+    with pytest.raises(TypeError, match=message):
+        SimulationConfig(spec, 50, 5, 5, 20)
+    if spec is not None:  # normality_report reads None as model mode
+        with pytest.raises(TypeError, match=message):
+            normality_report(100, 10, spec=spec, n=50)
+
+
 def test_integer_settings_are_stored_as_the_ints_that_ran():
     cfg = SimulationConfig(spec=pareto(1.0), n=np.int64(50), reps=np.int32(3),
                            k_min=np.int64(5), k_max=np.uint16(20), master_seed=np.int64(7))

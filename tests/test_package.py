@@ -137,3 +137,36 @@ def test_only_the_two_study_cores_draw_and_replicate():
         calls += _engine_calls(path.read_text(encoding="utf-8"))
     assert calls == [("_model_core", "_model_draw"), ("_model_core", "_replicate"),
                      ("_sampling_core", "_replicate"), ("_sampling_core", "_sampling_draw")]
+
+
+def _stream_reach(source: str) -> tuple[list, list]:
+    """(lines that reach ``numpy.random``, private names imported from the package).
+
+    ``numpy.random`` is reached as ``np.random`` or by an import of it or of
+    a submodule; a private name has one leading underscore, not two.
+    """
+    lines, private = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            if node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy"):
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""])
+            if any(m == "numpy.random" or m.startswith("numpy.random.") for m in modules):
+                lines.append(node.lineno)
+            if getattr(node, "level", 0):
+                private += [alias.name for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.startswith("__")]
+    return sorted(lines), private
+
+
+def test_only_montecarlo_owns_the_seeded_stream():
+    """``montecarlo`` alone reaches numpy.random, and it imports no other module's private name."""
+    breach = ("import numpy.random\nfrom numpy.random.bit_generator import ISeedSequence\n"
+              "from .distributions import _uniforms, __version__\nu = np.random.PCG64(1)\n")
+    assert _stream_reach(breach) == ([1, 2, 4], ["_uniforms"])
+    reach = {path.stem: _stream_reach(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(tailwls.__file__).parent.glob("*.py"))}
+    assert [module for module, (lines, _) in reach.items() if lines] == ["montecarlo"]
+    assert reach["montecarlo"][1] == []
