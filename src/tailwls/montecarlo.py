@@ -196,8 +196,9 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
     integer >= 0 (else ValueError).
     """
     n, seed = check_int("n", n, ValueError, 1), check_int("seed", seed, ValueError, 0)
-    # numpy's SeedSequence builds one state in ~21 us where _seed_states, built
-    # for a batch, takes ~150 us; it also takes the seeds past 2^64
+    # numpy's SeedSequence builds one state in ~8 us where _seed_states, built
+    # for a batch, takes ~140 us for one row (2-CPU x86_64 host); it also takes
+    # the seeds past 2^64
     state = np.random.SeedSequence(seed).generate_state(4, np.uint64)
     return quantile(spec, _uniforms(state[None], n)[0])
 
@@ -206,10 +207,10 @@ def _model_draw(gamma: float, b: float, rho: float, k: int):
     """Draw of model spacings with the true rho; the means are checked once, here.
 
     The draw takes the ``(rows, 4)`` block of PCG64 seed states of its
-    replications (see :func:`_uniforms`) and returns
-    the ``(rows, k)`` block of spacings, row i from state row i's stream as
-    ``means * -log1p(-U)`` with k uniforms U, and the one rho. It raises
-    NonFiniteError where a spacing overflows.
+    replications (see :func:`_uniforms`) and returns the ``(rows, k)`` block
+    of spacings, row i from state row i's stream as ``means * -log1p(-U)``
+    with k uniforms U, and the one rho. It raises NonFiniteError where a
+    spacing overflows.
 
     Raises:
         KOutOfRangeError: k < 1.
