@@ -14,111 +14,16 @@ asymptotic diagnostics needed to study them.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DegenerateTailError,
-    EmptyOrTinyError,
-    InvalidRhoError,
-    KOutOfRangeError,
-    KTooSmallError,
-    NonFiniteError,
-    NonPositiveError,
-    TailwlsError,
-    UOutOfRangeError,
-)
-from .spacings import (
-    OrderedTail,
-    covariates,
-    validate_and_sort,
-    weights,
-)
-from .asymptotics import (
-    SMoments,
-    amse,
-    s1_limit,
-    s2_limit,
-    s_moments,
-    standardized_statistic,
-)
-from .estimators import (
-    ESTIMATOR_IDS,
-    optimal_k,
-    path_estimates,
-)
-from .second_order import DEFAULT_RHO_GRID, MOMENT_RHO_RANGE, RhoMethod, resolve_rho
-from .distributions import (
-    FAMILIES,
-    DistributionSpec,
-    burr,
-    cdf,
-    frechet,
-    loggamma,
-    pareto,
-    quantile,
-)
-from .montecarlo import (
-    GENERATOR_ID,
-    NormalityReport,
-    SimulationConfig,
-    SimulationSummary,
-    normality_report,
-    rep_seed,
-    run_model_simulation,
-    run_simulation,
-    sample,
-    summarize,
-)
+# Each module lists its public names in its own __all__. __version__ is set
+# before the imports because montecarlo reads it.
+from .errors import *
+from .spacings import *
+from .asymptotics import *
+from .estimators import *
+from .second_order import *
+from .distributions import *
+from .montecarlo import *
 
-__all__ = [
-    "__version__",
-    # errors
-    "TailwlsError",
-    "DegenerateTailError",
-    "EmptyOrTinyError",
-    "InvalidRhoError",
-    "KOutOfRangeError",
-    "KTooSmallError",
-    "NonFiniteError",
-    "NonPositiveError",
-    "UOutOfRangeError",
-    # spacings
-    "OrderedTail",
-    "validate_and_sort",
-    "weights",
-    "covariates",
-    # estimators
-    "ESTIMATOR_IDS",
-    "path_estimates",
-    "optimal_k",
-    # second order
-    "RhoMethod",
-    "resolve_rho",
-    "DEFAULT_RHO_GRID",
-    "MOMENT_RHO_RANGE",
-    # distributions
-    "FAMILIES",
-    "DistributionSpec",
-    "pareto",
-    "burr",
-    "frechet",
-    "loggamma",
-    "quantile",
-    "cdf",
-    # monte carlo
-    "GENERATOR_ID",
-    "SimulationConfig",
-    "SimulationSummary",
-    "rep_seed",
-    "sample",
-    "run_simulation",
-    "run_model_simulation",
-    "summarize",
-    "NormalityReport",
-    "normality_report",
-    # asymptotics
-    "SMoments",
-    "s_moments",
-    "s1_limit",
-    "s2_limit",
-    "amse",
-    "standardized_statistic",
-]
+__all__ = ["__version__", *errors.__all__, *spacings.__all__, *asymptotics.__all__,
+           *estimators.__all__, *second_order.__all__, *distributions.__all__,
+           *montecarlo.__all__]

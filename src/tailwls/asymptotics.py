@@ -39,6 +39,8 @@ from .errors import InvalidRhoError, NonFiniteError
 from .estimators import _design, _prefix_sums
 from .spacings import check_int, check_k_values, check_positive, check_rho
 
+__all__ = ["SMoments", "s_moments", "s1_limit", "s2_limit", "amse", "standardized_statistic"]
+
 
 def s1_limit(rho: float) -> float:
     """Large-k limit of S1."""

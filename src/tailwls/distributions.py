@@ -29,6 +29,9 @@ import numpy as np
 from .errors import NonFiniteError, NonPositiveError, UOutOfRangeError
 from .spacings import check_positive
 
+__all__ = ["FAMILIES", "DistributionSpec", "pareto", "burr", "frechet", "loggamma", "quantile",
+           "cdf"]
+
 FAMILIES = ("pareto", "burr", "frechet", "loggamma")
 
 

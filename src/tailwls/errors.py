@@ -5,6 +5,10 @@ so callers can catch one base class. Concrete classes also inherit
 ``ValueError`` because they all signal a rejected input or configuration.
 """
 
+__all__ = ["TailwlsError", "DegenerateTailError", "EmptyOrTinyError", "InvalidRhoError",
+           "KOutOfRangeError", "KTooSmallError", "NonFiniteError", "NonPositiveError",
+           "UOutOfRangeError"]
+
 
 class TailwlsError(Exception):
     """Base class for all errors raised by this package."""

@@ -40,6 +40,8 @@ import numpy as np
 from .errors import EmptyOrTinyError, InvalidRhoError, KOutOfRangeError
 from .spacings import check_int, check_k_values, check_rho, raise_on_overflow
 
+__all__ = ["ESTIMATOR_IDS", "path_estimates", "optimal_k"]
+
 #: Canonical estimator identifiers, in reporting order.
 ESTIMATOR_IDS = ("HILL", "BCHILL", "LS", "RR", "WLS")
 

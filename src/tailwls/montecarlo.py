@@ -69,6 +69,10 @@ from .second_order import RhoMethod, resolve_rho
 from .spacings import (block_tails, check_int, check_k_range, check_k_values, check_positive,
                        covariates, raise_on_overflow)
 
+__all__ = ["GENERATOR_ID", "SimulationConfig", "SimulationSummary", "rep_seed", "sample",
+           "run_simulation", "run_model_simulation", "summarize", "NormalityReport",
+           "normality_report"]
+
 _MASK64 = (1 << 64) - 1
 
 #: Identifier of the uniform stream recorded in summary metadata.
@@ -595,7 +599,10 @@ def normality_report(
     samples of size ``n`` (an integer >= k+1; the ``SimulationConfig``
     raises KOutOfRangeError otherwise) are drawn and the top k order
     statistics are kept; rho is then resolved by ``rho_method`` (default:
-    the spec's true rho when finite negative, else -1).
+    the spec's true rho when finite negative, else -1). An argument of the
+    other mode raises TypeError before any draw: ``gamma`` with a ``spec``,
+    ``rho_method`` or ``n`` without one. ``b`` and ``rho`` have defaults, so
+    sampling mode cannot tell them from unset ones; it ignores them.
 
     The statistic is :func:`standardized_statistic`, so at b = 0 its
     variance approaches 3k * amse(1, k, rho) / 4 (18/5 at rho = -1), not the
@@ -616,6 +623,11 @@ def normality_report(
         NormalityReport with mean, variance, skewness, excess kurtosis of the
         statistic and an echo of the generation settings.
     """
+    mode, other = (("model mode (spec=None)", {"rho_method": rho_method, "n": n})
+                   if spec is None else ("sampling mode (spec given)", {"gamma": gamma}))
+    for name, value in other.items():
+        if value is not None:
+            raise TypeError(f"{name} has no use in {mode}")
     reps, k = check_int("reps", reps, ValueError, 100), check_int("k", k)
     master_seed = check_int("master_seed", master_seed, ValueError)
     t0 = time.perf_counter()
@@ -623,7 +635,7 @@ def normality_report(
         if gamma is None:
             raise NonPositiveError("model mode needs gamma > 0, got None")
         standardized_statistic(gamma, gamma, k)  # gamma and 2 gamma, before any draw
-        values, _, config = _model_core(gamma, b, rho, k, reps, ("WLS",), n, master_seed)
+        values, _, config = _model_core(gamma, b, rho, k, reps, ("WLS",), None, master_seed)
     else:
         check_k_values(k, 2)  # KTooSmallError at k = 1, as in model mode
         gamma = _check_spec(spec).true_gamma

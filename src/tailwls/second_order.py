@@ -26,6 +26,8 @@ from .errors import DegenerateTailError, KOutOfRangeError, NonFiniteError
 from .estimators import _design, _path_fit, _prefix_sums
 from .spacings import OrderedTail, check_rho, raise_on_overflow
 
+__all__ = ["RhoMethod", "resolve_rho", "DEFAULT_RHO_GRID", "MOMENT_RHO_RANGE"]
+
 #: Candidate grid for min-variance selection.
 DEFAULT_RHO_GRID = (-0.25, -0.5, -0.75, -1.0, -1.5, -2.0, -3.0)
 
@@ -68,11 +70,16 @@ class RhoMethod:
 
     @property
     def method_id(self) -> str:
-        if self.kind == "fixed":
-            return f"fixed:{self.fixed_value:g}"
-        if self.kind == "moment":
-            return "moment" if self.tau == 0.0 else f"moment:tau={self.tau:g}"
-        return "minvar"
+        """'minvar', 'moment', 'moment:tau=<tau>' or 'fixed:<value>'.
+
+        A value is written with ``%g`` where that gives it back exactly, and
+        with ``repr`` otherwise, so the id records the method it names.
+        """
+        if self.kind == "minvar" or self.kind == "moment" and self.tau == 0.0:
+            return self.kind
+        value = self.fixed_value if self.kind == "fixed" else self.tau
+        text = f"{value:g}" if float(f"{value:g}") == value else repr(value)
+        return f"fixed:{text}" if self.kind == "fixed" else f"moment:tau={text}"
 
 
 def resolve_rho(tail: OrderedTail, method: RhoMethod) -> float:

@@ -36,6 +36,8 @@ from .errors import (
     NonPositiveError,
 )
 
+__all__ = ["OrderedTail", "validate_and_sort", "weights", "covariates"]
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     """Return a C-contiguous float64 copy with the writeable flag cleared."""

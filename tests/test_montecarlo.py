@@ -852,6 +852,21 @@ def test_spec_must_be_a_distribution_spec(spec):
             normality_report(100, 10, spec=spec, n=50)
 
 
+@pytest.mark.parametrize("kwargs,message", [
+    ({"gamma": 5.0, "spec": pareto(1.0), "n": 50}, "gamma has no use in sampling mode"),
+    ({"gamma": 1.0, "rho_method": RhoMethod.moment()}, "rho_method has no use in model mode"),
+    ({"gamma": 1.0, "n": 5}, "n has no use in model mode"),
+])
+def test_normality_report_rejects_the_other_modes_arguments(kwargs, message, monkeypatch):
+    """An argument the mode would ignore is a TypeError naming it, before any draw."""
+    def no_replication(*args):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(montecarlo, "_replicate", no_replication)
+    with pytest.raises(TypeError, match=message):
+        normality_report(100, 10, **kwargs)
+
+
 def test_integer_settings_are_stored_as_the_ints_that_ran():
     cfg = SimulationConfig(spec=pareto(1.0), n=np.int64(50), reps=np.int32(3),
                            k_min=np.int64(5), k_max=np.uint16(20), master_seed=np.int64(7))

@@ -170,3 +170,38 @@ def test_only_montecarlo_owns_the_seeded_stream():
              for path in sorted(Path(tailwls.__file__).parent.glob("*.py"))}
     assert [module for module, (lines, _) in reach.items() if lines] == ["montecarlo"]
     assert reach["montecarlo"][1] == []
+
+
+def _exports(source: str) -> tuple[list, list]:
+    """(the names of a module's ``__all__``, those of them it does not define at top level).
+
+    A top-level definition is a ``def``, a ``class`` or an assignment; an
+    imported name is not one.
+    """
+    exported, defined = [], set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = list(ast.literal_eval(node.value))
+    return exported, [name for name in exported if name not in defined]
+
+
+def test_each_public_name_is_declared_once_beside_its_definition():
+    """Each module lists the public names it defines; ``__init__`` re-exports the lists."""
+    breach = "from .errors import TailwlsError\n__all__ = ['TailwlsError', 'f', 'g']\ndef f(): pass\n"
+    assert _exports(breach) == (["TailwlsError", "f", "g"], ["TailwlsError", "g"])
+    package = Path(tailwls.__file__).parent
+    exports = {path.stem: _exports(path.read_text(encoding="utf-8"))
+               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
+    assert {module: missing for module, (_, missing) in exports.items() if missing} == {}
+    declared = [name for names, _ in exports.values() for name in names]
+    assert sorted(name for name in set(declared) if declared.count(name) > 1) == []
+    star = [node.module for node in ast.parse((package / "__init__.py").read_text("utf-8")).body
+            if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]]
+    assert sorted(star) == sorted(module for module, (names, _) in exports.items() if names)
+    assert tailwls.__all__ == ["__version__", *(n for m in star for n in exports[m][0])]

@@ -19,6 +19,7 @@ from tailwls import (
     sample,
     validate_and_sort,
 )
+from tailwls.cli import _parse_rho_method
 from tailwls.second_order import _min_variance_rho
 
 
@@ -41,6 +42,13 @@ class TestRhoMethod:
     def test_moment_ids(self):
         assert RhoMethod.moment().method_id == "moment"
         assert RhoMethod.moment(tau=0.5).method_id == "moment:tau=0.5"
+        assert RhoMethod.moment(0.123456789).method_id == "moment:tau=0.123456789"
+
+    @pytest.mark.parametrize("value", [-1.0, -0.7, -1e-08, -0.123456789, -123456.7, -2.5e-300])
+    def test_fixed_id_parses_back_to_its_method(self, value):
+        """The id keeps every digit of the value: ``%g`` where it is exact, else ``repr``."""
+        method = RhoMethod.fixed(value)
+        assert _parse_rho_method(method.method_id) == method
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -80,6 +88,11 @@ def test_moment_degenerate_tail():
     tail = validate_and_sort(np.full(50, 7.0))
     with pytest.raises(DegenerateTailError):
         resolve_rho(tail, RhoMethod.moment())
+    # n = 200, k1 = 194: every log is 1, so at tau = 2100 the ratio's numerator is 1 and
+    # its denominator (1/2)^1050 - (1/6)^700 a subnormal 8.3e-317, and T = inf
+    tail = validate_and_sort([math.e] * 194 + [1.0] * 6)
+    with pytest.raises(DegenerateTailError, match="T=inf gives no rho"):
+        resolve_rho(tail, RhoMethod.moment(2100.0))
 
 
 def test_minvar_degenerate_tail():
