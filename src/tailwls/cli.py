@@ -9,6 +9,10 @@ Subcommands:
 
 A ``simulate`` sidecar holds each estimator's MSE-minimising k and its MSE,
 ``k0_<E>`` and ``mse_k0_<E>`` from :func:`optimal_k`, unless no MSE is finite.
+``--rho`` takes a rho method's id, as :meth:`RhoMethod.parse` reads it and a
+sidecar's ``rho_method`` records it.
+A sidecar's ``command_line`` is ``tailwls`` and the argv ``main`` parsed,
+quoted by ``shlex.join``.
 
 Exit codes: 0 success, 2 dataset parse failure, 3 estimation failure,
 4 invalid configuration (including bad flags, sizes whose arrays do not fit
@@ -36,6 +40,7 @@ import datetime
 import math
 import os
 import re
+import shlex
 import stat
 import sys
 import tempfile
@@ -153,25 +158,26 @@ def _write_atomic(files: dict) -> None:
         raise
 
 
-def _write_outputs(out: str, text: str, command: str, entries: dict) -> None:
-    """Write the CSV ``text`` to ``out`` with its ``.meta`` sidecar, the sidecar renamed first.
+def _write_outputs(args, text: str, entries: dict) -> None:
+    """Write ``text`` to ``args.out`` with its ``.meta`` sidecar, the sidecar renamed first.
 
     The sidecar's name is the longer, so a name the file system refuses
     leaves no new CSV behind and an existing pair untouched. The sidecar
     holds one key=value line per entry, framed by the command, the command
-    line, the package version and a UTC timestamp. An OSError is a
-    configuration failure (exit 4).
+    line (``tailwls`` and the argv ``main`` parsed, shell-quoted), the
+    package version and a UTC timestamp. An OSError is a configuration
+    failure (exit 4).
     """
     sidecar = {
-        "command": command,
-        "command_line": " ".join(sys.argv) if sys.argv else "tailwls",
+        "command": args.command,
+        "command_line": shlex.join(["tailwls", *args.argv]),
         "package_version": __version__,
         **entries,
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with _failing(EXIT_CONFIG, OSError, f"cannot write {out}: "):
-        _write_atomic({out + ".meta": "".join(f"{k}={v}\n" for k, v in sidecar.items()),
-                       out: text})
+    with _failing(EXIT_CONFIG, OSError, f"cannot write {args.out}: "):
+        _write_atomic({args.out + ".meta": "".join(f"{k}={v}\n" for k, v in sidecar.items()),
+                       args.out: text})
 
 
 def read_numeric_column(path: str, column: int | None = None,
@@ -181,7 +187,9 @@ def read_numeric_column(path: str, column: int | None = None,
     Blank lines and lines starting with '#' are skipped; one non-numeric
     line is tolerated as a header. Without ``column`` the first field that
     parses as a float on the first data line picks the column (0-based).
-    Without ``delimiter`` commas and whitespace both split.
+    Without ``delimiter`` commas and whitespace both split. A leading UTF-8
+    byte-order mark, as spreadsheet exports write, is dropped (``utf-8-sig``),
+    so it neither hides the first value nor moves the detected column.
 
     Raises:
         _Failure: exit code 2, for an unreadable or non-UTF-8 file, a
@@ -189,7 +197,7 @@ def read_numeric_column(path: str, column: int | None = None,
             names the line), or fewer than two values overall.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _Failure(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
@@ -240,23 +248,6 @@ def read_numeric_column(path: str, column: int | None = None,
     return np.asarray(values)
 
 
-def _parse_rho_method(text: str) -> RhoMethod:
-    """Parse a --rho flag: fixed:<value>, moment, or minvar."""
-    if text == "moment":
-        return RhoMethod.moment()
-    if text == "minvar":
-        return RhoMethod.min_variance()
-    if text.startswith("fixed:"):
-        try:
-            value = float(text[len("fixed:"):])
-        except ValueError as exc:
-            raise ValueError(f"bad fixed rho in {text!r}") from exc
-        return RhoMethod.fixed(value)
-    raise ValueError(
-        f"bad --rho value {text!r}; expected fixed:<value>, moment, or minvar"
-    )
-
-
 def _parse_estimators(text: str) -> tuple[str, ...]:
     wanted = check_estimators(
         dict.fromkeys(t.strip().upper() for t in text.split(",") if t.strip()))
@@ -274,7 +265,7 @@ def cmd_estimate(args) -> int:
     n = tail.n
     with _failing(EXIT_CONFIG, (ValueError, TailwlsError)):
         estimators = _parse_estimators(args.estimators)
-        rho_method = _parse_rho_method(args.rho)
+        rho_method = RhoMethod.parse(args.rho)
         if args.k is not None and (args.k_min is not None or args.k_max is not None):
             raise ValueError("give either --k or --k-min/--k-max, not both")
         k_min = k_max = args.k
@@ -307,7 +298,7 @@ def cmd_estimate(args) -> int:
     if resolved is not None:
         entries["resolved_rho"] = _fmt(resolved)
     text = _csv_text(["k", "estimator", "rho_used", "gamma_hat"], template, rows)
-    _write_outputs(args.out, text, "estimate", entries)
+    _write_outputs(args, text, entries)
     if k_min < 10 and regression:
         print(
             f"tailwls estimate: warning: regression estimates at k < 10 "
@@ -347,7 +338,7 @@ def cmd_simulate(args) -> int:
     with _failing(EXIT_CONFIG, (ValueError, TailwlsError)):
         spec = _build_spec(args)
         estimators = _parse_estimators(args.estimators)
-        rho_method = _parse_rho_method(args.rho)
+        rho_method = RhoMethod.parse(args.rho)
         config = SimulationConfig(
             spec=spec,
             n=args.n,
@@ -374,7 +365,7 @@ def cmd_simulate(args) -> int:
         entries[f"k0_{est}"], entries[f"mse_k0_{est}"] = k0, _fmt(mse)
     text = _csv_text(["estimator", "k", "mean", "bias", "mse", "variance", "missing"],
                      "%s,%d,%.17g,%.17g,%.17g,%.17g,%d\n", rows)
-    _write_outputs(args.out, text, "simulate", entries)
+    _write_outputs(args, text, entries)
     print(f"wrote {args.out} ({len(estimators)} estimators, "
           f"k in [{config.k_min}, {config.k_max}], reps={config.reps})")
     return EXIT_OK
@@ -400,7 +391,7 @@ def cmd_diagnose(args) -> int:
         sys.stdout.write(text)
     else:
         entries = {"rho": _fmt(rho), "gamma": _fmt(gamma)}
-        _write_outputs(args.out, text, "diagnose", entries)
+        _write_outputs(args, text, entries)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -451,7 +442,7 @@ def build_parser() -> _Parser:
         command.add_argument("--estimators", default=",".join(ESTIMATOR_IDS),
                              help="comma-separated subset of " + ",".join(ESTIMATOR_IDS))
         command.add_argument("--rho", default="minvar",
-                             help="fixed:<value>, moment, or minvar")
+                             help="fixed:<value>, moment, moment:tau=<tau>, or minvar")
         command.add_argument("--out", default=out, help="output CSV path")
 
     diag = sub.add_parser("diagnose",
@@ -471,8 +462,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command on ``argv`` (default ``sys.argv[1:]``) and return its exit code."""
+    args = build_parser().parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else argv
     try:
         return args.func(args)
     except _Failure as exc:

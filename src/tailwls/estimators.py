@@ -211,7 +211,13 @@ def _ridge_choice(gammas: np.ndarray, k_values: np.ndarray):
 
 
 def check_estimators(est_ids) -> tuple[str, ...]:
-    """``est_ids`` as a tuple; EmptyOrTinyError if empty, ValueError on a bad or repeated id."""
+    """``est_ids`` as a tuple; EmptyOrTinyError if empty, ValueError on a bad or repeated id.
+
+    TypeError for a string, which would otherwise be read one letter at a time.
+    """
+    if isinstance(est_ids, str):
+        raise TypeError(f"estimators={est_ids!r} is a string, not a tuple of ids "
+                        f"such as ({est_ids!r},)")
     ids = tuple(est_ids)
     if not ids:
         raise EmptyOrTinyError("no estimators requested")
@@ -271,6 +277,7 @@ def path_estimates(z_all: np.ndarray, n: int | None, est_ids, rho, k_values) -> 
 
     Raises:
         EmptyOrTinyError / ValueError: bad ``est_ids``, as check_estimators, or no k.
+        TypeError: ``est_ids`` a string, not a tuple of ids.
         KOutOfRangeError: k_values not strictly ascending integers, k_values[0]
             < 1 or k_values[-1] > len(z_all), or BCHILL with n None or n < k + 1.
         KTooSmallError: a regression estimator with k_values[0] < 2.

@@ -65,7 +65,7 @@ from .asymptotics import standardized_statistic
 from .distributions import DistributionSpec, quantile
 from .errors import KOutOfRangeError, NonFiniteError, NonPositiveError, TailwlsError
 from .estimators import ESTIMATOR_IDS, check_estimators, needs_rho, path_estimates
-from .second_order import RhoMethod, resolve_rho
+from .second_order import RhoMethod, check_rho_method, resolve_rho
 from .spacings import (block_tails, check_int, check_k_range, check_k_values, check_positive,
                        covariates, raise_on_overflow)
 
@@ -336,8 +336,8 @@ class SimulationConfig:
     ``estimators`` is stored as the tuple ``check_estimators`` returns, so
     an iterable of ids is read once, here; each integer setting as the int
     ``check_int`` returns (a non-integer reps or master_seed is a ValueError).
-    ``spec`` must be a :class:`DistributionSpec` and ``rho_method`` a
-    :class:`RhoMethod` (else TypeError).
+    ``spec`` must be a :class:`DistributionSpec`, ``rho_method`` a
+    :class:`RhoMethod` and ``estimators`` not a string (else TypeError).
     """
 
     spec: DistributionSpec
@@ -357,9 +357,7 @@ class SimulationConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name), error, low))
         check_k_range(self.k_min, self.k_max, self.n)
         object.__setattr__(self, "estimators", check_estimators(self.estimators))
-        if not isinstance(self.rho_method, RhoMethod):
-            raise TypeError(f"rho_method={self.rho_method!r} is not a RhoMethod.fixed(value), "
-                            "RhoMethod.moment() or RhoMethod.min_variance()")
+        check_rho_method(self.rho_method)
 
 
 def _model_core(gamma, b, rho, k, reps, estimators, n, master_seed):
@@ -554,6 +552,7 @@ def run_model_simulation(
             without n >= k+1, rho not finite negative, or a regression
             estimator's covariate sums over- or underflowing at rho.
         KTooSmallError: a regression estimator with k < 2.
+        TypeError: ``estimators`` a string, not a tuple of ids.
     """
     t0 = time.perf_counter()
     master_seed = check_int("master_seed", master_seed, ValueError)

@@ -41,7 +41,9 @@ class RhoMethod:
 
     Build instances through the classmethods; the extra fields only matter
     for their respective kinds (fixed_value for 'fixed', tau for 'moment').
-    'minvar' always searches DEFAULT_RHO_GRID.
+    'minvar' always searches DEFAULT_RHO_GRID. ``method_id`` writes a method
+    as text (the CLI's ``--rho`` and a sidecar's ``rho_method``), and
+    ``parse`` reads it back: ``RhoMethod.parse(m.method_id) == m``.
     """
 
     kind: str
@@ -81,16 +83,49 @@ class RhoMethod:
         text = f"{value:g}" if float(f"{value:g}") == value else repr(value)
         return f"fixed:{text}" if self.kind == "fixed" else f"moment:tau={text}"
 
+    @classmethod
+    def parse(cls, text: str) -> "RhoMethod":
+        """The method whose id is ``text``, the inverse of ``method_id``.
+
+        Reads 'minvar', 'moment', 'moment:tau=<t>' and 'fixed:<v>'. ValueError
+        on any other text, or a <t> or <v> that ``float`` does not read; a
+        value the builders reject raises their error.
+        """
+        if text in ("minvar", "moment"):
+            return cls(kind=text)
+        for prefix, build, name in (("fixed:", cls.fixed, "fixed rho"),
+                                    ("moment:tau=", cls.moment, "moment tau")):
+            if text.startswith(prefix):
+                try:
+                    value = float(text[len(prefix):])
+                except ValueError:
+                    raise ValueError(f"bad {name} in {text!r}") from None
+                return build(value)
+        raise ValueError(f"bad --rho value {text!r}; expected fixed:<value>, moment, or minvar")
+
+
+def check_rho_method(method) -> None:
+    """TypeError unless ``method`` is a RhoMethod, naming its builders."""
+    if not isinstance(method, RhoMethod):
+        raise TypeError(f"rho_method={method!r} is not a RhoMethod.fixed(value), "
+                        "RhoMethod.moment() or RhoMethod.min_variance()")
+
 
 def resolve_rho(tail: OrderedTail, method: RhoMethod) -> float:
     """Resolve rho for a sample.
 
     Raises:
+        TypeError: ``tail`` is not an OrderedTail (build one with
+            validate_and_sort), or ``method`` not a RhoMethod.
         KOutOfRangeError: the sample is too small for the min-variance window.
         DegenerateTailError: a tail with no variation (moment method), or
             one on which every min-variance candidate path is constant.
         NonFiniteError: a power of the moment method's tau overflows.
     """
+    if not isinstance(tail, OrderedTail):
+        raise TypeError(f"tail is a {type(tail).__name__}, not an OrderedTail; "
+                        "build one with validate_and_sort")
+    check_rho_method(method)
     if method.kind == "fixed":
         return float(method.fixed_value)
     if method.kind == "moment":

@@ -223,6 +223,26 @@ def test_simulate_matches_library(tmp_path):
     assert "resolved_rho_counts=-1:25,unresolved:0" in meta
 
 
+def test_simulate_runs_the_moment_tau_its_rho_id_names(tmp_path, capsys):
+    """``--rho moment:tau=1`` is RhoMethod.moment(1.0), and the sidecar records that id."""
+    from tailwls import cli
+
+    out = tmp_path / "s.csv"
+    assert cli.main(["simulate", "--dist", "burr", "--tau", "2", "--lambda", "1", "--n", "60",
+                     "--reps", "10", "--seed", "5", "--k-min", "5", "--k-max", "30",
+                     "--estimators", "HILL,WLS", "--rho", "moment:tau=1", "--out", str(out)]) == 0
+    summary = tw.run_simulation(tw.SimulationConfig(
+        spec=tw.burr(1.0, 2.0, 1.0), n=60, reps=10, k_min=5, k_max=30, estimators=("HILL", "WLS"),
+        rho_method=tw.RhoMethod.moment(1.0), master_seed=5))
+    fields = ("estimator", "k", "mean", "bias", "mse", "variance", "missing")
+    assert out.read_text() == ",".join(fields) + "\n" + "".join(
+        "%s,%d,%.17g,%.17g,%.17g,%.17g,%d\n" % tuple(row[f] for f in fields)
+        for row in summary.rows())
+    meta = (tmp_path / "s.csv.meta").read_text().splitlines()
+    assert "rho_method=moment:tau=1" in meta
+    assert f"resolved_rho_counts={summary.metadata['resolved_rho_counts']}" in meta
+
+
 def test_simulate_bad_config_exits_4(tmp_path):
     r = run_cli("simulate", "--dist", "pareto", "--gamma", "1", "--n", "50",
                 "--reps", "10", "--k-min", "40", "--k-max", "60",
@@ -365,6 +385,9 @@ FAILURES = {
     "estimate-rho": (["estimate", "{d}/claims.csv", "--rho", "sometimes", "--out", "{d}/o.csv"],
                      4, "tailwls estimate: bad --rho value 'sometimes'; "
                         "expected fixed:<value>, moment, or minvar"),
+    "estimate-moment-tau": (["estimate", "{d}/claims.csv", "--rho", "moment:tau=abc",
+                             "--out", "{d}/o.csv"],
+                            4, "tailwls estimate: bad moment tau in 'moment:tau=abc'"),
     "estimate-k-clash": (["estimate", "{d}/claims.csv", "--k", "10", "--k-min", "5",
                           "--out", "{d}/o.csv"],
                          4, "tailwls estimate: give either --k or --k-min/--k-max, not both"),

@@ -6,12 +6,13 @@ same rows with ``format(x, ".17g")`` cells. The reader test pins the
 values or the line-numbered message ``read_numeric_column`` gives on a
 corpus of layouts, bad values and flags. The output tests pin the mode of
 written files and the exit code of an ``--out`` in a missing directory
-or naming a directory.
+or naming a directory, and the sidecar's ``command_line``.
 """
 
 import csv
 import io
 import os
+import shlex
 import stat
 import sys
 
@@ -148,6 +149,9 @@ READER_CORPUS = [
     ("id v\n1 10\n2 20\n", 1, None, [10.0, 20.0]),
     ("x\n1.5\n2.5\n", None, ";", [1.5, 2.5]),
     ("a;b\n1;2.5\n2;3.5\n", 1, ";", [2.5, 3.5]),
+    # a UTF-8 byte-order mark, as spreadsheet exports write, is not part of the first field
+    ("\ufeff5.0\n4.0\n3.0\n2.0\n1.0\n", None, None, [5.0, 4.0, 3.0, 2.0, 1.0]),
+    ("\ufeff5.0,9\n4.0,8\n3.0,7\n", None, None, [5.0, 4.0, 3.0]),
 ]
 
 
@@ -228,3 +232,14 @@ def test_out_naming_a_directory_exits_4(command, taken, data_file, tmp_path, cap
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(out) in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["data.txt", taken])
+
+
+def test_command_line_is_the_parsed_argv_shell_quoted(data_file, tmp_path, capsys):
+    """The sidecar records ``tailwls`` and the argv ``main`` parsed, not the host's sys.argv."""
+    out = tmp_path / "a dir" / "out file.csv"
+    out.parent.mkdir()
+    argv = SUBCOMMANDS["estimate"](data_file, out)
+    assert cli.main(argv) == 0
+    meta = dict(line.split("=", 1) for line in (tmp_path / "a dir" / "out file.csv.meta")
+                .read_text().splitlines())
+    assert shlex.split(meta["command_line"]) == ["tailwls", *argv]

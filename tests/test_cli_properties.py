@@ -2,7 +2,8 @@
 
 Every subcommand is driven in-process through ``cli.main``. Each numeric
 flag takes each of nan, +-inf, 0, -1, 1e-320 and +-1e308 (and ``--rho``
-each ``fixed:`` value of those, and of +-1e-300 and -1e300); each file
+each ``fixed:`` value of those, and of +-1e-300 and -1e300, and each
+``moment:tau=`` value of those); each file
 argument takes an empty file, a header alone, one value, all ties, bytes
 that are not UTF-8, a directory and a summary with an oversized field, and
 each ``--out`` a name too long for the file system.
@@ -23,7 +24,8 @@ from tailwls import cli
 
 EXIT_CODES = {0, 2, 3, 4}
 NUMBERS = ("nan", "inf", "-inf", "0", "-1", "1e-320", "1e308", "-1e308")
-RHOS = tuple(f"fixed:{v}" for v in NUMBERS + ("1e-300", "-1e-300", "-1e300"))
+RHOS = (tuple(f"fixed:{v}" for v in NUMBERS + ("1e-300", "-1e-300", "-1e300"))
+        + tuple(f"moment:tau={v}" for v in NUMBERS))
 
 _SIMULATE_BASE = {
     "pareto": ["--gamma=0.5"],

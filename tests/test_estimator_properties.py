@@ -7,7 +7,8 @@ spacings, and with them every linear estimator and the LS and WLS slopes,
 by p. Valid but extreme inputs give finite values (or, for a min-variance
 rho, a grid value; for a study, NaN where every replication is missing) or
 a typed ``TailwlsError``, and the distributions
-give values in their documented ranges or a typed ``TailwlsError``. The
+give values in their documented ranges or a typed ``TailwlsError``. Every
+rho method's id parses back to that method. The
 examples are derandomized and no example database is kept, so a run is
 repeatable.
 """
@@ -262,6 +263,16 @@ def test_extreme_moment_taus_give_range_values_or_typed_errors():
     for tau in (math.nan, math.inf, -math.inf):
         with pytest.raises(NonFiniteError, match="tau"):
             RhoMethod.moment(tau)
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.one_of(
+    st.just(RhoMethod.min_variance()),
+    st.builds(RhoMethod.fixed, st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)),
+    st.builds(RhoMethod.moment, st.floats(allow_nan=False, allow_infinity=False))))
+def test_every_method_id_parses_back_to_its_method(method):
+    """Any finite negative fixed rho and any finite tau: the id reads back to the method."""
+    assert RhoMethod.parse(method.method_id) == method
 
 
 def test_extreme_moment_inputs_give_finite_values_or_typed_errors():

@@ -15,6 +15,7 @@ from tailwls import (
     burr,
     covariates,
     optimal_k,
+    pareto,
     path_estimates,
     rep_seed,
     resolve_rho,
@@ -270,6 +271,14 @@ def test_path_bad_arguments():
         check_estimators(("WLS", "WLS"))
     with pytest.raises(ValueError):
         _one_id(z_all, 20, "NOPE", -1.0, np.arange(2, 11))
+    # a string is not read one letter at a time: a TypeError names the tuple form
+    tuple_form = r"is a string, not a tuple of ids such as \('(WLS|HILL)',\)$"
+    for call in (lambda: check_estimators("WLS"),
+                 lambda: path_estimates(z_all, 20, "WLS", -1.0, np.arange(2, 11)),
+                 lambda: run_model_simulation(1, 0, -1, 10, 2, "WLS"),
+                 lambda: SimulationConfig(pareto(1.0), 50, 3, 5, 20, estimators="HILL")):
+        with pytest.raises(TypeError, match=tuple_form):
+            call()
     # k from 1, k up to n = 20 (one past the 19 spacings), k descending
     for k_min, k_max, k_values in ((1, 10, np.arange(1, 11)), (5, 20, np.arange(5, 21)),
                                    (12, 5, [12, 5])):

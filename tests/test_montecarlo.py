@@ -832,10 +832,19 @@ def test_model_study_rejects_a_non_integer_seed_reps_or_k():
 
 @pytest.mark.parametrize("rho_method", ["minvar", "moment", None, -1.0])
 def test_rho_method_must_be_a_rho_method(rho_method):
-    """A rho method that is not a RhoMethod fails at construction, naming the builders."""
+    """A rho method that is not a RhoMethod fails at construction, naming the builders.
+
+    ``resolve_rho`` names them too, and names ``validate_and_sort`` for a
+    tail that is not an OrderedTail.
+    """
     message = r"RhoMethod\.fixed\(value\), RhoMethod\.moment\(\) or RhoMethod\.min_variance\(\)"
     with pytest.raises(TypeError, match=message):
         SimulationConfig(spec=pareto(1.0), n=50, reps=3, k_min=5, k_max=20, rho_method=rho_method)
+    tail = validate_and_sort(np.arange(1.0, 51.0))
+    with pytest.raises(TypeError, match=message):
+        resolve_rho(tail, rho_method)
+    with pytest.raises(TypeError, match=r"^tail is a list, not an OrderedTail; .*validate_and_sort"):
+        resolve_rho([1, 2, 3], RhoMethod.min_variance())
     if rho_method is not None:  # normality_report reads None as the spec's true rho
         with pytest.raises(TypeError, match=message):
             normality_report(100, 10, spec=pareto(1.0), n=50, rho_method=rho_method)

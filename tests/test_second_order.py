@@ -19,7 +19,6 @@ from tailwls import (
     sample,
     validate_and_sort,
 )
-from tailwls.cli import _parse_rho_method
 from tailwls.second_order import _min_variance_rho
 
 
@@ -44,11 +43,18 @@ class TestRhoMethod:
         assert RhoMethod.moment(tau=0.5).method_id == "moment:tau=0.5"
         assert RhoMethod.moment(0.123456789).method_id == "moment:tau=0.123456789"
 
-    @pytest.mark.parametrize("value", [-1.0, -0.7, -1e-08, -0.123456789, -123456.7, -2.5e-300])
-    def test_fixed_id_parses_back_to_its_method(self, value):
-        """The id keeps every digit of the value: ``%g`` where it is exact, else ``repr``."""
-        method = RhoMethod.fixed(value)
-        assert _parse_rho_method(method.method_id) == method
+    @pytest.mark.parametrize("method", [
+        *(pytest.param(RhoMethod.fixed(v), id=str(v))
+          for v in (-1.0, -0.7, -1e-08, -0.123456789, -123456.7, -2.5e-300)),
+        *(pytest.param(RhoMethod.moment(t), id=f"tau={t}")
+          for t in (0.5, 1.0, -0.123456789, 1e300)),
+    ])
+    def test_fixed_id_parses_back_to_its_method(self, method):
+        """The id keeps every digit of the value: ``%g`` where it is exact, else ``repr``.
+
+        A moment tau is written the same way, and both parse back to the method.
+        """
+        assert RhoMethod.parse(method.method_id) == method
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
