@@ -12,7 +12,9 @@ A ``simulate`` sidecar holds each estimator's MSE-minimising k and its MSE,
 ``--rho`` takes a rho method's id, as :meth:`RhoMethod.parse` reads it and a
 sidecar's ``rho_method`` records it.
 A sidecar's ``command_line`` is ``tailwls`` and the argv ``main`` parsed,
-quoted by ``shlex.join``.
+quoted by ``shlex.join``. ``main`` builds its parser on the first call and
+reuses it for the rest of the process; the parser looks up each command by
+name when it runs it.
 
 Exit codes: 0 success, 2 dataset parse failure, 3 estimation failure,
 4 invalid configuration (including bad flags, sizes whose arrays do not fit
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import math
 import os
 import re
@@ -409,6 +412,12 @@ def cmd_fetch_note(args) -> int:
 
 
 def build_parser() -> _Parser:
+    """A new parser for the four subcommands; ``args.func`` runs the one parsed.
+
+    Each ``func`` looks its ``cmd_*`` function up by name when it is called,
+    so the parser ``main`` keeps for the process runs a command patched after
+    it was built.
+    """
     parser = _Parser(prog="tailwls", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -419,7 +428,7 @@ def build_parser() -> _Parser:
     est.add_argument("--delimiter", default=None,
                      help="field delimiter (default: comma or whitespace)")
     est.add_argument("--k", type=int, default=None, help="single tail fraction")
-    est.set_defaults(func=cmd_estimate)
+    est.set_defaults(func=lambda args: cmd_estimate(args))
 
     sim = sub.add_parser("simulate", help="Monte Carlo study to summary.csv")
     sim.add_argument("--dist", required=True,
@@ -434,7 +443,7 @@ def build_parser() -> _Parser:
     sim.add_argument("--n", type=int, required=True, help="sample size")
     sim.add_argument("--reps", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0, help="master seed")
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=lambda args: cmd_simulate(args))
 
     for command, k_min, out in ((est, 2, "path.csv"), (sim, 5, "summary.csv")):
         command.add_argument("--k-min", type=int, default=None, help=f"default {k_min}")
@@ -453,17 +462,23 @@ def build_parser() -> _Parser:
     diag.add_argument("--k-max", type=int, default=100)
     diag.add_argument("--out", default=None,
                       help="output CSV path (default: stdout)")
-    diag.set_defaults(func=cmd_diagnose)
+    diag.set_defaults(func=lambda args: cmd_diagnose(args))
 
     note = sub.add_parser("fetch-note",
                           help="where to get the practical datasets")
-    note.set_defaults(func=cmd_fetch_note)
+    note.set_defaults(func=lambda args: cmd_fetch_note(args))
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """The parser ``main`` uses: built on the first call, not at import, then reused."""
+    return build_parser()
 
 
 def main(argv=None) -> int:
     """Run one command on ``argv`` (default ``sys.argv[1:]``) and return its exit code."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     args.argv = sys.argv[1:] if argv is None else argv
     try:
         return args.func(args)

@@ -101,7 +101,8 @@ class RhoMethod:
                 except ValueError:
                     raise ValueError(f"bad {name} in {text!r}") from None
                 return build(value)
-        raise ValueError(f"bad --rho value {text!r}; expected fixed:<value>, moment, or minvar")
+        raise ValueError(f"bad --rho value {text!r}; "
+                         "expected fixed:<value>, moment, moment:tau=<t>, or minvar")
 
 
 def check_rho_method(method) -> None:

@@ -384,7 +384,7 @@ FAILURES = {
                            4, "tailwls estimate: bad fixed rho in 'fixed:abc'"),
     "estimate-rho": (["estimate", "{d}/claims.csv", "--rho", "sometimes", "--out", "{d}/o.csv"],
                      4, "tailwls estimate: bad --rho value 'sometimes'; "
-                        "expected fixed:<value>, moment, or minvar"),
+                        "expected fixed:<value>, moment, moment:tau=<t>, or minvar"),
     "estimate-moment-tau": (["estimate", "{d}/claims.csv", "--rho", "moment:tau=abc",
                              "--out", "{d}/o.csv"],
                             4, "tailwls estimate: bad moment tau in 'moment:tau=abc'"),
@@ -502,6 +502,78 @@ def test_subcommands_match_the_docs():
     bullets = re.findall(r"^- `([a-z-]+)", section, flags=re.M)
     assert sorted(accepted) == sorted(docstring) == sorted(bullets)
     assert "fetch-note" in bullets and "optimal-k" not in accepted
+
+
+def _main_outputs(argv, out, capsys) -> tuple:
+    """``cli.main(argv)`` in-process: exit code, stdout, stderr, and the CSV and sidecar
+    at ``out``, the sidecar without the clock's ``timestamp_utc`` and ``wall_clock_s``."""
+    from tailwls import cli
+
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the argv
+        code = exc.code
+    captured = capsys.readouterr()
+    files = ()
+    if out.exists():
+        meta = _sidecar(Path(f"{out}.meta"))
+        del meta["timestamp_utc"]
+        meta.pop("wall_clock_s", None)  # simulate's only
+        files = (out.read_text(), meta)
+        out.unlink()
+    return code, captured.out, captured.err, files
+
+
+def test_a_reused_parser_leaks_no_state(burr_file, tmp_path, monkeypatch, capsys):
+    """Calls in one process on ``main``'s one parser give the bytes each call gives on a
+    parser just built: no flag, default or failure carries over to the next call."""
+    from tailwls import cli
+
+    outs = [tmp_path / f"o{i}.csv" for i in range(6)]
+    calls = [
+        ["estimate", str(burr_file), "--k", "50", "--rho", "fixed:-1",
+         "--estimators", "HILL,WLS", "--out", str(outs[0])],
+        ["estimate", str(burr_file), "--out", str(outs[1])],
+        ["simulate", "--dist", "pareto", "--gamma", "1", "--n", "40", "--reps", "3",
+         "--seed", "3", "--k-min", "7", "--out", str(outs[2])],
+        ["estimate", str(burr_file), "--frobnicate", "--out", str(outs[3])],
+        ["simulate", "--dist", "pareto", "--gamma", "1", "--n", "40", "--reps", "3",
+         "--out", str(outs[4])],
+        ["estimate", str(burr_file), "--out", str(outs[5])],
+    ]
+    builds = []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    reused = [_main_outputs(argv, out, capsys) for argv, out in zip(calls, outs)]
+    assert len(builds) == 1
+    assert [r[0] for r in reused] == [0, 0, 0, 4, 0, 0]
+    assert "unrecognized arguments: --frobnicate" in reused[3][2]
+    assert reused[1][3][0] == reused[5][3][0] and reused[1][3][1]["rho_method"] == "minvar"
+    for argv, out, got in zip(calls, outs, reused):
+        cli._parser.cache_clear()
+        assert _main_outputs(argv, out, capsys) == got
+    assert len(builds) == 1 + len(calls)
+
+
+def test_main_looks_up_each_command_when_it_runs_it(monkeypatch, capsys):
+    """A ``cmd_*`` patched after ``main`` built its parser is the one the next call runs."""
+    from tailwls import cli
+
+    assert cli.main(["fetch-note"]) == 0
+    parser = cli._parser()
+    ran = []
+    monkeypatch.setattr(cli, "cmd_estimate", lambda args: ran.append(args.dataset) or 7)
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: ran.append(args.n) or 8)
+    assert cli.main(["estimate", "x.csv"]) == 7
+    assert cli.main(["simulate", "--dist", "pareto", "--n", "9", "--reps", "1"]) == 8
+    assert ran == ["x.csv", 9] and cli._parser() is parser
+    capsys.readouterr()
 
 
 def test_fetch_note_contents():
