@@ -12,9 +12,7 @@ A ``simulate`` sidecar holds each estimator's MSE-minimising k and its MSE,
 ``--rho`` takes a rho method's id, as :meth:`RhoMethod.parse` reads it and a
 sidecar's ``rho_method`` records it.
 A sidecar's ``command_line`` is ``tailwls`` and the argv ``main`` parsed,
-quoted by ``shlex.join``. ``main`` builds its parser on the first call and
-reuses it for the rest of the process; the parser looks up each command by
-name when it runs it.
+quoted by ``shlex.join``.
 
 Exit codes: 0 success, 2 dataset parse failure, 3 estimation failure,
 4 invalid configuration (including bad flags, sizes whose arrays do not fit
