@@ -410,12 +410,7 @@ def cmd_fetch_note(args) -> int:
 
 
 def build_parser() -> _Parser:
-    """A new parser for the four subcommands; ``args.func`` runs the one parsed.
-
-    Each ``func`` looks its ``cmd_*`` function up by name when it is called,
-    so the parser ``main`` keeps for the process runs a command patched after
-    it was built.
-    """
+    """A new parser for the four subcommands; ``args.command`` names the one parsed."""
     parser = _Parser(prog="tailwls", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -426,7 +421,6 @@ def build_parser() -> _Parser:
     est.add_argument("--delimiter", default=None,
                      help="field delimiter (default: comma or whitespace)")
     est.add_argument("--k", type=int, default=None, help="single tail fraction")
-    est.set_defaults(func=lambda args: cmd_estimate(args))
 
     sim = sub.add_parser("simulate", help="Monte Carlo study to summary.csv")
     sim.add_argument("--dist", required=True,
@@ -441,7 +435,6 @@ def build_parser() -> _Parser:
     sim.add_argument("--n", type=int, required=True, help="sample size")
     sim.add_argument("--reps", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0, help="master seed")
-    sim.set_defaults(func=lambda args: cmd_simulate(args))
 
     for command, k_min, out in ((est, 2, "path.csv"), (sim, 5, "summary.csv")):
         command.add_argument("--k-min", type=int, default=None, help=f"default {k_min}")
@@ -460,11 +453,8 @@ def build_parser() -> _Parser:
     diag.add_argument("--k-max", type=int, default=100)
     diag.add_argument("--out", default=None,
                       help="output CSV path (default: stdout)")
-    diag.set_defaults(func=lambda args: cmd_diagnose(args))
 
-    note = sub.add_parser("fetch-note",
-                          help="where to get the practical datasets")
-    note.set_defaults(func=lambda args: cmd_fetch_note(args))
+    sub.add_parser("fetch-note", help="where to get the practical datasets")
     return parser
 
 
@@ -479,7 +469,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     args.argv = sys.argv[1:] if argv is None else argv
     try:
-        return args.func(args)
+        # looked up by name on each call, so a cmd_* patched after the first call runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except _Failure as exc:
         code, message = exc.code, exc
     except MemoryError as exc:
