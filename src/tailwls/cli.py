@@ -18,7 +18,8 @@ Exit codes: 0 success, 2 dataset parse failure, 3 estimation failure,
 4 invalid configuration (including bad flags, sizes whose arrays do not fit
 in memory, and an ``--out`` that cannot be written). Every nonzero exit
 writes one stderr line, ``tailwls <command>: <message>``: a command raises a
-``_Failure`` holding its exit code and message, and only ``main`` prints it.
+``_Failure`` holding its exit code and message, and only ``main`` prints it,
+with each line break written as ``\\n`` or ``\\r``.
 Floating point values are written with 17 significant digits, so files
 round-trip exactly. Every CSV, on stdout or
 in a file, is built as one text by one writer (``_csv_text``). No field
@@ -28,9 +29,10 @@ atomically (both temp files, then the renames, the sidecar first) with a
 ``<out>.meta`` sidecar of key=value lines; timestamps appear only in
 sidecars. A new output gets mode 0o666 less the umask, as ``open`` would
 give it, and an output that already exists keeps its mode. An ``--out`` in
-a missing directory, or naming a directory (itself or its sidecar), is a
-configuration error, found first; one that still cannot be written is one
-too, found at the write.
+a missing directory, or naming a directory or the dataset (itself or its
+sidecar), is a configuration error, found first; one that still cannot be
+written, or a sidecar value holding a line break, is one too, found at the
+write.
 """
 
 from __future__ import annotations
@@ -120,14 +122,21 @@ def _output_mode(path: str) -> int:
         return 0o666 & ~umask
 
 
-def _check_out(path: str) -> None:
-    """ValueError unless the output's directory exists and neither it nor its sidecar is one."""
+def _check_out(path: str, dataset: str | None = None) -> None:
+    """ValueError unless the output's directory exists and neither it nor its sidecar is a
+    directory or the file ``dataset``, which the write would replace."""
     directory = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(directory):
         raise ValueError(f"--out {path}: directory {directory} does not exist")
     for target in (path, path + ".meta"):
         if os.path.isdir(target):
             raise ValueError(f"--out {path}: {target} is a directory")
+        try:
+            same = dataset is not None and os.path.samefile(target, dataset)
+        except OSError:  # no such file yet
+            same = False
+        if same:
+            raise ValueError(f"--out {path}: {target} is the dataset {dataset}")
 
 
 def _write_atomic(files: dict) -> None:
@@ -167,7 +176,8 @@ def _write_outputs(args, text: str, entries: dict) -> None:
     holds one key=value line per entry, framed by the command, the command
     line (``tailwls`` and the argv ``main`` parsed, shell-quoted), the
     package version and a UTC timestamp. An OSError is a configuration
-    failure (exit 4).
+    failure (exit 4), and so is a value holding a line break, which would
+    split its line; either way nothing is written.
     """
     sidecar = {
         "command": args.command,
@@ -176,6 +186,10 @@ def _write_outputs(args, text: str, entries: dict) -> None:
         **entries,
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    for key, value in sidecar.items():
+        if re.search("[\n\r]", str(value)):
+            raise _Failure(EXIT_CONFIG, f"cannot write {args.out}.meta: its {key} value "
+                                        "holds a line break")
     with _failing(EXIT_CONFIG, OSError, f"cannot write {args.out}: "):
         _write_atomic({args.out + ".meta": "".join(f"{k}={v}\n" for k, v in sidecar.items()),
                        args.out: text})
@@ -274,7 +288,7 @@ def cmd_estimate(args) -> int:
             k_min = 2 if args.k_min is None else args.k_min
             k_max = n - 1 if args.k_max is None else args.k_max
         k_values = check_k_range(k_min, k_max, n)
-        _check_out(args.out)
+        _check_out(args.out, args.dataset)
 
     regression = needs_rho(estimators)
     with _failing(EXIT_ESTIMATION, TailwlsError, "estimation failed: "):
@@ -475,6 +489,8 @@ def main(argv=None) -> int:
         code, message = exc.code, exc
     except MemoryError as exc:
         code, message = EXIT_CONFIG, f"out of memory: {exc}"
+    # a line break from an argument (a path) is escaped, so the message stays one line
+    message = str(message).replace("\n", "\\n").replace("\r", "\\r")
     print(f"tailwls {args.command}: {message}", file=sys.stderr)
     return code
 

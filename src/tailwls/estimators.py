@@ -68,6 +68,23 @@ def _prefix_sums(f: np.ndarray, k_max: int, weighted: bool) -> np.ndarray:
     return np.add.accumulate(p, axis=-1, out=p) if weighted else p
 
 
+def _sums_at(t: np.ndarray, i: np.ndarray, out=None) -> np.ndarray:
+    """The running sums of ``t`` along its last axis at the 0-based indices ``i``, on a last axis.
+
+    At one index on two rows or more, each row's sum of its first k entries
+    is one in-order reduction over a C-contiguous (k, rows...) copy, with
+    ``accumulate``'s bits: numpy adds along a slow axis one element at a
+    time and sums pairwise only along the fast one (``numpy.sum``, Notes),
+    and -0.0 as the start keeps a sum of -0.0 (0.0 would make it +0.0). One
+    row would be summed pairwise, so it, like several indices, takes
+    ``accumulate`` into ``out`` (``t`` itself where the caller owns it) and
+    then the entries at ``i``.
+    """
+    if len(i) == 1 and t.size > t.shape[-1]:
+        return np.add.reduce(t[..., :i[0] + 1].T.copy(), axis=0, initial=-0.0).T[..., None]
+    return np.add.accumulate(t, axis=-1, out=out).take(i, axis=-1)
+
+
 # The smallest positive normal float; a smaller S2 makes the slope inf or NaN.
 _TINY = np.finfo(np.float64).tiny
 
@@ -159,7 +176,11 @@ def _path_fit(z_all: np.ndarray, z_sums: np.ndarray, design: _Design, shrink=Non
     ``np.s_[:]`` for a grid (a rho axis in front; ``np.s_[:, None]`` on a
     block), or an int array, a design row per block row; ``shrink`` may add
     axes in front of all. Every row equals its 1-D one-rho call bit for bit.
-    A rejected rho raises, unless ``index`` is an array.
+    A rejected rho raises, unless ``index`` is an array. The passes read only
+    at the design's k values, the weighted second pass of Z and the last
+    pass of v*Z, go through ``_sums_at``: at one k on two rows or more (a
+    model or one-k study's chunk) each is one in-order reduction, which
+    keeps the bits of the full running sum at k and skips its other entries.
     """
     weighted, i, totals, v, m1, scale, s1, s2, rejected = design
     if rejected and not isinstance(index, np.ndarray):
@@ -167,15 +188,15 @@ def _path_fit(z_all: np.ndarray, z_sums: np.ndarray, design: _Design, shrink=Non
     k_max = v.shape[-1]
     v, m1, scale, s1, s2 = (a[index] for a in (v, m1, scale, s1, s2))
     # zbar, the weighted mean of Z: the second pass of a weighted prefix sum
-    zbar = (np.add.accumulate(z_sums, axis=-1) if weighted else z_sums).take(i, axis=-1)
+    zbar = _sums_at(z_sums, i) if weighted else z_sums.take(i, axis=-1)
     zbar /= totals
-    # summed in place, so a run's slope sums take one block-sized array: on a
-    # 128 KiB model chunk each more live one cost page faults on every call
+    # summed in place, so a run's slope sums take one block-sized array (two at
+    # one k, with the reduction's copy): on a 128 KiB model chunk each more
+    # live one cost page faults on every call
     svz = np.multiply(v, z_all[..., :k_max])
-    np.add.accumulate(svz, axis=-1, out=svz)
     if weighted:
         np.add.accumulate(svz, axis=-1, out=svz)
-    b_hat = svz.take(i, axis=-1)
+    b_hat = _sums_at(svz, i, out=svz)
     b_hat /= totals
     # sum w_j (C_j - S1) Z_j = scale_k * (sum w_j v_j Z_j - m1 * zbar), formed
     # in the array the slope sums own; a shrink adds its axes in a new one

@@ -101,6 +101,29 @@ def test_verdict_needs_nine_of_ten_pairs_and_a_gap_beyond_the_parent_iqr(bench_p
     assert bench_pairs.verdict(entry, "wall").startswith("met:")
 
 
+def test_verdict_needs_correct_runs_and_no_more_failed_operations(bench_pairs):
+    # every pair 20% lower, as a met claim; then one wrong run, or more failures
+    fast = {"wall": [0.8 * w for w in PARENT["wall"]], "rate": PARENT["rate"]}
+    runs = _runs(PARENT, fast)
+    for run in runs:  # the parent failed one operation in each run
+        run["failed"] = 1 if run["side"] == "parent" else 0
+    assert bench_pairs.verdict(bench_pairs.summarise(runs, METRICS), "wall").startswith("met:")
+    runs[-1]["correct"] = False
+    entry = bench_pairs.summarise(runs, METRICS)
+    assert not entry["all_correct"] and entry["metrics"]["wall"]["change_wins"] == 10
+    assert bench_pairs.verdict(entry, "wall").endswith("; a run gave incorrect output")
+    assert bench_pairs.verdict(entry, "wall").startswith("not met:")
+    runs[-1]["correct"], runs[-1]["failed"] = True, 11
+    entry = bench_pairs.summarise(runs, METRICS)
+    assert entry["failed_ops"] == {"parent": 10, "change": 11}
+    assert bench_pairs.verdict(entry, "wall").startswith("not met:")
+    assert bench_pairs.verdict(entry, "wall").endswith(
+        "; the change failed 11 operations, the parent 10")
+    runs[-1]["failed"] = 10
+    entry = bench_pairs.summarise(runs, METRICS)
+    assert bench_pairs.verdict(entry, "wall").startswith("met:")
+
+
 def test_incomplete_pairs_are_left_out(bench_pairs):
     runs = _runs(PARENT, PARENT)[:-1]  # the last pair lacks its change run
     entry = bench_pairs.summarise(runs, METRICS)

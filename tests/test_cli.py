@@ -391,6 +391,14 @@ FAILURES = {
     "estimate-k-clash": (["estimate", "{d}/claims.csv", "--k", "10", "--k-min", "5",
                           "--out", "{d}/o.csv"],
                          4, "tailwls estimate: give either --k or --k-min/--k-max, not both"),
+    # a line break in an argument is escaped in the message, and never reaches a sidecar
+    "estimate-line-break": (["estimate", "{d}/d\nx.csv", "--out", "{d}/o.csv"],
+                            2, "tailwls estimate: cannot read {d}/d\\nx.csv: [Errno 2] "
+                               "No such file or directory: '{d}/d\\nx.csv'"),
+    "estimate-sidecar-line-break": (["estimate", "{d}/claims.csv", "--k", "10",
+                                     "--out", "{d}/d\nx.csv"],
+                                    4, "tailwls estimate: cannot write {d}/d\\nx.csv.meta: "
+                                       "its command_line value holds a line break"),
     "simulate-config": (["simulate", "--dist", "pareto", "--n", "50", "--reps", "5",
                          "--out", "{d}/o.csv"],
                         4, "tailwls simulate: --dist pareto needs --gamma"),
@@ -422,6 +430,9 @@ FAILURES = {
     "diagnose-rho": (["diagnose", "--rho", "-800", "--k-max", "3"],
                      4, "tailwls diagnose: --rho: rho=-800.0 overflows "
                         "the covariate sums up to k=3"),
+    "diagnose-line-break": (["diagnose", "--rho", "-1", "--out", "{d}/d\rx.csv"],
+                            4, "tailwls diagnose: cannot write {d}/d\\rx.csv.meta: "
+                               "its command_line value holds a line break"),
 }
 
 
@@ -430,10 +441,12 @@ def test_each_failure_exits_with_its_code_and_one_exact_line(case, failing_input
     from tailwls import cli
 
     argv, code, line = FAILURES[case]
+    inputs = sorted(failing_inputs.iterdir())
     assert cli.main([a.format(d=failing_inputs) for a in argv]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == line.format(d=failing_inputs) + "\n"
+    assert sorted(failing_inputs.iterdir()) == inputs  # nothing written
 
 
 def test_a_spaced_negative_rho_with_an_exponent_is_a_value(capsys):

@@ -15,6 +15,7 @@ import os
 import shlex
 import stat
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +233,25 @@ def test_out_naming_a_directory_exits_4(command, taken, data_file, tmp_path, cap
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and str(out) in err and "Traceback" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["data.txt", taken])
+
+
+@pytest.mark.parametrize("dataset, out", [("data.txt", "data.txt"),
+                                          ("data.txt", "sub/../data.txt"),
+                                          ("o.csv.meta", "o.csv")],
+                         ids=["itself", "respelled", "sidecar"])
+def test_out_naming_the_dataset_exits_4_and_keeps_its_bytes(dataset, out, data_file, tmp_path,
+                                                           capsys):
+    """An --out that is the dataset, or whose sidecar is, is refused before any write."""
+    (tmp_path / "sub").mkdir()
+    data_file.rename(tmp_path / dataset)
+    before = (tmp_path / dataset).read_bytes()
+    dataset, out = str(tmp_path / dataset), str(tmp_path / out)
+    target = out if dataset.endswith("data.txt") else out + ".meta"
+    assert cli.main(["estimate", dataset, "--out", out]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (f"tailwls estimate: --out {out}: {target} "
+                                       f"is the dataset {dataset}\n")
+    assert (tmp_path / dataset).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["sub", Path(dataset).name])
 
 
 def test_command_line_is_the_parsed_argv_shell_quoted(data_file, tmp_path, capsys):

@@ -10,6 +10,7 @@ from tailwls import (
     InvalidRhoError,
     KOutOfRangeError,
     KTooSmallError,
+    NonFiniteError,
     RhoMethod,
     SimulationConfig,
     burr,
@@ -675,6 +676,70 @@ def test_path_entries_equal_single_fits_bitwise():
         for est in ("LS", "WLS"):
             assert table.slopes[est][k - 2] == at_k.slopes[est][0], est
         assert table.penalties[k - 2] == at_k.penalties[0]
+
+
+def _bits(a):
+    """The float64 bits of ``a``: unlike ``np.array_equal``, they tell -0.0 from 0.0."""
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def test_one_k_blocks_equal_row_calls_and_path_entries_bitwise():
+    """A one-k table on a block gives each row its 1-D call and its path's entry at k, bit for bit.
+
+    At one k on two rows or more the engine takes its last running-sum passes
+    as one in-order reduction. Fuzzed blocks of 2-200 rows, k at and below the
+    row length, hold zero, -0.0 and NaN rows, one rho or one per row with
+    unresolved rows, and go through every estimator set in turn.
+    """
+    from itertools import combinations
+
+    subsets = [c for r in range(1, 6) for c in combinations(ESTIMATOR_IDS, r)]
+    rng = np.random.default_rng(61)
+    for trial in range(2 * len(subsets)):
+        ids = subsets[trial % len(subsets)]
+        rows, width = int(rng.integers(2, 201)), int(rng.integers(2, 151))
+        k = width if trial % 2 else int(rng.integers(2, width + 1))
+        block = rng.exponential(rng.uniform(0.1, 3.0), size=(rows, width))
+        block[rng.random(block.shape) < 0.1] = 0.0
+        block[rng.random(block.shape) < 0.1] = -0.0
+        for r, fill in zip(rng.choice(rows, size=min(rows, 3), replace=False),
+                           (-0.0, 0.0, np.nan)):
+            block[r] = fill
+        if trial % 3:
+            rho = rng.choice([-0.5, -1.0, -2.0, -rng.uniform(0.05, 3.0), np.nan], size=rows)
+            row_rho = [None if np.isnan(r) else float(r) for r in rho]
+        else:
+            rho = -rng.uniform(0.05, 3.0)
+            row_rho = [rho] * rows
+        table = path_estimates(block, width + 1, ids, rho, [k])
+        for r, z_all in enumerate(block):
+            one = path_estimates(z_all, width + 1, ids, row_rho[r], [k])
+            path = path_estimates(z_all, width + 1, ids, row_rho[r], np.arange(2, k + 1))
+            for field in ("paths", "slopes"):
+                got, at_k, full = (getattr(t, field) for t in (table, one, path))
+                for est in got:
+                    if est not in at_k:  # an unresolved row keeps only HILL
+                        assert np.isnan(got[est][r]).all(), (trial, r, est)
+                        continue
+                    want = _bits(at_k[est])
+                    assert np.array_equal(_bits(got[est][r]), want), (trial, r, field, est)
+                    assert np.array_equal(_bits(full[est][-1:]), want), (trial, r, field, est)
+            if one.penalties is not None:
+                assert np.array_equal(_bits(table.penalties[r]), _bits(one.penalties))
+
+
+def test_one_k_blocks_that_overflow_raise_as_their_rows_do():
+    """A one-k block whose weighted or slope sums overflow raises NonFiniteError, as a row does.
+
+    The running sum of Z stays finite at k = 100 (1e308); the second,
+    weighted pass of it and the slope sum of v*Z do not.
+    """
+    block = np.full((163, 100), 1e306)
+    for ids in (("WLS",), ("LS",), ("HILL", "BCHILL", "RR")):
+        for z_all in (block, block[:2], block[0]):
+            with pytest.raises(NonFiniteError, match="a path overflows"):
+                path_estimates(z_all, 101, ids, -1.0, [100])
+    assert np.isfinite(path_estimates(block, 101, ("HILL",), -1.0, [100]).paths["HILL"]).all()
 
 
 def test_paths_match_oracle_at_scale():

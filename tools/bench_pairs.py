@@ -119,17 +119,21 @@ def summarise(runs: list, metrics: list) -> dict:
 
 
 def verdict(workload: dict, metric: str) -> str:
-    """Whether a claimed gain holds: 9/10 of the pairs won, a gap beyond the parent's IQR."""
+    """Whether a claimed gain holds: 9/10 of the pairs won, a gap beyond the parent's IQR,
+    every run correct, and no more failed operations than the parent's."""
     m = workload["metrics"][metric]
-    pairs = workload["pairs"]
+    pairs, failed = workload["pairs"], workload["failed_ops"]
     met = m["change_wins"] >= 0.9 * pairs and m["median_gap_exceeds_parent_iqr"] and (
         m["change_vs_parent"] < 0) == (m["better"] == "lower")
+    faults = ([] if workload["all_correct"] else ["a run gave incorrect output"]) + (
+        [f"the change failed {failed['change']} operations, the parent {failed['parent']}"]
+        if failed["change"] > failed["parent"] else [])
     iqr = m["parent"]["q3"] - m["parent"]["q1"]
-    return (f"{'met' if met else 'not met'}: median {m['parent']['median']:.5g} -> "
-            f"{m['change']['median']:.5g} ({100 * m['change_vs_parent']:+.1f}%), change "
-            f"better in {m['change_wins']} of {pairs} pairs, median gap "
-            f"{abs(m['change']['median'] - m['parent']['median']):.3g} against a parent "
-            f"IQR of {iqr:.3g}")
+    return (f"{'met' if met and not faults else 'not met'}: median "
+            f"{m['parent']['median']:.5g} -> {m['change']['median']:.5g} "
+            f"({100 * m['change_vs_parent']:+.1f}%), change better in {m['change_wins']} of "
+            f"{pairs} pairs, median gap {abs(m['change']['median'] - m['parent']['median']):.3g}"
+            f" against a parent IQR of {iqr:.3g}" + "".join(f"; {f}" for f in faults))
 
 
 def main(argv=None) -> int:
