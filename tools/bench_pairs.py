@@ -18,7 +18,10 @@ pair. For each workload and each end-to-end metric of ``BENCHMARK.json``
 the output holds each side's median, quartiles and range, the change's
 median relative to the parent's, the pairs the change won, whether the
 median gap exceeds the parent's interquartile range, and whether the
-change stays within the metric's bound. ``--trace-workload`` adds one
+change stays within the metric's bound. ``--claim`` adds a verdict on one
+metric: met only if the change won nine tenths of the pairs by a median gap
+beyond the parent's IQR, every run was correct, and the change failed no
+more operations than the parent. ``--trace-workload`` adds one
 ``--trace 1`` pair per named workload with every per-layer metric. The
 output is rewritten after every run, so an interrupted series keeps the
 runs it finished.
@@ -125,9 +128,12 @@ def verdict(workload: dict, metric: str) -> str:
     pairs, failed = workload["pairs"], workload["failed_ops"]
     met = m["change_wins"] >= 0.9 * pairs and m["median_gap_exceeds_parent_iqr"] and (
         m["change_vs_parent"] < 0) == (m["better"] == "lower")
-    faults = ([] if workload["all_correct"] else ["a run gave incorrect output"]) + (
-        [f"the change failed {failed['change']} operations, the parent {failed['parent']}"]
-        if failed["change"] > failed["parent"] else [])
+    faults = []
+    if not workload["all_correct"]:
+        faults.append("a run gave incorrect output")
+    if failed["change"] > failed["parent"]:
+        faults.append(f"the change failed {failed['change']} operations, "
+                      f"the parent {failed['parent']}")
     iqr = m["parent"]["q3"] - m["parent"]["q1"]
     return (f"{'met' if met and not faults else 'not met'}: median "
             f"{m['parent']['median']:.5g} -> {m['change']['median']:.5g} "
